@@ -2,176 +2,85 @@
 
 Both poset embedding and coloured embedding reduce to the same search: find
 an injective map between index sets such that every ordered pair of sources
-has exactly the same relation code as its image pair, subject to a per-pair
-``allowed`` mask computed by the caller (colour constraints, degree pruning).
+has exactly the same relation code as its image pair, subject to a per-source
+``allowed`` target mask computed by the caller (colour constraints, degree
+pruning).
 
 Relation codes: 0 incomparable, 1 less-than, 2 greater-than, 3 equal.
+Relation matrices are lists of rows of these codes; target sets are Python
+ints used as bitsets, bit ``j`` standing for target ``j``.
 
-Two interchangeable backends: a numba ``@njit`` kernel and a numpy fallback.
-Candidates are tried in ascending target order and sources are filled in
-ascending order, so both backends return the identical, lexicographically
-first witness.  ``POSET_FORGE_BACKEND`` forces one backend; by default numba
-is used when importable.
+The kernel precomputes, for every target ``t`` and code, the set of targets
+``j`` with ``yrel[t][j] == code``.  The candidates for source ``i`` are its
+allowed targets, minus the used ones, intersected with one such set per
+already placed source.  Sources are filled in ascending order and candidates
+are taken lowest bit first, so the witness returned is the lexicographically
+first injection.
 """
-
-import numpy as np
-
-from .config import requested_backend
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-
-def _search_py(xrel, yrel, allowed):
-    n = xrel.shape[0]
-    m = yrel.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    assign = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(m, dtype=bool)
-    # candidate lists are valid for the lifetime of a depth: entries below
-    # depth i never change while depth >= i is active
-    cand = [None] * n
-    ptr = [0] * n
-    i = 0
-    while True:
-        if cand[i] is None:
-            mask = allowed[i] & ~used
-            if i > 0:
-                rows = yrel[assign[:i]]
-                mask = mask & np.all(rows == xrel[:i, i, None], axis=0)
-            cand[i] = np.flatnonzero(mask)
-            ptr[i] = 0
-        if ptr[i] < len(cand[i]):
-            j = int(cand[i][ptr[i]])
-            ptr[i] += 1
-            assign[i] = j
-            used[j] = True
-            i += 1
-            if i == n:
-                return assign
-            cand[i] = None
-        else:
-            cand[i] = None
-            i -= 1
-            if i < 0:
-                return None
-            used[assign[i]] = False
-            assign[i] = -1
-    raise AssertionError("unreachable")
-
-
-def _search_impl(xrel, yrel, allowed):  # pragma: no cover - compiled
-    n = xrel.shape[0]
-    m = yrel.shape[0]
-    assign = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(m, dtype=np.bool_)
-    nxt = np.zeros(n, dtype=np.int64)
-    i = 0
-    while True:
-        j = nxt[i]
-        found = False
-        while j < m:
-            if allowed[i, j] and not used[j]:
-                ok = True
-                for p in range(i):
-                    if yrel[assign[p], j] != xrel[p, i]:
-                        ok = False
-                        break
-                if ok:
-                    found = True
-                    break
-            j += 1
-        if found:
-            assign[i] = j
-            used[j] = True
-            nxt[i] = j + 1
-            i += 1
-            if i == n:
-                return assign
-            nxt[i] = 0
-        else:
-            nxt[i] = 0
-            i -= 1
-            if i < 0:
-                return np.full(0, -1, dtype=np.int64)
-            used[assign[i]] = False
-            assign[i] = -1
-
-
-if HAS_NUMBA:
-    _search_nb = njit(cache=True)(_search_impl)
-
-
-def backend_name():
-    """Name of the kernel backend in use ('numba' or 'python')."""
-    forced = requested_backend()
-    if forced == "python":
-        return "python"
-    if forced == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("POSET_FORGE_BACKEND=numba but numba is not importable")
-        return "numba"
-    return "numba" if HAS_NUMBA else "python"
 
 
 def search_injection(xrel, yrel, allowed):
-    """First relation-exact injection, as an int64 array, or None.
+    """First relation-exact injection, as a list of target indices, or None.
 
-    ``xrel``/``yrel`` are square int8 relation-code matrices; ``allowed`` is
-    a bool (n, m) mask of permitted single-element assignments.
+    ``xrel``/``yrel`` are square relation-code matrices given as lists of
+    rows; ``allowed`` holds one int bitmask of permitted targets per source.
     """
-    n = xrel.shape[0]
+    n = len(xrel)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    if n > yrel.shape[0]:
+        return []
+    if n > len(yrel):
         return None
     # a source with no admissible target at all can never be placed
-    if not allowed.any(axis=1).all():
+    if not all(allowed):
         return None
-    if backend_name() == "numba":
-        out = _search_nb(
-            np.ascontiguousarray(xrel),
-            np.ascontiguousarray(yrel),
-            np.ascontiguousarray(allowed),
-        )
-        if out.shape[0] == 0:
-            return None
-        return out
-    return _search_py(xrel, yrel, allowed)
-
-
-def relation_matrix(n, lt_pairs_by_index):
-    """Relation-code matrix from a set of (i, j) strict pairs over range(n)."""
-    rel = np.zeros((n, n), dtype=np.int8)
-    np.fill_diagonal(rel, 3)
-    for i, j in lt_pairs_by_index:
-        rel[i, j] = 1
-        rel[j, i] = 2
-    return rel
+    cols = []
+    for row in yrel:
+        by_code = [0, 0, 0, 0]
+        for j, code in enumerate(row):
+            by_code[code] |= 1 << j
+        cols.append(by_code)
+    assign = [0] * n
+    cand = [0] * n
+    cand[0] = allowed[0]
+    used = 0
+    i = 0
+    while True:
+        c = cand[i]
+        if c:
+            low = c & -c
+            cand[i] = c ^ low
+            assign[i] = low.bit_length() - 1
+            used |= low
+            i += 1
+            if i == n:
+                return assign
+            c = allowed[i] & ~used
+            for p in range(i):
+                c &= cols[assign[p]][xrel[p][i]]
+            cand[i] = c
+        else:
+            i -= 1
+            if i < 0:
+                return None
+            used ^= 1 << assign[i]
 
 
 def degree_mask(xrel, yrel):
-    """Pairs (i, j) where j's relation counts can accommodate i's.
+    """Per source, the targets whose relation counts can accommodate it.
 
     Every element below/above/incomparable-to i must land below/above/
     incomparable-to its image, so matching counts are a sound prefilter that
     cannot remove any completable assignment.
     """
     def counts(rel):
-        lt = (rel == 1).sum(axis=1)
-        gt = (rel == 2).sum(axis=1)
-        inc = (rel == 0).sum(axis=1)
-        return lt, gt, inc
+        return [(row.count(1), row.count(2), row.count(0)) for row in rel]
 
-    xl, xg, xi = counts(xrel)
-    yl, yg, yi = counts(yrel)
-    return (
-        (xl[:, None] <= yl[None, :])
-        & (xg[:, None] <= yg[None, :])
-        & (xi[:, None] <= yi[None, :])
-    )
+    ycounts = counts(yrel)
+    masks = []
+    for xl, xg, xi in counts(xrel):
+        mask = 0
+        for j, (yl, yg, yi) in enumerate(ycounts):
+            if xl <= yl and xg <= yg and xi <= yi:
+                mask |= 1 << j
+        masks.append(mask)
+    return masks

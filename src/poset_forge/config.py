@@ -1,9 +1,8 @@
-"""Size bounds and backend selection.
+"""Size bounds.
 
 Exhaustive searches refuse inputs over a size cap rather than grind
 unannounced.  The environment variable ``POSET_FORGE_BOUND`` overrides the
 global cap for all of them; explicit arguments win over both.
-``POSET_FORGE_BACKEND`` picks the search kernel (``numba`` or ``python``).
 """
 
 import os
@@ -13,7 +12,6 @@ SCATTERED_RANK_BOUND = 15
 MATRIX_FAMILY_BOUND = 10
 
 _ENV_BOUND = "POSET_FORGE_BOUND"
-_ENV_BACKEND = "POSET_FORGE_BACKEND"
 
 
 def effective_bound(default, override=None):
@@ -24,14 +22,3 @@ def effective_bound(default, override=None):
     if env is not None:
         return int(env)
     return default
-
-
-def requested_backend():
-    """Backend requested via environment, or None for automatic choice."""
-    value = os.environ.get(_ENV_BACKEND)
-    if value is None:
-        return None
-    value = value.strip().lower()
-    if value not in ("numba", "python"):
-        raise ValueError(f"{_ENV_BACKEND} must be 'numba' or 'python', got {value!r}")
-    return value

@@ -7,6 +7,7 @@ representatives, witness search order) refers back to it.  Values are
 immutable after construction; every operation here is a pure function.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -532,7 +533,7 @@ class EmbeddingMap:
 
 def _as_embedding(x, y, assign, kind):
     pairs = tuple(
-        (x.elements[i], y.elements[int(j)]) for i, j in enumerate(assign)
+        (x.elements[i], y.elements[j]) for i, j in enumerate(assign)
     )
     return EmbeddingMap(pairs, kind)
 
@@ -545,24 +546,30 @@ def embed(x, y):
     non-embeddability.  Candidates are tried in canonical target order and
     the first witness found is returned.
     """
-    allowed = _search.degree_mask(x.rel, y.rel)
-    assign = _search.search_injection(x.rel, y.rel, allowed)
+    xrel, yrel = x.rel.tolist(), y.rel.tolist()
+    assign = _search.search_injection(xrel, yrel, _search.degree_mask(xrel, yrel))
     if assign is None:
         return None
     return _as_embedding(x, y, assign, "poset")
+
+
+def _coloured_search(x, y, colour_ok):
+    """Search restricted to targets b with colour_ok(colour of a, colour of b)."""
+    xrel, yrel = x.poset.rel.tolist(), y.poset.rel.tolist()
+    allowed = _search.degree_mask(xrel, yrel)
+    for i, a in enumerate(x.elements):
+        ca = x.colour(a)
+        for j, b in enumerate(y.elements):
+            if allowed[i] >> j & 1 and not colour_ok(ca, y.colour(b)):
+                allowed[i] &= ~(1 << j)
+    return _search.search_injection(xrel, yrel, allowed)
 
 
 def coloured_embed(x, y):
     """Poset embedding that also increases colours, or None."""
     if x.palette != y.palette:
         raise PaletteMismatch("coloured embedding requires a shared palette")
-    allowed = _search.degree_mask(x.poset.rel, y.poset.rel)
-    for i, a in enumerate(x.elements):
-        ca = x.colour(a)
-        for j, b in enumerate(y.elements):
-            if allowed[i, j] and not x.palette.leq(ca, y.colour(b)):
-                allowed[i, j] = False
-    assign = _search.search_injection(x.poset.rel, y.poset.rel, allowed)
+    assign = _coloured_search(x, y, x.palette.leq)
     if assign is None:
         return None
     return _as_embedding(x.poset, y.poset, assign, "coloured")
@@ -603,10 +610,4 @@ def coloured_isomorphic(x, y):
     """Bijection preserving the order exactly and colours literally."""
     if len(x) != len(y) or x.palette != y.palette:
         return False
-    allowed = _search.degree_mask(x.poset.rel, y.poset.rel)
-    for i, a in enumerate(x.elements):
-        ca = x.colour(a)
-        for j, b in enumerate(y.elements):
-            if allowed[i, j] and y.colour(b) != ca:
-                allowed[i, j] = False
-    return _search.search_injection(x.poset.rel, y.poset.rel, allowed) is not None
+    return _coloured_search(x, y, operator.eq) is not None

@@ -15,11 +15,3 @@ def catalog6(catalog5):
     full = dict(catalog5)
     full[6] = helpers.iso_classes(6)
     return full
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernel():
-    # pay the jit compilation once, before any timed assertions
-    from poset_forge import canonical, embed
-
-    embed(canonical("chain", 1), canonical("chain", 2))

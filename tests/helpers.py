@@ -67,6 +67,29 @@ def brute_embed(x, y):
     return None
 
 
+def brute_coloured_embed(x, y, colour_ok=None):
+    """First coloured embedding by scanning injections in lexicographic order.
+
+    ``colour_ok(c, d)`` decides whether colour c may map to colour d; by
+    default the shared palette's order, so colours may only increase.
+    """
+    if colour_ok is None:
+        colour_ok = x.palette.leq
+    if len(x) > len(y):
+        return None
+    for targets in itertools.permutations(y.elements, len(x.elements)):
+        m = dict(zip(x.elements, targets))
+        if all(
+            colour_ok(x.colour(a), y.colour(m[a])) for a in x.elements
+        ) and all(
+            x.poset.lt(a, b) == y.poset.lt(m[a], m[b])
+            for a in x.elements
+            for b in x.elements
+        ):
+            return m
+    return None
+
+
 def brute_indecomposable(poset):
     n = len(poset)
     return all(len(iv) in (1, n) for iv in brute_intervals(poset))

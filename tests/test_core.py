@@ -13,6 +13,7 @@ from poset_forge import (
     check_coloured_embedding,
     check_embedding,
     coloured_embed,
+    coloured_isomorphic,
     embed,
     is_isomorphic,
     make_poset,
@@ -229,9 +230,22 @@ class TestEmbed:
 
     def test_matches_permutation_scan_random(self):
         rng = random.Random(7)
-        for _ in range(60):
-            x = helpers.random_poset(rng, rng.randrange(1, 5), prefix="x")
-            y = helpers.random_poset(rng, rng.randrange(1, 6), prefix="y")
+        cases = [
+            (
+                helpers.random_poset(rng, rng.randrange(1, 5), prefix="x"),
+                helpers.random_poset(rng, rng.randrange(1, 6), prefix="y"),
+            )
+            for _ in range(60)
+        ]
+        rng = random.Random(19)
+        cases += [
+            (
+                helpers.random_poset(rng, rng.randrange(1, 6), prefix="x"),
+                helpers.random_poset(rng, rng.randrange(1, 8), prefix="y"),
+            )
+            for _ in range(30)
+        ]
+        for x, y in cases:
             witness = embed(x, y)
             oracle = helpers.brute_embed(x, y)
             assert (witness is None) == (oracle is None)
@@ -270,24 +284,6 @@ class TestEmbed:
             if witness is not None:
                 assert check_embedding(x, y, witness)
 
-    def test_backends_agree(self, monkeypatch):
-        rng = random.Random(19)
-        cases = []
-        for _ in range(30):
-            cases.append(
-                (
-                    helpers.random_poset(rng, rng.randrange(1, 6), prefix="x"),
-                    helpers.random_poset(rng, rng.randrange(1, 8), prefix="y"),
-                )
-            )
-        results = {}
-        for backend in ("numba", "python"):
-            monkeypatch.setenv("POSET_FORGE_BACKEND", backend)
-            results[backend] = [
-                None if (w := embed(x, y)) is None else w.mapping for x, y in cases
-            ]
-        assert results["numba"] == results["python"]
-
 
 class TestColouredEmbed:
     def test_singleton_same_colour(self):
@@ -318,6 +314,47 @@ class TestColouredEmbed:
         )
         with pytest.raises(PaletteMismatch):
             coloured_embed(x, y)
+
+    def test_matches_coloured_permutation_scan(self):
+        pal = QuasiOrder(["0", "1"], [("0", "1")])
+        rng = random.Random(23)
+        found = 0
+        for _ in range(80):
+            x = helpers.random_coloured(rng, rng.randrange(1, 6), pal, prefix="x")
+            y = helpers.random_coloured(rng, rng.randrange(1, 8), pal, prefix="y")
+            witness = coloured_embed(x, y)
+            oracle = helpers.brute_coloured_embed(x, y)
+            assert (witness is None) == (oracle is None)
+            if witness is not None:
+                found += 1
+                assert witness.as_dict() == oracle
+        assert 0 < found < 80
+
+    def test_isomorphic_matches_permutation_scan(self):
+        pal = QuasiOrder(["0", "1"], [("0", "1")])
+        rng = random.Random(29)
+        outcomes = []
+        for _ in range(60):
+            x = helpers.random_coloured(rng, rng.randrange(1, 7), pal, prefix="x")
+            # a relabelled copy, then maybe one colour raised or one pair added
+            ids = list(x.elements)
+            rng.shuffle(ids)
+            rename = {a: f"y{k}" for k, a in enumerate(ids)}
+            pairs = [(rename[a], rename[b]) for a, b in x.poset.lt_pairs()]
+            colouring = {rename[a]: x.colour(a) for a in x.elements}
+            change = rng.randrange(3)
+            if change == 1:
+                colouring[rename[ids[0]]] = "1"
+            elif change == 2 and len(ids) > 1 and x.poset.incomparable(*ids[:2]):
+                pairs.append((rename[ids[0]], rename[ids[1]]))
+            names = [rename[a] for a in ids]
+            y = ColouredPoset(make_poset(names, pairs), colouring, pal)
+            oracle = len(x) == len(y) and helpers.brute_coloured_embed(
+                x, y, colour_ok=lambda c, d: c == d
+            ) is not None
+            assert coloured_isomorphic(x, y) == oracle
+            outcomes.append(oracle)
+        assert True in outcomes and False in outcomes
 
     def test_one_colour_agrees_with_embed(self, catalog5):
         posets = [p for n in (1, 2, 3, 4) for p in catalog5[n]]
