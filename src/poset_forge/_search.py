@@ -1,44 +1,41 @@
 """Backtracking kernel for relation-exact injections.
 
 Both poset embedding and coloured embedding reduce to the same search: find
-an injective map between index sets such that every ordered pair of sources
-has exactly the same relation code as its image pair, subject to a per-source
-``allowed`` target mask computed by the caller (colour constraints, degree
-pruning).
+an injective map between the elements of two posets such that every ordered
+pair of sources has exactly the same relation code as its image pair,
+subject to a per-source ``allowed`` target mask computed by the caller
+(colour constraints, degree pruning).
 
-Relation codes: 0 incomparable, 1 less-than, 2 greater-than, 3 equal.
-Relation matrices are lists of rows of these codes; target sets are Python
-ints used as bitsets, bit ``j`` standing for target ``j``.
-
-The kernel precomputes, for every target ``t`` and code, the set of targets
-``j`` with ``yrel[t][j] == code``.  The candidates for source ``i`` are its
-allowed targets, minus the used ones, intersected with one such set per
-already placed source.  Sources are filled in ascending order and candidates
-are taken lowest bit first, so the witness returned is the lexicographically
-first injection.
+Relation codes: 0 incomparable, 1 less-than, 2 greater-than, 3 equal.  The
+kernel reads the posets' bitmask rows (``beside``, ``above``, ``below``),
+bit ``j`` standing for element ``j``; target sets are Python ints of the
+same kind.  For a source ``p`` placed on target ``t``, the targets ``j``
+whose relation to ``t`` has a given code are row ``code`` of
+``(y.beside[t], y.above[t], y.below[t])``.  The candidates for source ``i``
+are its allowed targets, minus the used ones, intersected with one such row
+per already placed source.  Sources are filled in ascending order and
+candidates are taken lowest bit first, so the witness returned is the
+lexicographically first injection.
 """
 
 
-def search_injection(xrel, yrel, allowed):
-    """First relation-exact injection, as a list of target indices, or None.
+def search_injection(x, y, allowed):
+    """First relation-exact injection of x into y, as a list of target
+    indices, or None.
 
-    ``xrel``/``yrel`` are square relation-code matrices given as lists of
-    rows; ``allowed`` holds one int bitmask of permitted targets per source.
+    ``allowed`` holds one int bitmask of permitted targets per source.
     """
-    n = len(xrel)
+    n = len(x)
     if n == 0:
         return []
-    if n > len(yrel):
+    if n > len(y):
         return None
     # a source with no admissible target at all can never be placed
     if not all(allowed):
         return None
-    cols = []
-    for row in yrel:
-        by_code = [0, 0, 0, 0]
-        for j, code in enumerate(row):
-            by_code[code] |= 1 << j
-        cols.append(by_code)
+    by_code = list(zip(y.beside, y.above, y.below))
+    # codes[i][p]: relation code of source p to source i, for p < i
+    codes = [[x.code(p, i) for p in range(i)] for i in range(n)]
     assign = [0] * n
     cand = [0] * n
     cand[0] = allowed[0]
@@ -55,8 +52,8 @@ def search_injection(xrel, yrel, allowed):
             if i == n:
                 return assign
             c = allowed[i] & ~used
-            for p in range(i):
-                c &= cols[assign[p]][xrel[p][i]]
+            for p, code in enumerate(codes[i]):
+                c &= by_code[assign[p]][code]
             cand[i] = c
         else:
             i -= 1
@@ -65,22 +62,25 @@ def search_injection(xrel, yrel, allowed):
             used ^= 1 << assign[i]
 
 
-def degree_mask(xrel, yrel):
+def degree_mask(x, y):
     """Per source, the targets whose relation counts can accommodate it.
 
-    Every element below/above/incomparable-to i must land below/above/
+    Every element above/below/incomparable-to i must land above/below/
     incomparable-to its image, so matching counts are a sound prefilter that
     cannot remove any completable assignment.
     """
-    def counts(rel):
-        return [(row.count(1), row.count(2), row.count(0)) for row in rel]
+    def counts(poset):
+        return [
+            (up.bit_count(), dn.bit_count(), side.bit_count())
+            for up, dn, side in zip(poset.above, poset.below, poset.beside)
+        ]
 
-    ycounts = counts(yrel)
+    ycounts = counts(y)
     masks = []
-    for xl, xg, xi in counts(xrel):
+    for xa, xb, xs in counts(x):
         mask = 0
-        for j, (yl, yg, yi) in enumerate(ycounts):
-            if xl <= yl and xg <= yg and xi <= yi:
+        for j, (ya, yb, ys) in enumerate(ycounts):
+            if xa <= ya and xb <= yb and xs <= ys:
                 mask |= 1 << j
         masks.append(mask)
     return masks

@@ -1,16 +1,18 @@
 """Finite posets, quasi-orders, colourings, canonical constructions and sums.
 
 A :class:`Poset` is a strict partial order over named elements, stored in
-transitively closed form.  The element tuple is the canonical enumeration:
-all tie-breaking anywhere in the library (interval chain selection, quotient
+transitively closed form as rows of Python int bitmasks, bit ``j`` standing
+for element ``j``: ``above[i]`` holds the j with i < j, ``below[i]`` the j
+with j < i and ``beside[i]`` the j incomparable to i.  Relation codes,
+covers, shape predicates and every search read these rows; nothing else is
+stored.  The element tuple is the canonical enumeration: all tie-breaking
+anywhere in the library (interval chain selection, quotient
 representatives, witness search order) refers back to it.  Values are
 immutable after construction; every operation here is a pure function.
 """
 
 import operator
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import _search
 from .errors import (
@@ -28,31 +30,47 @@ from .errors import (
 INCOMPARABLE, LESS, GREATER, EQUAL = 0, 1, 2, 3
 
 
-def _closure(n, mat):
-    # boolean Warshall; cheap at the sizes this library targets
-    for k in range(n):
-        col = mat[:, k]
-        row = mat[k, :]
-        mat |= np.outer(col, row)
-    return mat
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _warshall(rows):
+    """Transitive closure of a relation given as bitmask rows."""
+    rows = list(rows)
+    for k in range(len(rows)):
+        bit, row_k = 1 << k, rows[k]
+        for i, row in enumerate(rows):
+            if row & bit:
+                rows[i] = row | row_k
+    return rows
 
 
 class Poset:
-    """Strict partial order; construct through :func:`make_poset` or friends."""
+    """Strict partial order; construct through :func:`make_poset` or friends.
 
-    def __init__(self, elements, lt_bool):
+    The constructor takes the element ids and their transitively closed
+    ``above`` rows (bit j of ``above[i]`` set iff element i < element j) and
+    derives the ``below`` and ``beside`` rows from them.
+    """
+
+    def __init__(self, elements, above):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
-        lt_bool = np.asarray(lt_bool, dtype=bool)
-        lt_bool.setflags(write=False)
-        self._lt = lt_bool
-        n = len(self.elements)
-        rel = np.zeros((n, n), dtype=np.int8)
-        np.fill_diagonal(rel, EQUAL)
-        rel[lt_bool] = LESS
-        rel[lt_bool.T] = GREATER
-        rel.setflags(write=False)
-        self.rel = rel
+        self.above = tuple(above)
+        below = [0] * len(self.elements)
+        for i, row in enumerate(self.above):
+            for j in _bits(row):
+                below[j] |= 1 << i
+        self.below = tuple(below)
+        full = (1 << len(self.elements)) - 1
+        self.beside = tuple(
+            full & ~(up | dn | 1 << i)
+            for i, (up, dn) in enumerate(zip(self.above, below))
+        )
 
     # -- basic queries ---------------------------------------------------
 
@@ -66,11 +84,11 @@ class Poset:
         return (
             isinstance(other, Poset)
             and self.elements == other.elements
-            and np.array_equal(self._lt, other._lt)
+            and self.above == other.above
         )
 
     def __hash__(self):
-        return hash((self.elements, self._lt.tobytes()))
+        return hash((self.elements, self.above))
 
     def __repr__(self):
         pairs = ",".join(f"{a}<{b}" for a, b in self.cover_pairs())
@@ -82,52 +100,60 @@ class Poset:
         except KeyError:
             raise UnknownElement(f"unknown element {e!r}") from None
 
+    def _names(self, mask):
+        return {self.elements[j] for j in _bits(mask)}
+
+    def code(self, i, j):
+        """Relation code between the elements at indices i and j."""
+        if i == j:
+            return EQUAL
+        if self.above[i] >> j & 1:
+            return LESS
+        if self.below[i] >> j & 1:
+            return GREATER
+        return INCOMPARABLE
+
     def lt(self, a, b):
-        return bool(self._lt[self._i(a), self._i(b)])
+        return bool(self.above[self._i(a)] >> self._i(b) & 1)
 
     def leq(self, a, b):
         ia, ib = self._i(a), self._i(b)
-        return ia == ib or bool(self._lt[ia, ib])
+        return ia == ib or bool(self.above[ia] >> ib & 1)
 
     def incomparable(self, a, b):
-        ia, ib = self._i(a), self._i(b)
-        return ia != ib and not self._lt[ia, ib] and not self._lt[ib, ia]
+        return bool(self.beside[self._i(a)] >> self._i(b) & 1)
 
     def relation(self, a, b):
         """Relation code between two elements (module-level constants)."""
-        return int(self.rel[self._i(a), self._i(b)])
+        return self.code(self._i(a), self._i(b))
 
     def lt_pairs(self):
         """The full strict relation as a set of (a, b) pairs."""
-        out = set()
-        for i, j in zip(*np.nonzero(self._lt)):
-            out.add((self.elements[i], self.elements[j]))
-        return out
+        return {
+            (a, self.elements[j])
+            for a, row in zip(self.elements, self.above)
+            for j in _bits(row)
+        }
 
     def cover_pairs(self):
         """Covering pairs (a, b): a < b with nothing strictly between."""
-        n = len(self.elements)
-        covers = []
-        for i in range(n):
-            for j in range(n):
-                if self._lt[i, j] and not (self._lt[i] & self._lt[:, j]).any():
-                    covers.append((self.elements[i], self.elements[j]))
-        covers.sort(key=lambda p: (self.index[p[0]], self.index[p[1]]))
-        return covers
+        return [
+            (a, self.elements[j])
+            for a, row in zip(self.elements, self.above)
+            for j in _bits(row)
+            if not row & self.below[j]
+        ]
 
     def down(self, a):
         """Elements strictly below a."""
-        i = self._i(a)
-        return {self.elements[j] for j in np.nonzero(self._lt[:, i])[0]}
+        return self._names(self.below[self._i(a)])
 
     def up(self, a):
         """Elements strictly above a."""
-        i = self._i(a)
-        return {self.elements[j] for j in np.nonzero(self._lt[i, :])[0]}
+        return self._names(self.above[self._i(a)])
 
     def minimal_elements(self):
-        mins = ~self._lt.any(axis=0)
-        return [e for e, m in zip(self.elements, mins) if m]
+        return [e for e, row in zip(self.elements, self.below) if not row]
 
     # -- derived posets --------------------------------------------------
 
@@ -138,30 +164,29 @@ class Poset:
         if unknown:
             raise UnknownElement(f"unknown elements {sorted(unknown)}")
         keep = [i for i, e in enumerate(self.elements) if e in members]
-        sub = self._lt[np.ix_(keep, keep)]
-        return Poset([self.elements[i] for i in keep], sub)
+        pos = {i: k for k, i in enumerate(keep)}
+        above = []
+        for i in keep:
+            row = 0
+            for j in _bits(self.above[i]):
+                if j in pos:
+                    row |= 1 << pos[j]
+            above.append(row)
+        return Poset([self.elements[i] for i in keep], above)
 
     def reversed(self):
-        return Poset(self.elements, self._lt.T.copy())
+        return Poset(self.elements, self.below)
 
     # -- shape predicates --------------------------------------------------
 
     def is_chain(self):
-        n = len(self.elements)
-        return all(
-            self.rel[i, j] != INCOMPARABLE for i in range(n) for j in range(i + 1, n)
-        )
+        return not any(self.beside)
 
     def is_tree(self):
         """Every down-set is a chain (the library's working notion of a tree)."""
-        n = len(self.elements)
-        for i in range(n):
-            below = np.nonzero(self._lt[:, i])[0]
-            for a in range(len(below)):
-                for b in range(a + 1, len(below)):
-                    if self.rel[below[a], below[b]] == INCOMPARABLE:
-                        return False
-        return True
+        return all(
+            not row & self.beside[j] for row in self.below for j in _bits(row)
+        )
 
     def is_rooted_tree(self):
         return len(self) > 0 and self.is_tree() and len(self.minimal_elements()) == 1
@@ -183,19 +208,18 @@ def make_poset(elements, pairs):
             seen.add(e)
         raise DuplicateElement(f"duplicate element id {dup!r}")
     index = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    mat = np.zeros((n, n), dtype=bool)
+    rows = [0] * len(elements)
     for a, b in pairs:
         if a not in index:
             raise UnknownElement(f"unknown element {a!r} in pair")
         if b not in index:
             raise UnknownElement(f"unknown element {b!r} in pair")
-        mat[index[a], index[b]] = True
-    mat = _closure(n, mat)
-    if mat.diagonal().any():
-        bad = elements[int(np.nonzero(mat.diagonal())[0][0])]
-        raise CycleError(f"generators create a cycle through {bad!r}")
-    return Poset(elements, mat)
+        rows[index[a]] |= 1 << index[b]
+    rows = _warshall(rows)
+    for i, row in enumerate(rows):
+        if row >> i & 1:
+            raise CycleError(f"generators create a cycle through {elements[i]!r}")
+    return Poset(elements, rows)
 
 
 # -- canonical posets -----------------------------------------------------
@@ -294,26 +318,24 @@ def p_sum_with_sources(index, parts):
             raise EmptyPart(f"part at {p!r} is empty")
     ids = []
     sources = {}
+    offset = {}
+    block = {}
     for p in index.elements:
+        offset[p] = len(ids)
         for a in parts[p].elements:
             composite = f"{p}.{a}"
             if composite in sources:
                 raise DuplicateElement(f"composite id collision at {composite!r}")
             ids.append(composite)
             sources[composite] = (p, a)
-    n = len(ids)
-    mat = np.zeros((n, n), dtype=bool)
-    pos = {e: i for i, e in enumerate(ids)}
-    for e in ids:
-        p, a = sources[e]
-        for f in ids:
-            q, b = sources[f]
-            if p == q:
-                if parts[p].lt(a, b):
-                    mat[pos[e], pos[f]] = True
-            elif index.lt(p, q):
-                mat[pos[e], pos[f]] = True
-    return Poset(ids, mat), sources
+        block[p] = (1 << len(ids)) - (1 << offset[p])
+    above = []
+    for p, index_row in zip(index.elements, index.above):
+        over = 0
+        for q in _bits(index_row):
+            over |= block[index.elements[q]]
+        above += [row << offset[p] | over for row in parts[p].above]
+    return Poset(ids, above), sources
 
 
 def p_sum(index, parts):
@@ -337,77 +359,69 @@ def zeta_tree_sum(zeta, hangings):
         if not t.is_tree():
             raise NotATree(f"hanging at {key} is not a tree")
     ids = list(zeta.elements)
-    origin = {e: None for e in ids}
+    taken = set(ids)
+    above = list(zeta.above)
     for (i, gamma), t in sorted(hangings.items(), key=lambda kv: (zeta.index[kv[0][0]], kv[0][1])):
+        start = len(ids)
         for a in t.elements:
             composite = f"{i}.{gamma}.{a}"
-            if composite in origin:
+            if composite in taken:
                 raise DuplicateElement(f"composite id collision at {composite!r}")
             ids.append(composite)
-            origin[composite] = (i, gamma, a)
-    n = len(ids)
-    pos = {e: i for i, e in enumerate(ids)}
-    mat = np.zeros((n, n), dtype=bool)
-    for e in ids:
-        for f in ids:
-            oe, of = origin[e], origin[f]
-            if oe is None and of is None:
-                if zeta.lt(e, f):
-                    mat[pos[e], pos[f]] = True
-            elif oe is None:
-                if zeta.leq(e, of[0]):
-                    mat[pos[e], pos[f]] = True
-            elif of is None:
-                pass  # hangings never sit below the chain
-            elif oe[:2] == of[:2]:
-                if hangings[oe[:2]].lt(oe[2], of[2]):
-                    mat[pos[e], pos[f]] = True
-    return Poset(ids, mat)
+            taken.add(composite)
+        # the hanging sits above the reflexive down-set of its attachment point
+        block = ((1 << len(t)) - 1) << start
+        at = zeta.index[i]
+        for c in _bits(zeta.below[at] | 1 << at):
+            above[c] |= block
+        above += [row << start for row in t.above]
+    return Poset(ids, above)
 
 
 # -- quasi-orders and colourings -----------------------------------------
 
 class QuasiOrder:
-    """Reflexive transitive relation over colour ids; antisymmetry not required."""
+    """Reflexive transitive relation over colour ids; antisymmetry not required.
+
+    Stored as reflexive, transitively closed bitmask rows: bit j of
+    ``rows[i]`` is set iff colour i <= colour j.
+    """
 
     def __init__(self, colours, pairs):
         self.colours = tuple(colours)
         if len(set(self.colours)) != len(self.colours):
             raise DuplicateElement("duplicate colour id")
         self.index = {c: i for i, c in enumerate(self.colours)}
-        n = len(self.colours)
-        mat = np.zeros((n, n), dtype=bool)
+        rows = [1 << i for i in range(len(self.colours))]
         for a, b in pairs:
             if a not in self.index or b not in self.index:
                 raise UnknownElement(f"unknown colour in pair ({a!r}, {b!r})")
-            mat[self.index[a], self.index[b]] = True
-        np.fill_diagonal(mat, True)
-        mat = _closure(n, mat)
-        mat.setflags(write=False)
-        self._le = mat
+            rows[self.index[a]] |= 1 << self.index[b]
+        self.rows = tuple(_warshall(rows))
 
     def leq(self, a, b):
         if a not in self.index:
             raise UnknownElement(f"unknown colour {a!r}")
         if b not in self.index:
             raise UnknownElement(f"unknown colour {b!r}")
-        return bool(self._le[self.index[a], self.index[b]])
+        return bool(self.rows[self.index[a]] >> self.index[b] & 1)
 
     def le_pairs(self):
         return {
-            (self.colours[i], self.colours[j])
-            for i, j in zip(*np.nonzero(self._le))
+            (c, self.colours[j])
+            for c, row in zip(self.colours, self.rows)
+            for j in _bits(row)
         }
 
     def __eq__(self, other):
         return (
             isinstance(other, QuasiOrder)
             and self.colours == other.colours
-            and np.array_equal(self._le, other._le)
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.colours, self._le.tobytes()))
+        return hash((self.colours, self.rows))
 
     def __len__(self):
         return len(self.colours)
@@ -546,8 +560,7 @@ def embed(x, y):
     non-embeddability.  Candidates are tried in canonical target order and
     the first witness found is returned.
     """
-    xrel, yrel = x.rel.tolist(), y.rel.tolist()
-    assign = _search.search_injection(xrel, yrel, _search.degree_mask(xrel, yrel))
+    assign = _search.search_injection(x, y, _search.degree_mask(x, y))
     if assign is None:
         return None
     return _as_embedding(x, y, assign, "poset")
@@ -555,14 +568,13 @@ def embed(x, y):
 
 def _coloured_search(x, y, colour_ok):
     """Search restricted to targets b with colour_ok(colour of a, colour of b)."""
-    xrel, yrel = x.poset.rel.tolist(), y.poset.rel.tolist()
-    allowed = _search.degree_mask(xrel, yrel)
+    allowed = _search.degree_mask(x.poset, y.poset)
     for i, a in enumerate(x.elements):
         ca = x.colour(a)
         for j, b in enumerate(y.elements):
             if allowed[i] >> j & 1 and not colour_ok(ca, y.colour(b)):
                 allowed[i] &= ~(1 << j)
-    return _search.search_injection(xrel, yrel, allowed)
+    return _search.search_injection(x.poset, y.poset, allowed)
 
 
 def coloured_embed(x, y):

@@ -37,8 +37,6 @@ from . import config
 
 from functools import lru_cache
 
-import numpy as np
-
 
 # node keys: ("i", position, layer) for internal nodes, ("l", position) for
 # leaves; positions are the composition set's (layer, slot) pair tuples
@@ -94,22 +92,10 @@ class StructuredTree:
         self.labels = dict(labels)  # (v, x) -> arity element, for v < x
         if not poset.is_rooted_tree():
             raise NotATree("structured trees are rooted trees")
-        n = len(poset)
-        self._meet = np.full((n, n), -1, dtype=np.int64)
-        lt = poset.rel
-        for i in range(n):
-            for j in range(n):
-                below = [
-                    k
-                    for k in range(n)
-                    if lt[k, i] in (1, 3) and lt[k, j] in (1, 3)
-                ]
-                # in a tree the common down-set is a chain; take its top
-                top = below[0]
-                for k in below[1:]:
-                    if lt[top, k] == 1:
-                        top = k
-                self._meet[i, j] = top
+        # in a tree the reflexive down-sets of two nodes intersect in the
+        # reflexive down-set of their meet
+        self._down = tuple(row | 1 << i for i, row in enumerate(poset.below))
+        self._node_with_down = {row: i for i, row in enumerate(self._down)}
 
     @property
     def nodes(self):
@@ -122,10 +108,14 @@ class StructuredTree:
         """All label values above v; equals v's arity for sum nodes."""
         return self.arities[v]
 
+    def meet_index(self, i, j):
+        """Index of the meet of the nodes at indices i and j."""
+        return self._node_with_down[self._down[i] & self._down[j]]
+
     def meet(self, a, b):
         i = self.poset.index[a]
         j = self.poset.index[b]
-        return self.poset.elements[int(self._meet[i, j])]
+        return self.poset.elements[self.meet_index(i, j)]
 
     def internal_nodes(self):
         return [n for n in self.nodes if self.kinds[n] == "sum"]
@@ -179,13 +169,11 @@ class DecompositionTree:
             ids.append(nid)
             self.key_of[nid] = k
             self.node_of[k] = nid
-        n = len(ids)
-        mat = np.zeros((n, n), dtype=bool)
-        for a in range(n):
-            for b in range(n):
-                if a != b and _node_le(keys[a], keys[b]):
-                    mat[a, b] = True
-        poset = Poset(ids, mat)
+        above = [
+            sum(1 << b for b, kb in enumerate(keys) if ka != kb and _node_le(ka, kb))
+            for ka in keys
+        ]
+        poset = Poset(ids, above)
         kinds = {}
         arities = {}
         leaf_colours = {}
@@ -386,8 +374,7 @@ def st_embed(source, target):
     ]
     snodes = list(S.poset.elements)
     tnodes = list(T.poset.elements)
-    srel = S.poset.rel
-    trel = T.poset.rel
+    spos, tpos = S.poset, T.poset
     assign = [-1] * ns
     used = [False] * nt
     theta = {}  # source internal node -> dict(label value -> image value)
@@ -398,18 +385,16 @@ def st_embed(source, target):
         a = snodes[i]
         b = tnodes[j]
         for p in range(i):
-            if trel[assign[p], j] != srel[p, i]:
+            if tpos.code(assign[p], j) != spos.code(p, i):
                 return False
         # canonical order is a linear extension, so meets of assigned pairs
         # are already assigned
         for p in range(i):
-            ms = S.poset.index[S.meet(snodes[p], a)]
-            mt = T.poset.index[T.meet(tnodes[assign[p]], b)]
-            if assign[ms] != mt:
+            if assign[S.meet_index(p, i)] != T.meet_index(assign[p], j):
                 return False
         for p in range(i):
             v = snodes[p]
-            if S.kinds[v] != "sum" or srel[p, i] != 1:
+            if S.kinds[v] != "sum" or not spos.above[p] >> i & 1:
                 continue
             la = S.label(v, a)
             lb = T.label(tnodes[assign[p]], b)
@@ -432,7 +417,7 @@ def st_embed(source, target):
         a = snodes[i]
         for p in range(i):
             v = snodes[p]
-            if S.kinds[v] == "sum" and srel[p, i] == 1:
+            if S.kinds[v] == "sum" and spos.above[p] >> i & 1:
                 la = S.label(v, a)
                 th = theta.setdefault(v, {})
                 if la not in th:
@@ -446,7 +431,7 @@ def st_embed(source, target):
             a = snodes[place_q]
             for p in range(place_q):
                 v = snodes[p]
-                if S.kinds[v] == "sum" and srel[p, place_q] == 1:
+                if S.kinds[v] == "sum" and spos.above[p] >> place_q & 1:
                     la = S.label(v, a)
                     th = theta.setdefault(v, {})
                     th.setdefault(la, T.label(tnodes[assign[p]], tnodes[assign[place_q]]))

@@ -53,21 +53,7 @@ def _interval_masks(carrier):
     three relation classes.
     """
     n = len(carrier)
-    rel = carrier.rel
-    up = [0] * n
-    dn = [0] * n
-    inc = [0] * n
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            code = rel[i, j]
-            if code == 1:
-                up[i] |= 1 << j
-            elif code == 2:
-                dn[i] |= 1 << j
-            else:
-                inc[i] |= 1 << j
+    up, dn, inc = carrier.above, carrier.below, carrier.beside
     out = []
     for mask in range(1, 1 << n):
         ok = True

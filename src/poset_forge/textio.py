@@ -123,9 +123,10 @@ def load_coloured_poset(text):
         if missing:
             raise ParseError(f"elements without colour: {missing}")
         colouring = rec.colouring
+    elif rec.poset.elements and not palette.colours:
+        raise ParseError("colourless poset needs a colour, but the palette is empty")
     else:
-        default = palette.colours[0]
-        colouring = {e: default for e in rec.poset.elements}
+        colouring = {e: palette.colours[0] for e in rec.poset.elements}
     try:
         return rec.name, ColouredPoset(rec.poset, colouring, palette)
     except PosetForgeError as exc:

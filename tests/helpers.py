@@ -5,6 +5,7 @@ The oracles here restate definitions directly (triple loops, permutation
 scans) and never call the library code paths they are used to check.
 """
 
+import functools
 import itertools
 
 from poset_forge import ColouredPoset, Poset, QuasiOrder, make_poset
@@ -21,6 +22,25 @@ def rel_name(poset, a, b):
     if poset.lt(b, a):
         return ">"
     return "|"
+
+
+def brute_lt(elements, pairs):
+    """The strict order generated by pairs: every (a, b) with b reachable
+    from a along one or more generating pairs, found by depth-first search."""
+    succ = {e: [] for e in elements}
+    for a, b in pairs:
+        succ[a].append(b)
+    out = set()
+    for a in elements:
+        stack = list(succ[a])
+        seen = set()
+        while stack:
+            b = stack.pop()
+            if b not in seen:
+                seen.add(b)
+                stack.extend(succ[b])
+        out |= {(a, b) for b in seen}
+    return out
 
 
 def brute_ssr(poset, p, a, b):
@@ -193,24 +213,33 @@ def _iso_key(n, up):
     return best
 
 
-def iso_classes(n):
-    """Representative posets for every isomorphism class on n elements."""
+@functools.lru_cache(maxsize=None)
+def iso_class_generators(n):
+    """(ids, pairs) for one strict order per isomorphism class on n elements;
+    the pairs are the whole relation."""
     seen = {}
     for dn, up in _labelled_orders(n):
         key = _iso_key(n, up)
         if key not in seen:
             seen[key] = up
-    reps = []
-    for up in seen.values():
-        ids = [f"e{i}" for i in range(n)]
-        pairs = [
-            (ids[i], ids[j])
-            for i in range(n)
-            for j in range(n)
-            if up[i] >> j & 1
-        ]
-        reps.append(make_poset(ids, pairs))
-    return reps
+    ids = tuple(f"e{i}" for i in range(n))
+    return tuple(
+        (
+            ids,
+            tuple(
+                (ids[i], ids[j])
+                for i in range(n)
+                for j in range(n)
+                if up[i] >> j & 1
+            ),
+        )
+        for up in seen.values()
+    )
+
+
+def iso_classes(n):
+    """Representative posets for every isomorphism class on n elements."""
+    return [make_poset(ids, pairs) for ids, pairs in iso_class_generators(n)]
 
 
 def catalog_upto(n):

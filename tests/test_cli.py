@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -68,6 +72,26 @@ class TestExitCodes:
     def test_missing_file_is_2(self, files):
         code, _ = invoke(["decompose", files["n.poset"] + ".nope"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "{e}"],
+            ["tree", "{e}"],
+            ["embed", "{e}", "{e}"],
+            ["lift", "{e}", "{e}"],
+            ["classify", "{e}", "--max-indecomposable", "3"],
+            ["rank", "{e}", "--tree"],
+            ["quotient", "{e}", "--interval", "x"],
+            ["matrix", "{e}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_palette_is_2(self, tmp_path, argv):
+        path = tmp_path / "empty-palette.poset"
+        path.write_text("poset p\nelem x\nend\nquasi z\nend\n", encoding="utf-8")
+        code, text = invoke([a.format(e=path) for a in argv])
+        assert code == 2 and text.startswith("error:")
 
     def test_bad_usage_is_2(self, files):
         assert invoke(["frobnicate"])[0] == 2
@@ -180,3 +204,13 @@ class TestDeterminism:
         monkeypatch.setenv("POSET_FORGE_BOUND", "3")
         code, _ = invoke(["decompose", files["n.poset"]])
         assert code == 2  # four elements exceed the global bound
+
+
+def test_cli_import_leaves_numpy_out():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = "import poset_forge.cli, sys; assert 'numpy' not in sys.modules"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

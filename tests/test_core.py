@@ -22,6 +22,7 @@ from poset_forge import (
     union_q,
     zeta_tree_sum,
 )
+from poset_forge.core import EQUAL, GREATER, INCOMPARABLE, LESS
 from poset_forge.errors import (
     CycleError,
     DuplicateElement,
@@ -64,6 +65,106 @@ class TestMakePoset:
 
     def test_empty_poset_representable(self):
         assert len(make_poset([], [])) == 0
+
+
+def _oracle_cases(catalog5):
+    """(poset, ids, generated strict order) over catalog5 and seeded random
+    posets of 8-16 elements whose generators follow a shuffled order."""
+    for k, reps in catalog5.items():
+        for (ids, pairs), poset in zip(helpers.iso_class_generators(k), reps):
+            yield poset, ids, helpers.brute_lt(ids, pairs)
+    rng = random.Random(29)
+    for _ in range(40):
+        n = rng.randint(8, 16)
+        ids = [f"v{i}" for i in range(n)]
+        order = rng.sample(ids, n)
+        density = rng.choice([0.05, 0.15, 0.3])
+        pairs = [
+            (order[i], order[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        yield make_poset(ids, pairs), ids, helpers.brute_lt(ids, pairs)
+
+
+class TestRowQueriesAgainstOracle:
+    """Every query on the row storage against the DFS-generated order."""
+
+    def test_pair_queries(self, catalog5):
+        for poset, ids, lt in _oracle_cases(catalog5):
+            assert poset.elements == tuple(ids)
+            assert poset.lt_pairs() == lt
+            for a in ids:
+                for b in ids:
+                    if a == b:
+                        code = EQUAL
+                    elif (a, b) in lt:
+                        code = LESS
+                    elif (b, a) in lt:
+                        code = GREATER
+                    else:
+                        code = INCOMPARABLE
+                    assert poset.relation(a, b) == code
+                    assert poset.lt(a, b) == (code == LESS)
+                    assert poset.leq(a, b) == (code in (LESS, EQUAL))
+                    assert poset.incomparable(a, b) == (code == INCOMPARABLE)
+
+    def test_element_queries(self, catalog5):
+        for poset, ids, lt in _oracle_cases(catalog5):
+            for a in ids:
+                assert poset.up(a) == {b for b in ids if (a, b) in lt}
+                assert poset.down(a) == {b for b in ids if (b, a) in lt}
+            covers = [
+                (a, b)
+                for a in ids
+                for b in ids
+                if (a, b) in lt
+                and not any((a, c) in lt and (c, b) in lt for c in ids)
+            ]
+            assert poset.cover_pairs() == covers
+            assert poset.minimal_elements() == [
+                b for b in ids if not any((a, b) in lt for a in ids)
+            ]
+
+    def test_shape_predicates(self, catalog5):
+        for poset, ids, lt in _oracle_cases(catalog5):
+            def comparable(a, b):
+                return a == b or (a, b) in lt or (b, a) in lt
+
+            assert poset.is_chain() == all(comparable(a, b) for a in ids for b in ids)
+            assert poset.is_tree() == all(
+                comparable(b, c)
+                for a in ids
+                for b in ids
+                for c in ids
+                if (b, a) in lt and (c, a) in lt
+            )
+
+    def test_derived_posets(self, catalog5):
+        rng = random.Random(31)
+        for poset, ids, lt in _oracle_cases(catalog5):
+            rev = poset.reversed()
+            assert rev.elements == poset.elements
+            assert rev.lt_pairs() == {(b, a) for a, b in lt}
+            keep = {e for e in ids if rng.random() < 0.6}
+            sub = poset.restrict(keep)
+            assert sub.elements == tuple(e for e in ids if e in keep)
+            assert sub.lt_pairs() == {(a, b) for a, b in lt if a in keep and b in keep}
+
+    def test_equality_and_hash(self, catalog5):
+        rng = random.Random(37)
+        for poset, ids, lt in _oracle_cases(catalog5):
+            copies = [
+                make_poset(ids, rng.sample(sorted(lt), len(lt))),
+                poset.reversed().reversed(),
+                poset.restrict(ids),
+            ]
+            for copy in copies:
+                assert copy == poset and hash(copy) == hash(poset)
+            relabelled = rng.sample(ids, len(ids))
+            if relabelled != list(ids):
+                assert make_poset(relabelled, lt) != poset
 
 
 class TestCanonical:
@@ -172,6 +273,25 @@ class TestPSum:
                 total = p_sum(poset, {e: one for e in poset.elements})
                 assert is_isomorphic(total, poset)
 
+    def test_matches_definition_random(self):
+        rng = random.Random(41)
+        for _ in range(30):
+            index = helpers.random_poset(rng, rng.randrange(1, 5), rng.random(), "i")
+            parts = {
+                p: helpers.random_poset(rng, rng.randrange(1, 4), rng.random(), "a")
+                for p in index.elements
+            }
+            total = p_sum(index, parts)
+            assert total.elements == tuple(
+                f"{p}.{a}" for p in index.elements for a in parts[p].elements
+            )
+            for e in total.elements:
+                p, x = e.split(".")
+                for f in total.elements:
+                    q, y = f.split(".")
+                    expected = (p == q and parts[p].lt(x, y)) or index.lt(p, q)
+                    assert total.lt(e, f) == expected
+
 
 class TestZetaTreeSum:
     def test_single_point_two_hangings(self):
@@ -191,6 +311,38 @@ class TestZetaTreeSum:
         z = zeta_tree_sum(canonical("chain", 2), {("a", 0): canonical("chain", 1)})
         assert z.lt("a", "b") and z.lt("a", "a.0.a")
         assert z.incomparable("b", "a.0.a")
+
+    def test_matches_definition_random(self):
+        rng = random.Random(43)
+        for _ in range(30):
+            zeta = canonical("chain", rng.randrange(1, 4))
+            hangings = {
+                (rng.choice(zeta.elements), g): canonical(
+                    "binary_tree_prefix", rng.randrange(1, 4)
+                )
+                for g in range(rng.randrange(0, 4))
+            }
+            z = zeta_tree_sum(zeta, hangings)
+            chain = set(zeta.elements)
+
+            def origin(e):
+                if e in chain:
+                    return None
+                i, g, a = e.split(".")
+                return (i, int(g)), a
+
+            for e in z.elements:
+                for f in z.elements:
+                    oe, of = origin(e), origin(f)
+                    if oe is None and of is None:
+                        expected = zeta.lt(e, f)
+                    elif oe is None:
+                        expected = zeta.leq(e, of[0][0])
+                    elif of is None:
+                        expected = False
+                    else:
+                        expected = oe[0] == of[0] and hangings[oe[0]].lt(oe[1], of[1])
+                    assert z.lt(e, f) == expected
 
     def test_not_a_chain(self):
         with pytest.raises(NotAChain):

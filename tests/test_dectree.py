@@ -131,6 +131,22 @@ class TestDecompositionTree:
                     assert is_indecomposable(t.tree.label_range(v)), p
 
 
+class TestMeet:
+    def test_matches_greatest_common_lower_bound(self, catalog5):
+        rng = random.Random(53)
+        xs = [ColouredPoset.uniform(p) for reps in catalog5.values() for p in reps]
+        xs += [helpers.random_coloured(rng, rng.randint(2, 8)) for _ in range(30)]
+        for x in xs:
+            tree = decomposition_tree(x).tree
+            poset = tree.poset
+            nodes = poset.elements
+            for a in nodes:
+                for b in nodes:
+                    lower = [c for c in nodes if poset.leq(c, a) and poset.leq(c, b)]
+                    greatest = [g for g in lower if all(poset.leq(c, g) for c in lower)]
+                    assert [tree.meet(a, b)] == greatest
+
+
 class TestSubtreeExtract:
     def test_branch_of_n_is_leaf(self):
         t = decomposition_tree(uniform("N", 0))

@@ -100,6 +100,27 @@ def test_no_poset_record():
         load_coloured_poset("quasi q\nelem 0\nend\n")
 
 
+EMPTY_PALETTE = "poset p\nelem x\nend\nquasi z\nend\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        EMPTY_PALETTE,  # a colourless element needs a colour from the palette
+        "poset p\nelem x colour=1\nend\nquasi q\nelem 0\nend\n",  # colour not in palette
+    ],
+    ids=["empty-palette", "colour-outside-palette"],
+)
+def test_load_errors(text):
+    with pytest.raises(ParseError):
+        load_coloured_poset(text)
+
+
+def test_empty_poset_loads_with_empty_palette():
+    name, cp = load_coloured_poset("poset p\nend\nquasi z\nend\n")
+    assert name == "p" and len(cp) == 0 and len(cp.palette) == 0
+
+
 def test_partial_colouring_rejected():
     with pytest.raises(ParseError):
         load_coloured_poset("poset p\nelem x colour=0\nelem y\nend\n")
