@@ -1,41 +1,30 @@
-"""Backtracking kernel for relation-exact injections.
+"""The one backtracking driver behind every injection search.
 
-Both poset embedding and coloured embedding reduce to the same search: find
-an injective map between the elements of two posets such that every ordered
-pair of sources has exactly the same relation code as its image pair,
-subject to a per-source ``allowed`` target mask computed by the caller
-(colour constraints, degree pruning).
-
-Relation codes: 0 incomparable, 1 less-than, 2 greater-than, 3 equal.  The
-kernel reads the posets' bitmask rows (``beside``, ``above``, ``below``),
-bit ``j`` standing for element ``j``; target sets are Python ints of the
-same kind.  For a source ``p`` placed on target ``t``, the targets ``j``
-whose relation to ``t`` has a given code are row ``code`` of
-``(y.beside[t], y.above[t], y.below[t])``.  The candidates for source ``i``
-are its allowed targets, minus the used ones, intersected with one such row
-per already placed source.  Sources are filled in ascending order and
-candidates are taken lowest bit first, so the witness returned is the
+``backtrack`` fills sources ``0 .. n-1`` in ascending order with distinct
+targets, bit ``j`` of an int standing for target ``j``.  The candidates for
+source ``i`` are ``allowed[i]`` (colours, degree pruning) minus the used
+targets, ANDed with ``table[assign[p]]`` for each ``(p, table)`` in
+``rows[i]``.  Candidates are taken lowest bit first, so the witness is the
 lexicographically first injection.
+
+``code_rows`` makes an injection relation-exact: for ``p < i`` the table is
+``(y.beside, y.above, y.below)[x.code(p, i)]`` (codes 0 incomparable, 1
+less-than, 2 greater-than).  ``search_injection`` (poset and coloured
+embedding) is just that.  ``dectree.st_embed`` also passes ``narrow(i,
+assign, c)``, which returns the part of the candidate mask ``c`` that its
+meet and label conditions allow, since each involves two earlier sources.
 """
 
 
-def search_injection(x, y, allowed):
-    """First relation-exact injection of x into y, as a list of target
-    indices, or None.
-
-    ``allowed`` holds one int bitmask of permitted targets per source.
-    """
-    n = len(x)
+def backtrack(allowed, rows, narrow=None):
+    """First assignment of distinct targets to the sources, as a list of
+    target indices, or None."""
+    n = len(allowed)
     if n == 0:
         return []
-    if n > len(y):
-        return None
     # a source with no admissible target at all can never be placed
     if not all(allowed):
         return None
-    by_code = list(zip(y.beside, y.above, y.below))
-    # codes[i][p]: relation code of source p to source i, for p < i
-    codes = [[x.code(p, i) for p in range(i)] for i in range(n)]
     assign = [0] * n
     cand = [0] * n
     cand[0] = allowed[0]
@@ -52,14 +41,34 @@ def search_injection(x, y, allowed):
             if i == n:
                 return assign
             c = allowed[i] & ~used
-            for p, code in enumerate(codes[i]):
-                c &= by_code[assign[p]][code]
+            for p, table in rows[i]:
+                c &= table[assign[p]]
+            if c and narrow is not None:
+                c = narrow(i, assign, c)
             cand[i] = c
         else:
             i -= 1
             if i < 0:
                 return None
             used ^= 1 << assign[i]
+
+
+def code_rows(x, y):
+    """Per source i of x, the rows keeping its image in the same relation to
+    each earlier source's image as i has to that source in x."""
+    tables = (y.beside, y.above, y.below)
+    return [[(p, tables[x.code(p, i)]) for p in range(i)] for i in range(len(x))]
+
+
+def search_injection(x, y, allowed):
+    """First relation-exact injection of x into y, as a list of target
+    indices, or None.
+
+    ``allowed`` holds one int bitmask of permitted targets per source.
+    """
+    if len(x) > len(y):
+        return None
+    return backtrack(allowed, code_rows(x, y))
 
 
 def degree_mask(x, y):

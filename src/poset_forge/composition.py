@@ -377,10 +377,15 @@ def eval_g(fset, leaf_args):
 
 # -- serialization -----------------------------------------------------------
 
+# a \, / or . inside a slot name is backslash-escaped, so that distinct
+# positions render distinctly
+_SLOT_ESCAPES = str.maketrans({"\\": "\\\\", "/": "\\/", ".": "\\."})
+
+
 def render_position(p):
     if not p:
         return "e"
-    return "/".join(f"{i}.{u}" for i, u in p)
+    return "/".join(f"{i}.{u.translate(_SLOT_ESCAPES)}" for i, u in p)
 
 
 def inline_poset(p):

@@ -33,7 +33,7 @@ from .errors import (
     TooLarge,
     VerificationFailure,
 )
-from . import config
+from . import _search, config
 
 from functools import lru_cache
 
@@ -354,118 +354,97 @@ def st_embed(source, target):
     Preserves order exactly, preserves meets, induces an arity embedding on
     every node's labels, and increases colours (arity colours compare by
     arity embeddability, leaf colours by the ground palette, and the two
-    kinds never compare).  Search is exhaustive, deterministic and
-    single-threaded; candidates are tried in canonical target order.
+    kinds never compare).  Each condition becomes a target mask for the
+    shared driver ``_search.backtrack``: colours give the allowed masks,
+    order gives the relation-code rows, and meets and labels, which involve
+    two earlier nodes, narrow the candidates.  Nodes are placed in storage
+    order, a linear extension, so ancestors and meets are placed first.
+    The search is exhaustive and the witness is the lexicographically first
+    embedding.
     """
     S = source.tree if isinstance(source, DecompositionTree) else source
     T = target.tree if isinstance(target, DecompositionTree) else target
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")
-    ns, nt = len(S.poset), len(T.poset)
+    spos, tpos = S.poset, T.poset
+    ns, nt = len(spos), len(tpos)
     if ns > nt:
         return None
     memo = {}
     allowed = [
-        [
-            _colour_leq(S, T, a, b, memo)
-            for b in T.poset.elements
-        ]
-        for a in S.poset.elements
+        sum(
+            1 << j
+            for j, b in enumerate(tpos.elements)
+            if _colour_leq(S, T, a, b, memo)
+        )
+        for a in spos.elements
     ]
-    snodes = list(S.poset.elements)
-    tnodes = list(T.poset.elements)
-    spos, tpos = S.poset, T.poset
-    assign = [-1] * ns
-    used = [False] * nt
-    theta = {}  # source internal node -> dict(label value -> image value)
+    # meets: each earlier p incomparable to i, with m the meet of p and i
+    # (in a decomposition tree distinct children's cones carry distinct
+    # labels, so there the labels imply the meets; other structured trees
+    # need this step)
+    meets = [
+        [(p, S.meet_index(p, i)) for p in range(i) if spos.beside[i] >> p & 1]
+        for i in range(ns)
+    ]
+    # labels: per sum node p below i, each earlier q above p with the code
+    # of q's label towards i's label in p's arity
+    labels = [[] for _ in range(ns)]
+    for p, v in enumerate(spos.elements):
+        if S.kinds[v] != "sum":
+            continue
+        arity = S.arities[v]
+        up = [
+            (q, arity.index[S.label(v, x)])
+            for q, x in enumerate(spos.elements)
+            if spos.above[p] >> q & 1
+        ]
+        for k in range(1, len(up)):
+            i, li = up[k]
+            labels[i].append((p, [(q, arity.code(lq, li)) for q, lq in up[:k]]))
+    # per target sum node t: the label index of each node above t, the
+    # code rows of t's arity, and labelled[lb], the nodes above t labelled lb
+    ttables = {}
+    for t, w in enumerate(tpos.elements):
+        if T.kinds[w] != "sum":
+            continue
+        arity = T.arities[w]
+        lab = {}
+        labelled = [0] * len(arity)
+        for u, x in enumerate(tpos.elements):
+            if tpos.above[t] >> u & 1:
+                lab[u] = lb = arity.index[T.label(w, x)]
+                labelled[lb] |= 1 << u
+        single = tuple(1 << lb for lb in range(len(arity)))
+        rows = (arity.beside, arity.above, arity.below, single)
+        ttables[t] = (lab, rows, labelled)
+    tdown, tabove = T._down, tpos.above
+    tup = tuple(row | 1 << t for t, row in enumerate(tabove))
 
-    def consistent(i, j):
-        if not allowed[i][j]:
-            return False
-        a = snodes[i]
-        b = tnodes[j]
-        for p in range(i):
-            if tpos.code(assign[p], j) != spos.code(p, i):
-                return False
-        # canonical order is a linear extension, so meets of assigned pairs
-        # are already assigned
-        for p in range(i):
-            if assign[S.meet_index(p, i)] != T.meet_index(assign[p], j):
-                return False
-        for p in range(i):
-            v = snodes[p]
-            if S.kinds[v] != "sum" or not spos.above[p] >> i & 1:
-                continue
-            la = S.label(v, a)
-            lb = T.label(tnodes[assign[p]], b)
-            th = theta.setdefault(v, {})
-            if la in th:
-                if th[la] != lb:
-                    return False
-                continue
-            arity_s = S.arities[v]
-            arity_t = T.arities[tnodes[assign[p]]]
-            ok = all(
-                arity_s.relation(la, la2) == arity_t.relation(lb, th[la2])
-                for la2 in th
-            )
-            if not ok:
-                return False
-        return True
+    def narrow(i, assign, c):
+        for p, m in meets[i]:
+            # the images of p and i must meet at the image of m: i avoids
+            # the cone of the child of assign[m] towards assign[p]
+            child = tdown[assign[p]] & tabove[assign[m]]
+            c &= ~tup[(child & -child).bit_length() - 1]
+        for p, earlier in labels[i]:
+            lab, rows, labelled = ttables[assign[p]]
+            ok = -1  # the label values i may take under assign[p]
+            for q, code in earlier:
+                ok &= rows[code][lab[assign[q]]]
+            mask = 0
+            while ok:
+                low = ok & -ok
+                mask |= labelled[low.bit_length() - 1]
+                ok ^= low
+            c &= mask
+        return c
 
-    def place(i, j):
-        a = snodes[i]
-        for p in range(i):
-            v = snodes[p]
-            if S.kinds[v] == "sum" and spos.above[p] >> i & 1:
-                la = S.label(v, a)
-                th = theta.setdefault(v, {})
-                if la not in th:
-                    th[la] = T.label(tnodes[assign[p]], tnodes[j])
-
-    # theta bookkeeping on backtrack is easiest done by full rebuild
-    def rebuild_theta(upto):
-        theta.clear()
-        for q in range(upto):
-            place_q = q
-            a = snodes[place_q]
-            for p in range(place_q):
-                v = snodes[p]
-                if S.kinds[v] == "sum" and spos.above[p] >> place_q & 1:
-                    la = S.label(v, a)
-                    th = theta.setdefault(v, {})
-                    th.setdefault(la, T.label(tnodes[assign[p]], tnodes[assign[place_q]]))
-
-    i = 0
-    nxt = [0] * ns
-    while True:
-        j = nxt[i]
-        found = False
-        while j < nt:
-            if not used[j] and consistent(i, j):
-                found = True
-                break
-            j += 1
-        if found:
-            assign[i] = j
-            used[j] = True
-            place(i, j)
-            nxt[i] = j + 1
-            i += 1
-            if i == ns:
-                mapping = tuple(
-                    (snodes[p], tnodes[assign[p]]) for p in range(ns)
-                )
-                return EmbeddingMap(mapping, "structured-tree")
-            nxt[i] = 0
-        else:
-            nxt[i] = 0
-            i -= 1
-            if i < 0:
-                return None
-            used[assign[i]] = False
-            assign[i] = -1
-            rebuild_theta(i)
+    assign = _search.backtrack(allowed, _search.code_rows(spos, tpos), narrow)
+    if assign is None:
+        return None
+    pairs = zip(spos.elements, (tpos.elements[j] for j in assign))
+    return EmbeddingMap(tuple(pairs), "structured-tree")
 
 
 def verify_st_embedding(source, target, emap):

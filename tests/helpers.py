@@ -8,8 +8,16 @@ scans) and never call the library code paths they are used to check.
 import functools
 import itertools
 
-from poset_forge import ColouredPoset, Poset, QuasiOrder, make_poset
-from poset_forge.core import one_colour_palette
+from hypothesis import strategies as st
+
+from poset_forge import (
+    ColouredPoset,
+    Poset,
+    QuasiOrder,
+    make_poset,
+    verify_st_embedding,
+)
+from poset_forge.core import EmbeddingMap, one_colour_palette
 
 
 # -- direct-definition oracles ------------------------------------------------
@@ -110,6 +118,17 @@ def brute_coloured_embed(x, y, colour_ok=None):
     return None
 
 
+def brute_st_embed(tx, ty):
+    """First structured-tree embedding by scanning injections in
+    lexicographic order through the definition checker."""
+    src = tx.tree.nodes
+    for targets in itertools.permutations(ty.tree.nodes, len(src)):
+        cand = EmbeddingMap(tuple(zip(src, targets)), "structured-tree")
+        if verify_st_embedding(tx, ty, cand):
+            return cand
+    return None
+
+
 def brute_indecomposable(poset):
     n = len(poset)
     return all(len(iv) in (1, n) for iv in brute_intervals(poset))
@@ -128,48 +147,6 @@ def assert_valid_strict_order(poset):
 
 
 # -- exhaustive catalogs -------------------------------------------------------
-
-def _labelled_orders(n):
-    """All strict orders on range(n) as (dn, up) bitmask row tuples."""
-    orders = [((), ())]
-    for k in range(n):
-        new = []
-        for dn, up in orders:
-            down_closed = [
-                m
-                for m in range(1 << k)
-                if all(dn[d] & ~m == 0 for d in range(k) if m >> d & 1)
-            ]
-            up_closed = [
-                m
-                for m in range(1 << k)
-                if all(up[u] & ~m == 0 for u in range(k) if m >> u & 1)
-            ]
-            for d_mask in down_closed:
-                for u_mask in up_closed:
-                    if d_mask & u_mask:
-                        continue
-                    ok = True
-                    for d in range(k):
-                        if d_mask >> d & 1 and u_mask & ~up[d]:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    dn2 = list(dn)
-                    up2 = list(up)
-                    for d in range(k):
-                        if d_mask >> d & 1:
-                            up2[d] |= 1 << k
-                    for u in range(k):
-                        if u_mask >> u & 1:
-                            dn2[u] |= 1 << k
-                    dn2.append(d_mask)
-                    up2.append(u_mask)
-                    new.append((tuple(dn2), tuple(up2)))
-        orders = new
-    return orders
-
 
 def _iso_key(n, up):
     """Canonical relation bitmask, minimized over profile-respecting perms."""
@@ -214,14 +191,32 @@ def _iso_key(n, up):
 
 
 @functools.lru_cache(maxsize=None)
+def _iso_class_rows(n):
+    """One tuple of up-rows per isomorphism class of strict orders on
+    range(n).
+
+    Removing a maximal element from an order on n points leaves an order on
+    n - 1 points in which the removed element's down-set is down-closed, so
+    putting a new maximal element above each down-closed set of each class
+    on n - 1 points reaches every class on n points.
+    """
+    if n == 0:
+        return ((),)
+    k = n - 1
+    seen = {}
+    for up in _iso_class_rows(k):
+        dn = [sum(1 << i for i in range(k) if up[i] >> j & 1) for j in range(k)]
+        for m in range(1 << k):
+            if any(m >> j & 1 and dn[j] & ~m for j in range(k)):
+                continue
+            rows = tuple(row | (m >> i & 1) << k for i, row in enumerate(up)) + (0,)
+            seen.setdefault(_iso_key(n, rows), rows)
+    return tuple(seen.values())
+
+
 def iso_class_generators(n):
     """(ids, pairs) for one strict order per isomorphism class on n elements;
     the pairs are the whole relation."""
-    seen = {}
-    for dn, up in _labelled_orders(n):
-        key = _iso_key(n, up)
-        if key not in seen:
-            seen[key] = up
     ids = tuple(f"e{i}" for i in range(n))
     return tuple(
         (
@@ -233,7 +228,7 @@ def iso_class_generators(n):
                 if up[i] >> j & 1
             ),
         )
-        for up in seen.values()
+        for up in _iso_class_rows(n)
     )
 
 
@@ -281,3 +276,26 @@ def random_coloured(rng, n, palette=None, p=0.35, prefix="e"):
 
 def uniform(poset):
     return ColouredPoset.uniform(poset)
+
+
+# ids made of separators, digits and the stand-in's letters, so that ids
+# like "0.s", "s/1", "\\" and "_s" occur
+SEPARATOR_ID_ALPHABET = "./\\_s01"
+
+
+@st.composite
+def separator_posets(draw, max_size=6):
+    """Hypothesis strategy: posets whose ids are drawn from
+    SEPARATOR_ID_ALPHABET, ordered by a random subset of the pairs that
+    follow the id list."""
+    ids = draw(
+        st.lists(
+            st.text(SEPARATOR_ID_ALPHABET, min_size=1, max_size=4),
+            min_size=1,
+            max_size=max_size,
+            unique=True,
+        )
+    )
+    pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_poset(ids, [ab for ab, kept in zip(pairs, keep) if kept])

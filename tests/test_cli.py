@@ -194,6 +194,33 @@ class TestVerbs:
         assert code == 2 and text.startswith("error:")
 
 
+class TestSeparatorIds:
+    # element ids that look like layer/slot paths
+    TEXT = (
+        "poset p\nelem 1.a\nelem b/1\nelem b\nelem 0.b\nelem a\n"
+        "lt 1.a 0.b\nlt b/1 b\nlt b/1 0.b\nlt b a\nend\n"
+    )
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        p = tmp_path / "p.poset"
+        p.write_text(self.TEXT, encoding="utf-8")
+        return str(p)
+
+    def test_tree_node_ids_distinct(self, path):
+        code, text = invoke(["tree", path])
+        assert code == 0
+        nodes = [line.split()[1] for line in text.splitlines() if line.startswith("node ")]
+        assert len(nodes) == 9 and len(set(nodes)) == 9
+
+    def test_lift_into_itself_is_identity(self, path):
+        code, text = invoke(["lift", path, path])
+        assert code == 0
+        (witness,) = [line for line in text.splitlines() if line.startswith("witness ")]
+        pairs = [ab.split("->") for ab in witness.split()[1:]]
+        assert sorted(pairs) == sorted([e, e] for e in ("1.a", "b/1", "b", "0.b", "a"))
+
+
 class TestDeterminism:
     def test_repeated_runs_identical(self, files):
         for verb in ("decompose", "tree"):

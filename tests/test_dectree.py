@@ -2,6 +2,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
 
 import helpers
 from poset_forge import (
@@ -25,7 +26,9 @@ from poset_forge.core import (
     check_coloured_embedding,
     coloured_isomorphic,
     is_isomorphic,
+    one_colour_palette,
 )
+from poset_forge.dectree import StructuredTree
 from poset_forge.errors import (
     BadLabel,
     NotATree,
@@ -295,30 +298,80 @@ class TestStEmbed:
                 assert verify_st_embedding(tx, ty, phi)
         assert hits > 0
 
+    def test_meets_bind_on_raw_trees(self):
+        # a raw structured tree may give two branches the same label; then
+        # only the meet condition keeps two incomparable nodes from landing
+        # in one branch
+        palette = one_colour_palette()
+        point = make_poset(["x"], [])
+
+        def tree(nodes, pairs, sums):
+            poset = make_poset(nodes, pairs)
+            return StructuredTree(
+                poset,
+                {n: "sum" if n in sums else "leaf" for n in nodes},
+                {n: point for n in sums},
+                {n: "0" for n in nodes if n not in sums},
+                palette,
+                {vw: "x" for vw in poset.lt_pairs()},
+            )
+
+        s = tree(["r", "a", "b"], [("r", "a"), ("r", "b")], {"r"})
+        t = tree(
+            ["R", "C", "c1", "c2"],
+            [("R", "C"), ("C", "c1"), ("C", "c2")],
+            {"R", "C"},
+        )
+        phi = st_embed(s, t)
+        assert phi.as_dict() == {"r": "C", "a": "c1", "b": "c2"}
+        assert verify_st_embedding(s, t, phi)
+        # the first candidate for r only fails on meets
+        at_root = EmbeddingMap((("r", "R"), ("a", "c1"), ("b", "c2")))
+        assert not verify_st_embedding(s, t, at_root)
+
     def test_matches_injection_scan(self, catalog5):
-        # dual route: search vs scanning every injection through the
-        # definition checker
-        import itertools
-
-        from poset_forge.core import EmbeddingMap
-
-        def scan(tx, ty):
-            src = tx.tree.nodes
-            for targets in itertools.permutations(ty.tree.nodes, len(src)):
-                cand = EmbeddingMap(tuple(zip(src, targets)), "structured-tree")
-                if verify_st_embedding(tx, ty, cand):
-                    return True
-            return False
-
+        # dual route: the search's first witness vs the first injection in
+        # lexicographic order that the definition checker accepts
         posets = [p for k in (1, 2, 3) for p in catalog5[k]]
         trees = [decomposition_tree(ColouredPoset.uniform(p)) for p in posets]
         for tx in trees:
             for ty in trees:
-                got = st_embed(tx, ty) is not None
-                if len(tx.tree.poset) > len(ty.tree.poset):
-                    assert not got
-                    continue
-                assert got == scan(tx, ty)
+                assert st_embed(tx, ty) == helpers.brute_st_embed(tx, ty)
+
+    def test_matches_injection_scan_random(self):
+        # coloured pairs over every test palette, targets of at most 8 nodes
+        rng = random.Random(89)
+        checked = found = 0
+        while checked < 130:
+            palette = helpers.PALETTES[checked % len(helpers.PALETTES)]
+            y = helpers.random_coloured(rng, rng.randint(1, 5), palette=palette)
+            ty = decomposition_tree(y)
+            if len(ty.tree.nodes) > 8:
+                continue
+            x = helpers.random_coloured(rng, rng.randint(1, 4), palette=palette)
+            tx = decomposition_tree(x)
+            want = helpers.brute_st_embed(tx, ty)
+            assert st_embed(tx, ty) == want
+            checked += 1
+            found += want is not None
+        assert 0 < found < checked
+
+    @given(helpers.separator_posets())
+    @example(
+        # layer 1 under slot "_" and the leaf at slot "_/1" were both
+        # rendered "0._/1"
+        make_poset(
+            ["1.s", "_/1", "_", "0._", "s"],
+            [("1.s", "0._"), ("_/1", "_"), ("_/1", "0._"), ("_", "s")],
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_separator_ids_identity(self, poset):
+        t = decomposition_tree(ColouredPoset.uniform(poset))
+        nodes = t.tree.nodes
+        assert len(set(nodes)) == len(nodes)
+        lifted = lift_embedding(t, t, st_embed(t, t))
+        assert lifted.as_dict() == {e: e for e in poset.elements}
 
 
 class TestLift:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from poset_forge import QuasiOrder, canonical
 from poset_forge.errors import ParseError
 from poset_forge.textio import (
@@ -47,6 +48,16 @@ def test_roundtrip_poset():
     text = poset_text("f", p)
     records = parse_records(text)
     assert records[0].poset == p
+
+
+@given(helpers.separator_posets())
+@settings(max_examples=100, deadline=None)
+def test_roundtrip_separator_ids(poset):
+    colouring = {e: e for e in poset.elements}
+    name, cp = load_coloured_poset(poset_text("p", poset, colouring))
+    assert name == "p"
+    assert cp.poset == poset
+    assert cp.colouring == colouring
 
 
 def test_roundtrip_quasi():
