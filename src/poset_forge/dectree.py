@@ -23,6 +23,7 @@ from .core import (
     Poset,
     check_coloured_embedding,
     embed,
+    make_poset,
 )
 from .errors import (
     BadLabel,
@@ -81,17 +82,25 @@ def _node_le(a, b):
 
 
 class StructuredTree:
-    """A finite rooted tree with arity-labelled cones and coloured nodes."""
+    """A finite rooted tree with arity-labelled cones and coloured nodes,
+    stored in a linear extension of the tree order."""
 
     def __init__(self, poset, kinds, arities, leaf_colours, ground_palette, labels):
+        if not poset.is_rooted_tree():
+            raise NotATree("structured trees are rooted trees")
+        # sort by the last position on the root path, ties by the path: every
+        # node follows its ancestors (their paths are subsets of its own), and
+        # a linear extension keeps its order
+        down = [row | 1 << i for i, row in enumerate(poset.below)]
+        order = sorted(range(len(down)), key=lambda i: (down[i].bit_length(), down[i]))
+        if order != list(range(len(down))):
+            poset = make_poset([poset.elements[i] for i in order], poset.lt_pairs())
         self.poset = poset
         self.kinds = dict(kinds)
         self.arities = dict(arities)
         self.leaf_colours = dict(leaf_colours)
         self.ground_palette = ground_palette
         self.labels = dict(labels)  # (v, x) -> arity element, for v < x
-        if not poset.is_rooted_tree():
-            raise NotATree("structured trees are rooted trees")
         # in a tree the reflexive down-sets of two nodes intersect in the
         # reflexive down-set of their meet
         self._down = tuple(row | 1 << i for i, row in enumerate(poset.below))
@@ -358,8 +367,8 @@ def st_embed(source, target):
     shared driver ``_search.backtrack``: colours give the allowed masks,
     order gives the relation-code rows, and meets and labels, which involve
     two earlier nodes, narrow the candidates.  Nodes are placed in storage
-    order, a linear extension, so ancestors and meets are placed first.
-    The search is exhaustive and the witness is the lexicographically first
+    order, which StructuredTree keeps a linear extension, so ancestors and
+    meets are placed first.  The witness is the lexicographically first
     embedding.
     """
     S = source.tree if isinstance(source, DecompositionTree) else source
@@ -372,11 +381,7 @@ def st_embed(source, target):
         return None
     memo = {}
     allowed = [
-        sum(
-            1 << j
-            for j, b in enumerate(tpos.elements)
-            if _colour_leq(S, T, a, b, memo)
-        )
+        sum(1 << j for j, b in enumerate(tpos.elements) if _colour_leq(S, T, a, b, memo))
         for a in spos.elements
     ]
     # meets: each earlier p incomparable to i, with m the meet of p and i
@@ -424,7 +429,8 @@ def st_embed(source, target):
     def narrow(i, assign, c):
         for p, m in meets[i]:
             # the images of p and i must meet at the image of m: i avoids
-            # the cone of the child of assign[m] towards assign[p]
+            # the cone of the child of assign[m] towards assign[p], which is
+            # the lowest bit of the path, as T is stored in a linear extension
             child = tdown[assign[p]] & tabove[assign[m]]
             c &= ~tup[(child & -child).bit_length() - 1]
         for p, earlier in labels[i]:

@@ -121,8 +121,8 @@ def brute_coloured_embed(x, y, colour_ok=None):
 def brute_st_embed(tx, ty):
     """First structured-tree embedding by scanning injections in
     lexicographic order through the definition checker."""
-    src = tx.tree.nodes
-    for targets in itertools.permutations(ty.tree.nodes, len(src)):
+    src = getattr(tx, "tree", tx).nodes
+    for targets in itertools.permutations(getattr(ty, "tree", ty).nodes, len(src)):
         cand = EmbeddingMap(tuple(zip(src, targets)), "structured-tree")
         if verify_st_embedding(tx, ty, cand):
             return cand

@@ -246,6 +246,22 @@ class TestRecompose:
             recompose_along_chain(t, [t.tree.leaf_nodes()[0]])
 
 
+def _raw_tree(nodes, pairs, arity=None, labels=None):
+    """A structured tree over one ground colour.  Nodes with something above
+    are sums; by default their arity is a point and every label its slot."""
+    poset = make_poset(nodes, pairs)
+    sums = {v for v, _ in poset.lt_pairs()}
+    point = make_poset(["x"], [])
+    return StructuredTree(
+        poset,
+        {n: "sum" if n in sums else "leaf" for n in nodes},
+        {n: arity[n] if arity else point for n in sums},
+        {n: "0" for n in nodes if n not in sums},
+        one_colour_palette(),
+        labels if labels else {vw: "x" for vw in poset.lt_pairs()},
+    )
+
+
 class TestStEmbed:
     def test_identity(self):
         t = decomposition_tree(uniform("N", 0))
@@ -302,32 +318,71 @@ class TestStEmbed:
         # a raw structured tree may give two branches the same label; then
         # only the meet condition keeps two incomparable nodes from landing
         # in one branch
-        palette = one_colour_palette()
-        point = make_poset(["x"], [])
-
-        def tree(nodes, pairs, sums):
-            poset = make_poset(nodes, pairs)
-            return StructuredTree(
-                poset,
-                {n: "sum" if n in sums else "leaf" for n in nodes},
-                {n: point for n in sums},
-                {n: "0" for n in nodes if n not in sums},
-                palette,
-                {vw: "x" for vw in poset.lt_pairs()},
-            )
-
-        s = tree(["r", "a", "b"], [("r", "a"), ("r", "b")], {"r"})
-        t = tree(
-            ["R", "C", "c1", "c2"],
-            [("R", "C"), ("C", "c1"), ("C", "c2")],
-            {"R", "C"},
-        )
+        s = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        t = _raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
         phi = st_embed(s, t)
         assert phi.as_dict() == {"r": "C", "a": "c1", "b": "c2"}
         assert verify_st_embedding(s, t, phi)
         # the first candidate for r only fails on meets
         at_root = EmbeddingMap((("r", "R"), ("a", "c1"), ("b", "c2")))
         assert not verify_st_embedding(s, t, at_root)
+
+    def test_raw_trees_out_of_order(self):
+        # nodes given before their ancestors are re-stored in a linear
+        # extension, so the search still places ancestors and meets first
+        s = _raw_tree(["a", "b", "r"], [("r", "a"), ("r", "b")])
+        t = _raw_tree(["c1", "R", "c2", "C"], [("R", "C"), ("C", "c1"), ("C", "c2")])
+        assert s.nodes == ("r", "a", "b")
+        assert t.nodes == ("R", "C", "c1", "c2")
+        phi = st_embed(s, t)
+        assert phi.as_dict() == {"r": "C", "a": "c1", "b": "c2"}
+        assert phi == helpers.brute_st_embed(s, t)
+
+    def test_raw_trees_random_order(self):
+        # random labelled trees given in a shuffled node order: the witness
+        # is the scan's first, and existence does not depend on the order
+        rng = random.Random(97)
+        arities = [
+            make_poset(["x"], []),
+            make_poset(["x", "y"], [("x", "y")]),
+            make_poset(["x", "y"], []),
+        ]
+
+        def random_pair():
+            n = rng.randint(1, 6)
+            parent = {k: rng.randrange(k) for k in range(1, n)}
+            nodes = [f"n{k}" for k in range(n)]
+            pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
+            arity = {v: rng.choice(arities) for v in nodes[:-1]}
+            slot = {c: rng.choice(arity[nodes[parent[k]]].elements)
+                    for k, c in enumerate(nodes) if k}
+            labels = {}
+            for k in range(1, n):
+                # k's label under every strict ancestor v is the slot of the
+                # child of v on the path to k
+                c = k
+                while c:
+                    labels[(nodes[parent[c]], nodes[k])] = slot[nodes[c]]
+                    c = parent[c]
+            shuffled = nodes[:]
+            rng.shuffle(shuffled)
+            return [_raw_tree(order, pairs, arity, labels) for order in (nodes, shuffled)]
+
+        checked = found = 0
+        for _ in range(60):
+            s, s_shuffled = random_pair()
+            t, t_shuffled = random_pair()
+            if len(s.nodes) > 4:
+                continue
+            checked += 1
+            for tree in (s_shuffled, t_shuffled):
+                below = tree.poset.below
+                assert all(not row >> i for i, row in enumerate(below))
+            phi = st_embed(s_shuffled, t_shuffled)
+            assert phi == helpers.brute_st_embed(s_shuffled, t_shuffled)
+            assert (phi is None) == (st_embed(s, t) is None)
+            found += phi is not None
+        assert 0 < found < checked
 
     def test_matches_injection_scan(self, catalog5):
         # dual route: the search's first witness vs the first injection in
