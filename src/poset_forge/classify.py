@@ -2,8 +2,11 @@
 
 For finite posets, membership in a class cut out by a family of allowed
 indecomposables reduces to one check: every indecomposable induced subposet
-must be on the list (or within the size budget).  Reports carry witnesses,
-because everything downstream of these predicates wants them.
+must be on the list (or within the size budget).  Each subset is tested on
+its own with the pair-closure test (``interval._indecomposable_mask``): it
+is indecomposable iff every pair inside it closes to the whole subset.
+Reports carry witnesses, because everything downstream of these predicates
+wants them.
 """
 
 from dataclasses import dataclass, field
@@ -11,27 +14,16 @@ from dataclasses import dataclass, field
 from . import config
 from .core import Poset, canonical, embed, is_isomorphic
 from .errors import TooLarge
-from .interval import _interval_masks
+from .interval import _indecomposable_mask
 
 
 def _indecomposable_masks(carrier, max_size):
-    n = len(carrier)
-
-    def induced_ok(mask):
-        idxs = [i for i in range(n) if mask >> i & 1]
-        sub = carrier.restrict([carrier.elements[i] for i in idxs])
-        for iv in _interval_masks(sub):
-            size = iv.bit_count()
-            if 1 < size < len(idxs):
-                return False
-        return True
-
-    out = []
-    for mask in range(1, 1 << n):
-        size = mask.bit_count()
-        if 2 <= size <= max_size and induced_ok(mask):
-            out.append(mask)
-    return out
+    return [
+        mask
+        for mask in range(1, 1 << len(carrier))
+        if 2 <= mask.bit_count() <= max_size
+        and _indecomposable_mask(carrier, mask)
+    ]
 
 
 def indecomposable_subsets(x, max_size, bound=None):

@@ -351,9 +351,11 @@ def _colour_leq(s_tree, t_tree, a, b, memo):
         return s_tree.ground_palette.leq(
             s_tree.leaf_colours[a], t_tree.leaf_colours[b]
         )
-    key = (s_tree.arities[a], t_tree.arities[b])
+    x, y = s_tree.arities[a], t_tree.arities[b]
+    # embeddability depends on the rows alone, not on the element names
+    key = (x.above, y.above)
     if key not in memo:
-        memo[key] = embed(key[0], key[1]) is not None
+        memo[key] = embed(x, y) is not None
     return memo[key]
 
 

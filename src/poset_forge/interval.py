@@ -2,9 +2,12 @@
 
 An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
-to all of them.  Enumeration is deliberately exhaustive (no clever
-polynomial algorithm to trust); anything too big for that is rejected
-up front with a clear error.
+to all of them.  Indecomposability uses the pair-closure test: a set is
+indecomposable iff every pair inside it closes to the whole set, where the
+closure of C inside M is the smallest interval of the order induced on M
+that contains C.  ``enumerate_intervals`` stays exhaustive, as the public
+enumeration and as the oracle the closure test is checked against; anything
+too big for it is rejected up front with a clear error.
 """
 
 from dataclasses import dataclass
@@ -92,16 +95,58 @@ def enumerate_intervals(carrier, bound=None):
     return sets
 
 
+def _close(carrier, members, within):
+    """Closure of the mask members inside the mask within (members must be
+    a non-empty part of within): the smallest interval of the order induced
+    on within that contains members.
+
+    A point p of within outside C splits C when C lies inside none of
+    ``above[p]``, ``below[p]`` and ``beside[p]``.  Every interval containing
+    C contains each point that splits C, so adding those points until none
+    is left gives the closure.
+    """
+    up, dn, inc = carrier.above, carrier.below, carrier.beside
+    closed = members
+    while True:
+        split = 0
+        rest = within & ~closed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            p = low.bit_length() - 1
+            if closed & ~up[p] and closed & ~dn[p] and closed & ~inc[p]:
+                split |= low
+        if not split:
+            return closed
+        closed |= split
+
+
+def _indecomposable_mask(carrier, within):
+    """True iff the order induced on the non-empty mask within is
+    indecomposable: every pair inside within closes to all of within.
+
+    A proper interval with two or more points contains a pair whose closure
+    stays inside it, and a pair closing to all of within lies in no such
+    interval.
+    """
+    rest = within
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        others = rest
+        while others:
+            b = others & -others
+            others ^= b
+            if _close(carrier, a | b, within) != within:
+                return False
+    return True
+
+
 def is_indecomposable(carrier):
     """True iff every interval is a singleton or the whole poset."""
     if len(carrier) == 0:
         raise EmptyPoset("indecomposability is about non-empty posets")
-    n = len(carrier)
-    for members in _interval_masks(carrier):
-        size = members.bit_count()
-        if 1 < size < n:
-            return False
-    return True
+    return _indecomposable_mask(carrier, (1 << len(carrier)) - 1)
 
 
 def quotient(carrier, parts):

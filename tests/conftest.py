@@ -15,3 +15,9 @@ def catalog6(catalog5):
     full = dict(catalog5)
     full[6] = helpers.iso_classes(6)
     return full
+
+
+@pytest.fixture(scope="session")
+def catalog7():
+    """Iso-class representatives on 7 elements (2045 classes)."""
+    return helpers.iso_classes(7)

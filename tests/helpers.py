@@ -134,6 +134,36 @@ def brute_indecomposable(poset):
     return all(len(iv) in (1, n) for iv in brute_intervals(poset))
 
 
+def brute_indecomposable_mask(poset, mask):
+    """True iff no subset of the mask with two or more points, short of the
+    whole mask, is an interval of the order induced on the mask: every
+    sub-mask is tested against each point of the mask outside it, on the
+    poset's rows."""
+    up, dn, inc = poset.above, poset.below, poset.beside
+    points = [i for i in range(len(poset)) if mask >> i & 1]
+    size = len(points)
+    sub = mask
+    while sub:
+        sub = (sub - 1) & mask
+        if 1 < sub.bit_count() < size and all(
+            sub >> p & 1 or not (sub & ~up[p] and sub & ~dn[p] and sub & ~inc[p])
+            for p in points
+        ):
+            return False
+    return True
+
+
+def brute_indecomposable_masks(poset, max_size):
+    """Masks of the subsets of 2..max_size points that induce an
+    indecomposable order, by size and then by sorted index tuple."""
+    masks = (
+        sum(1 << i for i in idxs)
+        for size in range(2, max_size + 1)
+        for idxs in itertools.combinations(range(len(poset)), size)
+    )
+    return [mask for mask in masks if brute_indecomposable_mask(poset, mask)]
+
+
 def assert_valid_strict_order(poset):
     els = poset.elements
     assert len(set(els)) == len(els)

@@ -9,14 +9,20 @@ from poset_forge import (
     canonical,
     class_check,
     indecomposable_subsets,
+    is_indecomposable,
     is_n_free,
     pathological_prefix_check,
 )
+from poset_forge import classify, interval
 from poset_forge.core import check_embedding
 from poset_forge.errors import TooLarge
 
 
 STOCK = lambda: (canonical("chain", 1), canonical("chain", 2), canonical("antichain", 2))
+
+
+def _named(p, masks):
+    return [frozenset(p.elements[i] for i in range(len(p)) if m >> i & 1) for m in masks]
 
 
 class TestIndecomposableSubsets:
@@ -47,15 +53,33 @@ class TestIndecomposableSubsets:
                     len(s) != 3 for s in indecomposable_subsets(p, len(p))
                 )
 
-    def test_matches_brute(self, catalog5):
+    def test_matches_brute(self, catalog6):
+        # the whole list, in order, for every size cap
+        for n, reps in catalog6.items():
+            for p in reps:
+                want = _named(p, helpers.brute_indecomposable_masks(p, n))
+                for cap in range(2, n + 1):
+                    got = indecomposable_subsets(p, cap)
+                    assert got == [s for s in want if len(s) <= cap]
+
+    def test_rows_oracle_matches_definition(self, catalog5):
         for p in catalog5[4] + catalog5[5]:
-            got = set(indecomposable_subsets(p, len(p)))
-            want = set()
-            for r in range(2, len(p) + 1):
-                for sub in itertools.combinations(p.elements, r):
-                    if helpers.brute_indecomposable(p.restrict(sub)):
-                        want.add(frozenset(sub))
-            assert got == want
+            want = {
+                frozenset(sub)
+                for r in range(2, len(p) + 1)
+                for sub in itertools.combinations(p.elements, r)
+                if helpers.brute_indecomposable(p.restrict(sub))
+            }
+            got = _named(p, helpers.brute_indecomposable_masks(p, len(p)))
+            assert set(got) == want
+
+    @pytest.mark.parametrize("density", [0.15, 0.35])
+    def test_matches_brute_random(self, density):
+        rng = random.Random(int(density * 100))
+        for k in range(20):
+            p = helpers.random_poset(rng, 8 + k % 4, density)
+            want = _named(p, helpers.brute_indecomposable_masks(p, len(p)))
+            assert indecomposable_subsets(p, len(p)) == want
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -126,6 +150,33 @@ class TestClassCheck:
                 for r in range(1, len(members)):
                     for sub in itertools.combinations(members, r):
                         assert class_check(p.restrict(sub), spec).passed
+
+
+class TestNoIntervalScan:
+    def test_closure_test_alone(self, catalog5, monkeypatch):
+        # the per-subset interval scan is gone: with it disabled, every
+        # indecomposability answer still agrees with the rows oracle
+        def scan(carrier):
+            raise AssertionError("the interval mask scan was called")
+
+        monkeypatch.setattr(interval, "_interval_masks", scan)
+        assert not hasattr(classify, "_interval_masks")
+        n_poset = canonical("N", 0)
+        allowed = ClassSpec(allowed=STOCK() + (n_poset,))
+        for n, reps in catalog5.items():
+            for p in reps:
+                want = _named(p, helpers.brute_indecomposable_masks(p, n))
+                assert indecomposable_subsets(p, n) == want
+                assert is_indecomposable(p) == (n == 1 or frozenset(p.elements) in want)
+                capped = class_check(p, ClassSpec(max_size=2))
+                assert capped.violations == [s for s in want if len(s) > 2]
+                listed = class_check(p, allowed)
+                assert listed.violations == [
+                    s
+                    for s in want
+                    if len(s) > 2
+                    and not (len(s) == 4 and helpers.brute_embed(n_poset, p.restrict(s)))
+                ]
 
 
 class TestPathologicalPrefix:

@@ -107,10 +107,15 @@ class TestIndecomposable:
         with pytest.raises(EmptyPoset):
             is_indecomposable(make_poset([], []))
 
-    def test_agrees_with_brute(self, catalog5):
-        for n, reps in catalog5.items():
+    def test_agrees_with_brute(self, catalog6):
+        for n, reps in catalog6.items():
             for p in reps:
                 assert is_indecomposable(p) == helpers.brute_indecomposable(p)
+
+    def test_agrees_with_rows_oracle_size7(self, catalog7):
+        full = (1 << 7) - 1
+        for p in catalog7:
+            assert is_indecomposable(p) == helpers.brute_indecomposable_mask(p, full)
 
 
 class TestQuotient:
