@@ -9,10 +9,8 @@ Reports carry witnesses, because everything downstream of these predicates
 wants them.
 """
 
-from dataclasses import dataclass, field
-
 from . import config
-from .core import Poset, canonical, embed, is_isomorphic
+from .core import _Frozen, _Record, canonical, embed, is_isomorphic
 from .errors import TooLarge
 from .interval import _indecomposable_mask
 
@@ -48,29 +46,32 @@ def is_n_free(x):
     return embed(canonical("N", 0), x) is None
 
 
-@dataclass(frozen=True)
-class ClassSpec:
+class ClassSpec(_Frozen):
     """Allowed indecomposables: an explicit list of posets, or a size cap."""
 
-    allowed: tuple = None  # tuple of Posets, or None
-    max_size: int = None  # size cap, or None
-    prefix_depth: int = 3
+    __slots__ = ("allowed", "max_size", "prefix_depth")
 
-    def __post_init__(self):
-        if (self.allowed is None) == (self.max_size is None):
+    def __init__(self, allowed=None, max_size=None, prefix_depth=3):
+        # allowed: tuple of Posets, or None; max_size: size cap, or None
+        if (allowed is None) == (max_size is None):
             raise ValueError("give exactly one of allowed or max_size")
-        if self.max_size is not None and self.max_size < 1:
+        if max_size is not None and max_size < 1:
             raise ValueError("max_size must be >= 1")
-        if self.prefix_depth < 1:
+        if prefix_depth < 1:
             raise ValueError("prefix_depth must be >= 1")
+        object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "max_size", max_size)
+        object.__setattr__(self, "prefix_depth", prefix_depth)
 
 
-@dataclass
-class ClassReport:
+class ClassReport(_Record):
     """Violating indecomposable subsets, in canonical order; empty = member."""
 
-    carrier: Poset
-    violations: list = field(default_factory=list)
+    __slots__ = ("carrier", "violations")
+
+    def __init__(self, carrier, violations=None):
+        self.carrier = carrier
+        self.violations = [] if violations is None else violations
 
     @property
     def passed(self):
@@ -113,14 +114,17 @@ def class_check(x, spec, bound=None):
     return report
 
 
-@dataclass
-class PrefixReport:
+class PrefixReport(_Record):
     """Which binary-tree-style obstructions embed, with witnesses."""
 
-    depth: int
-    tree: object = None  # EmbeddingMap or None
-    reversed_tree: object = None
-    perp: object = None
+    __slots__ = ("depth", "tree", "reversed_tree", "perp")
+
+    def __init__(self, depth, tree=None, reversed_tree=None, perp=None):
+        # each witness is an EmbeddingMap, or None when absent
+        self.depth = depth
+        self.tree = tree
+        self.reversed_tree = reversed_tree
+        self.perp = perp
 
     def found(self):
         return [

@@ -24,6 +24,7 @@ from .interval import quotient
 from .textio import load_coloured_poset, parse_records, poset_text, PosetRecord
 from .wqo import (
     Family,
+    _check_family_size,
     bad_pair_search,
     embeddability_matrix,
     family_indecomposable,
@@ -210,6 +211,7 @@ def _cmd_quotient(args, out):
 
 
 def _cmd_antichain(args, out):
+    _check_family_size(args.n, args.bound)  # before building n fences
     fam = fence_antichain(args.n)
     matrix = embeddability_matrix(fam, bound=args.bound)
     out.write(matrix_text(fam, matrix))

@@ -8,9 +8,9 @@ arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
 """
 
-from dataclasses import dataclass
-
 from .core import (
+    _ID_ESCAPES,
+    _Frozen,
     ColouredPoset,
     coloured_isomorphic,
     make_poset,
@@ -33,20 +33,20 @@ from .interval import (
 )
 
 
-@dataclass(frozen=True)
-class CompositionSequence:
+class CompositionSequence(_Frozen):
     """Entries (arity poset, distinguished slot); the last slot set is full."""
 
-    entries: tuple
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        if not self.entries:
+    def __init__(self, entries):
+        if not entries:
             raise Malformed("a composition sequence has at least one entry")
-        for arity, s in self.entries:
+        for arity, s in entries:
             if len(arity) == 0:
                 raise Malformed("arities are non-empty")
             if s not in arity:
                 raise Malformed(f"distinguished element {s!r} not in its arity")
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self):
         return len(self.entries)
@@ -379,7 +379,7 @@ def eval_g(fset, leaf_args):
 
 # a \, / or . inside a slot name is backslash-escaped, so that distinct
 # positions render distinctly
-_SLOT_ESCAPES = str.maketrans({"\\": "\\\\", "/": "\\/", ".": "\\."})
+_SLOT_ESCAPES = {**_ID_ESCAPES, ord("/"): "\\/"}
 
 
 def render_position(p):

@@ -12,7 +12,6 @@ immutable after construction; every operation here is a pure function.
 """
 
 import operator
-from dataclasses import dataclass
 
 from . import _search
 from .errors import (
@@ -47,6 +46,47 @@ def _warshall(rows):
             if row & bit:
                 rows[i] = row | row_k
     return rows
+
+
+class _Record:
+    """Base of the small value classes: the fields are the ``__slots__``,
+    listed in constructor order, so one repr (and one pickle reduction for
+    the frozen ones) serves them all."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields())
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """An immutable record: ``__init__`` sets each field once through
+    ``object.__setattr__``; equal when of one class with equal fields."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 class Poset:
@@ -309,8 +349,21 @@ def canonical(name, k):
 
 # -- sums -----------------------------------------------------------------
 
+# a \ or . inside an id component is backslash-escaped, so that composite
+# ids joined by "." are distinct; other ids pass through unchanged
+_ID_ESCAPES = str.maketrans({"\\": "\\\\", ".": "\\."})
+
+
+def _id_part(e):
+    return str(e).translate(_ID_ESCAPES)
+
+
 def p_sum_with_sources(index, parts):
-    """P-sum plus the map from composite ids back to (index, part) pairs."""
+    """P-sum plus the map from composite ids back to (index, part) pairs.
+
+    The composite id of part element a at index element p is ``p.a``, each
+    component escaped by ``_id_part``.
+    """
     for p in index.elements:
         if p not in parts:
             raise MissingPart(f"no part for index element {p!r}")
@@ -323,7 +376,7 @@ def p_sum_with_sources(index, parts):
     for p in index.elements:
         offset[p] = len(ids)
         for a in parts[p].elements:
-            composite = f"{p}.{a}"
+            composite = f"{_id_part(p)}.{_id_part(a)}"
             if composite in sources:
                 raise DuplicateElement(f"composite id collision at {composite!r}")
             ids.append(composite)
@@ -364,7 +417,7 @@ def zeta_tree_sum(zeta, hangings):
     for (i, gamma), t in sorted(hangings.items(), key=lambda kv: (zeta.index[kv[0][0]], kv[0][1])):
         start = len(ids)
         for a in t.elements:
-            composite = f"{i}.{gamma}.{a}"
+            composite = f"{_id_part(i)}.{_id_part(gamma)}.{_id_part(a)}"
             if composite in taken:
                 raise DuplicateElement(f"composite id collision at {composite!r}")
             ids.append(composite)
@@ -522,18 +575,18 @@ class ColouredPoset:
 
 # -- embeddings -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(_Frozen):
     """Injective element map witnessing an embedding; kind names the category."""
 
-    mapping: tuple
-    kind: str = "poset"
+    __slots__ = ("mapping", "kind")
 
-    def __post_init__(self):
-        sources = [a for a, _ in self.mapping]
-        targets = [b for _, b in self.mapping]
+    def __init__(self, mapping, kind="poset"):
+        sources = [a for a, _ in mapping]
+        targets = [b for _, b in mapping]
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
             raise ValueError("embedding maps are injective")
+        object.__setattr__(self, "mapping", mapping)
+        object.__setattr__(self, "kind", kind)
 
     def as_dict(self):
         return dict(self.mapping)

@@ -10,9 +10,8 @@ enumeration and as the oracle the closure test is checked against; anything
 too big for it is rejected up front with a clear error.
 """
 
-from dataclasses import dataclass
-
 from . import config
+from .core import _Frozen
 from .errors import (
     EmptyPoset,
     EmptySet,
@@ -175,16 +174,16 @@ def quotient(carrier, parts):
     return carrier.restrict(kept), rep_of
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Frozen):
     """An interval of a fixed carrier poset."""
 
-    carrier: object
-    members: frozenset
+    __slots__ = ("carrier", "members")
 
-    def __post_init__(self):
-        if not is_interval(self.carrier, self.members):
-            raise NotAnInterval(f"{sorted(self.members)} is not an interval")
+    def __init__(self, carrier, members):
+        if not is_interval(carrier, members):
+            raise NotAnInterval(f"{sorted(members)} is not an interval")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "members", members)
 
     def __len__(self):
         return len(self.members)
@@ -193,20 +192,20 @@ class Interval:
         return e in self.members
 
 
-@dataclass(frozen=True)
-class IntervalChain:
+class IntervalChain(_Frozen):
     """Strictly nested intervals of one carrier, largest first."""
 
-    carrier: object
-    members: tuple  # tuple of frozensets, strictly decreasing under >=
+    __slots__ = ("carrier", "members")  # members: frozensets, strictly decreasing
 
-    def __post_init__(self):
-        for cur, nxt in zip(self.members, self.members[1:]):
+    def __init__(self, carrier, members):
+        for cur, nxt in zip(members, members[1:]):
             if not (nxt < cur):
                 raise NotAnInterval("chain entries must be strictly nested")
-        for m in self.members:
-            if not is_interval(self.carrier, m):
+        for m in members:
+            if not is_interval(carrier, m):
                 raise NotAnInterval(f"{sorted(m)} is not an interval")
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "members", members)
 
     def __len__(self):
         return len(self.members)

@@ -17,23 +17,25 @@ A file holds one record per section::
 ``le`` pairs are implicit.  ``#`` begins a comment line.  UTF-8 throughout.
 """
 
-from dataclasses import dataclass
-
-from .core import ColouredPoset, Poset, QuasiOrder, make_poset, one_colour_palette
+from .core import _Record, ColouredPoset, QuasiOrder, make_poset, one_colour_palette
 from .errors import ParseError, PosetForgeError
 
 
-@dataclass
-class PosetRecord:
-    name: str
-    poset: Poset
-    colouring: dict | None  # None when no elem carried a colour
+class PosetRecord(_Record):
+    __slots__ = ("name", "poset", "colouring")
+
+    def __init__(self, name, poset, colouring):
+        self.name = name
+        self.poset = poset
+        self.colouring = colouring  # None when no elem carried a colour
 
 
-@dataclass
-class QuasiRecord:
-    name: str
-    quasi: QuasiOrder
+class QuasiRecord(_Record):
+    __slots__ = ("name", "quasi")
+
+    def __init__(self, name, quasi):
+        self.name = name
+        self.quasi = quasi
 
 
 def parse_records(text):

@@ -6,30 +6,28 @@ whose endpoints are marked, pairwise non-embeddable, and all
 indecomposable.  The antichain check is exhaustive, never probabilistic.
 """
 
-from dataclasses import dataclass
-
 from . import config
-from .core import ColouredPoset, QuasiOrder, canonical, coloured_embed
+from .core import _Frozen, ColouredPoset, QuasiOrder, canonical, coloured_embed
 from .errors import TooLarge
 from .interval import is_indecomposable
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Frozen):
     """An ordered list of coloured posets over one shared palette."""
 
-    members: tuple
-    names: tuple
+    __slots__ = ("members", "names")
 
-    def __post_init__(self):
-        if not self.members:
+    def __init__(self, members, names):
+        if not members:
             raise ValueError("a family is non-empty")
-        palette = self.members[0].palette
-        for m in self.members:
+        palette = members[0].palette
+        for m in members:
             if m.palette != palette:
                 raise ValueError("family members must share one palette")
-        if len(self.names) != len(self.members):
+        if len(names) != len(members):
             raise ValueError("one name per member")
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "names", names)
 
     def __len__(self):
         return len(self.members)
@@ -66,11 +64,16 @@ def fence_antichain(n_max):
     return Family(tuple(members), tuple(names))
 
 
+def _check_family_size(n, bound=None):
+    """Refuse a family of n members over the matrix bound."""
+    limit = config.effective_bound(config.MATRIX_FAMILY_BOUND, bound)
+    if n > limit:
+        raise TooLarge(f"family has {n} > {limit} members")
+
+
 def embeddability_matrix(fam, bound=None):
     """Boolean matrix of coloured embeddability within a family."""
-    limit = config.effective_bound(config.MATRIX_FAMILY_BOUND, bound)
-    if len(fam) > limit:
-        raise TooLarge(f"family has {len(fam)} > {limit} members")
+    _check_family_size(len(fam), bound)
     return [
         [coloured_embed(a, b) is not None for b in fam.members]
         for a in fam.members

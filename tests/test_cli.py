@@ -172,6 +172,21 @@ class TestVerbs:
         assert "row Z4 0001" in text
         assert "antichain yes" in text
 
+    def test_antichain_over_bound_fails_before_building(self, monkeypatch):
+        def refuse(n_max):
+            raise AssertionError("fences built before the bound check")
+
+        monkeypatch.setattr("poset_forge.cli.fence_antichain", refuse)
+        code, text = invoke(["antichain", "--n", "1000000"])
+        assert code == 2 and text == "error: family has 1000000 > 10 members\n"
+
+    def test_antichain_bound_widens_limit(self):
+        code, text = invoke(["antichain", "--n", "11"])
+        assert code == 2 and text == "error: family has 11 > 10 members\n"
+        code, text = invoke(["antichain", "--n", "11", "--bound", "11"])
+        assert code == 0
+        assert "row Z11 00000000001" in text and text.endswith("antichain yes\n")
+
     def test_matrix(self, files):
         code, text = invoke(
             ["matrix", files["ch3.poset"], files["ch2.poset"], files["one.poset"]]
@@ -233,11 +248,25 @@ class TestDeterminism:
         assert code == 2  # four elements exceed the global bound
 
 
-def test_cli_import_leaves_numpy_out():
+def _run_after_cli_import(probe):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    probe = "import poset_forge.cli, sys; assert 'numpy' not in sys.modules"
     done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        [sys.executable, "-c", "import poset_forge.cli, sys; " + probe],
+        env=env,
+        capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_numpy_out():
+    _run_after_cli_import("assert 'numpy' not in sys.modules")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 20 ms of start-up
+    _run_after_cli_import(
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded"
+    )

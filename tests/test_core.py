@@ -22,7 +22,7 @@ from poset_forge import (
     union_q,
     zeta_tree_sum,
 )
-from poset_forge.core import EQUAL, GREATER, INCOMPARABLE, LESS
+from poset_forge.core import EQUAL, GREATER, INCOMPARABLE, LESS, p_sum_with_sources
 from poset_forge.errors import (
     CycleError,
     DuplicateElement,
@@ -221,6 +221,29 @@ class TestCanonical:
             canonical("pentagon", 5)
 
 
+def _escape(part):
+    return "".join("\\" + c if c in ".\\" else c for c in part)
+
+
+def _join(*parts):
+    return ".".join(_escape(str(p)) for p in parts)
+
+
+def _split(composite):
+    """Components of a composite id: "." separates, "\\" quotes the next
+    character."""
+    parts, cur, chars = [], [], iter(composite)
+    for c in chars:
+        if c == "\\":
+            cur.append(next(chars))
+        elif c == ".":
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+    return parts + ["".join(cur)]
+
+
 class TestPSum:
     def test_two_below_one(self):
         index = canonical("chain", 2)  # a < b
@@ -253,14 +276,43 @@ class TestPSum:
         with pytest.raises(MissingPart):
             p_sum(canonical("chain", 2), {"a": canonical("chain", 1)})
 
-    def test_composite_id_collision_detected(self):
-        index = make_poset(["a.b", "a"], [])
+    def test_composite_ids_with_dots_are_distinct(self):
+        # joined unescaped, both composites would read "a.b.c"
+        index = make_poset(["a", "a.b"], [])
         parts = {
-            "a.b": make_poset(["c"], []),
             "a": make_poset(["b.c"], []),
+            "a.b": make_poset(["c"], []),
         }
-        with pytest.raises(DuplicateElement):
-            p_sum(index, parts)
+        total = p_sum(index, parts)
+        assert total.elements == ("a.b\\.c", "a\\.b.c")
+        assert total.incomparable("a.b\\.c", "a\\.b.c")
+
+    def test_composite_ids_plain_unchanged(self):
+        total, sources = p_sum_with_sources(
+            make_poset(["x/1", "_s"], [("x/1", "_s")]),
+            {"x/1": make_poset(["0", "a_b"], []), "_s": canonical("chain", 1)},
+        )
+        assert total.elements == ("x/1.0", "x/1.a_b", "_s.a")
+        assert sources["x/1.a_b"] == ("x/1", "a_b")
+
+    @settings(max_examples=200, deadline=None)
+    @given(helpers.separator_posets(max_size=4), st.data())
+    def test_separator_ids_round_trip(self, index, data):
+        parts = {
+            p: data.draw(helpers.separator_posets(max_size=3))
+            for p in index.elements
+        }
+        total, sources = p_sum_with_sources(index, parts)
+        assert total.elements == tuple(
+            _join(p, a) for p in index.elements for a in parts[p].elements
+        )
+        for e in total.elements:
+            p, x = sources[e]
+            assert _split(e) == [p, x]
+            for f in total.elements:
+                q, y = sources[f]
+                expected = (p == q and parts[p].lt(x, y)) or index.lt(p, q)
+                assert total.lt(e, f) == expected
 
     def test_empty_part(self):
         with pytest.raises(EmptyPart):
@@ -311,6 +363,50 @@ class TestZetaTreeSum:
         z = zeta_tree_sum(canonical("chain", 2), {("a", 0): canonical("chain", 1)})
         assert z.lt("a", "b") and z.lt("a", "a.0.a")
         assert z.incomparable("b", "a.0.a")
+
+    def test_raw_chain_id_collision_detected(self):
+        # a chain id may still spell a composite id: "a", branch 0, "b"
+        zeta = make_poset(["a", "a.0.b"], [("a", "a.0.b")])
+        with pytest.raises(DuplicateElement):
+            zeta_tree_sum(zeta, {("a", 0): make_poset(["b"], [])})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.text(helpers.SEPARATOR_ID_ALPHABET, min_size=1, max_size=4),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        ),
+        st.data(),
+    )
+    def test_separator_ids_round_trip(self, chain_ids, data):
+        zeta = make_poset(chain_ids, list(zip(chain_ids, chain_ids[1:])))
+        keys = data.draw(
+            st.lists(
+                st.tuples(st.sampled_from(chain_ids), st.integers(0, 1)),
+                max_size=3,
+                unique=True,
+            )
+        )
+        hangings = {
+            key: data.draw(
+                helpers.separator_posets(max_size=3).filter(lambda t: t.is_tree())
+            )
+            for key in keys
+        }
+        origins = sorted(
+            (i, str(g), a) for (i, g), t in hangings.items() for a in t.elements
+        )
+        if set(chain_ids) & {_join(*o) for o in origins}:
+            with pytest.raises(DuplicateElement):
+                zeta_tree_sum(zeta, hangings)
+            return
+        z = zeta_tree_sum(zeta, hangings)
+        assert len(set(z.elements)) == len(z) == len(chain_ids) + len(origins)
+        assert z.elements[: len(chain_ids)] == tuple(chain_ids)
+        hung = z.elements[len(chain_ids):]
+        assert sorted(tuple(_split(e)) for e in hung) == origins
 
     def test_matches_definition_random(self):
         rng = random.Random(43)
