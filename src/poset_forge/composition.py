@@ -6,6 +6,8 @@ arguments over the single index poset built by :func:`h_eta`.  Going the
 other way, :func:`maximal_decomposition` peels a poset into indecomposable
 arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
+Both the chain and each layer's blocks come from interval closures
+(``interval._close``), so no step of the decomposition scans all subsets.
 """
 
 from .core import (
@@ -26,7 +28,8 @@ from .errors import (
     VerificationFailure,
 )
 from .interval import (
-    enumerate_intervals,
+    _close,
+    _mask_to_set,
     is_indecomposable,
     maximal_interval_chain,
     quotient,
@@ -181,9 +184,43 @@ def _fresh_id(taken):
     return name
 
 
+def _maximal_blocks(b_prime):
+    """The maximal intervals of b_prime that have two or more points and
+    avoid the stand-in, its last element.
+
+    Overlapping intervals have an interval as their union, so the pair
+    closures that avoid the stand-in, merged wherever they overlap, give
+    intervals; and an interval avoiding the stand-in that strictly held
+    one of these unions would hold a pair whose closure meets it, which
+    the merging has already taken in.  A pair inside one of the unions
+    closes inside it, so it is skipped.
+    """
+    k = len(b_prime) - 1
+    within = (1 << k + 1) - 1
+    merged = []
+    for a in range(k):
+        for b in range(a + 1, k):
+            pair = 1 << a | 1 << b
+            if any(not pair & ~other for other in merged):
+                continue
+            block = _close(b_prime, pair, within)
+            if block >> k & 1:
+                continue
+            keep = []
+            for other in merged:
+                if other & block:
+                    block |= other
+                else:
+                    keep.append(other)
+            keep.append(block)
+            merged = keep
+    return [_mask_to_set(b_prime, m) for m in merged]
+
+
 def _layer_arity(x, layer, rest):
     """Arity for one chain layer: the layer plus a stand-in slot for the
-    rest of the chain, quotiented by its maximal proper intervals.
+    rest of the chain, quotiented by its maximal proper intervals (the
+    blocks of ``_maximal_blocks``).
 
     ``rest`` is the next (smaller) chain member, or None at the last layer.
     Returns (arity poset, distinguished id or None, block map slot -> set).
@@ -214,20 +251,7 @@ def _layer_arity(x, layer, rest):
         elif code == 2:
             pairs.append((d, s_id))
     b_prime = make_poset(members + [s_id], pairs)
-    blocks = [
-        iv
-        for iv in enumerate_intervals(b_prime)
-        if len(iv) >= 2 and s_id not in iv
-    ]
-    maximal = [
-        iv for iv in blocks if not any(iv < other for other in blocks)
-    ]
-    seen = set()
-    for iv in maximal:
-        if iv & seen:
-            raise VerificationFailure("maximal collapse intervals overlap")
-        seen |= iv
-    arity, rep_of = quotient(b_prime, maximal)
+    arity, rep_of = quotient(b_prime, _maximal_blocks(b_prime))
     block_of = {}
     for u in arity.elements:
         if u == s_id:

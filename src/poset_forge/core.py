@@ -97,6 +97,8 @@ class Poset:
     derives the ``below`` and ``beside`` rows from them.
     """
 
+    __slots__ = ("elements", "index", "above", "below", "beside")
+
     def __init__(self, elements, above):
         self.elements = tuple(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
@@ -525,6 +527,8 @@ def one_colour_palette():
 
 class ColouredPoset:
     """A poset with a total colouring into a quasi-order palette."""
+
+    __slots__ = ("poset", "palette", "colouring")
 
     def __init__(self, poset, colouring, palette):
         self.poset = poset

@@ -21,6 +21,7 @@ from .composition import (
 from .core import (
     EmbeddingMap,
     Poset,
+    _bits,
     check_coloured_embedding,
     embed,
     make_poset,
@@ -83,7 +84,23 @@ def _node_le(a, b):
 
 class StructuredTree:
     """A finite rooted tree with arity-labelled cones and coloured nodes,
-    stored in a linear extension of the tree order."""
+    stored in a linear extension of the tree order.
+
+    The constructor takes the labels as a dict (v, x) -> slot of v's arity,
+    for v < x, and keeps them as rows: ``label_rows[i]`` holds, for the sum
+    node at index i, one mask per slot of its arity (in the arity's element
+    order) of the nodes above it that carry that label; it is empty for
+    leaves.
+    """
+
+    __slots__ = (
+        "poset",
+        "kinds",
+        "arities",
+        "leaf_colours",
+        "ground_palette",
+        "label_rows",
+    )
 
     def __init__(self, poset, kinds, arities, leaf_colours, ground_palette, labels):
         if not poset.is_rooted_tree():
@@ -100,26 +117,41 @@ class StructuredTree:
         self.arities = dict(arities)
         self.leaf_colours = dict(leaf_colours)
         self.ground_palette = ground_palette
-        self.labels = dict(labels)  # (v, x) -> arity element, for v < x
-        # in a tree the reflexive down-sets of two nodes intersect in the
-        # reflexive down-set of their meet
-        self._down = tuple(row | 1 << i for i, row in enumerate(poset.below))
-        self._node_with_down = {row: i for i, row in enumerate(self._down)}
+        index = poset.index
+        rows = [
+            [0] * len(self.arities[v]) if self.kinds[v] == "sum" else []
+            for v in poset.elements
+        ]
+        for (v, x), slot in labels.items():
+            rows[index[v]][self.arities[v].index[slot]] |= 1 << index[x]
+        self.label_rows = tuple(map(tuple, rows))
 
     @property
     def nodes(self):
         return self.poset.elements
 
     def label(self, v, x):
-        return self.labels[(v, x)]
+        """The slot of v's arity that labels x, for v < x."""
+        j = self.poset.index[x]
+        rows = self.label_rows[self.poset.index[v]]
+        for slot, row in zip(self.arities[v].elements, rows):
+            if row >> j & 1:
+                return slot
+        raise KeyError((v, x))
 
     def label_range(self, v):
         """All label values above v; equals v's arity for sum nodes."""
         return self.arities[v]
 
     def meet_index(self, i, j):
-        """Index of the meet of the nodes at indices i and j."""
-        return self._node_with_down[self._down[i] & self._down[j]]
+        """Index of the meet of the nodes at indices i and j.
+
+        In a tree the reflexive down-sets of two nodes intersect in the
+        reflexive down-set of their meet, and the meet is its last node in
+        storage order.
+        """
+        below = self.poset.below
+        return ((below[i] | 1 << i) & (below[j] | 1 << j)).bit_length() - 1
 
     def meet(self, a, b):
         i = self.poset.index[a]
@@ -156,28 +188,27 @@ def structured_tree_text(tree):
     return "\n".join(lines) + "\n"
 
 
+def _node_keys(fset):
+    keys = [("i", p, i) for p, seq in fset.sequences.items() for i in range(len(seq))]
+    keys += [("l", p) for p in fset.leaves]
+    return keys
+
+
 class DecompositionTree:
-    """A structured tree together with the composition set that generated it."""
+    """A structured tree together with the composition set that generated it.
+
+    The leaf arguments are the one-point restrictions of ``base``; the tree
+    keeps each leaf's element and rebuilds them when asked.
+    """
+
+    __slots__ = ("fset", "base", "leaf_element", "tree")
 
     def __init__(self, fset, leaf_args, base):
         self.fset = fset
-        self.leaf_args = dict(leaf_args)
         self.base = base  # the coloured poset the root tree was built from
-        keys = []
-        for p, seq in fset.sequences.items():
-            for i in range(len(seq)):
-                keys.append(("i", p, i))
-        for p in fset.leaves:
-            keys.append(("l", p))
+        keys = _node_keys(fset)
         keys.sort(key=lambda k: _addr(k, fset.root))
-        self.key_of = {}
-        self.node_of = {}
-        ids = []
-        for k in keys:
-            nid = _node_id(k)
-            ids.append(nid)
-            self.key_of[nid] = k
-            self.node_of[k] = nid
+        ids = [_node_id(k) for k in keys]
         above = [
             sum(1 << b for b, kb in enumerate(keys) if ka != kb and _node_le(ka, kb))
             for ka in keys
@@ -225,6 +256,20 @@ class DecompositionTree:
         """The described poset as an induced part of the base poset."""
         return self.base.restrict(set(self.leaf_element.values()))
 
+    @property
+    def leaf_args(self):
+        """Leaf position -> the base restricted to that leaf's element,
+        rebuilt on each call."""
+        return {
+            p: self.base.restrict([self.leaf_element[_node_id(("l", p))]])
+            for p in self.fset.leaves
+        }
+
+    @property
+    def key_of(self):
+        """Node id -> node key, rebuilt from the composition set per call."""
+        return {_node_id(k): k for k in _node_keys(self.fset)}
+
     def sequence_at(self, node_id):
         key = self.key_of.get(node_id)
         if key is None:
@@ -262,6 +307,7 @@ def subtree_extract(tree, node_id, value):
         raise BadLabel(f"{node_id} is a leaf")
     _, p, i = key
     seq = fset.sequences[p]
+    args = tree.leaf_args
     if value not in seq.arity(i):
         raise BadLabel(f"{value!r} is not a slot of the arity at {node_id}")
     s_i = seq.distinguished(i)
@@ -271,7 +317,7 @@ def subtree_extract(tree, node_id, value):
             q: s for q, s in fset.sequences.items() if q[: len(child)] == child
         }
         leaves = {q for q in fset.leaves if q[: len(child)] == child}
-        leaf_args = {q: tree.leaf_args[q] for q in leaves}
+        leaf_args = {q: args[q] for q in leaves}
         sub = CompositionSet(child, sequences, leaves)
         return DecompositionTree(sub, leaf_args, tree.base)
 
@@ -294,7 +340,7 @@ def subtree_extract(tree, node_id, value):
         r = remap(q)
         if r is not None:
             leaves.add(r)
-            leaf_args[r] = tree.leaf_args[q]
+            leaf_args[r] = args[q]
     sub = CompositionSet(p, sequences, leaves)
     return DecompositionTree(sub, leaf_args, tree.base)
 
@@ -397,35 +443,27 @@ def st_embed(source, target):
     # labels: per sum node p below i, each earlier q above p with the code
     # of q's label towards i's label in p's arity
     labels = [[] for _ in range(ns)]
-    for p, v in enumerate(spos.elements):
-        if S.kinds[v] != "sum":
+    for p, rows in enumerate(S.label_rows):
+        if not rows:
             continue
-        arity = S.arities[v]
-        up = [
-            (q, arity.index[S.label(v, x)])
-            for q, x in enumerate(spos.elements)
-            if spos.above[p] >> q & 1
-        ]
+        arity = S.arities[spos.elements[p]]
+        up = sorted((q, lb) for lb, row in enumerate(rows) for q in _bits(row))
         for k in range(1, len(up)):
             i, li = up[k]
             labels[i].append((p, [(q, arity.code(lq, li)) for q, lq in up[:k]]))
     # per target sum node t: the label index of each node above t, the
     # code rows of t's arity, and labelled[lb], the nodes above t labelled lb
     ttables = {}
-    for t, w in enumerate(tpos.elements):
-        if T.kinds[w] != "sum":
+    for t, labelled in enumerate(T.label_rows):
+        if not labelled:
             continue
-        arity = T.arities[w]
-        lab = {}
-        labelled = [0] * len(arity)
-        for u, x in enumerate(tpos.elements):
-            if tpos.above[t] >> u & 1:
-                lab[u] = lb = arity.index[T.label(w, x)]
-                labelled[lb] |= 1 << u
+        arity = T.arities[tpos.elements[t]]
+        lab = {u: lb for lb, row in enumerate(labelled) for u in _bits(row)}
         single = tuple(1 << lb for lb in range(len(arity)))
         rows = (arity.beside, arity.above, arity.below, single)
         ttables[t] = (lab, rows, labelled)
-    tdown, tabove = T._down, tpos.above
+    tabove = tpos.above
+    tdown = tuple(row | 1 << t for t, row in enumerate(tpos.below))
     tup = tuple(row | 1 << t for t, row in enumerate(tabove))
 
     def narrow(i, assign, c):

@@ -2,12 +2,16 @@
 
 An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
-to all of them.  Indecomposability uses the pair-closure test: a set is
-indecomposable iff every pair inside it closes to the whole set, where the
-closure of C inside M is the smallest interval of the order induced on M
-that contains C.  ``enumerate_intervals`` stays exhaustive, as the public
-enumeration and as the oracle the closure test is checked against; anything
-too big for it is rejected up front with a clear error.
+to all of them.  The decomposition path is built on one primitive, the
+closure of C inside M: the smallest interval of the order induced on M that
+contains C, found in one pass over C by ``_close``.  A set is
+indecomposable iff every pair inside it closes to the whole set; the
+canonical chain grows from its anchor one closure at a time; and the layer
+arities of :mod:`composition` merge pair closures into their blocks.
+``enumerate_intervals`` stays exhaustive, as the public enumeration and as
+the oracle the closure-built results are checked against; the chain keeps
+its size bound, and anything too big for it is rejected up front with a
+clear error.
 """
 
 from . import config
@@ -99,25 +103,28 @@ def _close(carrier, members, within):
     a non-empty part of within): the smallest interval of the order induced
     on within that contains members.
 
-    A point p of within outside C splits C when C lies inside none of
-    ``above[p]``, ``below[p]`` and ``beside[p]``.  Every interval containing
-    C contains each point that splits C, so adding those points until none
-    is left gives the closure.
+    Fix a point a of C.  A point p outside C splits C (relates to two of
+    its points differently) exactly when some c in C relates to p
+    differently from a, that is when p lies in one of ``above[a]``,
+    ``above[c]`` and not the other, or likewise for ``below``.  Every
+    interval containing C contains each point that splits C, so one pass
+    that takes each point of C once, the added ones included, and adds the
+    points of within that it separates from a gives the closure.
     """
-    up, dn, inc = carrier.above, carrier.below, carrier.beside
+    up, dn = carrier.above, carrier.below
+    low = members & -members
+    a = low.bit_length() - 1
+    up_a, dn_a = up[a], dn[a]
     closed = members
-    while True:
-        split = 0
-        rest = within & ~closed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            p = low.bit_length() - 1
-            if closed & ~up[p] and closed & ~dn[p] and closed & ~inc[p]:
-                split |= low
-        if not split:
-            return closed
-        closed |= split
+    todo = members ^ low
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        c = low.bit_length() - 1
+        new = ((up_a ^ up[c]) | (dn_a ^ dn[c])) & within & ~closed
+        closed |= new
+        todo |= new
+    return closed
 
 
 def _indecomposable_mask(carrier, within):
@@ -225,6 +232,12 @@ def maximal_interval_chain(carrier, anchor=None, bound=None):
     members pairwise nested, insert the smallest one, breaking ties by the
     lexicographically least sorted tuple of canonical element indices.  The
     anchor defaults to the first canonical element.
+
+    The chain is grown upwards from {anchor} one closure at a time: every
+    minimal interval strictly above a member c is the closure of c plus one
+    point, and the least of those closures is the interval the greedy
+    insertion puts next above c.  The size bound of ``enumerate_intervals``
+    applies.
     """
     if len(carrier) == 0:
         raise EmptyPoset("cannot chain an empty poset")
@@ -232,25 +245,28 @@ def maximal_interval_chain(carrier, anchor=None, bound=None):
         anchor = carrier.elements[0]
     if anchor not in carrier:
         raise UnknownElement(f"unknown anchor {anchor!r}")
-    full = frozenset(carrier.elements)
-    bottom = frozenset([anchor])
-    chain = {full, bottom}
-    candidates = [s for s in enumerate_intervals(carrier, bound) if s not in chain]
-
-    def key(s):
-        return (len(s), tuple(sorted(carrier.index[e] for e in s)))
-
-    candidates.sort(key=key)
-    while True:
-        inserted = False
-        for s in candidates:
-            if s in chain:
-                continue
-            if all(s <= c or c <= s for c in chain):
-                chain.add(s)
-                inserted = True
-                break
-        if not inserted:
-            break
-    ordered = sorted(chain, key=len, reverse=True)
-    return IntervalChain(carrier, tuple(ordered))
+    n = len(carrier)
+    limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
+    if n > limit:
+        raise TooLarge(f"carrier has {n} > {limit} elements")
+    full = (1 << n) - 1
+    c = 1 << carrier.index[anchor]
+    masks = [c]
+    while c != full:
+        best = full
+        rest = full & ~c
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            m = _close(carrier, c | x, full)
+            # equal sizes: the lexicographically lesser index tuple holds
+            # the lowest point where the two masks differ
+            diff = m ^ best
+            if m.bit_count() < best.bit_count() or (
+                m.bit_count() == best.bit_count() and m & diff & -diff
+            ):
+                best = m
+        c = best
+        masks.append(c)
+    members = tuple(_mask_to_set(carrier, m) for m in reversed(masks))
+    return IntervalChain(carrier, members)

@@ -59,25 +59,69 @@ def brute_ssr(poset, p, a, b):
 
 
 def brute_intervals(poset):
-    """Every non-empty subset passing the literal interval condition."""
+    """Every non-empty subset passing the literal interval condition: each
+    point outside it has one relation to all of its points."""
     out = []
     els = poset.elements
+    rel = {(p, a): rel_name(poset, p, a) for p in els for a in els}
     for r in range(1, len(els) + 1):
         for sub in itertools.combinations(els, r):
             inside = set(sub)
-            ok = True
-            for p in els:
-                if p in inside:
-                    continue
-                for a, b in itertools.combinations(sub, 2):
-                    if not brute_ssr(poset, p, a, b):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
+            if all(
+                len({rel[p, a] for a in sub}) == 1 for p in els if p not in inside
+            ):
                 out.append(frozenset(sub))
     return out
+
+
+def brute_interval_chain(poset, anchor=None, intervals=None):
+    """The canonical maximal interval chain, largest member first, by greedy
+    insertion: from {full set, {anchor}}, insert the least interval, by size
+    and then by sorted index tuple, nested with every member, while there
+    is one.  ``intervals`` defaults to ``brute_intervals(poset)``."""
+    if anchor is None:
+        anchor = poset.elements[0]
+    if intervals is None:
+        intervals = brute_intervals(poset)
+    index = {e: i for i, e in enumerate(poset.elements)}
+    chain = {frozenset(poset.elements), frozenset([anchor])}
+    candidates = sorted(intervals, key=lambda s: (len(s), sorted(index[e] for e in s)))
+    grown = True
+    while grown:
+        grown = False
+        for s in candidates:
+            if s not in chain and all(s <= c or c <= s for c in chain):
+                chain.add(s)
+                grown = True
+                break
+    return tuple(sorted(chain, key=len, reverse=True))
+
+
+def brute_maximal_blocks(poset, stand_in):
+    """The maximal intervals with two or more points that avoid stand_in."""
+    blocks = [
+        iv for iv in brute_intervals(poset) if len(iv) >= 2 and stand_in not in iv
+    ]
+    return {iv for iv in blocks if not any(iv < other for other in blocks)}
+
+
+def chain_layers(poset, members):
+    """Per layer of a chain but the last (members largest first): the order
+    induced on the layer plus the first point of the next member, listed
+    last, where it stands for the rest of the chain; and that point."""
+    out = []
+    for cur, rest in zip(members, members[1:]):
+        w = min(rest, key=poset.elements.index)
+        ids = [e for e in poset.elements if e in cur - rest] + [w]
+        pairs = [(a, b) for a in ids for b in ids if poset.lt(a, b)]
+        out.append((make_poset(ids, pairs), w))
+    return out
+
+
+def argument_blocks(args, j):
+    """Element sets of a decomposition's layer-j arguments with two or more
+    points: the blocks that layer's arity collapses."""
+    return {frozenset(q.elements) for (i, _), q in args.items() if i == j and len(q) >= 2}
 
 
 def brute_embed(x, y):
@@ -283,6 +327,13 @@ def random_poset(rng, n, p=0.35, prefix="e"):
         if rng.random() < p
     ]
     return make_poset(ids, pairs)
+
+
+def shuffled_poset(rng, poset):
+    """The same order with its elements stored in a shuffled order."""
+    ids = list(poset.elements)
+    rng.shuffle(ids)
+    return make_poset(ids, poset.lt_pairs())
 
 
 PALETTES = [

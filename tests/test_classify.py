@@ -6,15 +6,19 @@ import pytest
 import helpers
 from poset_forge import (
     ClassSpec,
+    ColouredPoset,
     canonical,
     class_check,
+    decomposition_tree,
     indecomposable_subsets,
     is_indecomposable,
     is_n_free,
+    maximal_decomposition,
+    maximal_interval_chain,
     pathological_prefix_check,
 )
-from poset_forge import classify, interval
-from poset_forge.core import check_embedding
+from poset_forge import classify, composition, interval
+from poset_forge.core import check_embedding, coloured_isomorphic
 from poset_forge.errors import TooLarge
 
 
@@ -177,6 +181,32 @@ class TestNoIntervalScan:
                     if len(s) > 2
                     and not (len(s) == 4 and helpers.brute_embed(n_poset, p.restrict(s)))
                 ]
+
+    def test_decomposition_path_alone(self, catalog6, monkeypatch):
+        # the chain, the layer arities and the tree come from closures: with
+        # the scan disabled they still agree with the brute-force oracles
+        def scan(carrier):
+            raise AssertionError("the interval mask scan was called")
+
+        monkeypatch.setattr(interval, "_interval_masks", scan)
+        assert not hasattr(composition, "enumerate_intervals")
+        for reps in catalog6.values():
+            for p in reps:
+                x = ColouredPoset.uniform(p)
+                chain = maximal_interval_chain(p)
+                assert chain.members == helpers.brute_interval_chain(p)
+                seq, args, _ = maximal_decomposition(x)
+                layers = helpers.chain_layers(p, chain.members)
+                for j, (b_prime, stand_in) in enumerate(layers):
+                    want = helpers.brute_maximal_blocks(b_prime, stand_in)
+                    assert helpers.argument_blocks(args, j) == want
+                tree = decomposition_tree(x)
+                if len(p) > 1:  # a single point is a leaf, with no sequence
+                    assert tree.fset.sequences[()] == seq
+                assert sorted(tree.leaf_element.values()) == sorted(p.elements)
+                for v in tree.tree.internal_nodes():
+                    assert helpers.brute_indecomposable(tree.tree.arities[v])
+                assert coloured_isomorphic(tree.evaluate(), x)
 
 
 class TestPathologicalPrefix:

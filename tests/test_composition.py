@@ -18,7 +18,7 @@ from poset_forge import (
     maximal_decomposition,
     split_assoc_check,
 )
-from poset_forge.composition import eval_f_eta_with_sources
+from poset_forge.composition import _maximal_blocks, eval_f_eta_with_sources
 from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
     BadIndex,
@@ -234,6 +234,32 @@ class TestMaximalDecomposition:
                     for f in value.elements:
                         _, orig2 = origin[f]
                         assert value.poset.lt(e, f) == induced.poset.lt(orig, orig2)
+
+
+def _assert_blocks_match_brute(x, anchor=None):
+    # the merged pair closures, and the arguments built from them, are the
+    # maximal intervals that avoid the stand-in
+    seq, args, chain = maximal_decomposition(x, anchor)
+    layers = helpers.chain_layers(x.poset, chain.members)
+    for j, (b_prime, stand_in) in enumerate(layers):
+        want = helpers.brute_maximal_blocks(b_prime, stand_in)
+        assert set(_maximal_blocks(b_prime)) == want
+        assert helpers.argument_blocks(args, j) == want
+
+
+class TestLayerBlocks:
+    def test_matches_brute_on_catalog6_layers(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                _assert_blocks_match_brute(ColouredPoset.uniform(p))
+
+    def test_matches_brute_random_shuffled(self):
+        rng = random.Random(127)
+        for _ in range(200):
+            n = rng.randint(8, 13)
+            p = helpers.random_poset(rng, n, rng.choice((0.15, 0.35)))
+            x = ColouredPoset.uniform(helpers.shuffled_poset(rng, p))
+            _assert_blocks_match_brute(x, rng.choice(x.elements))
 
 
 class TestDecompositionFunction:

@@ -149,6 +149,16 @@ class TestMeet:
                     greatest = [g for g in lower if all(poset.leq(c, g) for c in lower)]
                     assert [tree.meet(a, b)] == greatest
 
+    def test_meet_index_on_raw_trees(self):
+        for _, tree in _random_raw_trees(random.Random(139), 40):
+            poset = tree.poset
+            nodes = poset.elements
+            for i, a in enumerate(nodes):
+                for j, b in enumerate(nodes):
+                    lower = [c for c in nodes if poset.leq(c, a) and poset.leq(c, b)]
+                    greatest = [g for g in lower if all(poset.leq(c, g) for c in lower)]
+                    assert [nodes[tree.meet_index(i, j)]] == greatest
+
 
 class TestSubtreeExtract:
     def test_branch_of_n_is_leaf(self):
@@ -199,6 +209,25 @@ class TestSubtreeExtract:
                         if m in t.leaf_element
                     }
                     assert set(sub.leaf_element.values()) == ground
+
+    def test_every_node_id_resolves(self, catalog5):
+        # key_of is rebuilt from the composition set on each access
+        for reps in catalog5.values():
+            for p in reps:
+                t = decomposition_tree(ColouredPoset.uniform(p))
+                key_of = t.key_of
+                assert set(key_of) == set(t.tree.nodes)
+                for v in t.tree.nodes:
+                    if t.tree.kinds[v] == "leaf":
+                        assert key_of[v][0] == "l"
+                        with pytest.raises(BadLabel):
+                            t.sequence_at(v)
+                        continue
+                    seq, layer = t.sequence_at(v)
+                    assert key_of[v][0] == "i" and seq.arity(layer) == t.tree.arities[v]
+                    for u in seq.arity(layer).elements:
+                        cone = [m for m in t.tree.poset.up(v) if t.tree.label(v, m) == u]
+                        assert len(subtree_extract(t, v, u).tree.nodes) == len(cone)
 
     def test_bad_label(self):
         t = decomposition_tree(uniform("chain", 3))
@@ -260,6 +289,72 @@ def _raw_tree(nodes, pairs, arity=None, labels=None):
         one_colour_palette(),
         labels if labels else {vw: "x" for vw in poset.lt_pairs()},
     )
+
+
+_SMALL_ARITIES = (
+    make_poset(["x"], []),
+    make_poset(["x", "y"], [("x", "y")]),
+    make_poset(["x", "y"], []),
+)
+
+
+def _random_labelled_tree(rng):
+    """Nodes (parents first), tree pairs, arities and labels of a random
+    labelled tree on 1 to 6 nodes."""
+    n = rng.randint(1, 6)
+    parent = {k: rng.randrange(k) for k in range(1, n)}
+    nodes = [f"n{k}" for k in range(n)]
+    pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
+    arity = {v: rng.choice(_SMALL_ARITIES) for v in nodes[:-1]}
+    slot = {c: rng.choice(arity[nodes[parent[k]]].elements)
+            for k, c in enumerate(nodes) if k}
+    labels = {}
+    for k in range(1, n):
+        # k's label under every strict ancestor v is the slot of the
+        # child of v on the path to k
+        c = k
+        while c:
+            labels[(nodes[parent[c]], nodes[k])] = slot[nodes[c]]
+            c = parent[c]
+    return nodes, pairs, arity, labels
+
+
+def _random_raw_trees(rng, count):
+    """(labels, tree) for count random labelled trees, each stored in both
+    its own node order and a shuffled one."""
+    out = []
+    for _ in range(count):
+        nodes, pairs, arity, labels = _random_labelled_tree(rng)
+        shuffled = nodes[:]
+        rng.shuffle(shuffled)
+        for order in (nodes, shuffled):
+            out.append((labels, _raw_tree(order, pairs, arity, labels)))
+    return out
+
+
+class TestLabelRows:
+    def test_label_reads_the_given_dict(self):
+        for labels, tree in _random_raw_trees(random.Random(131), 60):
+            for v in tree.nodes:
+                for x in tree.nodes:
+                    if (v, x) in labels:
+                        assert tree.label(v, x) == labels[(v, x)]
+                    else:
+                        with pytest.raises(KeyError):
+                            tree.label(v, x)
+
+    def test_rows_split_each_up_set(self):
+        # one row per slot of the arity; together they partition the nodes
+        # above, and leaves have none
+        for _, tree in _random_raw_trees(random.Random(137), 40):
+            for i, v in enumerate(tree.nodes):
+                rows = tree.label_rows[i]
+                if tree.kinds[v] == "leaf":
+                    assert rows == ()
+                    continue
+                assert len(rows) == len(tree.arities[v])
+                assert sum(rows) == tree.poset.above[i]
+                assert sum(bin(row).count("1") for row in rows) == len(tree.poset.up(v))
 
 
 class TestStEmbed:
@@ -342,31 +437,9 @@ class TestStEmbed:
         # random labelled trees given in a shuffled node order: the witness
         # is the scan's first, and existence does not depend on the order
         rng = random.Random(97)
-        arities = [
-            make_poset(["x"], []),
-            make_poset(["x", "y"], [("x", "y")]),
-            make_poset(["x", "y"], []),
-        ]
 
         def random_pair():
-            n = rng.randint(1, 6)
-            parent = {k: rng.randrange(k) for k in range(1, n)}
-            nodes = [f"n{k}" for k in range(n)]
-            pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
-            arity = {v: rng.choice(arities) for v in nodes[:-1]}
-            slot = {c: rng.choice(arity[nodes[parent[k]]].elements)
-                    for k, c in enumerate(nodes) if k}
-            labels = {}
-            for k in range(1, n):
-                # k's label under every strict ancestor v is the slot of the
-                # child of v on the path to k
-                c = k
-                while c:
-                    labels[(nodes[parent[c]], nodes[k])] = slot[nodes[c]]
-                    c = parent[c]
-            shuffled = nodes[:]
-            rng.shuffle(shuffled)
-            return [_raw_tree(order, pairs, arity, labels) for order in (nodes, shuffled)]
+            return [tree for _, tree in _random_raw_trees(rng, 1)]
 
         checked = found = 0
         for _ in range(60):

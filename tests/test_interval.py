@@ -173,6 +173,32 @@ class TestMaximalIntervalChain:
                         continue
                     assert any(not (iv <= c or c <= iv) for c in chain)
 
+    def test_matches_brute_chain_size7_every_anchor(self, catalog7):
+        for p in catalog7:
+            intervals = helpers.brute_intervals(p)
+            for anchor in p.elements:
+                want = helpers.brute_interval_chain(p, anchor, intervals)
+                assert maximal_interval_chain(p, anchor).members == want
+
+    def test_matches_brute_chain_random_shuffled(self):
+        rng = random.Random(113)
+        for _ in range(200):
+            n = rng.randint(8, 13)
+            p = helpers.shuffled_poset(rng, helpers.random_poset(rng, n, rng.choice((0.15, 0.35))))
+            anchor = rng.choice(p.elements)
+            want = helpers.brute_interval_chain(p, anchor)
+            assert maximal_interval_chain(p, anchor).members == want
+
+    def test_bound(self, monkeypatch):
+        with pytest.raises(TooLarge):
+            maximal_interval_chain(canonical("antichain", 17))
+        assert maximal_interval_chain(canonical("antichain", 4), bound=4)
+        with pytest.raises(TooLarge):
+            maximal_interval_chain(canonical("antichain", 4), bound=3)
+        monkeypatch.setenv("POSET_FORGE_BOUND", "3")
+        with pytest.raises(TooLarge):
+            maximal_interval_chain(canonical("antichain", 4))
+
 
 class TestChainLemmas:
     def test_union_intersection_of_chains(self, catalog5):

@@ -74,6 +74,23 @@ def test_frozen_copy_and_pickle(name):
     assert pickle.loads(pickle.dumps(obj)) == obj
 
 
+SLOTTED = {
+    "Poset": lambda: canonical("N", 0),
+    "ColouredPoset": lambda: ColouredPoset(
+        CH3, {"a": "0", "b": "1", "c": "0"}, QuasiOrder(["0", "1"], [("0", "1")])
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_slotted_copy_and_pickle(name):
+    obj = SLOTTED[name]()
+    assert not hasattr(obj, "__dict__")
+    for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+        assert twin is not obj and twin == obj
+        assert twin.elements == obj.elements
+
+
 def test_unequal_values():
     assert EmbeddingMap(PAIRS) != EmbeddingMap(PAIRS, "coloured")
     assert EmbeddingMap(PAIRS) != EmbeddingMap(PAIRS[:1])
