@@ -2,26 +2,73 @@
 
 For finite posets, membership in a class cut out by a family of allowed
 indecomposables reduces to one check: every indecomposable induced subposet
-must be on the list (or within the size budget).  Each subset is tested on
-its own with the pair-closure test (``interval._indecomposable_mask``): it
-is indecomposable iff every pair inside it closes to the whole subset.
-Reports carry witnesses, because everything downstream of these predicates
-wants them.
+must be on the list (or within the size budget).  The indecomposable
+subsets are found in one pass over the subset masks in increasing order,
+in which every proper subset of M comes before M.  A decomposable M with
+two or more points has a minimal proper interval I of two or more points,
+and I is indecomposable: a proper interval of I would be an interval of M
+inside it.  So each indecomposable I, once found, marks every proper
+superset of I that contains no point splitting I (I is an interval of each
+of them), and a set of two or more points that reaches its turn unmarked
+is indecomposable.  ``interval._indecomposable_mask`` stays the
+per-subset test behind ``is_indecomposable``.  Reports carry witnesses,
+because everything downstream of these predicates wants them.
 """
 
 from . import config
 from .core import _Frozen, _Record, canonical, embed, is_isomorphic
 from .errors import TooLarge
-from .interval import _indecomposable_mask
+
+
+# masks are read from the marks one block of this many subsets at a time
+_BLOCK = 1 << 10
 
 
 def _indecomposable_masks(carrier, max_size):
-    return [
-        mask
-        for mask in range(1, 1 << len(carrier))
-        if 2 <= mask.bit_count() <= max_size
-        and _indecomposable_mask(carrier, mask)
-    ]
+    """Masks of 2..max_size points inducing an indecomposable order, in
+    increasing order.
+
+    Bit S of ``dec`` is set once some indecomposable proper subset of S is
+    an interval of S.  A point splits M when some c in M relates to it
+    differently from the lowest point a of M (as in ``interval._close``);
+    the supersets of M that avoid every such point are M plus any set of
+    the remaining free points, built by doubling the family once per free
+    point.  The family holds M itself too, whose bit has been read.  The
+    marks are read a block at a time, and each new family is cleared from
+    the block being read as well.
+    """
+    up, dn = carrier.above, carrier.below
+    size = 1 << len(carrier)
+    block = min(_BLOCK, size)
+    dec = 0
+    out = []
+    for base in range(0, size, block):
+        todo = ~(dec >> base) & ((1 << block) - 1)
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            m = base + low.bit_length() - 1
+            if not 2 <= m.bit_count() <= max_size:
+                continue
+            out.append(m)
+            first = m & -m
+            a = first.bit_length() - 1
+            up_a, dn_a = up[a], dn[a]
+            free = (size - 1) & ~m
+            rest = m ^ first
+            while rest:
+                c = rest & -rest
+                rest ^= c
+                c = c.bit_length() - 1
+                free &= ~((up_a ^ up[c]) | (dn_a ^ dn[c]))
+            family = 1 << m
+            while free:
+                f = free & -free
+                free ^= f
+                family |= family << f
+            dec |= family
+            todo &= ~(family >> base)
+    return out
 
 
 def indecomposable_subsets(x, max_size, bound=None):
@@ -95,22 +142,23 @@ def class_check(x, spec, bound=None):
     """
     poset = x.poset if hasattr(x, "poset") else x
     report = ClassReport(poset)
+    # violations come out in (size, index tuple) order: the singletons in
+    # element order, then the indecomposable subsets in theirs
     if spec.allowed is not None:
-        singleton_ok = any(len(p) == 1 for p in spec.allowed)
-        if not singleton_ok:
+        sizes = {len(p) for p in spec.allowed}
+        if 1 not in sizes:
             for e in poset.elements:
                 report.violations.append(frozenset([e]))
     for s in indecomposable_subsets(poset, len(poset), bound):
         if spec.max_size is not None:
             if len(s) > spec.max_size:
                 report.violations.append(s)
+        elif len(s) not in sizes:
+            report.violations.append(s)
         else:
             sub = poset.restrict(s)
             if not any(is_isomorphic(sub, p) for p in spec.allowed):
                 report.violations.append(s)
-    report.violations.sort(
-        key=lambda s: (len(s), tuple(sorted(poset.index[e] for e in s)))
-    )
     return report
 
 

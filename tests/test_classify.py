@@ -85,6 +85,31 @@ class TestIndecomposableSubsets:
             want = _named(p, helpers.brute_indecomposable_masks(p, len(p)))
             assert indecomposable_subsets(p, len(p)) == want
 
+    def test_matches_brute_size7(self, catalog7):
+        for p in catalog7:
+            want = _named(p, helpers.brute_indecomposable_masks(p, 7))
+            for cap in (2, 4, 7):
+                got = indecomposable_subsets(p, cap)
+                assert got == [s for s in want if len(s) <= cap]
+
+    @pytest.mark.parametrize("density", [0.15, 0.35, 0.6])
+    def test_matches_closure_test_large(self, density):
+        # past one block of marks (n > 10), against the per-subset closure
+        # test, which shares nothing with the ascending pass
+        rng = random.Random(int(density * 1000))
+        for n in (12, 14, 16):
+            p = helpers.random_poset(rng, n, density)
+            want = [
+                m
+                for m in range(1, 1 << n)
+                if m.bit_count() >= 2 and interval._indecomposable_mask(p, m)
+            ]
+            assert classify._indecomposable_masks(p, n) == want
+            cap = n // 2
+            assert classify._indecomposable_masks(p, cap) == [
+                m for m in want if m.bit_count() <= cap
+            ]
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             indecomposable_subsets(canonical("chain", 2), 5)
@@ -136,6 +161,27 @@ class TestClassCheck:
         with pytest.raises(ValueError):
             ClassSpec(max_size=0)
 
+    def test_allowed_lists_match_brute(self, catalog5):
+        # lists that skip sizes: a subset of a size no listed poset has is
+        # a violation, as the isomorphism test would say
+        rng = random.Random(101)
+        pool = [p for reps in catalog5.values() for p in reps]
+        for _ in range(40):
+            listed = tuple(rng.sample(pool, rng.randrange(1, 6)))
+            spec = ClassSpec(allowed=listed)
+            p = helpers.random_poset(rng, rng.randrange(1, 8), rng.choice([0.2, 0.5]))
+            masks = helpers.brute_indecomposable_masks(p, len(p))
+            singles = [1 << i for i in range(len(p))]
+            want = [
+                s
+                for s in _named(p, singles + masks)
+                if not any(
+                    len(q) == len(s) and helpers.brute_embed(q, p.restrict(s))
+                    for q in listed
+                )
+            ]
+            assert class_check(p, spec).violations == want
+
     def test_monotone_in_size_cap(self):
         rng = random.Random(89)
         for _ in range(20):
@@ -156,6 +202,26 @@ class TestClassCheck:
                         assert class_check(p.restrict(sub), spec).passed
 
 
+def _assert_matches_oracle(p):
+    """indecomposable_subsets and class_check on p, under every size cap and
+    under the stock list plus N, against the rows oracle; returns the
+    oracle's subsets."""
+    want = _named(p, helpers.brute_indecomposable_masks(p, len(p)))
+    for cap in range(1, len(p) + 1):
+        assert indecomposable_subsets(p, cap) == [s for s in want if len(s) <= cap]
+        capped = class_check(p, ClassSpec(max_size=cap))
+        assert capped.violations == [s for s in want if len(s) > cap]
+    n_poset = canonical("N", 0)
+    listed = class_check(p, ClassSpec(allowed=STOCK() + (n_poset,)))
+    assert listed.violations == [
+        s
+        for s in want
+        if len(s) > 2
+        and not (len(s) == 4 and helpers.brute_embed(n_poset, p.restrict(s)))
+    ]
+    return want
+
+
 class TestNoIntervalScan:
     def test_closure_test_alone(self, catalog5, monkeypatch):
         # the per-subset interval scan is gone: with it disabled, every
@@ -165,22 +231,24 @@ class TestNoIntervalScan:
 
         monkeypatch.setattr(interval, "_interval_masks", scan)
         assert not hasattr(classify, "_interval_masks")
-        n_poset = canonical("N", 0)
-        allowed = ClassSpec(allowed=STOCK() + (n_poset,))
         for n, reps in catalog5.items():
             for p in reps:
-                want = _named(p, helpers.brute_indecomposable_masks(p, n))
-                assert indecomposable_subsets(p, n) == want
+                want = _assert_matches_oracle(p)
                 assert is_indecomposable(p) == (n == 1 or frozenset(p.elements) in want)
-                capped = class_check(p, ClassSpec(max_size=2))
-                assert capped.violations == [s for s in want if len(s) > 2]
-                listed = class_check(p, allowed)
-                assert listed.violations == [
-                    s
-                    for s in want
-                    if len(s) > 2
-                    and not (len(s) == 4 and helpers.brute_embed(n_poset, p.restrict(s)))
-                ]
+
+    def test_ascending_pass_alone(self, catalog5, monkeypatch):
+        # indecomposable subsets come from the marks of smaller ones: with
+        # the per-subset closure test disabled, the answers still agree
+        def closure(*args):
+            raise AssertionError("a per-subset closure test was called")
+
+        monkeypatch.setattr(interval, "_indecomposable_mask", closure)
+        monkeypatch.setattr(interval, "_close", closure)
+        assert not hasattr(classify, "_indecomposable_mask")
+        assert not hasattr(classify, "_close")
+        for reps in catalog5.values():
+            for p in reps:
+                _assert_matches_oracle(p)
 
     def test_decomposition_path_alone(self, catalog6, monkeypatch):
         # the chain, the layer arities and the tree come from closures: with
