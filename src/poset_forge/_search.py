@@ -8,11 +8,12 @@ targets, ANDed with ``table[assign[p]]`` for each ``(p, table)`` in
 lexicographically first injection.
 
 ``code_rows`` makes an injection relation-exact: for ``p < i`` the table is
-``(y.beside, y.above, y.below)[x.code(p, i)]`` (codes 0 incomparable, 1
-less-than, 2 greater-than).  ``search_injection`` (poset and coloured
-embedding) is just that.  ``dectree.st_embed`` also passes ``narrow(i,
-assign, c)``, which returns the part of the candidate mask ``c`` that its
-meet and label conditions allow, since each involves two earlier sources.
+``y.above`` when p < i in x, ``y.below`` when p > i and ``y.beside`` when
+they are incomparable, read off x's rows.  ``search_injection`` (poset and
+coloured embedding) is just that.  ``dectree.st_embed`` also passes
+``narrow(i, assign, c)``, which returns the part of the candidate mask
+``c`` that its meet and label conditions allow, since each involves two
+earlier sources.
 """
 
 
@@ -56,8 +57,13 @@ def backtrack(allowed, rows, narrow=None):
 def code_rows(x, y):
     """Per source i of x, the rows keeping its image in the same relation to
     each earlier source's image as i has to that source in x."""
-    tables = (y.beside, y.above, y.below)
-    return [[(p, tables[x.code(p, i)]) for p in range(i)] for i in range(len(x))]
+    return [
+        [
+            (p, y.above if dn >> p & 1 else y.below if up >> p & 1 else y.beside)
+            for p in range(i)
+        ]
+        for i, (dn, up) in enumerate(zip(x.below, x.above))
+    ]
 
 
 def search_injection(x, y, allowed):
@@ -66,8 +72,6 @@ def search_injection(x, y, allowed):
 
     ``allowed`` holds one int bitmask of permitted targets per source.
     """
-    if len(x) > len(y):
-        return None
     return backtrack(allowed, code_rows(x, y))
 
 
@@ -76,20 +80,15 @@ def degree_mask(x, y):
 
     Every element above/below/incomparable-to i must land above/below/
     incomparable-to its image, so matching counts are a sound prefilter that
-    cannot remove any completable assignment.
+    cannot remove any completable assignment.  With y's cumulative masks
+    (``Poset.degree_table``: bit j of ``up_ge[k]`` set iff target j has at
+    least k elements above it), a source with counts (a, b, s) allows
+    ``up_ge[a] & down_ge[b] & beside_ge[s]``, the targets whose three counts
+    are each at least the source's.
     """
-    def counts(poset):
-        return [
-            (up.bit_count(), dn.bit_count(), side.bit_count())
-            for up, dn, side in zip(poset.above, poset.below, poset.beside)
-        ]
-
-    ycounts = counts(y)
-    masks = []
-    for xa, xb, xs in counts(x):
-        mask = 0
-        for j, (ya, yb, ys) in enumerate(ycounts):
-            if xa <= ya and xb <= yb and xs <= ys:
-                mask |= 1 << j
-        masks.append(mask)
-    return masks
+    if len(x) > len(y):
+        # a source's counts sum to len(x) - 1 and a target's to len(y) - 1,
+        # so one of the source's counts exceeds the target's: no target fits
+        return [0] * len(x)
+    _, up_ge, down_ge, beside_ge = y.degree_table()
+    return [up_ge[a] & down_ge[b] & beside_ge[s] for a, b, s in x.degree_table()[0]]

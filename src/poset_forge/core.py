@@ -4,14 +4,19 @@ A :class:`Poset` is a strict partial order over named elements, stored in
 transitively closed form as rows of Python int bitmasks, bit ``j`` standing
 for element ``j``: ``above[i]`` holds the j with i < j, ``below[i]`` the j
 with j < i and ``beside[i]`` the j incomparable to i.  Relation codes,
-covers, shape predicates and every search read these rows; nothing else is
-stored.  The element tuple is the canonical enumeration: all tie-breaking
-anywhere in the library (interval chain selection, quotient
-representatives, witness search order) refers back to it.  Values are
+covers, shape predicates and every search read these rows.  Beyond them
+only two lazy caches are stored, each filled on first use from the rows
+and colouring alone: :meth:`Poset.degree_table` (the relation counts and
+the cumulative count masks behind the searches' degree filter) and
+:meth:`ColouredPoset.colour_masks` (each element's palette index and one
+element mask per palette colour).  The element tuple is the canonical
+enumeration: all tie-breaking anywhere in the library (interval chain
+selection, quotient representatives, witness search order) refers back to
+it.  Values are
 immutable after construction; every operation here is a pure function.
 """
 
-import operator
+from functools import lru_cache
 
 from . import _search
 from .errors import (
@@ -97,7 +102,7 @@ class Poset:
     derives the ``below`` and ``beside`` rows from them.
     """
 
-    __slots__ = ("elements", "index", "above", "below", "beside")
+    __slots__ = ("elements", "index", "above", "below", "beside", "_degrees")
 
     def __init__(self, elements, above):
         self.elements = tuple(elements)
@@ -113,6 +118,7 @@ class Poset:
             full & ~(up | dn | 1 << i)
             for i, (up, dn) in enumerate(zip(self.above, below))
         )
+        self._degrees = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -154,6 +160,31 @@ class Poset:
         if self.below[i] >> j & 1:
             return GREATER
         return INCOMPARABLE
+
+    def degree_table(self):
+        """``(counts, up_ge, down_ge, beside_ge)``, built on first use and kept.
+
+        ``counts[i]`` is element i's triple of (above, below, beside)
+        counts.  Bit j of ``up_ge[k]`` is set iff element j has at least k
+        elements above it, for k < len(self); likewise ``down_ge`` and
+        ``beside_ge``.
+        """
+        table = self._degrees
+        if table is None:
+            n = len(self.elements)
+            counts = [
+                (up.bit_count(), dn.bit_count(), side.bit_count())
+                for up, dn, side in zip(self.above, self.below, self.beside)
+            ]
+            ge = ([0] * n, [0] * n, [0] * n)
+            for j, triple in enumerate(counts):
+                for masks, k in zip(ge, triple):
+                    masks[k] |= 1 << j
+            for masks in ge:
+                for k in range(n - 2, -1, -1):
+                    masks[k] |= masks[k + 1]
+            table = self._degrees = (counts, *ge)
+        return table
 
     def lt(self, a, b):
         return bool(self.above[self._i(a)] >> self._i(b) & 1)
@@ -304,8 +335,12 @@ def _binary_carrier(depth):
     return ["e" if w == "" else w for w in words], words
 
 
+@lru_cache(maxsize=32, typed=True)
 def canonical(name, k):
-    """One of the named stock posets, at size parameter k."""
+    """One of the named stock posets, at size parameter k.
+
+    Posets are immutable, so recent results are kept and shared.
+    """
     if name not in _CANONICAL_NAMES:
         raise UnknownName(f"unknown canonical poset {name!r}")
     if k < 0:
@@ -528,7 +563,7 @@ def one_colour_palette():
 class ColouredPoset:
     """A poset with a total colouring into a quasi-order palette."""
 
-    __slots__ = ("poset", "palette", "colouring")
+    __slots__ = ("poset", "palette", "colouring", "_colour_masks")
 
     def __init__(self, poset, colouring, palette):
         self.poset = poset
@@ -542,6 +577,7 @@ class ColouredPoset:
                 raise UnknownElement(f"colouring mentions unknown element {e!r}")
             if c not in palette.index:
                 raise UnknownElement(f"colour {c!r} not in palette")
+        self._colour_masks = None
 
     @classmethod
     def uniform(cls, poset, colour=ONE_COLOUR, palette=None):
@@ -554,6 +590,20 @@ class ColouredPoset:
 
     def colour(self, e):
         return self.colouring[e]
+
+    def colour_masks(self):
+        """``(index, masks)``, built on first use and kept: ``index[i]`` is
+        the palette index of element i's colour, and bit i of ``masks[c]``
+        is set iff element i has palette colour c."""
+        table = self._colour_masks
+        if table is None:
+            palette_index = self.palette.index
+            index = [palette_index[self.colouring[e]] for e in self.poset.elements]
+            masks = [0] * len(self.palette)
+            for i, c in enumerate(index):
+                masks[c] |= 1 << i
+            table = self._colour_masks = (index, masks)
+        return table
 
     def restrict(self, members):
         sub = self.poset.restrict(members)
@@ -617,28 +667,42 @@ def embed(x, y):
     non-embeddability.  Candidates are tried in canonical target order and
     the first witness found is returned.
     """
+    if len(x) > len(y):
+        return None
     assign = _search.search_injection(x, y, _search.degree_mask(x, y))
     if assign is None:
         return None
     return _as_embedding(x, y, assign, "poset")
 
 
-def _coloured_search(x, y, colour_ok):
-    """Search restricted to targets b with colour_ok(colour of a, colour of b)."""
+def _coloured_allowed(x, y, exact):
+    """Per source of x, the targets of y that pass the degree filter and
+    whose colour is at or above the source's, or equal to it when exact."""
     allowed = _search.degree_mask(x.poset, y.poset)
-    for i, a in enumerate(x.elements):
-        ca = x.colour(a)
-        for j, b in enumerate(y.elements):
-            if allowed[i] >> j & 1 and not colour_ok(ca, y.colour(b)):
-                allowed[i] &= ~(1 << j)
-    return _search.search_injection(x.poset, y.poset, allowed)
+    targets = y.colour_masks()[1]
+    rows = x.palette.rows
+    fit = {}
+    for i, c in enumerate(x.colour_masks()[0]):
+        if c not in fit:
+            if exact:
+                mask = targets[c]
+            else:
+                mask = 0
+                for d in _bits(rows[c]):
+                    mask |= targets[d]
+            fit[c] = mask
+        allowed[i] &= fit[c]
+    return allowed
 
 
 def coloured_embed(x, y):
     """Poset embedding that also increases colours, or None."""
     if x.palette != y.palette:
         raise PaletteMismatch("coloured embedding requires a shared palette")
-    assign = _coloured_search(x, y, x.palette.leq)
+    if len(x) > len(y):
+        return None
+    allowed = _coloured_allowed(x, y, False)
+    assign = _search.search_injection(x.poset, y.poset, allowed)
     if assign is None:
         return None
     return _as_embedding(x.poset, y.poset, assign, "coloured")
@@ -679,4 +743,5 @@ def coloured_isomorphic(x, y):
     """Bijection preserving the order exactly and colours literally."""
     if len(x) != len(y) or x.palette != y.palette:
         return False
-    return _coloured_search(x, y, operator.eq) is not None
+    allowed = _coloured_allowed(x, y, True)
+    return _search.search_injection(x.poset, y.poset, allowed) is not None

@@ -162,6 +162,40 @@ def brute_coloured_embed(x, y, colour_ok=None):
     return None
 
 
+@functools.lru_cache(maxsize=None)
+def brute_degree_counts(poset):
+    """Per element a, the numbers of elements above, below and incomparable
+    to a, counted by relation name."""
+    els = poset.elements
+    return tuple(
+        tuple(sum(rel_name(poset, a, b) == r for b in els) for r in "<>|")
+        for a in els
+    )
+
+
+def brute_allowed_masks(x, y, colour_ok=None):
+    """Per source of x, the bitmask of targets of y that a search may try,
+    built pair by pair: each of the target's three relation counts is at
+    least the source's and, for coloured posets, ``colour_ok(c, d)`` holds
+    for the source's colour c and the target's colour d (by default the
+    shared palette's order)."""
+    coloured = isinstance(x, ColouredPoset)
+    if coloured and colour_ok is None:
+        colour_ok = x.palette.leq
+    xp, yp = (x.poset, y.poset) if coloured else (x, y)
+    ycounts = brute_degree_counts(yp)
+    masks = []
+    for a, (up, dn, side) in zip(xp.elements, brute_degree_counts(xp)):
+        mask = 0
+        for j, (b, (yup, ydn, yside)) in enumerate(zip(yp.elements, ycounts)):
+            if up <= yup and dn <= ydn and side <= yside and (
+                not coloured or colour_ok(x.colour(a), y.colour(b))
+            ):
+                mask |= 1 << j
+        masks.append(mask)
+    return masks
+
+
 def brute_st_embed(tx, ty):
     """First structured-tree embedding by scanning injections in
     lexicographic order through the definition checker."""

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -22,7 +23,15 @@ from poset_forge import (
     union_q,
     zeta_tree_sum,
 )
-from poset_forge.core import EQUAL, GREATER, INCOMPARABLE, LESS, p_sum_with_sources
+from poset_forge import _search
+from poset_forge.core import (
+    EQUAL,
+    GREATER,
+    INCOMPARABLE,
+    LESS,
+    _coloured_allowed,
+    p_sum_with_sources,
+)
 from poset_forge.errors import (
     CycleError,
     DuplicateElement,
@@ -219,6 +228,12 @@ class TestCanonical:
     def test_unknown_name(self):
         with pytest.raises(UnknownName):
             canonical("pentagon", 5)
+
+    def test_results_are_shared(self):
+        assert canonical("N", 0) is canonical("N", 0)
+        assert canonical("chain", 3) != canonical("chain", 4)
+        with pytest.raises(ValueError):
+            canonical("chain", -1)
 
 
 def _escape(part):
@@ -533,6 +548,50 @@ class TestEmbed:
                 assert check_embedding(x, y, witness)
 
 
+# colours 0 and 1 each at or below the other: a quasi-order, not an order
+CYCLIC_PALETTE = QuasiOrder(["0", "1"], [("0", "1"), ("1", "0")])
+ALL_PALETTES = helpers.PALETTES + [CYCLIC_PALETTE]
+
+
+class TestSearchMasks:
+    """The allowed lists built from the cached tables equal the pairwise
+    construction, so every search tries the same targets in the same order."""
+
+    def test_degree_masks_on_catalog(self, catalog6):
+        posets = [p for reps in catalog6.values() for p in reps]
+        for x in posets:
+            for y in posets:
+                assert _search.degree_mask(x, y) == helpers.brute_allowed_masks(x, y)
+
+    def test_derived_posets_build_their_own_tables(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                _search.degree_mask(p, p)  # fill p's table first
+                for q in (
+                    p.reversed(),
+                    p.restrict(p.elements[1:]),
+                    p.restrict(p.elements[::2]),
+                ):
+                    for x, y in ((q, p), (p, q), (q, q)):
+                        want = helpers.brute_allowed_masks(x, y)
+                        assert _search.degree_mask(x, y) == want
+
+    def test_colour_masks_random(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            pal = rng.choice(ALL_PALETTES)
+            x = helpers.random_coloured(rng, rng.randrange(0, 7), pal, prefix="x")
+            y = helpers.random_coloured(rng, rng.randrange(0, 8), pal, prefix="y")
+            assert _coloured_allowed(x, y, False) == helpers.brute_allowed_masks(x, y)
+            assert _coloured_allowed(x, y, True) == helpers.brute_allowed_masks(
+                x, y, colour_ok=operator.eq
+            )
+            # x's colour table is filled now; its restriction builds its own
+            sub = x.restrict(x.elements[::2])
+            want = helpers.brute_allowed_masks(sub, y)
+            assert _coloured_allowed(sub, y, False) == want
+
+
 class TestColouredEmbed:
     def test_singleton_same_colour(self):
         pal = QuasiOrder(["q"], [])
@@ -564,45 +623,46 @@ class TestColouredEmbed:
             coloured_embed(x, y)
 
     def test_matches_coloured_permutation_scan(self):
-        pal = QuasiOrder(["0", "1"], [("0", "1")])
-        rng = random.Random(23)
-        found = 0
-        for _ in range(80):
-            x = helpers.random_coloured(rng, rng.randrange(1, 6), pal, prefix="x")
-            y = helpers.random_coloured(rng, rng.randrange(1, 8), pal, prefix="y")
-            witness = coloured_embed(x, y)
-            oracle = helpers.brute_coloured_embed(x, y)
-            assert (witness is None) == (oracle is None)
-            if witness is not None:
-                found += 1
-                assert witness.as_dict() == oracle
-        assert 0 < found < 80
+        for pal in ALL_PALETTES:
+            rng = random.Random(23)
+            found = 0
+            for _ in range(80):
+                x = helpers.random_coloured(rng, rng.randrange(1, 6), pal, prefix="x")
+                y = helpers.random_coloured(rng, rng.randrange(1, 8), pal, prefix="y")
+                witness = coloured_embed(x, y)
+                oracle = helpers.brute_coloured_embed(x, y)
+                assert (witness is None) == (oracle is None)
+                if witness is not None:
+                    found += 1
+                    assert witness.mapping == tuple(oracle.items())
+            assert 0 < found < 80
 
     def test_isomorphic_matches_permutation_scan(self):
-        pal = QuasiOrder(["0", "1"], [("0", "1")])
-        rng = random.Random(29)
-        outcomes = []
-        for _ in range(60):
-            x = helpers.random_coloured(rng, rng.randrange(1, 7), pal, prefix="x")
-            # a relabelled copy, then maybe one colour raised or one pair added
-            ids = list(x.elements)
-            rng.shuffle(ids)
-            rename = {a: f"y{k}" for k, a in enumerate(ids)}
-            pairs = [(rename[a], rename[b]) for a, b in x.poset.lt_pairs()]
-            colouring = {rename[a]: x.colour(a) for a in x.elements}
-            change = rng.randrange(3)
-            if change == 1:
-                colouring[rename[ids[0]]] = "1"
-            elif change == 2 and len(ids) > 1 and x.poset.incomparable(*ids[:2]):
-                pairs.append((rename[ids[0]], rename[ids[1]]))
-            names = [rename[a] for a in ids]
-            y = ColouredPoset(make_poset(names, pairs), colouring, pal)
-            oracle = len(x) == len(y) and helpers.brute_coloured_embed(
-                x, y, colour_ok=lambda c, d: c == d
-            ) is not None
-            assert coloured_isomorphic(x, y) == oracle
-            outcomes.append(oracle)
-        assert True in outcomes and False in outcomes
+        for pal in ALL_PALETTES:
+            rng = random.Random(29)
+            outcomes = []
+            for _ in range(60):
+                x = helpers.random_coloured(rng, rng.randrange(1, 7), pal, prefix="x")
+                # a relabelled copy, then maybe one element recoloured or one
+                # pair added
+                ids = list(x.elements)
+                rng.shuffle(ids)
+                rename = {a: f"y{k}" for k, a in enumerate(ids)}
+                pairs = [(rename[a], rename[b]) for a, b in x.poset.lt_pairs()]
+                colouring = {rename[a]: x.colour(a) for a in x.elements}
+                change = rng.randrange(3)
+                if change == 1:
+                    colouring[rename[ids[0]]] = rng.choice(pal.colours)
+                elif change == 2 and len(ids) > 1 and x.poset.incomparable(*ids[:2]):
+                    pairs.append((rename[ids[0]], rename[ids[1]]))
+                names = [rename[a] for a in ids]
+                y = ColouredPoset(make_poset(names, pairs), colouring, pal)
+                oracle = len(x) == len(y) and helpers.brute_coloured_embed(
+                    x, y, colour_ok=operator.eq
+                ) is not None
+                assert coloured_isomorphic(x, y) == oracle
+                outcomes.append(oracle)
+            assert True in outcomes and False in outcomes
 
     def test_one_colour_agrees_with_embed(self, catalog5):
         posets = [p for n in (1, 2, 3, 4) for p in catalog5[n]]
