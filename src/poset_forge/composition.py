@@ -6,14 +6,17 @@ arguments over the single index poset built by :func:`h_eta`.  Going the
 other way, :func:`maximal_decomposition` peels a poset into indecomposable
 arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
-Both the chain and each layer's blocks come from interval closures
-(``interval._close``), so no step of the decomposition scans all subsets.
+The iteration carries masks over the input's rows, and builds posets only
+for the layer arities and the one-point leaves; the chain and each layer's
+blocks come from interval closures (``interval._close``) inside the mask.
 """
 
 from .core import (
     _ID_ESCAPES,
     _Frozen,
+    _bits,
     ColouredPoset,
+    Poset,
     coloured_isomorphic,
     make_poset,
     p_sum_with_sources,
@@ -25,14 +28,15 @@ from .errors import (
     MissingArgument,
     MissingLeaf,
     PaletteMismatch,
+    UnknownElement,
     VerificationFailure,
 )
 from .interval import (
+    IntervalChain,
+    _chain_masks,
     _close,
     _mask_to_set,
     is_indecomposable,
-    maximal_interval_chain,
-    quotient,
 )
 
 
@@ -184,27 +188,26 @@ def _fresh_id(taken):
     return name
 
 
-def _maximal_blocks(b_prime):
-    """The maximal intervals of b_prime that have two or more points and
-    avoid the stand-in, its last element.
+def _maximal_blocks(carrier, cur, rest):
+    """Masks of the maximal intervals of the order induced on the mask cur
+    that have two or more points and avoid the mask rest.
 
     Overlapping intervals have an interval as their union, so the pair
-    closures that avoid the stand-in, merged wherever they overlap, give
-    intervals; and an interval avoiding the stand-in that strictly held
-    one of these unions would hold a pair whose closure meets it, which
-    the merging has already taken in.  A pair inside one of the unions
-    closes inside it, so it is skipped.
+    closures inside cur that avoid rest, merged wherever they overlap, give
+    intervals; and an interval avoiding rest that strictly held one of these
+    unions would hold a pair whose closure meets it, which the merging has
+    already taken in.  A pair inside one of the unions closes inside it, so
+    it is skipped.
     """
-    k = len(b_prime) - 1
-    within = (1 << k + 1) - 1
+    points = list(_bits(cur & ~rest))
     merged = []
-    for a in range(k):
-        for b in range(a + 1, k):
+    for k, a in enumerate(points):
+        for b in points[k + 1:]:
             pair = 1 << a | 1 << b
             if any(not pair & ~other for other in merged):
                 continue
-            block = _close(b_prime, pair, within)
-            if block >> k & 1:
+            block = _close(carrier, pair, cur)
+            if block & rest:
                 continue
             keep = []
             for other in merged:
@@ -214,55 +217,61 @@ def _maximal_blocks(b_prime):
                     keep.append(other)
             keep.append(block)
             merged = keep
-    return [_mask_to_set(b_prime, m) for m in merged]
+    return merged
 
 
-def _layer_arity(x, layer, rest):
-    """Arity for one chain layer: the layer plus a stand-in slot for the
-    rest of the chain, quotiented by its maximal proper intervals (the
-    blocks of ``_maximal_blocks``).
+def _layers(carrier, within, anchor):
+    """Maximal decomposition of the order induced on the mask within, along
+    its canonical chain down to the point at index anchor.
 
-    ``rest`` is the next (smaller) chain member, or None at the last layer.
-    Returns (arity poset, distinguished id or None, block map slot -> set).
+    Returns (sequence, argument masks keyed by (layer, slot), chain masks).
+    The intervals of the order induced on an interval M are the intervals
+    inside M (Gallai 1967), so everything is read off the carrier's rows.
+    Layer j's arity is the layer with each block (``_maximal_blocks``) kept
+    as its first point, plus a distinguished stand-in slot for the next
+    chain member, listed last; the last layer is the anchor alone.
     """
-    carrier = x.poset
-    members = sorted(layer, key=carrier.index.__getitem__)
-    if rest is None:
-        arity = carrier.restrict(members)
-        return arity, None, {u: frozenset([u]) for u in members}
-    s_id = _fresh_id(set(members))
-    witnesses = sorted(rest, key=carrier.index.__getitem__)
-    pairs = []
-    for a in members:
-        for b in members:
-            if carrier.lt(a, b):
-                pairs.append((a, b))
-    # the stand-in relates to the layer exactly as the rest does; the
-    # interval property makes this independent of the witness, checked here
-    for d in members:
-        codes = {carrier.relation(w, d) for w in witnesses}
-        if len(codes) != 1:
-            raise VerificationFailure(
-                f"chain member is not an interval relative to {d!r}"
-            )
-        code = codes.pop()
-        if code == 1:  # rest < d
-            pairs.append((s_id, d))
-        elif code == 2:
-            pairs.append((d, s_id))
-    b_prime = make_poset(members + [s_id], pairs)
-    arity, rep_of = quotient(b_prime, _maximal_blocks(b_prime))
-    block_of = {}
-    for u in arity.elements:
-        if u == s_id:
-            continue
-        block_of[u] = frozenset(e for e in members if rep_of[e] == u)
-    return arity, s_id, block_of
+    up, dn, side = carrier.above, carrier.below, carrier.beside
+    names = carrier.elements
+    chain = _chain_masks(carrier, anchor, within)
+    entries = []
+    args = {}
+    for j, cur in enumerate(chain):
+        rest = chain[j + 1] if j + 1 < len(chain) else 0
+        layer = cur & ~rest
+        blocks = _maximal_blocks(carrier, cur, rest)
+        keep = layer
+        for block in blocks:
+            keep &= ~block | block & -block
+        kept = list(_bits(keep))
+        ids = [names[i] for i in kept]
+        for i, u in zip(kept, ids):
+            args[(j, u)] = next((m for m in blocks if m >> i & 1), 1 << i)
+        if rest:
+            # the stand-in takes the rows of the rest's first point; the
+            # rest is an interval, checked here, so any point would do
+            for d in _bits(layer):
+                if rest & ~up[d] and rest & ~dn[d] and rest & ~side[d]:
+                    raise VerificationFailure(
+                        f"chain member is not an interval relative to {names[d]!r}"
+                    )
+            kept.append((rest & -rest).bit_length() - 1)
+            ids.append(_fresh_id(_mask_to_set(carrier, layer)))
+        rows = [sum(1 << k for k, e in enumerate(kept) if up[i] >> e & 1) for i in kept]
+        arity = Poset(ids, rows)
+        if not is_indecomposable(arity):
+            raise VerificationFailure("layer arity is not indecomposable")
+        entries.append((arity, ids[-1]))
+    seq = CompositionSequence(tuple(entries))
+    for pos in seq.positions():
+        if pos not in args:
+            raise VerificationFailure(f"no argument produced for slot {pos}")
+    return seq, args, chain
 
 
 def maximal_decomposition(x, anchor=None):
     """Peel a coloured poset into indecomposable arities along the
-    canonical maximal interval chain.
+    canonical maximal interval chain (``_layers`` on the whole poset).
 
     Returns (sequence, arguments, chain) with the arguments keyed by
     (layer, slot).  Evaluating the sequence on the arguments rebuilds the
@@ -271,26 +280,16 @@ def maximal_decomposition(x, anchor=None):
     """
     if len(x) == 0:
         raise EmptyPoset("cannot decompose an empty poset")
-    chain = maximal_interval_chain(x.poset, anchor)
-    members = list(chain.members)
-    entries = []
-    args = {}
-    for j, layer_set in enumerate(members):
-        rest = members[j + 1] if j + 1 < len(members) else None
-        layer = layer_set - rest if rest is not None else layer_set
-        arity, s_id, block_of = _layer_arity(x, layer, rest)
-        if not is_indecomposable(arity):
-            raise VerificationFailure("layer arity is not indecomposable")
-        if s_id is None:
-            s_id = arity.elements[0]
-        entries.append((arity, s_id))
-        for u, block in block_of.items():
-            args[(j, u)] = x.restrict(block)
-    seq = CompositionSequence(tuple(entries))
-    for pos in seq.positions():
-        if pos not in args:
-            raise VerificationFailure(f"no argument produced for slot {pos}")
-    return seq, args, chain
+    carrier = x.poset
+    if anchor is None:
+        anchor = carrier.elements[0]
+    if anchor not in carrier:
+        raise UnknownElement(f"unknown anchor {anchor!r}")
+    full = (1 << len(carrier)) - 1
+    seq, masks, chain = _layers(carrier, full, carrier.index[anchor])
+    args = {pos: x.restrict(_mask_to_set(carrier, m)) for pos, m in masks.items()}
+    members = tuple(_mask_to_set(carrier, m) for m in chain)
+    return seq, args, IntervalChain(carrier, members)
 
 
 # -- composition sets --------------------------------------------------------
@@ -358,21 +357,22 @@ def decomposition_function(x):
     if len(x) == 0:
         raise EmptyPoset("cannot decompose an empty poset")
 
-    def walk(sub):
-        if len(sub) == 1:
-            return {}, {(): sub}
-        seq, args, _ = maximal_decomposition(sub)
+    def walk(within):
+        if not within & within - 1:
+            return {}, {(): x.restrict([x.elements[within.bit_length() - 1]])}
+        low = within & -within
+        seq, args, _ = _layers(x.poset, within, low.bit_length() - 1)
         seqs = {(): seq}
         leafs = {}
-        for pos, q in args.items():
-            sub_seqs, sub_leafs = walk(q)
+        for pos, m in args.items():
+            sub_seqs, sub_leafs = walk(m)
             for p, s in sub_seqs.items():
                 seqs[(pos,) + p] = s
             for p, v in sub_leafs.items():
                 leafs[(pos,) + p] = v
         return seqs, leafs
 
-    seqs, leafs = walk(x)
+    seqs, leafs = walk((1 << len(x)) - 1)
     fset = CompositionSet((), seqs, frozenset(leafs))
     return fset, leafs
 

@@ -42,16 +42,6 @@ from functools import lru_cache
 
 # node keys: ("i", position, layer) for internal nodes, ("l", position) for
 # leaves; positions are the composition set's (layer, slot) pair tuples
-def _addr(key, root):
-    if key[0] == "i":
-        _, p, i = key
-        rel = p[len(root):]
-        return tuple((j, 1, u) for j, u in rel) + ((i, 0, ""),)
-    _, p = key
-    rel = p[len(root):]
-    return tuple((j, 1, u) for j, u in rel)
-
-
 def _node_id(key):
     # absolute addresses: a branch extraction's nodes ARE the cone's nodes
     if key[0] == "i":
@@ -61,25 +51,46 @@ def _node_id(key):
     return render_position(p)
 
 
-def _node_le(a, b):
-    """Tree order on node keys: b sits above a when b's address continues
-    past a's spine layer at an index at least a's."""
-    if a == b:
-        return True
-    if a[0] == "l":
-        return False
-    _, p, i = a
-    if b[0] == "i":
-        _, q, j = b
-        if p == q:
-            return j >= i
-        if len(q) > len(p) and q[: len(p)] == p:
-            return q[len(p)][0] >= i
-        return False
-    _, leaf = b
-    if len(leaf) > len(p) and leaf[: len(p)] == p:
-        return leaf[len(p)][0] >= i
-    return False
+def _layout(fset):
+    """Node keys, ids, ``above`` rows and label rows of the tree that
+    records a composition set, in one depth-first pass.
+
+    A position's nodes come in order: layer node 0, then its branches in
+    slot-name order, then layer node 1 and its branches, and so on, so every
+    node follows its ancestors.  A layer node is below the rest of its
+    position's index range: its slot u labels the branch at (layer, u), and
+    its distinguished slot labels the later layers.
+    """
+    keys, above, label_rows = [], [], []
+
+    def visit(p):
+        seq = fset.sequences.get(p)
+        if seq is None:
+            keys.append(("l", p))
+            above.append(0)
+            label_rows.append(())
+            return
+        layers = []
+        for i in range(len(seq)):
+            node = len(keys)
+            keys.append(("i", p, i))
+            above.append(0)
+            label_rows.append(())
+            arity = seq.arity(i)
+            rows = [0] * len(arity)
+            for u in sorted(seq.slots(i)):
+                start = len(keys)
+                visit(p + ((i, u),))
+                rows[arity.index[u]] = (1 << len(keys)) - (1 << start)
+            layers.append((node, rows, arity.index[seq.distinguished(i)], len(keys)))
+        end = (1 << len(keys)) - 1
+        for node, rows, s, later in layers:
+            above[node] = end & -(2 << node)
+            rows[s] |= end & -(1 << later)
+            label_rows[node] = tuple(rows)
+
+    visit(fset.root)
+    return keys, [_node_id(k) for k in keys], above, label_rows
 
 
 class StructuredTree:
@@ -90,7 +101,7 @@ class StructuredTree:
     for v < x, and keeps them as rows: ``label_rows[i]`` holds, for the sum
     node at index i, one mask per slot of its arity (in the arity's element
     order) of the nodes above it that carry that label; it is empty for
-    leaves.
+    leaves.  Decomposition trees bring their rows (``_layout``, ``_from_rows``).
     """
 
     __slots__ = (
@@ -103,8 +114,6 @@ class StructuredTree:
     )
 
     def __init__(self, poset, kinds, arities, leaf_colours, ground_palette, labels):
-        if not poset.is_rooted_tree():
-            raise NotATree("structured trees are rooted trees")
         # sort by the last position on the root path, ties by the path: every
         # node follows its ancestors (their paths are subsets of its own), and
         # a linear extension keeps its order
@@ -112,19 +121,32 @@ class StructuredTree:
         order = sorted(range(len(down)), key=lambda i: (down[i].bit_length(), down[i]))
         if order != list(range(len(down))):
             poset = make_poset([poset.elements[i] for i in order], poset.lt_pairs())
+        index = poset.index
+        rows = [
+            [0] * len(arities[v]) if kinds[v] == "sum" else []
+            for v in poset.elements
+        ]
+        for (v, x), slot in labels.items():
+            rows[index[v]][arities[v].index[slot]] |= 1 << index[x]
+        self._fill(poset, kinds, arities, leaf_colours, ground_palette, rows)
+
+    @classmethod
+    def _from_rows(cls, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
+        """A structured tree from its label rows; the poset must already be
+        stored as the constructor would sort it."""
+        tree = cls.__new__(cls)
+        tree._fill(poset, kinds, arities, leaf_colours, ground_palette, label_rows)
+        return tree
+
+    def _fill(self, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
+        if not poset.is_rooted_tree():
+            raise NotATree("structured trees are rooted trees")
         self.poset = poset
         self.kinds = dict(kinds)
         self.arities = dict(arities)
         self.leaf_colours = dict(leaf_colours)
         self.ground_palette = ground_palette
-        index = poset.index
-        rows = [
-            [0] * len(self.arities[v]) if self.kinds[v] == "sum" else []
-            for v in poset.elements
-        ]
-        for (v, x), slot in labels.items():
-            rows[index[v]][self.arities[v].index[slot]] |= 1 << index[x]
-        self.label_rows = tuple(map(tuple, rows))
+        self.label_rows = tuple(map(tuple, label_rows))
 
     @property
     def nodes(self):
@@ -188,12 +210,6 @@ def structured_tree_text(tree):
     return "\n".join(lines) + "\n"
 
 
-def _node_keys(fset):
-    keys = [("i", p, i) for p, seq in fset.sequences.items() for i in range(len(seq))]
-    keys += [("l", p) for p in fset.leaves]
-    return keys
-
-
 class DecompositionTree:
     """A structured tree together with the composition set that generated it.
 
@@ -206,14 +222,7 @@ class DecompositionTree:
     def __init__(self, fset, leaf_args, base):
         self.fset = fset
         self.base = base  # the coloured poset the root tree was built from
-        keys = _node_keys(fset)
-        keys.sort(key=lambda k: _addr(k, fset.root))
-        ids = [_node_id(k) for k in keys]
-        above = [
-            sum(1 << b for b, kb in enumerate(keys) if ka != kb and _node_le(ka, kb))
-            for ka in keys
-        ]
-        poset = Poset(ids, above)
+        keys, ids, above, label_rows = _layout(fset)
         kinds = {}
         arities = {}
         leaf_colours = {}
@@ -230,23 +239,9 @@ class DecompositionTree:
                 e = arg.elements[0]
                 leaf_colours[nid] = arg.colour(e)
                 self.leaf_element[nid] = e
-        labels = {}
-        for kv, vid in zip(keys, ids):
-            if kv[0] != "i":
-                continue
-            _, p, i = kv
-            s_i = fset.sequences[p].distinguished(i)
-            for kx, xid in zip(keys, ids):
-                if kx == kv or not _node_le(kv, kx):
-                    continue
-                if kx[0] == "i" and kx[1] == p:
-                    labels[(vid, xid)] = s_i
-                    continue
-                q = kx[1]
-                first = q[len(p)]
-                labels[(vid, xid)] = s_i if first[0] > i else first[1]
-        palette = base.palette
-        self.tree = StructuredTree(poset, kinds, arities, leaf_colours, palette, labels)
+        self.tree = StructuredTree._from_rows(
+            Poset(ids, above), kinds, arities, leaf_colours, base.palette, label_rows
+        )
 
     def evaluate(self):
         """Rebuild the poset this tree describes, by bottom-up summation."""
@@ -268,7 +263,8 @@ class DecompositionTree:
     @property
     def key_of(self):
         """Node id -> node key, rebuilt from the composition set per call."""
-        return {_node_id(k): k for k in _node_keys(self.fset)}
+        keys, ids, _, _ = _layout(self.fset)
+        return dict(zip(ids, keys))
 
     def sequence_at(self, node_id):
         key = self.key_of.get(node_id)

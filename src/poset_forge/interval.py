@@ -6,8 +6,8 @@ to all of them.  The decomposition path is built on one primitive, the
 closure of C inside M: the smallest interval of the order induced on M that
 contains C, found in one pass over C by ``_close``.  A set is
 indecomposable iff every pair inside it closes to the whole set; the
-canonical chain grows from its anchor one closure at a time; and the layer
-arities of :mod:`composition` merge pair closures into their blocks.
+canonical chain of a mask grows from its anchor one closure at a time; and
+the layer arities of :mod:`composition` merge pair closures into blocks.
 ``enumerate_intervals`` stays exhaustive, as the public enumeration and as
 the oracle the closure-built results are checked against; the chain keeps
 its size bound, and anything too big for it is rejected up front with a
@@ -225,40 +225,30 @@ class IntervalChain(_Frozen):
         return tuple(Interval(self.carrier, m) for m in self.members)
 
 
-def maximal_interval_chain(carrier, anchor=None, bound=None):
-    """Canonical maximal nested chain from the full carrier down to {anchor}.
+def _chain_masks(carrier, anchor, within, bound=None):
+    """Masks, largest first, of the canonical chain of the order induced on
+    the mask within, from within down to the point at index anchor.
 
     Greedy and deterministic: while any interval can be inserted keeping all
     members pairwise nested, insert the smallest one, breaking ties by the
-    lexicographically least sorted tuple of canonical element indices.  The
-    anchor defaults to the first canonical element.
-
-    The chain is grown upwards from {anchor} one closure at a time: every
-    minimal interval strictly above a member c is the closure of c plus one
-    point, and the least of those closures is the interval the greedy
-    insertion puts next above c.  The size bound of ``enumerate_intervals``
-    applies.
+    lexicographically least sorted tuple of element indices.  The chain is
+    grown upwards one closure at a time: the least closure of a member c
+    plus one point is the interval the greedy insertion puts next above c.
+    The size bound of ``enumerate_intervals`` applies to within's points.
     """
-    if len(carrier) == 0:
-        raise EmptyPoset("cannot chain an empty poset")
-    if anchor is None:
-        anchor = carrier.elements[0]
-    if anchor not in carrier:
-        raise UnknownElement(f"unknown anchor {anchor!r}")
-    n = len(carrier)
+    n = within.bit_count()
     limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
     if n > limit:
         raise TooLarge(f"carrier has {n} > {limit} elements")
-    full = (1 << n) - 1
-    c = 1 << carrier.index[anchor]
+    c = 1 << anchor
     masks = [c]
-    while c != full:
-        best = full
-        rest = full & ~c
+    while c != within:
+        best = within
+        rest = within & ~c
         while rest:
             x = rest & -rest
             rest ^= x
-            m = _close(carrier, c | x, full)
+            m = _close(carrier, c | x, within)
             # equal sizes: the lexicographically lesser index tuple holds
             # the lowest point where the two masks differ
             diff = m ^ best
@@ -268,5 +258,18 @@ def maximal_interval_chain(carrier, anchor=None, bound=None):
                 best = m
         c = best
         masks.append(c)
-    members = tuple(_mask_to_set(carrier, m) for m in reversed(masks))
-    return IntervalChain(carrier, members)
+    return masks[::-1]
+
+
+def maximal_interval_chain(carrier, anchor=None, bound=None):
+    """Canonical maximal nested chain from the full carrier down to {anchor},
+    which defaults to the first canonical element (``_chain_masks``)."""
+    if len(carrier) == 0:
+        raise EmptyPoset("cannot chain an empty poset")
+    if anchor is None:
+        anchor = carrier.elements[0]
+    if anchor not in carrier:
+        raise UnknownElement(f"unknown anchor {anchor!r}")
+    full = (1 << len(carrier)) - 1
+    masks = _chain_masks(carrier, carrier.index[anchor], full, bound)
+    return IntervalChain(carrier, tuple(_mask_to_set(carrier, m) for m in masks))

@@ -17,6 +17,7 @@ from poset_forge import (
     make_poset,
     verify_st_embedding,
 )
+from poset_forge.composition import render_position
 from poset_forge.core import EmbeddingMap, one_colour_palette
 
 
@@ -122,6 +123,62 @@ def argument_blocks(args, j):
     """Element sets of a decomposition's layer-j arguments with two or more
     points: the blocks that layer's arity collapses."""
     return {frozenset(q.elements) for (i, _), q in args.items() if i == j and len(q) >= 2}
+
+
+def brute_tree_rows(fset):
+    """Node ids, ``above`` rows and label rows of the tree that records a
+    composition set, from the pairwise definitions.
+
+    Nodes are layer nodes ("i", position, layer) and leaves ("l", position).
+    A node's address is one (layer, 1, slot) step per pair of its position
+    below the root, then (layer, 0, "") for a layer node; nodes are stored
+    in address order.  x is above the layer node (p, i) when x's position
+    continues p at a layer at least i, or x is a later layer node of p.
+    (p, i) labels such an x with the slot x's position takes at layer i, or
+    with its distinguished slot when that layer is past i or x is on p.
+    Ids render the absolute position as the serialization does.
+    """
+    root = fset.root
+    keys = [("i", p, i) for p, seq in fset.sequences.items() for i in range(len(seq))]
+    keys += [("l", p) for p in fset.leaves]
+
+    def address(key):
+        steps = tuple((j, 1, u) for j, u in key[1][len(root):])
+        return steps + ((key[2], 0, ""),) if key[0] == "i" else steps
+
+    def above_node(a, b):
+        if a == b or a[0] == "l":
+            return False
+        _, p, i = a
+        if b[0] == "i" and b[1] == p:
+            return b[2] > i
+        q = b[1]
+        return len(q) > len(p) and q[: len(p)] == p and q[len(p)][0] >= i
+
+    keys.sort(key=address)
+    ids = [
+        (f"{render_position(k[1])}/{k[2]}" if k[1] else str(k[2]))
+        if k[0] == "i"
+        else render_position(k[1])
+        for k in keys
+    ]
+    above = [sum(1 << b for b, kb in enumerate(keys) if above_node(ka, kb)) for ka in keys]
+    label_rows = []
+    for ka in keys:
+        if ka[0] == "l":
+            label_rows.append(())
+            continue
+        _, p, i = ka
+        seq = fset.sequences[p]
+        arity, s = seq.arity(i), seq.distinguished(i)
+        rows = [0] * len(arity)
+        for b, kb in enumerate(keys):
+            if above_node(ka, kb):
+                on_p = kb[0] == "i" and kb[1] == p
+                j, u = (i + 1, s) if on_p else kb[1][len(p)]
+                rows[arity.index[s if j > i else u]] |= 1 << b
+        label_rows.append(tuple(rows))
+    return ids, above, label_rows
 
 
 def brute_embed(x, y):

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poset_forge.cli import run
 from poset_forge.textio import poset_text
@@ -246,6 +247,92 @@ class TestDeterminism:
         monkeypatch.setenv("POSET_FORGE_BOUND", "3")
         code, _ = invoke(["decompose", files["n.poset"]])
         assert code == 2  # four elements exceed the global bound
+
+
+# seed documents for the fuzz test, all valid
+FUZZ_SEEDS = (
+    poset_text("n", canonical("N", 0)),
+    poset_text("t", canonical("binary_tree_prefix", 3)),
+    poset_text("f", canonical("fence", 3)),
+    "poset c\nelem a colour=0\nelem b colour=1\nelem c colour=1\nlt a b\nend\n"
+    "quasi q\nelem 0\nelem 1\nle 0 1\nend\n",
+    "poset d\nelem 1.a\nelem b/1\nelem _s\nlt 1.a b/1\nend\n",
+)
+FUZZ_TOKENS = (
+    "a", "b", "z", "0", "1", "_s", "1.a", "\\", "colour=1", "colour=", "colour=9",
+    "lt", "le", "elem", "end", "poset", "quasi", "#",
+)
+FUZZ_LINES = ("lt a a", "lt b a", "elem a", "end", "quasi q", "le 1 0", "poset p", "elem x colour=9")
+FUZZ_VERBS = (
+    ["validate", "{a}", "{b}"],
+    ["decompose", "{a}"],
+    ["tree", "{a}"],
+    ["embed", "{a}", "{b}"],
+    ["embed", "{a}", "{b}", "--coloured"],
+    ["lift", "{a}", "{b}"],
+    ["classify", "{a}", "--max-indecomposable", "3"],
+    ["classify", "{a}", "--allowed", "{b}"],
+    ["rank", "{a}", "--tree"],
+    ["rank", "{a}", "--scattered"],
+    ["quotient", "{a}", "--interval", "a,b"],
+    ["antichain", "--n", "{n}"],
+    ["matrix", "{a}", "{b}"],
+)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A seed document under a few line and token edits, as bytes; an edit
+    may also cut the document short or put in a byte that is not UTF-8."""
+    lines = draw(st.sampled_from(FUZZ_SEEDS)).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(("drop", "copy", "swap", "token", "insert", "cut")))
+        k = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if not lines:
+            lines = [draw(st.sampled_from(FUZZ_LINES))]
+        elif kind == "drop":
+            del lines[k]
+        elif kind == "copy":
+            lines.insert(k, lines[k])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[j], lines[k] = lines[k], lines[j]
+        elif kind == "token":
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(FUZZ_TOKENS))
+            lines[k] = " ".join(tokens)
+        elif kind == "insert":
+            lines.insert(k, draw(st.sampled_from(FUZZ_LINES)))
+        else:
+            lines = lines[:k]
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(FUZZ_VERBS),
+        mutated_documents(),
+        mutated_documents(),
+        st.integers(-2, 3),
+    )
+    def test_mutated_files_never_crash(self, tmp_path_factory, argv, a, b, n):
+        # every verb, the two-file ones included: exit 0, 1 or 2, and a 2
+        # ends the output with its one error line
+        folder = tmp_path_factory.getbasetemp()
+        paths = {"a": folder / "fuzz-a.poset", "b": folder / "fuzz-b.poset"}
+        paths["a"].write_bytes(a)
+        paths["b"].write_bytes(b)
+        code, text = invoke([arg.format(n=n, **paths) for arg in argv])
+        assert code in (0, 1, 2)
+        if code == 2:
+            lines = text.splitlines()
+            errors = [line for line in lines if line.startswith("error:")]
+            assert errors == lines[-1:]
 
 
 def _run_after_cli_import(probe):

@@ -19,6 +19,7 @@ from poset_forge import (
     split_assoc_check,
 )
 from poset_forge.composition import _maximal_blocks, eval_f_eta_with_sources
+from poset_forge.interval import _mask_to_set
 from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
     BadIndex,
@@ -243,7 +244,9 @@ def _assert_blocks_match_brute(x, anchor=None):
     layers = helpers.chain_layers(x.poset, chain.members)
     for j, (b_prime, stand_in) in enumerate(layers):
         want = helpers.brute_maximal_blocks(b_prime, stand_in)
-        assert set(_maximal_blocks(b_prime)) == want
+        full = (1 << len(b_prime)) - 1
+        blocks = _maximal_blocks(b_prime, full, 1 << b_prime.index[stand_in])
+        assert {_mask_to_set(b_prime, m) for m in blocks} == want
         assert helpers.argument_blocks(args, j) == want
 
 

@@ -28,7 +28,8 @@ from poset_forge.core import (
     is_isomorphic,
     one_colour_palette,
 )
-from poset_forge.dectree import StructuredTree
+from poset_forge import composition, dectree, interval
+from poset_forge.dectree import StructuredTree, _layout
 from poset_forge.errors import (
     BadLabel,
     NotATree,
@@ -355,6 +356,118 @@ class TestLabelRows:
                 assert len(rows) == len(tree.arities[v])
                 assert sum(rows) == tree.poset.above[i]
                 assert sum(bin(row).count("1") for row in rows) == len(tree.poset.up(v))
+
+
+def _two_colour_shuffled(rng, n):
+    x = helpers.random_coloured(rng, n, helpers.PALETTES[1], rng.choice((0.15, 0.35)))
+    return ColouredPoset(helpers.shuffled_poset(rng, x.poset), x.colouring, x.palette)
+
+
+def _extracts(t):
+    """Every subtree extract of t, with True for a tail (the distinguished
+    slot of a layer before the last) and False for a branch."""
+    for v in t.tree.internal_nodes():
+        seq, layer = t.sequence_at(v)
+        for u in seq.arity(layer).elements:
+            tail = u == seq.distinguished(layer) and layer < len(seq) - 1
+            yield tail, subtree_extract(t, v, u)
+
+
+def _assert_layout_matches_brute(t):
+    ids, above, label_rows = helpers.brute_tree_rows(t.fset)
+    assert _layout(t.fset)[1:] == (ids, above, label_rows)
+    tree = t.tree
+    assert tree.nodes == tuple(ids)
+    assert tree.poset.above == tuple(above)
+    assert tree.label_rows == tuple(label_rows)
+    # the public constructor, fed the labels read off the tree, agrees
+    labels = {(v, x): tree.label(v, x) for v in tree.internal_nodes() for x in tree.poset.up(v)}
+    rebuilt = StructuredTree(
+        tree.poset, tree.kinds, tree.arities, tree.leaf_colours, tree.ground_palette, labels
+    )
+    assert rebuilt.poset == tree.poset and rebuilt.label_rows == tree.label_rows
+
+
+class TestLayout:
+    def test_matches_brute_on_catalog6(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                _assert_layout_matches_brute(decomposition_tree(ColouredPoset.uniform(p)))
+
+    def test_matches_brute_random_two_colour(self):
+        rng = random.Random(139)
+        for _ in range(200):
+            _assert_layout_matches_brute(decomposition_tree(_two_colour_shuffled(rng, rng.randint(1, 16))))
+
+    def test_matches_brute_on_extracts(self, catalog5):
+        # branch extracts keep their root position; tail extracts shift the
+        # layers of theirs
+        rng = random.Random(149)
+        xs = [ColouredPoset.uniform(p) for reps in catalog5.values() for p in reps]
+        xs += [_two_colour_shuffled(rng, rng.randint(2, 12)) for _ in range(30)]
+        cases = Counter()
+        for x in xs:
+            for tail, sub in _extracts(decomposition_tree(x)):
+                cases[tail] += 1
+                _assert_layout_matches_brute(sub)
+        assert cases[True] and cases[False]
+
+
+def _assert_positions_match_brute(x, t):
+    """Every position of t's composition set against the brute-force
+    chain, blocks and indecomposability of the points under it."""
+    elem = {q: v.elements[0] for q, v in t.leaf_args.items()}
+    for p, seq in t.fset.sequences.items():
+        under = {q[len(p):]: e for q, e in elem.items() if q[: len(p)] == p}
+        sub = x.poset.restrict(under.values())
+        members = helpers.brute_interval_chain(sub)
+        assert members == tuple(
+            frozenset(e for q, e in under.items() if q[0][0] >= j) for j in range(len(seq))
+        )
+        for j, (b_prime, stand_in) in enumerate(helpers.chain_layers(sub, members)):
+            got = {}
+            for q, e in under.items():
+                if q[0][0] == j:
+                    got.setdefault(q[0], set()).add(e)
+            want = helpers.brute_maximal_blocks(b_prime, stand_in)
+            assert {frozenset(b) for b in got.values() if len(b) >= 2} == want
+        for arity, _ in seq.entries:
+            assert helpers.brute_indecomposable(arity)
+
+
+class TestNoRebuild:
+    def test_one_carrier_for_the_whole_decomposition(self, catalog5, monkeypatch):
+        # the walk reads the input's rows: no chain object, no quotient and
+        # no restricted poset but the one-point leaves
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the decomposition rebuilt a chain or a quotient")
+
+        monkeypatch.setattr(interval, "quotient", rebuilt)
+        monkeypatch.setattr(interval, "maximal_interval_chain", rebuilt)
+        monkeypatch.setattr(interval.IntervalChain, "__init__", rebuilt)
+        for name in ("quotient", "maximal_interval_chain"):
+            assert not hasattr(composition, name)
+        for name in ("_addr", "_node_le", "_node_keys", "_layer_arity"):
+            assert not hasattr(dectree, name) and not hasattr(composition, name)
+        restrict = ColouredPoset.restrict
+        calls = []
+
+        def counted(self, members):
+            calls.append(members)
+            return restrict(self, members)
+
+        rng = random.Random(151)
+        xs = [ColouredPoset.uniform(p) for reps in catalog5.values() for p in reps]
+        xs += [_two_colour_shuffled(rng, rng.randint(12, 16)) for _ in range(6)]
+        for x in xs:
+            monkeypatch.setattr(ColouredPoset, "restrict", counted)
+            calls.clear()
+            t = decomposition_tree(x)
+            monkeypatch.setattr(ColouredPoset, "restrict", restrict)
+            assert len(calls) == len(t.tree.leaf_nodes()) == len(x)
+            _assert_positions_match_brute(x, t)
+            _assert_layout_matches_brute(t)
+            assert coloured_isomorphic(t.evaluate(), x)
 
 
 class TestStEmbed:
