@@ -18,6 +18,7 @@ because everything downstream of these predicates wants them.
 from . import config
 from .core import _Frozen, _Record, canonical, embed, is_isomorphic
 from .errors import TooLarge
+from .interval import _canonical_sets
 
 
 # masks are read from the marks one block of this many subsets at a time
@@ -79,12 +80,7 @@ def indecomposable_subsets(x, max_size, bound=None):
         raise TooLarge(f"poset has {len(x)} > {limit} elements")
     if max_size > len(x):
         raise ValueError("max_size exceeds the poset size")
-    sets = [
-        frozenset(x.elements[i] for i in range(len(x)) if m >> i & 1)
-        for m in _indecomposable_masks(x, max_size)
-    ]
-    sets.sort(key=lambda s: (len(s), tuple(sorted(x.index[e] for e in s))))
-    return sets
+    return _canonical_sets(x, _indecomposable_masks(x, max_size))
 
 
 def is_n_free(x):

@@ -7,8 +7,9 @@ other way, :func:`maximal_decomposition` peels a poset into indecomposable
 arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
 The iteration carries masks over the input's rows, and builds posets only
-for the layer arities and the one-point leaves; the chain and each layer's
-blocks come from interval closures (``interval._close``) inside the mask.
+for the layer arities; the chain and each layer's blocks come from interval
+closures (``interval._close``) inside the mask, and each leaf is an element
+of the input.
 """
 
 from .core import (
@@ -347,6 +348,31 @@ class CompositionSet:
         )
 
 
+def _decompose(x):
+    """Iterate maximal decomposition down to singletons, on masks over x's
+    rows.
+
+    Returns (composition set, leaves), where leaves maps each leaf position
+    to its element of x.
+    """
+    if len(x) == 0:
+        raise EmptyPoset("cannot decompose an empty poset")
+    carrier = x.poset
+    seqs, leaves = {}, {}
+
+    def walk(p, within):
+        if not within & within - 1:
+            leaves[p] = carrier.elements[within.bit_length() - 1]
+            return
+        seq, args, _ = _layers(carrier, within, (within & -within).bit_length() - 1)
+        seqs[p] = seq
+        for pos, m in args.items():
+            walk(p + (pos,), m)
+
+    walk((), (1 << len(carrier)) - 1)
+    return CompositionSet((), seqs, leaves), leaves
+
+
 def decomposition_function(x):
     """Iterate maximal decomposition down to singleton leaves.
 
@@ -354,27 +380,8 @@ def decomposition_function(x):
     leaves reproduces the input up to isomorphism.  Terminates because every
     argument is strictly smaller than its parent.
     """
-    if len(x) == 0:
-        raise EmptyPoset("cannot decompose an empty poset")
-
-    def walk(within):
-        if not within & within - 1:
-            return {}, {(): x.restrict([x.elements[within.bit_length() - 1]])}
-        low = within & -within
-        seq, args, _ = _layers(x.poset, within, low.bit_length() - 1)
-        seqs = {(): seq}
-        leafs = {}
-        for pos, m in args.items():
-            sub_seqs, sub_leafs = walk(m)
-            for p, s in sub_seqs.items():
-                seqs[(pos,) + p] = s
-            for p, v in sub_leafs.items():
-                leafs[(pos,) + p] = v
-        return seqs, leafs
-
-    seqs, leafs = walk((1 << len(x)) - 1)
-    fset = CompositionSet((), seqs, frozenset(leafs))
-    return fset, leafs
+    fset, leaves = _decompose(x)
+    return fset, {p: x.restrict([e]) for p, e in leaves.items()}
 
 
 def eval_g(fset, leaf_args):

@@ -12,7 +12,7 @@ Lifting such an embedding to the underlying posets is the whole point.
 from .composition import (
     CompositionSequence,
     CompositionSet,
-    decomposition_function,
+    _decompose,
     eval_f_eta,
     eval_g,
     inline_poset,
@@ -36,8 +36,6 @@ from .errors import (
     VerificationFailure,
 )
 from . import _search, config
-
-from functools import lru_cache
 
 
 # node keys: ("i", position, layer) for internal nodes, ("l", position) for
@@ -197,8 +195,8 @@ def structured_tree_text(tree):
     it carries under each ancestor's cone."""
     poset = tree.poset
     lines = []
-    for n in poset.elements:
-        below = sorted(poset.down(n), key=poset.index.__getitem__)
+    for n, row in zip(poset.elements, poset.below):
+        below = [poset.elements[j] for j in _bits(row)]
         parent = below[-1] if below else "-"
         if below:
             labels = ",".join(f"{v}:{tree.label(v, n)}" for v in below)
@@ -213,15 +211,18 @@ def structured_tree_text(tree):
 class DecompositionTree:
     """A structured tree together with the composition set that generated it.
 
-    The leaf arguments are the one-point restrictions of ``base``; the tree
-    keeps each leaf's element and rebuilds them when asked.
+    ``leaves`` maps each leaf position of ``fset`` to its element of
+    ``base``, the coloured poset the root tree was built from; a leaf takes
+    that element's colour, and its argument is the one-point restriction of
+    ``base`` to it, rebuilt when asked (``leaf_args``).
     """
 
-    __slots__ = ("fset", "base", "leaf_element", "tree")
+    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree")
 
-    def __init__(self, fset, leaf_args, base):
+    def __init__(self, fset, leaves, base):
         self.fset = fset
-        self.base = base  # the coloured poset the root tree was built from
+        self.base = base
+        self.leaves = leaves
         keys, ids, above, label_rows = _layout(fset)
         kinds = {}
         arities = {}
@@ -233,11 +234,9 @@ class DecompositionTree:
                 kinds[nid] = "sum"
                 arities[nid] = fset.sequences[p].arity(i)
             else:
-                _, p = k
                 kinds[nid] = "leaf"
-                arg = leaf_args[p]
-                e = arg.elements[0]
-                leaf_colours[nid] = arg.colour(e)
+                e = leaves[k[1]]
+                leaf_colours[nid] = base.colour(e)
                 self.leaf_element[nid] = e
         self.tree = StructuredTree._from_rows(
             Poset(ids, above), kinds, arities, leaf_colours, base.palette, label_rows
@@ -255,10 +254,7 @@ class DecompositionTree:
     def leaf_args(self):
         """Leaf position -> the base restricted to that leaf's element,
         rebuilt on each call."""
-        return {
-            p: self.base.restrict([self.leaf_element[_node_id(("l", p))]])
-            for p in self.fset.leaves
-        }
+        return {p: self.base.restrict([e]) for p, e in self.leaves.items()}
 
     @property
     def key_of(self):
@@ -284,8 +280,7 @@ def decomposition_tree(x):
     """
     if len(x) == 0:
         raise EmptyPoset("cannot build a tree for an empty poset")
-    fset, leafs = decomposition_function(x)
-    return DecompositionTree(fset, leafs, x)
+    return DecompositionTree(*_decompose(x), x)
 
 
 def subtree_extract(tree, node_id, value):
@@ -303,7 +298,6 @@ def subtree_extract(tree, node_id, value):
         raise BadLabel(f"{node_id} is a leaf")
     _, p, i = key
     seq = fset.sequences[p]
-    args = tree.leaf_args
     if value not in seq.arity(i):
         raise BadLabel(f"{value!r} is not a slot of the arity at {node_id}")
     s_i = seq.distinguished(i)
@@ -312,10 +306,8 @@ def subtree_extract(tree, node_id, value):
         sequences = {
             q: s for q, s in fset.sequences.items() if q[: len(child)] == child
         }
-        leaves = {q for q in fset.leaves if q[: len(child)] == child}
-        leaf_args = {q: args[q] for q in leaves}
-        sub = CompositionSet(child, sequences, leaves)
-        return DecompositionTree(sub, leaf_args, tree.base)
+        leaves = {q: e for q, e in tree.leaves.items() if q[: len(child)] == child}
+        return DecompositionTree(CompositionSet(child, sequences, leaves), leaves, tree.base)
 
     def remap(q):
         if q[: len(p)] != p or len(q) == len(p):
@@ -330,15 +322,12 @@ def subtree_extract(tree, node_id, value):
         r = remap(q)
         if r is not None:
             sequences[r] = s
-    leaves = set()
-    leaf_args = {}
-    for q in fset.leaves:
+    leaves = {}
+    for q, e in tree.leaves.items():
         r = remap(q)
         if r is not None:
-            leaves.add(r)
-            leaf_args[r] = args[q]
-    sub = CompositionSet(p, sequences, leaves)
-    return DecompositionTree(sub, leaf_args, tree.base)
+            leaves[r] = e
+    return DecompositionTree(CompositionSet(p, sequences, leaves), leaves, tree.base)
 
 
 def recompose_along_chain(tree, zeta):
@@ -557,25 +546,24 @@ def lift_embedding(source_tree, target_tree, emap):
 # -- ranks --------------------------------------------------------------------
 
 def tree_rank(tree):
-    """Height-style rank: leaves are 0, a node is one above its children."""
+    """Height-style rank: leaves are 0, a node is one above its children.
+
+    The height of a rooted tree is its greatest depth, and a node's depth is
+    the size of its down-set, which is a chain.
+    """
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     if not poset.is_rooted_tree():
         raise NotATree("rank is defined for rooted trees")
-    order = sorted(poset.elements, key=lambda e: len(poset.up(e)))
-    rank = {}
-    for e in order:
-        above = poset.up(e)
-        rank[e] = max((rank[f] + 1 for f in above), default=0)
-    root = poset.minimal_elements()[0]
-    return rank[root]
+    return max(row.bit_count() for row in poset.below)
 
 
 def scattered_rank(tree, bound=None):
     """Least number of nested chain-of-trees layerings that build the tree.
 
     A tree is rank <= r+1 when some root path exists whose off-path cones
-    all have rank <= r; singletons are rank 0.  Exact memoized search, no
-    polynomial shortcut.
+    all have rank <= r; singletons are rank 0.  Exact search over root
+    paths, with the rank of each of the n cones (a node and everything
+    above it) found once, deepest node first.
     """
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     limit = config.effective_bound(config.SCATTERED_RANK_BOUND, bound)
@@ -584,28 +572,23 @@ def scattered_rank(tree, bound=None):
     if not poset.is_rooted_tree():
         raise NotATree("scattered rank is defined for rooted trees")
 
-    parent = {}
-    for e in poset.elements:
-        below = poset.down(e)
-        parent[e] = max(below, key=lambda f: len(poset.down(f)), default=None)
-
-    @lru_cache(maxsize=None)
-    def rank(cone):
-        nodes = set(cone)
-        if len(nodes) <= 1:
-            return 0
-        best = None
-        for t in cone:
-            path = {n for n in nodes if poset.leq(n, t)}
-            worst = 0
-            for d in nodes - path:
-                if parent[d] in path:
-                    sub = frozenset(
-                        n for n in nodes if poset.leq(d, n)
-                    )
-                    worst = max(worst, rank(sub))
-            if best is None or worst < best:
-                best = worst
-        return best + 1
-
-    return rank(frozenset(poset.elements))
+    # a node's parent is its deepest strict ancestor
+    depth = [row.bit_count() for row in poset.below]
+    children = [0] * len(poset)
+    for d, row in enumerate(poset.below):
+        if row:
+            children[max(_bits(row), key=depth.__getitem__)] |= 1 << d
+    rank = [0] * len(poset)
+    for v in sorted(range(len(poset)), key=depth.__getitem__, reverse=True):
+        if poset.above[v]:
+            cone = poset.above[v] | 1 << v
+            # each root path of the cone, from v to t, against the cones
+            # hanging off it
+            rank[v] = 1 + min(
+                max(
+                    (rank[d] for u in _bits(path) for d in _bits(children[u] & ~path)),
+                    default=0,
+                )
+                for path in (cone & (poset.below[t] | 1 << t) for t in _bits(cone))
+            )
+    return rank[depth.index(0)]

@@ -15,7 +15,7 @@ clear error.
 """
 
 from . import config
-from .core import _Frozen
+from .core import _Frozen, _bits
 from .errors import (
     EmptyPoset,
     EmptySet,
@@ -84,6 +84,14 @@ def _mask_to_set(carrier, mask):
     )
 
 
+def _canonical_sets(carrier, masks):
+    """The masks as sets of element names, sorted by size and then by their
+    ascending index tuples."""
+    names = carrier.elements
+    keys = sorted((m.bit_count(), tuple(_bits(m))) for m in masks)
+    return [frozenset(names[i] for i in index) for _, index in keys]
+
+
 def enumerate_intervals(carrier, bound=None):
     """All intervals, singletons and the full carrier included.
 
@@ -93,9 +101,7 @@ def enumerate_intervals(carrier, bound=None):
     limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
     if len(carrier) > limit:
         raise TooLarge(f"carrier has {len(carrier)} > {limit} elements")
-    sets = [_mask_to_set(carrier, m) for m in _interval_masks(carrier)]
-    sets.sort(key=lambda s: (len(s), tuple(sorted(carrier.index[e] for e in s))))
-    return sets
+    return _canonical_sets(carrier, _interval_masks(carrier))
 
 
 def _close(carrier, members, within):

@@ -181,6 +181,46 @@ def brute_tree_rows(fset):
     return ids, above, label_rows
 
 
+def brute_tree_rank(poset):
+    """Height of a rooted tree, bottom-up: nodes with nothing above are 0,
+    and every other node is one more than the most of any node above it."""
+    order = sorted(poset.elements, key=lambda e: len(poset.up(e)))
+    rank = {}
+    for e in order:
+        rank[e] = max((rank[f] + 1 for f in poset.up(e)), default=0)
+    return rank[poset.minimal_elements()[0]]
+
+
+def brute_scattered_rank(poset):
+    """Scattered rank of a rooted tree from its definition: singletons are
+    0, and a tree is one more than the least, over its root paths, of the
+    greatest rank of a cone hanging off the path; the cones are memoised as
+    sets of names."""
+    parent = {}
+    for e in poset.elements:
+        below = poset.down(e)
+        parent[e] = max(below, key=lambda f: len(poset.down(f)), default=None)
+
+    @functools.lru_cache(maxsize=None)
+    def rank(cone):
+        nodes = set(cone)
+        if len(nodes) <= 1:
+            return 0
+        best = None
+        for t in cone:
+            path = {n for n in nodes if poset.leq(n, t)}
+            worst = 0
+            for d in nodes - path:
+                if parent[d] in path:
+                    sub = frozenset(n for n in nodes if poset.leq(d, n))
+                    worst = max(worst, rank(sub))
+            if best is None or worst < best:
+                best = worst
+        return best + 1
+
+    return rank(frozenset(poset.elements))
+
+
 def brute_embed(x, y):
     """First embedding by scanning injections in lexicographic order."""
     if len(x) > len(y):
@@ -425,6 +465,14 @@ def shuffled_poset(rng, poset):
     ids = list(poset.elements)
     rng.shuffle(ids)
     return make_poset(ids, poset.lt_pairs())
+
+
+def random_rooted_tree(rng, n, prefix="t"):
+    """A random rooted tree on n nodes, each node after the first hung on
+    an earlier one, stored in a shuffled order."""
+    ids = [f"{prefix}{i}" for i in range(n)]
+    pairs = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n)]
+    return shuffled_poset(rng, make_poset(ids, pairs))
 
 
 PALETTES = [

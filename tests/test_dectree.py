@@ -29,7 +29,7 @@ from poset_forge.core import (
     one_colour_palette,
 )
 from poset_forge import composition, dectree, interval
-from poset_forge.dectree import StructuredTree, _layout
+from poset_forge.dectree import DecompositionTree, StructuredTree, _layout
 from poset_forge.errors import (
     BadLabel,
     NotATree,
@@ -437,8 +437,8 @@ def _assert_positions_match_brute(x, t):
 
 class TestNoRebuild:
     def test_one_carrier_for_the_whole_decomposition(self, catalog5, monkeypatch):
-        # the walk reads the input's rows: no chain object, no quotient and
-        # no restricted poset but the one-point leaves
+        # the walk reads the input's rows and the leaves are its elements:
+        # no chain object, no quotient and no restricted poset
         def rebuilt(*args, **kwargs):
             raise AssertionError("the decomposition rebuilt a chain or a quotient")
 
@@ -464,10 +464,28 @@ class TestNoRebuild:
             calls.clear()
             t = decomposition_tree(x)
             monkeypatch.setattr(ColouredPoset, "restrict", restrict)
-            assert len(calls) == len(t.tree.leaf_nodes()) == len(x)
+            assert not calls
+            assert len(t.tree.leaf_nodes()) == len(x)
             _assert_positions_match_brute(x, t)
             _assert_layout_matches_brute(t)
             assert coloured_isomorphic(t.evaluate(), x)
+
+    def test_extracts_do_not_rebuild_leaf_arguments(self, catalog5, monkeypatch):
+        # an extract filters or remaps its parent's leaf elements
+        def rebuilt(self):
+            raise AssertionError("an extract rebuilt the leaf arguments")
+
+        rng = random.Random(157)
+        xs = [ColouredPoset.uniform(p) for reps in catalog5.values() for p in reps]
+        xs += [_two_colour_shuffled(rng, rng.randint(8, 14)) for _ in range(6)]
+        trees = [decomposition_tree(x) for x in xs]
+        monkeypatch.setattr(DecompositionTree, "leaf_args", property(rebuilt))
+        cases = Counter()
+        for t in trees:
+            for tail, sub in _extracts(t):
+                cases[tail] += 1
+                assert set(sub.leaf_element.values()) <= set(t.leaf_element.values())
+        assert cases[True] and cases[False]
 
 
 class TestStEmbed:
@@ -704,6 +722,39 @@ class TestScatteredRank:
             )
         for lv in (1, 2, 3):
             assert scattered_rank(level[lv], bound=60) == lv
+
+
+def _rooted_trees(catalog):
+    return [p for reps in catalog.values() for p in reps if p.is_rooted_tree()]
+
+
+class TestRanksAgainstOracles:
+    def _check(self, poset):
+        assert tree_rank(poset) == helpers.brute_tree_rank(poset)
+        assert scattered_rank(poset, bound=len(poset)) == helpers.brute_scattered_rank(poset)
+
+    def test_rooted_trees_of_catalog6(self, catalog6):
+        trees = _rooted_trees(catalog6)
+        assert len(trees) == 37
+        for p in trees:
+            self._check(p)
+
+    def test_rooted_trees_of_catalog7(self, catalog7):
+        trees = _rooted_trees({7: catalog7})
+        assert len(trees) == 48
+        for p in trees:
+            self._check(p)
+
+    def test_random_shuffled_rooted_trees(self):
+        rng = random.Random(173)
+        for k in range(300):
+            self._check(helpers.random_rooted_tree(rng, 1 + k % 15))
+
+    def test_decomposition_trees(self):
+        rng = random.Random(179)
+        for k in range(60):
+            x = helpers.random_coloured(rng, 1 + k % 10, p=(0.15, 0.35, 0.6)[k % 3])
+            self._check(decomposition_tree(x).tree.poset)
 
 
 class TestDump:

@@ -1,10 +1,14 @@
-"""Byte-identity pin: the decomposition outputs of a fixed corpus hash to a
-recorded digest, so a change to how they are computed cannot change them.
+"""Byte-identity pins: the decomposition outputs of fixed corpora hash to
+recorded digests, so a change to how they are computed cannot change them.
 
-The corpus is 200 seeded coloured posets of 1 to 16 elements, stored in a
-shuffled order; per poset the digest takes the decomposition tree's dump,
-the composition set's dump with its leaf arguments, and the exit code and
-output of the CLI verb ``decompose``.
+The first corpus is 200 seeded coloured posets of 1 to 16 elements, stored
+in a shuffled order; per poset the digest takes the decomposition tree's
+dump, the composition set's dump with its leaf arguments, and the exit code
+and output of the CLI verb ``decompose``.  The second is 60 such posets of
+2 to 12 elements; per poset it takes every branch and tail extract (its
+tree dump, composition set dump and leaf elements), the poset recomposed
+along the root sequence's chain, and the tree rank and scattered rank of
+the tree and of every extract.
 """
 
 import argparse
@@ -18,12 +22,17 @@ from poset_forge import (
     composition_set_text,
     decomposition_function,
     decomposition_tree,
+    recompose_along_chain,
+    scattered_rank,
     structured_tree_text,
+    subtree_extract,
+    tree_rank,
 )
 from poset_forge.cli import _cmd_decompose
 from poset_forge.textio import poset_text, quasi_text
 
 PINNED = "fb45c15b7997e47b7e781a9b12ba6a37b659b1f001f10644e6e9812190fdb8f7"
+EXTRACTS_PINNED = "de0d641c815e03adabe7e34e5aa7b2121d30e46437dcf934680ba3d3d407bfe8"
 
 
 def corpus():
@@ -58,3 +67,44 @@ def digest(path):
 
 def test_outputs_match_the_pinned_digest(tmp_path):
     assert digest(tmp_path / "x.poset") == PINNED
+
+
+def extract_corpus():
+    rng = random.Random(167)
+    for k in range(60):
+        x = helpers.random_coloured(rng, 2 + k % 11, p=(0.15, 0.35, 0.6)[k % 3])
+        yield ColouredPoset(helpers.shuffled_poset(rng, x.poset), x.colouring, x.palette)
+
+
+def ranks_text(tree):
+    n = len(tree.tree.poset)
+    return f"rank {tree_rank(tree.tree)} scattered {scattered_rank(tree.tree, bound=n)}\n"
+
+
+def extracts_digest():
+    h = hashlib.sha256()
+    for x in extract_corpus():
+        t = decomposition_tree(x)
+        texts = [ranks_text(t)]
+        for v in t.tree.internal_nodes():
+            seq, layer = t.sequence_at(v)
+            for u in seq.arity(layer).elements:
+                sub = subtree_extract(t, v, u)
+                leaves = sorted(sub.leaf_element.items())
+                texts += [
+                    f"extract {v} {u}\n",
+                    structured_tree_text(sub.tree),
+                    composition_set_text(sub.fset, sub.leaf_args),
+                    "".join(f"{n} {e}\n" for n, e in leaves),
+                    ranks_text(sub),
+                ]
+        chain = [str(i) for i in range(len(t.fset.sequences[()]))]
+        y = recompose_along_chain(t, chain)
+        texts.append(poset_text("r", y.poset, y.colouring))
+        for text in texts:
+            h.update(text.encode())
+    return h.hexdigest()
+
+
+def test_extracts_match_the_pinned_digest():
+    assert extracts_digest() == EXTRACTS_PINNED
