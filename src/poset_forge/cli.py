@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .classify import ClassSpec, class_check
-from .composition import maximal_decomposition
+from .composition import inline_poset, maximal_decomposition
 from .core import coloured_embed, embed
 from .dectree import (
     decomposition_tree,
@@ -119,11 +119,7 @@ def _cmd_decompose(args, out):
     seq, arguments, chain = maximal_decomposition(x)
     print(f"decompose {name}", file=out)
     for j, (arity, s) in enumerate(seq.entries):
-        covers = ",".join(f"{a}<{b}" for a, b in arity.cover_pairs())
-        print(
-            f"entry {j} arity={{{','.join(arity.elements)}:{covers}}} s={s}",
-            file=out,
-        )
+        print(f"entry {j} arity={inline_poset(arity)} s={s}", file=out)
     for (j, u) in seq.positions():
         q = arguments[(j, u)]
         elems = ",".join(f"{e}:{q.colour(e)}" for e in q.elements)

@@ -214,15 +214,17 @@ class DecompositionTree:
     ``leaves`` maps each leaf position of ``fset`` to its element of
     ``base``, the coloured poset the root tree was built from; a leaf takes
     that element's colour, and its argument is the one-point restriction of
-    ``base`` to it, rebuilt when asked (``leaf_args``).
+    ``base`` to it, rebuilt when asked (``leaf_args``).  ``key_of`` maps
+    node ids back to positions; it is laid out on first use and kept.
     """
 
-    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree")
+    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree", "_key_of")
 
     def __init__(self, fset, leaves, base):
         self.fset = fset
         self.base = base
         self.leaves = leaves
+        self._key_of = None
         keys, ids, above, label_rows = _layout(fset)
         kinds = {}
         arities = {}
@@ -258,17 +260,24 @@ class DecompositionTree:
 
     @property
     def key_of(self):
-        """Node id -> node key, rebuilt from the composition set per call."""
-        keys, ids, _, _ = _layout(self.fset)
-        return dict(zip(ids, keys))
+        """Node id -> node key, laid out on first use and kept."""
+        if self._key_of is None:
+            keys, ids, _, _ = _layout(self.fset)
+            self._key_of = dict(zip(ids, keys))
+        return self._key_of
 
-    def sequence_at(self, node_id):
+    def _internal(self, node_id):
+        """(position, layer) of an internal node; BadLabel for any other id."""
         key = self.key_of.get(node_id)
         if key is None:
             raise BadLabel(f"unknown node {node_id!r}")
         if key[0] != "i":
             raise BadLabel(f"{node_id} is a leaf")
-        _, p, i = key
+        return key[1:]
+
+    def sequence_at(self, node_id):
+        """The composition sequence and layer of an internal node."""
+        p, i = self._internal(node_id)
         return self.fset.sequences[p], i
 
 
@@ -290,44 +299,28 @@ def subtree_extract(tree, node_id, value):
     for the distinguished slot of a non-final layer it is the whole tail of
     the layer's sequence, with layer indices shifted down.
     """
-    fset = tree.fset
-    key = tree.key_of.get(node_id)
-    if key is None:
-        raise BadLabel(f"unknown node {node_id!r}")
-    if key[0] != "i":
-        raise BadLabel(f"{node_id} is a leaf")
-    _, p, i = key
-    seq = fset.sequences[p]
+    p, i = tree._internal(node_id)
+    seq = tree.fset.sequences[p]
     if value not in seq.arity(i):
         raise BadLabel(f"{value!r} is not a slot of the arity at {node_id}")
-    s_i = seq.distinguished(i)
-    if value != s_i or i == len(seq) - 1:
-        child = p + ((i, value),)
-        sequences = {
-            q: s for q, s in fset.sequences.items() if q[: len(child)] == child
-        }
-        leaves = {q: e for q, e in tree.leaves.items() if q[: len(child)] == child}
-        return DecompositionTree(CompositionSet(child, sequences, leaves), leaves, tree.base)
+    n = len(p)
+    tail = value == seq.distinguished(i) and i < len(seq) - 1
 
-    def remap(q):
-        if q[: len(p)] != p or len(q) == len(p):
-            return None
-        j, v = q[len(p)]
-        if j <= i:
-            return None
-        return p + ((j - i - 1, v),) + q[len(p) + 1 :]
+    def move(q):
+        # q's address in the cone (never empty), or None: a branch keeps its
+        # positions, a tail shifts the layers after i down by i + 1
+        if q[:n] == p and len(q) > n:
+            j, v = q[n]
+            if not tail:
+                return q if (j, v) == (i, value) else None
+            return p + ((j - i - 1, v),) + q[n + 1:] if j > i else None
 
-    sequences = {p: seq.tail(i)}
-    for q, s in fset.sequences.items():
-        r = remap(q)
-        if r is not None:
-            sequences[r] = s
-    leaves = {}
-    for q, e in tree.leaves.items():
-        r = remap(q)
-        if r is not None:
-            leaves[r] = e
-    return DecompositionTree(CompositionSet(p, sequences, leaves), leaves, tree.base)
+    sequences = {r: s for q, s in tree.fset.sequences.items() if (r := move(q))}
+    leaves = {r: e for q, e in tree.leaves.items() if (r := move(q))}
+    if tail:
+        sequences[p] = seq.tail(i)
+    root = p if tail else p + ((i, value),)
+    return DecompositionTree(CompositionSet(root, sequences, leaves), leaves, tree.base)
 
 
 def recompose_along_chain(tree, zeta):
@@ -372,6 +365,11 @@ def recompose_along_chain(tree, zeta):
     return eval_f_eta(seq, args)
 
 
+def _unwrap(tree):
+    """A decomposition tree's structured tree; any other argument as given."""
+    return tree.tree if isinstance(tree, DecompositionTree) else tree
+
+
 # -- structured-tree embedding ----------------------------------------------
 
 def _colour_leq(s_tree, t_tree, a, b, memo):
@@ -404,8 +402,7 @@ def st_embed(source, target):
     meets are placed first.  The witness is the lexicographically first
     embedding.
     """
-    S = source.tree if isinstance(source, DecompositionTree) else source
-    T = target.tree if isinstance(target, DecompositionTree) else target
+    S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")
     spos, tpos = S.poset, T.poset
@@ -480,8 +477,7 @@ def st_embed(source, target):
 
 def verify_st_embedding(source, target, emap):
     """Full check of every structured-tree embedding condition."""
-    S = source.tree if isinstance(source, DecompositionTree) else source
-    T = target.tree if isinstance(target, DecompositionTree) else target
+    S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         return False
     m = emap.as_dict()
@@ -546,11 +542,13 @@ def lift_embedding(source_tree, target_tree, emap):
 # -- ranks --------------------------------------------------------------------
 
 def tree_rank(tree):
-    """Height-style rank: leaves are 0, a node is one above its children.
+    """Height-style rank of a rooted tree, a structured tree or a
+    decomposition tree: leaves are 0, a node is one above its children.
 
     The height of a rooted tree is its greatest depth, and a node's depth is
     the size of its down-set, which is a chain.
     """
+    tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     if not poset.is_rooted_tree():
         raise NotATree("rank is defined for rooted trees")
@@ -565,6 +563,7 @@ def scattered_rank(tree, bound=None):
     paths, with the rank of each of the n cones (a node and everything
     above it) found once, deepest node first.
     """
+    tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     limit = config.effective_bound(config.SCATTERED_RANK_BOUND, bound)
     if len(poset) > limit:

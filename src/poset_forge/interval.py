@@ -34,22 +34,20 @@ def ssr(p, a, b, carrier):
 
 
 def is_interval(carrier, members):
-    """Check the interval condition for one subset."""
+    """Check the interval condition for one subset: every outside point
+    has the subset inside one of its three relation rows."""
     members = set(members)
     if not members:
         raise EmptySet("an interval is non-empty")
     unknown = members - set(carrier.elements)
     if unknown:
         raise UnknownElement(f"unknown elements {sorted(unknown)}")
-    inside = sorted(members, key=carrier.index.__getitem__)
-    for p in carrier.elements:
-        if p in members:
-            continue
-        first = carrier.relation(p, inside[0])
-        for a in inside[1:]:
-            if carrier.relation(p, a) != first:
-                return False
-    return True
+    mask = sum(1 << carrier.index[e] for e in members)
+    up, dn, side = carrier.above, carrier.below, carrier.beside
+    return not any(
+        mask & ~up[p] and mask & ~dn[p] and mask & ~side[p]
+        for p in _bits(~mask & ((1 << len(carrier)) - 1))
+    )
 
 
 def _interval_masks(carrier):

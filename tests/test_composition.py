@@ -18,6 +18,7 @@ from poset_forge import (
     maximal_decomposition,
     split_assoc_check,
 )
+from poset_forge import composition
 from poset_forge.composition import _maximal_blocks, eval_f_eta_with_sources
 from poset_forge.interval import _mask_to_set
 from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
@@ -28,6 +29,7 @@ from poset_forge.errors import (
     MissingArgument,
     MissingLeaf,
     PaletteMismatch,
+    VerificationFailure,
 )
 
 
@@ -248,6 +250,29 @@ def _assert_blocks_match_brute(x, anchor=None):
         blocks = _maximal_blocks(b_prime, full, 1 << b_prime.index[stand_in])
         assert {_mask_to_set(b_prime, m) for m in blocks} == want
         assert helpers.argument_blocks(args, j) == want
+
+
+class TestLayerSelfChecks:
+    # the walk checks what it builds: a chain member that is not an
+    # interval, or a layer arity that is not indecomposable, is a library
+    # bug and raises instead of giving a wrong decomposition
+    def test_non_interval_chain_member(self, monkeypatch):
+        x = ColouredPoset.uniform(canonical("chain", 3))  # a < b < c
+        chain = [0b111, 0b101, 0b001]  # {a, c} is not an interval
+        monkeypatch.setattr(composition, "_chain_masks", lambda *args: chain)
+        with pytest.raises(VerificationFailure, match="not an interval"):
+            maximal_decomposition(x)
+        with pytest.raises(VerificationFailure, match="not an interval"):
+            decomposition_function(x)
+
+    def test_decomposable_layer_arity(self, monkeypatch):
+        # with no blocks, the layer {b, c, d} of an antichain above the
+        # stand-in for {a} is a decomposable arity
+        x = ColouredPoset.uniform(canonical("antichain", 4))
+        monkeypatch.setattr(composition, "_chain_masks", lambda *args: [0b1111, 0b0001])
+        monkeypatch.setattr(composition, "_maximal_blocks", lambda *args: [])
+        with pytest.raises(VerificationFailure, match="not indecomposable"):
+            maximal_decomposition(x)
 
 
 class TestLayerBlocks:

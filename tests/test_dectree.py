@@ -212,7 +212,8 @@ class TestSubtreeExtract:
                     assert set(sub.leaf_element.values()) == ground
 
     def test_every_node_id_resolves(self, catalog5):
-        # key_of is rebuilt from the composition set on each access
+        # key_of is laid out from the composition set on first access and
+        # kept; every id it holds resolves
         for reps in catalog5.values():
             for p in reps:
                 t = decomposition_tree(ColouredPoset.uniform(p))
@@ -487,6 +488,33 @@ class TestNoRebuild:
                 assert set(sub.leaf_element.values()) <= set(t.leaf_element.values())
         assert cases[True] and cases[False]
 
+    def test_one_layout_per_tree(self, monkeypatch):
+        # recomposing lays out each extract once, and the parent once, on
+        # its first node lookup, however many extracts and chains it serves
+        rng = random.Random(163)
+        xs = [_two_colour_shuffled(rng, rng.randint(8, 14)) for _ in range(4)]
+        xs.append(uniform("chain", 4))
+        trees = [decomposition_tree(x) for x in xs]
+        layout, init = dectree._layout, DecompositionTree.__init__
+        calls = Counter()
+
+        def counted_layout(fset):
+            calls["layouts"] += 1
+            return layout(fset)
+
+        def counted_init(self, *args):
+            calls["trees"] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(dectree, "_layout", counted_layout)
+        monkeypatch.setattr(DecompositionTree, "__init__", counted_init)
+        for x, t in zip(xs, trees):
+            for k, zeta in enumerate(up_chains(t)):
+                calls.clear()
+                assert coloured_isomorphic(recompose_along_chain(t, zeta), x)
+                assert calls["trees"] >= 2
+                assert calls["layouts"] == calls["trees"] + (k == 0)
+
 
 class TestStEmbed:
     def test_identity(self):
@@ -754,7 +782,12 @@ class TestRanksAgainstOracles:
         rng = random.Random(179)
         for k in range(60):
             x = helpers.random_coloured(rng, 1 + k % 10, p=(0.15, 0.35, 0.6)[k % 3])
-            self._check(decomposition_tree(x).tree.poset)
+            t = decomposition_tree(x)
+            self._check(t.tree.poset)
+            # the ranks take the decomposition tree itself, as st_embed does
+            n = len(t.tree.poset)
+            assert tree_rank(t) == tree_rank(t.tree)
+            assert scattered_rank(t, bound=n) == scattered_rank(t.tree, bound=n)
 
 
 class TestDump:

@@ -66,6 +66,18 @@ class TestIsInterval:
         with pytest.raises(EmptySet):
             is_interval(canonical("chain", 2), set())
 
+    def test_unknown_rejected(self):
+        with pytest.raises(UnknownElement, match=r"unknown elements \['z'\]"):
+            is_interval(canonical("chain", 2), {"a", "z"})
+
+    def test_matches_brute_on_every_subset_catalog6(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                intervals = set(helpers.brute_intervals(p))
+                for r in range(1, len(p) + 1):
+                    for sub in itertools.combinations(p.elements, r):
+                        assert is_interval(p, sub) == (frozenset(sub) in intervals)
+
 
 class TestEnumerateIntervals:
     def test_chain3(self):
