@@ -17,7 +17,6 @@ because everything downstream of these predicates wants them.
 
 from . import config
 from .core import _Frozen, _Record, canonical, embed, is_isomorphic
-from .errors import TooLarge
 from .interval import _canonical_sets
 
 
@@ -75,9 +74,7 @@ def _indecomposable_masks(carrier, max_size):
 def indecomposable_subsets(x, max_size, bound=None):
     """All subsets of size 2..max_size inducing an indecomposable subposet."""
     x = x.poset if hasattr(x, "poset") else x
-    limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
-    if len(x) > limit:
-        raise TooLarge(f"poset has {len(x)} > {limit} elements")
+    config.check_size(len(x), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if max_size > len(x):
         raise ValueError("max_size exceeds the poset size")
     return _canonical_sets(x, _indecomposable_masks(x, max_size))
@@ -199,9 +196,7 @@ class PrefixReport(_Record):
 def pathological_prefix_check(x, depth, bound=None):
     """Probe x for depth-bounded copies of the three obstruction orders."""
     poset = x.poset if hasattr(x, "poset") else x
-    limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
-    if len(poset) > limit:
-        raise TooLarge(f"poset has {len(poset)} > {limit} elements")
+    config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     return PrefixReport(
         depth,
         tree=embed(canonical("binary_tree_prefix", depth), poset),

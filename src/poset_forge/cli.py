@@ -25,7 +25,7 @@ from .textio import load_coloured_poset, parse_records, poset_text, PosetRecord
 from .wqo import (
     Family,
     _check_family_size,
-    bad_pair_search,
+    _first_bad_pair,
     embeddability_matrix,
     family_indecomposable,
     fence_antichain,
@@ -235,7 +235,7 @@ def _cmd_matrix(args, out):
     fam = Family(tuple(members), tuple(names))
     matrix = embeddability_matrix(fam, bound=args.bound)
     out.write(matrix_text(fam, matrix))
-    bad = bad_pair_search(fam, bound=args.bound)
+    bad = _first_bad_pair(matrix)
     if bad is None:
         print("bad-pair none", file=out)
     else:

@@ -7,6 +7,8 @@ global cap for all of them; explicit arguments win over both.
 
 import os
 
+from .errors import TooLarge
+
 INTERVAL_ENUM_BOUND = 16
 SCATTERED_RANK_BOUND = 15
 MATRIX_FAMILY_BOUND = 10
@@ -14,11 +16,11 @@ MATRIX_FAMILY_BOUND = 10
 _ENV_BOUND = "POSET_FORGE_BOUND"
 
 
-def effective_bound(default, override=None):
-    """Resolve a size bound: explicit override, then env, then default."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(_ENV_BOUND)
-    if env is not None:
-        return int(env)
-    return default
+def check_size(size, default, override, what, unit):
+    """Raise TooLarge, as "<what> has <size> > <bound> <unit>", when size
+    exceeds the override, else the environment's bound, else the default."""
+    if override is None:
+        override = os.environ.get(_ENV_BOUND, default)
+    limit = int(override)
+    if size > limit:
+        raise TooLarge(f"{what} has {size} > {limit} {unit}")

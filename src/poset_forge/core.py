@@ -709,19 +709,19 @@ def coloured_embed(x, y):
 
 
 def check_embedding(x, y, emap):
-    """Re-check a witness pair by pair against the iff condition."""
+    """Re-check a witness on the rows: f maps x into y injectively, and for
+    each source i the image of ``x.above[i]`` is the part of the image above
+    f(i), which gives i < j iff f(i) < f(j) for every ordered pair."""
     m = emap.as_dict()
     if set(m) != set(x.elements):
         return False
-    if len(set(m.values())) != len(m):
+    f = [y.index.get(m[a]) for a in x.elements]
+    if None in f or len(set(f)) != len(f):
         return False
-    for a in x.elements:
-        if m[a] not in y:
+    image = sum(1 << j for j in f)
+    for i, row in enumerate(x.above):
+        if sum(1 << f[j] for j in _bits(row)) != y.above[f[i]] & image:
             return False
-    for a in x.elements:
-        for b in x.elements:
-            if x.relation(a, b) != y.relation(m[a], m[b]):
-                return False
     return True
 
 

@@ -23,16 +23,17 @@ from .core import (
     Poset,
     _bits,
     check_coloured_embedding,
+    check_embedding,
     embed,
     make_poset,
 )
 from .errors import (
     BadLabel,
     EmptyPoset,
+    Malformed,
     NotATree,
     NotUpClosedChain,
     PaletteMismatch,
-    TooLarge,
     VerificationFailure,
 )
 from . import _search, config
@@ -96,7 +97,8 @@ class StructuredTree:
     stored in a linear extension of the tree order.
 
     The constructor takes the labels as a dict (v, x) -> slot of v's arity,
-    for v < x, and keeps them as rows: ``label_rows[i]`` holds, for the sum
+    one for every pair v < x (BadLabel otherwise; Malformed for a sum node
+    with no arity), and keeps them as rows: ``label_rows[i]`` holds, for the sum
     node at index i, one mask per slot of its arity (in the arity's element
     order) of the nodes above it that carry that label; it is empty for
     leaves.  Decomposition trees bring their rows (``_layout``, ``_from_rows``).
@@ -119,13 +121,20 @@ class StructuredTree:
         order = sorted(range(len(down)), key=lambda i: (down[i].bit_length(), down[i]))
         if order != list(range(len(down))):
             poset = make_poset([poset.elements[i] for i in order], poset.lt_pairs())
-        index = poset.index
-        rows = [
-            [0] * len(arities[v]) if kinds[v] == "sum" else []
-            for v in poset.elements
-        ]
+        rows = []
+        for v in poset.elements:
+            if kinds[v] == "sum" and v not in arities:
+                raise Malformed(f"sum node {v!r} has no arity")
+            rows.append([0] * len(arities[v]) if kinds[v] == "sum" else [])
+        pairs = poset.lt_pairs()
         for (v, x), slot in labels.items():
-            rows[index[v]][arities[v].index[slot]] |= 1 << index[x]
+            if (v, x) not in pairs or kinds[v] != "sum" or slot not in arities[v]:
+                raise BadLabel(f"cannot label ({v!r}, {x!r}) with {slot!r}")
+            rows[poset.index[v]][arities[v].index[slot]] |= 1 << poset.index[x]
+        # the rows must split each up-set: verify_st_embedding relies on it
+        for i, node_rows in enumerate(rows):
+            if sum(node_rows) != poset.above[i]:
+                raise BadLabel(f"a node above {poset.elements[i]!r} has no label")
         self._fill(poset, kinds, arities, leaf_colours, ground_palette, rows)
 
     @classmethod
@@ -476,40 +485,38 @@ def st_embed(source, target):
 
 
 def verify_st_embedding(source, target, emap):
-    """Full check of every structured-tree embedding condition."""
+    """Full check of every structured-tree embedding condition, by node index:
+    order (``check_embedding`` on the tree posets), colours, meets, and under
+    each sum node a map of its labels that keeps its arity's relation codes."""
     S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         return False
+    if not check_embedding(S.poset, T.poset, emap):
+        return False
     m = emap.as_dict()
-    if set(m) != set(S.poset.elements):
-        return False
-    if len(set(m.values())) != len(m):
-        return False
     memo = {}
-    for a in S.poset.elements:
-        if m[a] not in T.poset:
+    if not all(_colour_leq(S, T, a, m[a], memo) for a in S.poset.elements):
+        return False
+    f = [T.poset.index[m[a]] for a in S.poset.elements]
+    for i in range(len(f)):
+        for j in range(i):
+            if f[S.meet_index(i, j)] != T.meet_index(f[i], f[j]):
+                return False
+    for p, rows in enumerate(S.label_rows):
+        if not rows:
+            continue
+        # T's rows split the up-set of f[p], so each image above it has a
+        # label index; the pairs (label under p, label under f[p]) form a map
+        tlab = {u: lb for lb, trow in enumerate(T.label_rows[f[p]]) for u in _bits(trow)}
+        used = {(la, tlab[f[q]]) for la, row in enumerate(rows) for q in _bits(row)}
+        th = dict(used)
+        if len(th) != len(used):
             return False
-        if not _colour_leq(S, T, a, m[a], memo):
+        xs = S.arities[S.poset.elements[p]]
+        xt = T.arities[T.poset.elements[f[p]]]
+        pairs = th.items()
+        if any(xs.code(a, b) != xt.code(c, d) for a, c in pairs for b, d in pairs):
             return False
-    for a in S.poset.elements:
-        for b in S.poset.elements:
-            if S.poset.relation(a, b) != T.poset.relation(m[a], m[b]):
-                return False
-            if T.poset.index[m[S.meet(a, b)]] != T.poset.index[T.meet(m[a], m[b])]:
-                return False
-    for v in S.internal_nodes():
-        th = {}
-        for x in S.poset.up(v):
-            la = S.label(v, x)
-            lb = T.label(m[v], m[x])
-            if th.setdefault(la, lb) != lb:
-                return False
-        arity_s = S.arities[v]
-        arity_t = T.arities[m[v]]
-        for la1, lb1 in th.items():
-            for la2, lb2 in th.items():
-                if arity_s.relation(la1, la2) != arity_t.relation(lb1, lb2):
-                    return False
     return True
 
 
@@ -565,9 +572,7 @@ def scattered_rank(tree, bound=None):
     """
     tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
-    limit = config.effective_bound(config.SCATTERED_RANK_BOUND, bound)
-    if len(poset) > limit:
-        raise TooLarge(f"tree has {len(poset)} > {limit} nodes")
+    config.check_size(len(poset), config.SCATTERED_RANK_BOUND, bound, "tree", "nodes")
     if not poset.is_rooted_tree():
         raise NotATree("scattered rank is defined for rooted trees")
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptySet,
     NotAnInterval,
     Overlap,
-    TooLarge,
     UnknownElement,
 )
 
@@ -96,9 +95,9 @@ def enumerate_intervals(carrier, bound=None):
     Returned sorted by (size, canonical index tuple); capped by the interval
     enumeration bound (default 16, overridable).
     """
-    limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
-    if len(carrier) > limit:
-        raise TooLarge(f"carrier has {len(carrier)} > {limit} elements")
+    config.check_size(
+        len(carrier), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
+    )
     return _canonical_sets(carrier, _interval_masks(carrier))
 
 
@@ -240,10 +239,9 @@ def _chain_masks(carrier, anchor, within, bound=None):
     plus one point is the interval the greedy insertion puts next above c.
     The size bound of ``enumerate_intervals`` applies to within's points.
     """
-    n = within.bit_count()
-    limit = config.effective_bound(config.INTERVAL_ENUM_BOUND, bound)
-    if n > limit:
-        raise TooLarge(f"carrier has {n} > {limit} elements")
+    config.check_size(
+        within.bit_count(), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
+    )
     c = 1 << anchor
     masks = [c]
     while c != within:

@@ -8,7 +8,6 @@ indecomposable.  The antichain check is exhaustive, never probabilistic.
 
 from . import config
 from .core import _Frozen, ColouredPoset, QuasiOrder, canonical, coloured_embed
-from .errors import TooLarge
 from .interval import is_indecomposable
 
 
@@ -66,9 +65,7 @@ def fence_antichain(n_max):
 
 def _check_family_size(n, bound=None):
     """Refuse a family of n members over the matrix bound."""
-    limit = config.effective_bound(config.MATRIX_FAMILY_BOUND, bound)
-    if n > limit:
-        raise TooLarge(f"family has {n} > {limit} members")
+    config.check_size(n, config.MATRIX_FAMILY_BOUND, bound, "family", "members")
 
 
 def embeddability_matrix(fam, bound=None):
@@ -80,15 +77,17 @@ def embeddability_matrix(fam, bound=None):
     ]
 
 
+def _first_bad_pair(matrix):
+    """Lexicographically least (i, j), i < j, with matrix[i][j] false."""
+    n = len(matrix)
+    bad = ((i, j) for i in range(n) for j in range(i + 1, n) if not matrix[i][j])
+    return next(bad, None)
+
+
 def bad_pair_search(fam, bound=None):
     """Lexicographically least (i, j), i < j, with member i not below
     member j; None when the sequence is good."""
-    matrix = embeddability_matrix(fam, bound)
-    for i in range(len(fam)):
-        for j in range(i + 1, len(fam)):
-            if not matrix[i][j]:
-                return (i, j)
-    return None
+    return _first_bad_pair(embeddability_matrix(fam, bound))
 
 
 def family_indecomposable(fam):

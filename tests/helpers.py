@@ -15,7 +15,6 @@ from poset_forge import (
     Poset,
     QuasiOrder,
     make_poset,
-    verify_st_embedding,
 )
 from poset_forge.composition import render_position
 from poset_forge.core import EmbeddingMap, one_colour_palette
@@ -293,13 +292,90 @@ def brute_allowed_masks(x, y, colour_ok=None):
     return masks
 
 
+def brute_is_embedding(x, y, emap):
+    """Whether emap embeds the poset x in y, by the definition: it sends
+    every element of x, and nothing else, to distinct elements of y, and
+    each ordered pair keeps its relation name."""
+    m = emap.as_dict()
+    return (
+        set(m) == set(x.elements)
+        and len(set(m.values())) == len(m)
+        and all(b in y.elements for b in m.values())
+        and all(
+            rel_name(x, a, b) == rel_name(y, m[a], m[b])
+            for a in x.elements
+            for b in x.elements
+        )
+    )
+
+
+def _brute_meet(tree, a, b):
+    """The greatest common lower bound of a and b, found by name."""
+    def leq(c, d):
+        return rel_name(tree.poset, c, d) in "<="
+
+    common = [c for c in tree.nodes if leq(c, a) and leq(c, b)]
+    (top,) = [c for c in common if all(leq(d, c) for d in common)]
+    return top
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_embeds(x, y):
+    return brute_embed(x, y) is not None
+
+
+def brute_is_st_embedding(tx, ty, emap):
+    """Whether emap is a structured-tree embedding, by the definition: a
+    shared ground palette, an embedding of the tree orders, colours that
+    increase (leaves to leaves along the palette, sums to sums whose arity
+    embeds the source's), meets sent to meets, and under each sum node v
+    one map of labels, ``tree.label(v, x)`` to ``label(f(v), f(x))``, that
+    keeps each pair's relation name in the arities."""
+    s, t = getattr(tx, "tree", tx), getattr(ty, "tree", ty)
+    if s.ground_palette != t.ground_palette:
+        return False
+    if not brute_is_embedding(s.poset, t.poset, emap):
+        return False
+    m = emap.as_dict()
+    for a in s.nodes:
+        kind = s.kinds[a]
+        if kind != t.kinds[m[a]]:
+            return False
+        if kind == "leaf":
+            if not s.ground_palette.leq(s.leaf_colours[a], t.leaf_colours[m[a]]):
+                return False
+        elif not _brute_embeds(s.arities[a], t.arities[m[a]]):
+            return False
+    for a in s.nodes:
+        for b in s.nodes:
+            if m[_brute_meet(s, a, b)] != _brute_meet(t, m[a], m[b]):
+                return False
+    for v in s.nodes:
+        if s.kinds[v] != "sum":
+            continue
+        th = {}
+        for x in s.nodes:
+            if rel_name(s.poset, v, x) == "<":
+                th.setdefault(s.label(v, x), set()).add(t.label(m[v], m[x]))
+        if any(len(images) != 1 for images in th.values()):
+            return False
+        th = {la: images.pop() for la, images in th.items()}
+        if not all(
+            rel_name(s.arities[v], a, b) == rel_name(t.arities[m[v]], th[a], th[b])
+            for a in th
+            for b in th
+        ):
+            return False
+    return True
+
+
 def brute_st_embed(tx, ty):
     """First structured-tree embedding by scanning injections in
-    lexicographic order through the definition checker."""
+    lexicographic order through the definition oracle."""
     src = getattr(tx, "tree", tx).nodes
     for targets in itertools.permutations(getattr(ty, "tree", ty).nodes, len(src)):
         cand = EmbeddingMap(tuple(zip(src, targets)), "structured-tree")
-        if verify_st_embedding(tx, ty, cand):
+        if brute_is_st_embedding(tx, ty, cand):
             return cand
     return None
 

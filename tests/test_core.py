@@ -29,6 +29,7 @@ from poset_forge.core import (
     GREATER,
     INCOMPARABLE,
     LESS,
+    EmbeddingMap,
     _coloured_allowed,
     p_sum_with_sources,
 )
@@ -546,6 +547,46 @@ class TestEmbed:
             witness = embed(x, y)
             if witness is not None:
                 assert check_embedding(x, y, witness)
+
+
+class TestCheckEmbeddingOracle:
+    """``check_embedding`` reads the rows; the oracle restates the iff
+    condition pair by pair, by relation name."""
+
+    def test_every_injection_between_catalog4_posets(self, catalog5):
+        posets = [p for k in (1, 2, 3, 4) for p in catalog5[k]]
+        verdicts = set()
+        for x in posets:
+            for y in posets:
+                for targets in itertools.permutations(y.elements, len(x)):
+                    emap = EmbeddingMap(tuple(zip(x.elements, targets)))
+                    want = helpers.brute_is_embedding(x, y, emap)
+                    assert check_embedding(x, y, emap) == want
+                    verdicts.add(want)
+        assert verdicts == {True, False}
+
+    def test_foreign_and_missing_elements(self, catalog5):
+        posets = [p for k in (1, 2, 3, 4) for p in catalog5[k]]
+        checked = 0
+        for x in posets:
+            for y in posets:
+                witness = embed(x, y)
+                if witness is None:
+                    continue
+                pairs = witness.mapping
+                bad = [
+                    pairs[:-1] + ((pairs[-1][0], "zz"),),  # a foreign target
+                    pairs[:-1],  # a missing source
+                ]
+                unused = [b for b in y.elements if b not in witness.as_dict().values()]
+                if unused:
+                    bad.append(pairs + (("zz", unused[0]),))  # a foreign source
+                for mapping in bad:
+                    emap = EmbeddingMap(mapping)
+                    assert not helpers.brute_is_embedding(x, y, emap)
+                    assert not check_embedding(x, y, emap)
+                checked += 1
+        assert checked > 100
 
 
 # colours 0 and 1 each at or below the other: a quasi-order, not an order

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 import helpers
 from poset_forge import (
     ColouredPoset,
+    Poset,
     canonical,
     decomposition_tree,
     is_indecomposable,
@@ -32,6 +34,7 @@ from poset_forge import composition, dectree, interval
 from poset_forge.dectree import DecompositionTree, StructuredTree, _layout
 from poset_forge.errors import (
     BadLabel,
+    Malformed,
     NotATree,
     NotUpClosedChain,
     PaletteMismatch,
@@ -359,6 +362,62 @@ class TestLabelRows:
                 assert sum(bin(row).count("1") for row in rows) == len(tree.poset.up(v))
 
 
+class TestConstructorRejectsMalformedLabels:
+    # r < a and r < b, with a point arity at r unless given
+    NODES = ["r", "a", "b"]
+    PAIRS = [("r", "a"), ("r", "b")]
+
+    def _build(self, labels, kinds=None, arities=None):
+        poset = make_poset(self.NODES, self.PAIRS)
+        point = make_poset(["x"], [])
+        return StructuredTree(
+            poset,
+            kinds or {"r": "sum", "a": "leaf", "b": "leaf"},
+            {"r": point} if arities is None else arities,
+            {"a": "0", "b": "0"},
+            one_colour_palette(),
+            labels,
+        )
+
+    def test_well_formed(self):
+        t = self._build({("r", "a"): "x", ("r", "b"): "x"})
+        assert t.label_rows == ((0b110,), (), ())
+
+    def test_missing_label(self):
+        # built before, and then st_embed(t, t) found a witness while
+        # structured_tree_text(t) raised KeyError
+        with pytest.raises(BadLabel):
+            self._build({("r", "a"): "x"})
+
+    def test_slot_outside_the_arity(self):
+        with pytest.raises(BadLabel):
+            self._build({("r", "a"): "x", ("r", "b"): "y"})
+
+    def test_pair_not_below(self):
+        for bad in (("a", "r"), ("a", "b"), ("r", "r"), ("r", "z")):
+            with pytest.raises(BadLabel):
+                self._build({("r", "a"): "x", ("r", "b"): "x", bad: "x"})
+
+    def test_label_on_a_leaf(self):
+        kinds = {"r": "sum", "a": "leaf", "b": "leaf"}
+        nodes, pairs = self.NODES + ["c"], self.PAIRS + [("a", "c")]
+        poset = make_poset(nodes, pairs)
+        point = make_poset(["x"], [])
+        with pytest.raises(BadLabel):
+            StructuredTree(
+                poset,
+                {**kinds, "c": "leaf"},
+                {"r": point, "a": point},
+                {"a": "0", "b": "0", "c": "0"},
+                one_colour_palette(),
+                {("r", "a"): "x", ("r", "b"): "x", ("r", "c"): "x", ("a", "c"): "x"},
+            )
+
+    def test_sum_node_without_arity(self):
+        with pytest.raises(Malformed):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, arities={})
+
+
 def _two_colour_shuffled(rng, n):
     x = helpers.random_coloured(rng, n, helpers.PALETTES[1], rng.choice((0.15, 0.35)))
     return ColouredPoset(helpers.shuffled_poset(rng, x.poset), x.colouring, x.palette)
@@ -659,6 +718,126 @@ class TestStEmbed:
         assert len(set(nodes)) == len(nodes)
         lifted = lift_embedding(t, t, st_embed(t, t))
         assert lifted.as_dict() == {e: e for e in poset.elements}
+
+
+def _assert_verify_matches_oracle(s, t):
+    """verify_st_embedding against the definition oracle on every injection
+    of s's nodes into t's; returns the oracle's verdicts."""
+    verdicts = []
+    src = getattr(s, "tree", s).nodes
+    for targets in itertools.permutations(getattr(t, "tree", t).nodes, len(src)):
+        emap = EmbeddingMap(tuple(zip(src, targets)), "structured-tree")
+        want = helpers.brute_is_st_embedding(s, t, emap)
+        assert verify_st_embedding(s, t, emap) == want
+        verdicts.append(want)
+    return verdicts
+
+
+class TestVerifyAgainstOracle:
+    def test_decomposition_trees_up_to_3_elements(self, catalog5):
+        xs = [ColouredPoset.uniform(p) for k in (1, 2, 3) for p in catalog5[k]]
+        # and a two-colour chain, so that leaf colours decide some maps
+        for colours in ({"a": "0", "b": "1"}, {"a": "1", "b": "0"}):
+            xs.append(ColouredPoset(canonical("chain", 2), colours, helpers.PALETTES[2]))
+        trees = [decomposition_tree(x) for x in xs]
+        verdicts = Counter()
+        for s in trees:
+            for t in trees:
+                if s.base.palette == t.base.palette:
+                    verdicts.update(_assert_verify_matches_oracle(s, t))
+        assert verdicts[True] > 10 and verdicts[False] > 1000
+
+    def test_raw_trees_up_to_4_nodes(self):
+        raw = _random_raw_trees(random.Random(149), 40)
+        trees = [tree for _, tree in raw if len(tree.nodes) <= 4]
+        verdicts = Counter()
+        for s in trees:
+            for t in trees:
+                verdicts.update(_assert_verify_matches_oracle(s, t))
+        assert verdicts[True] > 10 and verdicts[False] > 1000
+
+    def _only(self, s, t, mapping):
+        # the map embeds the tree orders and keeps colours; the named
+        # condition alone must reject it
+        emap = EmbeddingMap(tuple(mapping.items()), "structured-tree")
+        assert helpers.brute_is_embedding(s.poset, t.poset, emap)
+        assert all(s.kinds[a] == t.kinds[b] for a, b in mapping.items())
+        assert not helpers.brute_is_st_embedding(s, t, emap)
+        assert not verify_st_embedding(s, t, emap)
+
+    def test_map_breaking_only_the_meets(self):
+        s = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        t = _raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
+        self._only(s, t, {"r": "R", "a": "c1", "b": "c2"})
+        fine = EmbeddingMap((("r", "C"), ("a", "c1"), ("b", "c2")))
+        assert verify_st_embedding(s, t, fine)
+
+    def test_maps_breaking_only_the_labels(self):
+        chain, antichain = _SMALL_ARITIES[1], _SMALL_ARITIES[2]
+        s = _raw_tree(
+            ["r", "a", "b"], [("r", "a"), ("r", "b")], {"r": chain},
+            {("r", "a"): "x", ("r", "b"): "y"},
+        )
+        t = _raw_tree(
+            ["R", "c1", "c2"], [("R", "c1"), ("R", "c2")], {"R": chain},
+            {("R", "c1"): "y", ("R", "c2"): "x"},
+        )
+        # x < y under r, but their images y > x under R
+        self._only(s, t, {"r": "R", "a": "c1", "b": "c2"})
+        fine = EmbeddingMap((("r", "R"), ("a", "c2"), ("b", "c1")))
+        assert verify_st_embedding(s, t, fine)
+        # one label under r, two under R: the labels map is not a function
+        u = _raw_tree(
+            ["R", "c1", "c2"], [("R", "c1"), ("R", "c2")], {"R": antichain},
+            {("R", "c1"): "x", ("R", "c2"): "y"},
+        )
+        point = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        self._only(point, u, {"r": "R", "a": "c1", "b": "c2"})
+
+
+class TestNoNameLookups:
+    def test_verify_and_lift_read_rows(self, catalog5, monkeypatch):
+        # with the name-based relation, meet and label disabled, verify and
+        # lift still agree with the oracles (computed beforehand)
+        trees = {
+            k: [decomposition_tree(ColouredPoset.uniform(p)) for p in ps]
+            for k, ps in catalog5.items()
+        }
+        sources = trees[1] + trees[2] + trees[3]
+        targets = [t for ts in trees.values() for t in ts]
+        cases = []
+        for s in sources:
+            for t in targets:
+                phi = st_embed(s, t)
+                if phi is None:
+                    continue
+                # the witness, and the witness with its first two images swapped
+                maps = [phi]
+                if len(phi) > 1:
+                    (a, b), (c, d), *rest = phi.mapping
+                    maps.append(EmbeddingMap(((a, d), (c, b), *rest), phi.kind))
+                for emap in maps:
+                    cases.append((s, t, emap, helpers.brute_is_st_embedding(s, t, emap)))
+
+        def boom(*args):
+            raise AssertionError("a name-based lookup was called")
+
+        monkeypatch.setattr(Poset, "relation", boom)
+        monkeypatch.setattr(StructuredTree, "meet", boom)
+        monkeypatch.setattr(StructuredTree, "label", boom)
+        verdicts = Counter()
+        for s, t, emap, want in cases:
+            assert verify_st_embedding(s, t, emap) == want
+            verdicts[want] += 1
+            if not want:
+                with pytest.raises(VerificationFailure):
+                    lift_embedding(s, t, emap)
+                continue
+            lifted = lift_embedding(s, t, emap)
+            x, y = s.base, t.base
+            assert helpers.brute_is_embedding(x.poset, y.poset, lifted)
+            assert all(x.palette.leq(x.colour(e), y.colour(f)) for e, f in lifted.mapping)
+        assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 class TestLift:
