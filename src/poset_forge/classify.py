@@ -10,9 +10,9 @@ and I is indecomposable: a proper interval of I would be an interval of M
 inside it.  So each indecomposable I, once found, marks every proper
 superset of I that contains no point splitting I (I is an interval of each
 of them), and a set of two or more points that reaches its turn unmarked
-is indecomposable.  ``interval._indecomposable_mask`` stays the
-per-subset test behind ``is_indecomposable``.  Reports carry witnesses,
-because everything downstream of these predicates wants them.
+is indecomposable.  A single poset is tested on its own by
+``interval.is_indecomposable``, with n - 1 closures.  Reports carry
+witnesses, because everything downstream of these predicates wants them.
 """
 
 from . import config

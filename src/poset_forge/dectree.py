@@ -258,7 +258,10 @@ class DecompositionTree:
         return eval_g(self.fset, self.leaf_args)
 
     def ground(self):
-        """The described poset as an induced part of the base poset."""
+        """The described poset as an induced part of the base poset: the
+        base itself when every element of it is a leaf."""
+        if len(self.leaf_element) == len(self.base):
+            return self.base
         return self.base.restrict(set(self.leaf_element.values()))
 
     @property

@@ -2,12 +2,16 @@
 
 An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
-to all of them.  The decomposition path is built on one primitive, the
-closure of C inside M: the smallest interval of the order induced on M that
-contains C, found in one pass over C by ``_close``.  A set is
-indecomposable iff every pair inside it closes to the whole set; the
-canonical chain of a mask grows from its anchor one closure at a time; and
-the layer arities of :mod:`composition` merge pair closures into blocks.
+to all of them.  The decomposition path is built on two primitives over
+masks.  ``_close`` gives the closure of C inside M, the smallest interval
+of the order induced on M that contains C, in one pass over C.
+``_parts`` gives P(M, v), the maximal intervals of M that avoid a point v,
+which partition M minus v (Ehrenfeucht, Gabow, McConnell and Sullivan,
+J. Algorithms 16, 1994), by splitting parts until each is an interval.  The
+canonical chain of a mask grows from its anchor one closure at a time; the
+layer arities of :mod:`composition` read their blocks off P(M, anchor); and
+a poset on n points is indecomposable iff P(M, v) is all single points and
+each of the n - 1 pairs {v, w} closes to all of M.
 ``enumerate_intervals`` stays exhaustive, as the public enumeration and as
 the oracle the closure-built results are checked against; the chain keeps
 its size bound, and anything too big for it is rejected up front with a
@@ -130,32 +134,67 @@ def _close(carrier, members, within):
     return closed
 
 
-def _indecomposable_mask(carrier, within):
-    """True iff the order induced on the non-empty mask within is
-    indecomposable: every pair inside within closes to all of within.
+def _parts(carrier, v, within):
+    """Masks of P(within, v): the maximal intervals of the order induced on
+    the mask within that avoid the point at index v (v must be in within).
 
-    A proper interval with two or more points contains a pair whose closure
-    stays inside it, and a pair closing to all of within lies in no such
-    interval.
+    Two intervals that avoid v and meet have an interval avoiding v as their
+    union, so these maximal ones partition within minus v (Ehrenfeucht,
+    Gabow, McConnell and Sullivan, J. Algorithms 16, 1994).  They are found
+    by refinement from the one part within minus v.  A point of within
+    outside a part X splits X when it relates to two points of X
+    differently; as in ``_close``, these splitters are the points outside X
+    in ``(up[a] ^ up[c]) | (dn[a] ^ dn[c])`` for some c in X, with a the
+    lowest point of X.  A part with no splitter is an interval, and final.
+    Otherwise it splits three ways by the lowest splitter's ``above``,
+    ``below`` and ``beside`` rows.  No maximal interval avoiding v is ever
+    cut, since every splitter of a part holding it lies outside it.
     """
-    rest = within
-    while rest:
-        a = rest & -rest
-        rest ^= a
-        others = rest
-        while others:
-            b = others & -others
-            others ^= b
-            if _close(carrier, a | b, within) != within:
-                return False
-    return True
+    up, dn, side = carrier.above, carrier.below, carrier.beside
+    done = []
+    todo = [within & ~(1 << v)] if within & within - 1 else []
+    while todo:
+        part = todo.pop()
+        low = part & -part
+        a = low.bit_length() - 1
+        up_a, dn_a = up[a], dn[a]
+        split = 0
+        rest = part ^ low
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            c = low.bit_length() - 1
+            split |= (up_a ^ up[c]) | (dn_a ^ dn[c])
+        split &= within & ~part
+        if not split:
+            done.append(part)
+            continue
+        s = (split & -split).bit_length() - 1
+        todo.extend(m for m in (part & up[s], part & dn[s], part & side[s]) if m)
+    return done
 
 
 def is_indecomposable(carrier):
-    """True iff every interval is a singleton or the whole poset."""
-    if len(carrier) == 0:
+    """True iff every interval is a singleton or the whole poset.
+
+    Every poset on one or two points is.  On three or more, fix the point v
+    at index 0: the poset is indecomposable iff every part of P(M, v)
+    (``_parts``) is a single point and every pair {v, w} closes to all of
+    M, which takes n - 1 closures.  A proper interval I of two or more
+    points either avoids v, and then lies in a part of two or more points,
+    or holds v and some w, and then holds the closure of {v, w}.
+    Conversely a part of two or more points, or a pair {v, w} closing short
+    of M, is such an interval.
+    """
+    n = len(carrier)
+    if n == 0:
         raise EmptyPoset("indecomposability is about non-empty posets")
-    return _indecomposable_mask(carrier, (1 << len(carrier)) - 1)
+    if n < 3:
+        return True
+    full = (1 << n) - 1
+    return len(_parts(carrier, 0, full)) == n - 1 and all(
+        _close(carrier, 1 | 1 << w, full) == full for w in range(1, n)
+    )
 
 
 def quotient(carrier, parts):

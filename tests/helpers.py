@@ -2,7 +2,10 @@
 catalogs, and seeded random generators.
 
 The oracles here restate definitions directly (triple loops, permutation
-scans) and never call the library code paths they are used to check.
+scans) and never call the library code paths they are used to check.  The
+one exception is ``pair_closure_indecomposable``, the library's former
+indecomposability test, kept to check its replacement; the two share only
+``interval._close``, which is checked against ``brute_intervals`` itself.
 """
 
 import functools
@@ -17,6 +20,7 @@ from poset_forge import (
     make_poset,
 )
 from poset_forge.composition import render_position
+from poset_forge.interval import _close
 from poset_forge.core import EmbeddingMap, one_colour_palette
 
 
@@ -103,6 +107,15 @@ def brute_maximal_blocks(poset, stand_in):
         iv for iv in brute_intervals(poset) if len(iv) >= 2 and stand_in not in iv
     ]
     return {iv for iv in blocks if not any(iv < other for other in blocks)}
+
+
+def brute_parts(poset, avoid, intervals=None):
+    """The maximal intervals that avoid the element avoid, singletons
+    included.  ``intervals`` defaults to ``brute_intervals(poset)``."""
+    if intervals is None:
+        intervals = brute_intervals(poset)
+    parts = [iv for iv in intervals if avoid not in iv]
+    return {iv for iv in parts if not any(iv < other for other in parts)}
 
 
 def chain_layers(poset, members):
@@ -401,6 +414,29 @@ def brute_indecomposable_mask(poset, mask):
             for p in points
         ):
             return False
+    return True
+
+
+def pair_closure_indecomposable(poset, mask):
+    """True iff the order induced on the non-empty mask is indecomposable,
+    by the pair test: every pair inside the mask closes to all of it.
+
+    A proper interval with two or more points contains a pair whose closure
+    stays inside it, and a pair closing to all of the mask lies in no such
+    interval.  This was the library's own test before the partition one of
+    ``interval.is_indecomposable``, which makes n - 1 closures where this
+    makes n(n - 1)/2; it shares only ``interval._close`` with it.
+    """
+    rest = mask
+    while rest:
+        a = rest & -rest
+        rest ^= a
+        others = rest
+        while others:
+            b = others & -others
+            others ^= b
+            if _close(poset, a | b, mask) != mask:
+                return False
     return True
 
 

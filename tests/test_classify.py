@@ -102,7 +102,7 @@ class TestIndecomposableSubsets:
             want = [
                 m
                 for m in range(1, 1 << n)
-                if m.bit_count() >= 2 and interval._indecomposable_mask(p, m)
+                if m.bit_count() >= 2 and helpers.pair_closure_indecomposable(p, m)
             ]
             assert classify._indecomposable_masks(p, n) == want
             cap = n // 2
@@ -238,13 +238,14 @@ class TestNoIntervalScan:
 
     def test_ascending_pass_alone(self, catalog5, monkeypatch):
         # indecomposable subsets come from the marks of smaller ones: with
-        # the per-subset closure test disabled, the answers still agree
+        # the closures and the partition refinement disabled, the answers
+        # still agree
         def closure(*args):
             raise AssertionError("a per-subset closure test was called")
 
-        monkeypatch.setattr(interval, "_indecomposable_mask", closure)
+        monkeypatch.setattr(interval, "_parts", closure)
         monkeypatch.setattr(interval, "_close", closure)
-        assert not hasattr(classify, "_indecomposable_mask")
+        assert not hasattr(classify, "_parts")
         assert not hasattr(classify, "_close")
         for reps in catalog5.values():
             for p in reps:

@@ -19,9 +19,9 @@ from poset_forge import (
     split_assoc_check,
 )
 from poset_forge import composition
-from poset_forge.composition import _maximal_blocks, eval_f_eta_with_sources
-from poset_forge.interval import _mask_to_set
-from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
+from poset_forge.composition import eval_f_eta_with_sources
+from poset_forge.interval import _mask_to_set, _parts
+from poset_forge.core import ColouredPoset, _bits, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
     BadIndex,
     EmptyPoset,
@@ -240,15 +240,19 @@ class TestMaximalDecomposition:
 
 
 def _assert_blocks_match_brute(x, anchor=None):
-    # the merged pair closures, and the arguments built from them, are the
-    # maximal intervals that avoid the stand-in
+    # the parts of P(x, anchor) cut down to each layer, and the arguments
+    # built from them, are the layer's maximal intervals that avoid the
+    # stand-in
     seq, args, chain = maximal_decomposition(x, anchor)
-    layers = helpers.chain_layers(x.poset, chain.members)
+    p = x.poset
+    full = (1 << len(p)) - 1
+    parts = _parts(p, p.index[anchor or p.elements[0]], full)
+    layers = helpers.chain_layers(p, chain.members)
     for j, (b_prime, stand_in) in enumerate(layers):
         want = helpers.brute_maximal_blocks(b_prime, stand_in)
-        full = (1 << len(b_prime)) - 1
-        blocks = _maximal_blocks(b_prime, full, 1 << b_prime.index[stand_in])
-        assert {_mask_to_set(b_prime, m) for m in blocks} == want
+        layer = chain.members[j] - chain.members[j + 1]
+        blocks = {_mask_to_set(p, m) & layer for m in parts}
+        assert {b for b in blocks if len(b) >= 2} == want
         assert helpers.argument_blocks(args, j) == want
 
 
@@ -266,11 +270,16 @@ class TestLayerSelfChecks:
             decomposition_function(x)
 
     def test_decomposable_layer_arity(self, monkeypatch):
-        # with no blocks, the layer {b, c, d} of an antichain above the
-        # stand-in for {a} is a decomposable arity
+        # with every part a single point no blocks form, and the layer
+        # {b, c, d} of an antichain beside the stand-in for {a} is a
+        # decomposable arity
         x = ColouredPoset.uniform(canonical("antichain", 4))
         monkeypatch.setattr(composition, "_chain_masks", lambda *args: [0b1111, 0b0001])
-        monkeypatch.setattr(composition, "_maximal_blocks", lambda *args: [])
+        monkeypatch.setattr(
+            composition,
+            "_parts",
+            lambda carrier, v, within: [1 << i for i in _bits(within & ~(1 << v))],
+        )
         with pytest.raises(VerificationFailure, match="not indecomposable"):
             maximal_decomposition(x)
 

@@ -122,6 +122,37 @@ class TestDecompositionTree:
             assert t.ground() == x
             assert coloured_isomorphic(t.evaluate(), x)
 
+    def test_ground_of_a_full_tree_is_its_base(self, catalog5, monkeypatch):
+        # every element is a leaf, so nothing is rebuilt
+        def restrict(*args):
+            raise AssertionError("the base was restricted")
+
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p))
+            for reps in catalog5.values()
+            for p in reps
+        ]
+        monkeypatch.setattr(ColouredPoset, "restrict", restrict)
+        for t in trees:
+            assert t.ground() == t.base
+            assert t.ground() is t.base
+
+    def test_ground_of_an_extract_is_the_induced_part(self):
+        rng = random.Random(71)
+        cases = 0
+        for _ in range(10):
+            x = helpers.random_coloured(rng, rng.randrange(2, 9))
+            for _, sub in _extracts(decomposition_tree(x)):
+                g = sub.ground()
+                names = set(sub.leaf_element.values())
+                assert g.elements == tuple(e for e in x.elements if e in names)
+                for a in g.elements:
+                    assert g.colour(a) == x.colour(a)
+                    for b in g.elements:
+                        assert g.poset.lt(a, b) == x.poset.lt(a, b)
+                cases += len(names) < len(x)
+        assert cases
+
     def test_internal_label_ranges_indecomposable(self):
         rng = random.Random(67)
         for _ in range(20):

@@ -16,6 +16,7 @@ from poset_forge import (
 )
 from poset_forge.composition import maximal_decomposition
 from poset_forge.core import ColouredPoset
+from poset_forge.interval import _close, _mask_to_set, _parts
 from poset_forge.errors import (
     EmptyPoset,
     EmptySet,
@@ -125,9 +126,106 @@ class TestIndecomposable:
                 assert is_indecomposable(p) == helpers.brute_indecomposable(p)
 
     def test_agrees_with_rows_oracle_size7(self, catalog7):
+        # and with the n(n - 1)/2 pair closures that the n - 1-closure test
+        # replaced
         full = (1 << 7) - 1
         for p in catalog7:
-            assert is_indecomposable(p) == helpers.brute_indecomposable_mask(p, full)
+            want = helpers.brute_indecomposable_mask(p, full)
+            assert is_indecomposable(p) == want
+            assert helpers.pair_closure_indecomposable(p, full) == want
+
+    def test_agrees_with_pair_closures_random_arities(self):
+        # the layer arities of random decompositions, all indecomposable,
+        # and random posets, mostly not
+        rng = random.Random(139)
+        seen = [0, 0]
+        for _ in range(150):
+            x = helpers.random_coloured(rng, rng.randint(2, 14), p=rng.choice((0.1, 0.3, 0.6)))
+            seq, _, _ = maximal_decomposition(x, rng.choice(x.elements))
+            posets = [arity for arity, _ in seq.entries]
+            posets.append(helpers.shuffled_poset(rng, helpers.random_poset(rng, rng.randint(1, 9))))
+            for p in posets:
+                want = helpers.pair_closure_indecomposable(p, (1 << len(p)) - 1)
+                assert is_indecomposable(p) == want
+                seen[want] += 1
+        assert all(seen)
+
+
+def _smallest_interval_holding(intervals, members):
+    out = None
+    for iv in intervals:
+        if members <= iv and (out is None or len(iv) < len(out)):
+            out = iv
+    return out
+
+
+class TestClose:
+    def test_matches_brute_on_every_subset_catalog5(self, catalog5):
+        # intervals that meet are closed under intersection, so the
+        # closure is the one smallest interval holding the subset
+        for reps in catalog5.values():
+            for p in reps:
+                intervals = helpers.brute_intervals(p)
+                full = (1 << len(p)) - 1
+                for mask in range(1, full + 1):
+                    members = _mask_to_set(p, mask)
+                    want = _smallest_interval_holding(intervals, members)
+                    assert _mask_to_set(p, _close(p, mask, full)) == want
+
+    def test_inside_a_mask_random(self):
+        rng = random.Random(149)
+        for _ in range(100):
+            p = helpers.random_poset(rng, rng.randint(2, 12), rng.choice((0.15, 0.35)))
+            within = rng.randrange(1, 1 << len(p))
+            sub = p.restrict(_mask_to_set(p, within))
+            members = rng.randrange(1, 1 << len(sub))
+            names = _mask_to_set(sub, members)
+            mask = sum(1 << p.index[e] for e in names)
+            want = _smallest_interval_holding(helpers.brute_intervals(sub), names)
+            assert _mask_to_set(p, _close(p, mask, within)) == want
+
+
+def _assert_parts_match_brute(p, within, anchor, intervals=None):
+    sub = p.restrict(_mask_to_set(p, within))
+    got = _parts(p, p.index[anchor], within)
+    assert sum(m.bit_count() for m in got) == within.bit_count() - 1
+    want = helpers.brute_parts(sub, anchor, intervals)
+    assert {_mask_to_set(p, m) for m in got} == want
+
+
+class TestParts:
+    # P(M, v): the maximal intervals of M that avoid v, which partition
+    # M minus v
+    def test_examples(self):
+        full = 0b111
+        antichain = canonical("antichain", 3)
+        assert sorted(_parts(antichain, 0, full)) == [0b110]
+        chain = canonical("chain", 3)  # a < b < c
+        assert sorted(_parts(chain, 0, full)) == [0b110]
+        assert sorted(_parts(chain, 1, full)) == [0b001, 0b100]
+        assert _parts(chain, 2, 0b100) == []
+
+    def test_matches_brute_every_anchor_catalog6(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                intervals = helpers.brute_intervals(p)
+                full = (1 << len(p)) - 1
+                for anchor in p.elements:
+                    _assert_parts_match_brute(p, full, anchor, intervals)
+
+    def test_matches_brute_random_shuffled(self):
+        rng = random.Random(151)
+        for _ in range(200):
+            n = rng.randint(8, 13)
+            p = helpers.shuffled_poset(rng, helpers.random_poset(rng, n, rng.choice((0.15, 0.35))))
+            intervals = helpers.brute_intervals(p)
+            full = (1 << n) - 1
+            for anchor in p.elements:
+                _assert_parts_match_brute(p, full, anchor, intervals)
+            # inside a mask: the order induced on it, not on p
+            anchor = rng.choice(p.elements)
+            within = rng.randrange(1 << n) | 1 << p.index[anchor]
+            _assert_parts_match_brute(p, within, anchor)
 
 
 class TestQuotient:

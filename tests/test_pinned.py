@@ -17,6 +17,7 @@ import io
 import random
 
 import helpers
+from poset_forge import composition, interval
 from poset_forge import (
     ColouredPoset,
     composition_set_text,
@@ -67,6 +68,34 @@ def digest(path):
 
 def test_outputs_match_the_pinned_digest(tmp_path):
     assert digest(tmp_path / "x.poset") == PINNED
+
+
+def test_no_pair_closures(tmp_path, monkeypatch):
+    # each layer's self-check makes at most n - 1 closures on an n-point
+    # arity, and the pair-closure test is never called
+    def pair_test(*args):
+        raise AssertionError("the pair-closure test was called")
+
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return close(*args)
+
+    def checked(arity):
+        before = calls[0]
+        verdict = check(arity)
+        assert calls[0] - before <= len(arity) - 1
+        return verdict
+
+    close, check = interval._close, composition.is_indecomposable
+    monkeypatch.setattr(helpers, "pair_closure_indecomposable", pair_test)
+    monkeypatch.setattr(interval, "_close", counted)
+    monkeypatch.setattr(composition, "is_indecomposable", checked)
+    assert not hasattr(interval, "_indecomposable_mask")
+    assert not hasattr(composition, "_maximal_blocks")
+    assert digest(tmp_path / "x.poset") == PINNED
+    assert calls[0]
 
 
 def extract_corpus():
