@@ -16,7 +16,7 @@ witnesses, because everything downstream of these predicates wants them.
 """
 
 from . import config
-from .core import _Frozen, _Record, canonical, embed, is_isomorphic
+from .core import Poset, _bits, _Frozen, _Record, canonical, embed, is_isomorphic
 from .interval import _canonical_sets
 
 
@@ -131,28 +131,38 @@ def class_check(x, spec, bound=None):
 
     With an explicit list, allowed means isomorphic to a listed poset (the
     singleton must be listed for size-1 subsets to pass); with a size cap,
-    allowed means at most that many elements.
+    allowed means at most that many elements.  Each verdict is decided once
+    per induced shape: a size cap reads the popcount of the subset's mask,
+    and a list is searched once per distinct tuple of rows induced on the
+    mask (in carrier order), since equal rows are the same poset up to
+    names.  Only the violating masks are named.
     """
     poset = x.poset if hasattr(x, "poset") else x
-    report = ClassReport(poset)
-    # violations come out in (size, index tuple) order: the singletons in
-    # element order, then the indecomposable subsets in theirs
-    if spec.allowed is not None:
-        sizes = {len(p) for p in spec.allowed}
-        if 1 not in sizes:
-            for e in poset.elements:
-                report.violations.append(frozenset([e]))
-    for s in indecomposable_subsets(poset, len(poset), bound):
-        if spec.max_size is not None:
-            if len(s) > spec.max_size:
-                report.violations.append(s)
-        elif len(s) not in sizes:
-            report.violations.append(s)
-        else:
-            sub = poset.restrict(s)
-            if not any(is_isomorphic(sub, p) for p in spec.allowed):
-                report.violations.append(s)
-    return report
+    config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
+    masks = _indecomposable_masks(poset, len(poset))
+    if spec.max_size is not None:
+        bad = [m for m in masks if m.bit_count() > spec.max_size]
+        return ClassReport(poset, _canonical_sets(poset, bad))
+    sizes = {len(p) for p in spec.allowed}
+    # the singletons sort first, in element order, as one-point masks
+    bad = [] if 1 in sizes else [1 << i for i in range(len(poset))]
+    up = poset.above
+    verdicts = {}
+    for m in masks:
+        if m.bit_count() not in sizes:
+            bad.append(m)
+            continue
+        index = list(_bits(m))
+        rows = tuple(
+            sum(1 << k for k, j in enumerate(index) if up[i] >> j & 1) for i in index
+        )
+        allowed = verdicts.get(rows)
+        if allowed is None:
+            sub = Poset([poset.elements[i] for i in index], rows)
+            allowed = verdicts[rows] = any(is_isomorphic(sub, p) for p in spec.allowed)
+        if not allowed:
+            bad.append(m)
+    return ClassReport(poset, _canonical_sets(poset, bad))
 
 
 class PrefixReport(_Record):

@@ -19,6 +19,10 @@ from .composition import (
     render_position,
 )
 from .core import (
+    EQUAL,
+    GREATER,
+    INCOMPARABLE,
+    LESS,
     EmbeddingMap,
     Poset,
     _bits,
@@ -384,19 +388,24 @@ def _unwrap(tree):
 
 # -- structured-tree embedding ----------------------------------------------
 
+def _colour_key(tree, node):
+    """A node's colour class: ("leaf", its colour) or ("sum", its arity's
+    rows).  Colour comparisons read nothing else: embeddability depends on
+    the rows alone, not on the element names."""
+    if tree.kinds[node] == "leaf":
+        return ("leaf", tree.leaf_colours[node])
+    return ("sum", tree.arities[node].above)
+
+
 def _colour_leq(s_tree, t_tree, a, b, memo):
-    ka, kb = s_tree.kinds[a], t_tree.kinds[b]
+    (ka, ca), (kb, cb) = _colour_key(s_tree, a), _colour_key(t_tree, b)
     if ka != kb:
         return False
     if ka == "leaf":
-        return s_tree.ground_palette.leq(
-            s_tree.leaf_colours[a], t_tree.leaf_colours[b]
-        )
-    x, y = s_tree.arities[a], t_tree.arities[b]
-    # embeddability depends on the rows alone, not on the element names
-    key = (x.above, y.above)
+        return s_tree.ground_palette.leq(ca, cb)
+    key = (ca, cb)
     if key not in memo:
-        memo[key] = embed(x, y) is not None
+        memo[key] = embed(s_tree.arities[a], t_tree.arities[b]) is not None
     return memo[key]
 
 
@@ -409,7 +418,10 @@ def st_embed(source, target):
     kinds never compare).  Each condition becomes a target mask for the
     shared driver ``_search.backtrack``: colours give the allowed masks,
     order gives the relation-code rows, and meets and labels, which involve
-    two earlier nodes, narrow the candidates.  Nodes are placed in storage
+    two earlier nodes, narrow the candidates.  A colour comparison reads
+    only the nodes' classes (``_colour_key``), so it is made once per pair
+    of a source class and a target class, and each passing target class
+    adds its whole node mask.  Nodes are placed in storage
     order, which StructuredTree keeps a linear extension, so ancestors and
     meets are placed first.  The witness is the lexicographically first
     embedding.
@@ -421,11 +433,23 @@ def st_embed(source, target):
     ns, nt = len(spos), len(tpos)
     if ns > nt:
         return None
+    # colours are decided once per (source class, target class) pair, on
+    # one representative node of each; T's class masks are disjoint
+    classes = {}
+    for j, b in enumerate(tpos.elements):
+        key = _colour_key(T, b)
+        rep, mask = classes.get(key, (b, 0))
+        classes[key] = (rep, mask | 1 << j)
     memo = {}
-    allowed = [
-        sum(1 << j for j, b in enumerate(tpos.elements) if _colour_leq(S, T, a, b, memo))
-        for a in spos.elements
-    ]
+    fit = {}
+    allowed = []
+    for a in spos.elements:
+        key = _colour_key(S, a)
+        if key not in fit:
+            fit[key] = sum(
+                mask for b, mask in classes.values() if _colour_leq(S, T, a, b, memo)
+            )
+        allowed.append(fit[key])
     # meets: each earlier p incomparable to i, with m the meet of p and i
     # (in a decomposition tree distinct children's cones carry distinct
     # labels, so there the labels imply the meets; other structured trees
@@ -441,10 +465,18 @@ def st_embed(source, target):
         if not rows:
             continue
         arity = S.arities[spos.elements[p]]
+        a_up, a_dn = arity.above, arity.below
         up = sorted((q, lb) for lb, row in enumerate(rows) for q in _bits(row))
         for k in range(1, len(up)):
             i, li = up[k]
-            labels[i].append((p, [(q, arity.code(lq, li)) for q, lq in up[:k]]))
+            # the code of lq towards li in p's arity, read off its rows
+            bit = 1 << li
+            codes = [
+                (q, EQUAL if lq == li else LESS if a_up[lq] & bit
+                 else GREATER if a_dn[lq] & bit else INCOMPARABLE)
+                for q, lq in up[:k]
+            ]
+            labels[i].append((p, codes))
     # per target sum node t: the label index of each node above t, the
     # code rows of t's arity, and labelled[lb], the nodes above t labelled lb
     ttables = {}
@@ -498,7 +530,9 @@ def verify_st_embedding(source, target, emap):
         return False
     m = emap.as_dict()
     memo = {}
-    if not all(_colour_leq(S, T, a, m[a], memo) for a in S.poset.elements):
+    # one colour comparison per (source class, image class) pair
+    classes = {(_colour_key(S, a), _colour_key(T, b)): (a, b) for a, b in m.items()}
+    if not all(_colour_leq(S, T, a, b, memo) for a, b in classes.values()):
         return False
     f = [T.poset.index[m[a]] for a in S.poset.elements]
     for i in range(len(f)):
@@ -560,7 +594,8 @@ def tree_rank(tree):
     """
     tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
-    if not poset.is_rooted_tree():
+    # a structured tree was checked when it was built
+    if poset is tree and not poset.is_rooted_tree():
         raise NotATree("rank is defined for rooted trees")
     return max(row.bit_count() for row in poset.below)
 
@@ -576,7 +611,7 @@ def scattered_rank(tree, bound=None):
     tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     config.check_size(len(poset), config.SCATTERED_RANK_BOUND, bound, "tree", "nodes")
-    if not poset.is_rooted_tree():
+    if poset is tree and not poset.is_rooted_tree():
         raise NotATree("scattered rank is defined for rooted trees")
 
     # a node's parent is its deepest strict ancestor

@@ -13,12 +13,13 @@ from poset_forge import (
     indecomposable_subsets,
     is_indecomposable,
     is_n_free,
+    make_poset,
     maximal_decomposition,
     maximal_interval_chain,
     pathological_prefix_check,
 )
 from poset_forge import classify, composition, interval
-from poset_forge.core import check_embedding, coloured_isomorphic
+from poset_forge.core import Poset, check_embedding, coloured_isomorphic
 from poset_forge.errors import TooLarge
 
 
@@ -276,6 +277,55 @@ class TestNoIntervalScan:
                 for v in tree.tree.internal_nodes():
                     assert helpers.brute_indecomposable(tree.tree.arities[v])
                 assert coloured_isomorphic(tree.evaluate(), x)
+
+
+class TestNoRestrict:
+    def test_one_search_per_induced_shape(self, catalog5, monkeypatch):
+        # class_check builds no subposet by name, and searches each listed
+        # poset at most once per distinct tuple of induced rows in a call
+        rng = random.Random(149)
+        posets = list(catalog5[5])
+        for k in range(40):
+            p = helpers.random_poset(rng, 6 + k % 4, (0.2, 0.4, 0.6)[k % 3])
+            posets.append(helpers.shuffled_poset(rng, p))
+        n_poset = canonical("N", 0)
+        spec = ClassSpec(allowed=STOCK() + (n_poset,))
+        wants = [_assert_matches_oracle(p) for p in posets]
+
+        def boom(*args):
+            raise AssertionError("restrict was called")
+
+        calls = []
+
+        def counted(sub, q):
+            calls.append((id(q), sub.above))
+            return iso(sub, q)
+
+        iso = classify.is_isomorphic
+        monkeypatch.setattr(Poset, "restrict", boom)
+        monkeypatch.setattr(ColouredPoset, "restrict", boom)
+        monkeypatch.setattr(classify, "is_isomorphic", counted)
+        searched = listed_size = 0
+        for p, want in zip(posets, wants):
+            calls.clear()
+            report = class_check(p, spec)
+            assert report.violations == [
+                s
+                for s in want
+                if len(s) > 2
+                and not (len(s) == 4 and helpers.brute_embed(n_poset, _induced(p, s)))
+            ]
+            assert len(calls) == len(set(calls))
+            searched += len({rows for _, rows in calls})
+            listed_size += sum(len(s) in (2, 4) for s in want)
+        # shapes repeat: fewer searches than subsets of a listed size
+        assert 0 < searched < listed_size / 2
+
+
+def _induced(p, members):
+    """The order induced on members, in p's element order, by name pairs."""
+    keep = [e for e in p.elements if e in members]
+    return make_poset(keep, [(a, b) for a in keep for b in keep if p.lt(a, b)])
 
 
 class TestPathologicalPrefix:

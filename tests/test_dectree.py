@@ -30,7 +30,7 @@ from poset_forge.core import (
     is_isomorphic,
     one_colour_palette,
 )
-from poset_forge import composition, dectree, interval
+from poset_forge import _search, composition, dectree, interval
 from poset_forge.dectree import DecompositionTree, StructuredTree, _layout
 from poset_forge.errors import (
     BadLabel,
@@ -751,6 +751,92 @@ class TestStEmbed:
         assert lifted.as_dict() == {e: e for e in poset.elements}
 
 
+def _captured_allowed(monkeypatch, pairs):
+    """The allowed masks st_embed hands to the search, per pair."""
+    seen = []
+    backtrack = _search.backtrack
+
+    def capture(allowed, rows, narrow=None):
+        # only st_embed narrows; the arity comparisons search without
+        if narrow is not None:
+            seen.append(list(allowed))
+        return backtrack(allowed, rows, narrow)
+
+    monkeypatch.setattr(_search, "backtrack", capture)
+    for s, t in pairs:
+        before = len(seen)
+        st_embed(s, t)
+        if len(seen) == before:  # more source nodes than targets: no search
+            assert len(s.tree.nodes) > len(t.tree.nodes)
+            seen.append(None)
+    return seen
+
+
+def _pair_masks(s, t):
+    """The allowed masks as one colour comparison per node pair."""
+    S, T = s.tree, t.tree
+    if len(S.nodes) > len(T.nodes):
+        return None
+    memo = {}
+    return [
+        sum(1 << j for j, b in enumerate(T.nodes) if dectree._colour_leq(S, T, a, b, memo))
+        for a in S.nodes
+    ]
+
+
+class TestColourClasses:
+    def test_class_masks_match_pair_masks_catalog(self, catalog5, monkeypatch):
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p))
+            for k in (1, 2, 3, 4)
+            for p in catalog5[k]
+        ]
+        pairs = [(s, t) for s in trees for t in trees]
+        seen = _captured_allowed(monkeypatch, pairs)
+        assert seen == [_pair_masks(s, t) for s, t in pairs]
+
+    def test_class_masks_match_pair_masks_random(self, monkeypatch):
+        # every test palette; sources and targets have arities of one shape
+        # under different element names (their ids differ in prefix)
+        rng = random.Random(131)
+        pairs = []
+        for k in range(160):
+            palette = helpers.PALETTES[k % len(helpers.PALETTES)]
+            y = helpers.random_coloured(rng, rng.randint(3, 9), palette, p=0.35)
+            x = helpers.random_coloured(rng, rng.randint(2, 6), palette, p=0.35, prefix="s")
+            pairs.append((decomposition_tree(x), decomposition_tree(y)))
+        seen = _captured_allowed(monkeypatch, pairs)
+        shared = 0
+        for (s, t), allowed in zip(pairs, seen):
+            assert allowed == _pair_masks(s, t)
+            arities = [s.tree.arities[v] for v in s.tree.internal_nodes()]
+            arities += [t.tree.arities[v] for v in t.tree.internal_nodes()]
+            shared += any(
+                a.above == b.above and a.elements != b.elements
+                for a, b in itertools.combinations(arities, 2)
+            )
+        assert shared > 50
+
+    def test_one_comparison_per_class_pair(self, monkeypatch):
+        # colours are compared once per (source class, target class) pair
+        rng = random.Random(137)
+        leq = dectree._colour_leq
+        calls = Counter()
+
+        def counted(S, T, a, b, memo):
+            calls[dectree._colour_key(S, a), dectree._colour_key(T, b)] += 1
+            return leq(S, T, a, b, memo)
+
+        monkeypatch.setattr(dectree, "_colour_leq", counted)
+        for k in range(40):
+            palette = helpers.PALETTES[k % len(helpers.PALETTES)]
+            y = helpers.random_coloured(rng, 9, palette)
+            x = y.restrict(rng.sample(y.elements, 5))
+            calls.clear()
+            st_embed(decomposition_tree(x), decomposition_tree(y))
+            assert set(calls.values()) == {1}
+
+
 def _assert_verify_matches_oracle(s, t):
     """verify_st_embedding against the definition oracle on every injection
     of s's nodes into t's; returns the oracle's verdicts."""
@@ -927,6 +1013,29 @@ class TestTreeRank:
         with pytest.raises(NotATree):
             tree_rank(canonical("antichain", 2))
 
+    def test_one_rooted_tree_check_per_tree(self, monkeypatch):
+        # a structured tree is checked when it is built, and the ranks do
+        # not check it again; a raw poset is checked by the rank itself
+        calls = [0]
+        check = Poset.is_rooted_tree
+
+        def counted(poset):
+            calls[0] += 1
+            return check(poset)
+
+        monkeypatch.setattr(Poset, "is_rooted_tree", counted)
+        rng = random.Random(139)
+        for _ in range(20):
+            x = helpers.random_coloured(rng, rng.randint(1, 10))
+            calls[0] = 0
+            tree = decomposition_tree(x)
+            want = helpers.brute_tree_rank(tree.tree.poset)
+            assert tree_rank(tree) == tree_rank(tree.tree) == want
+            scattered_rank(tree, bound=len(tree.tree.nodes))
+            assert calls[0] == 1
+            tree_rank(tree.tree.poset)
+            assert calls[0] == 2
+
 
 class TestScatteredRank:
     def test_singleton(self):
@@ -943,6 +1052,15 @@ class TestScatteredRank:
     def test_bound(self):
         with pytest.raises(TooLarge):
             scattered_rank(canonical("chain", 5), bound=4)
+
+    def test_not_a_tree(self):
+        with pytest.raises(NotATree):
+            scattered_rank(canonical("N", 0))
+        with pytest.raises(NotATree):
+            scattered_rank(canonical("antichain", 2))
+        # the size bound is read before the tree check
+        with pytest.raises(TooLarge):
+            scattered_rank(canonical("antichain", 5), bound=4)
 
     def test_accepts_structured_tree(self):
         t = decomposition_tree(uniform("chain", 3))

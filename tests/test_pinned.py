@@ -8,7 +8,10 @@ and output of the CLI verb ``decompose``.  The second is 60 such posets of
 2 to 12 elements; per poset it takes every branch and tail extract (its
 tree dump, composition set dump and leaf elements), the poset recomposed
 along the root sequence's chain, and the tree rank and scattered rank of
-the tree and of every extract.
+the tree and of every extract.  The third is 60 seeded posets of 5 to 10
+elements, each class-checked under every size cap and under two allowed
+lists, together with 60 seeded structured-tree embedding searches and the
+lift of every witness found.
 """
 
 import argparse
@@ -19,12 +22,18 @@ import random
 import helpers
 from poset_forge import composition, interval
 from poset_forge import (
+    ClassSpec,
     ColouredPoset,
+    canonical,
+    class_check,
     composition_set_text,
     decomposition_function,
     decomposition_tree,
+    lift_embedding,
+    make_poset,
     recompose_along_chain,
     scattered_rank,
+    st_embed,
     structured_tree_text,
     subtree_extract,
     tree_rank,
@@ -34,6 +43,7 @@ from poset_forge.textio import poset_text, quasi_text
 
 PINNED = "fb45c15b7997e47b7e781a9b12ba6a37b659b1f001f10644e6e9812190fdb8f7"
 EXTRACTS_PINNED = "de0d641c815e03adabe7e34e5aa7b2121d30e46437dcf934680ba3d3d407bfe8"
+CLASS_EMBED_PINNED = "4be28be296977325a79d234868ebfd41e47bf169a8f6cc6930d38f1dacfb27af"
 
 
 def corpus():
@@ -137,3 +147,55 @@ def extracts_digest():
 
 def test_extracts_match_the_pinned_digest():
     assert extracts_digest() == EXTRACTS_PINNED
+
+
+def renamed(poset):
+    """The same order under new names, stored in reverse order."""
+    name = {e: f"r{e}" for e in poset.elements}
+    pairs = [(name[a], name[b]) for a, b in poset.lt_pairs()]
+    return make_poset([name[e] for e in reversed(poset.elements)], pairs)
+
+
+def class_specs(n):
+    # no singleton on the first list, so every point is a violation too; the
+    # second is the stock list plus N under other names
+    first = (canonical("chain", 2), canonical("antichain", 2), canonical("N", 0),
+             canonical("fence", 3))
+    stock = (canonical("chain", 1), canonical("chain", 2), canonical("antichain", 2),
+             canonical("N", 0))
+    caps = [ClassSpec(max_size=cap) for cap in range(1, n + 1)]
+    return caps + [ClassSpec(allowed=first), ClassSpec(allowed=tuple(map(renamed, stock)))]
+
+
+def mapping_text(emap):
+    if emap is None:
+        return "none\n"
+    return " ".join(f"{a}->{b}" for a, b in emap.mapping) + "\n"
+
+
+def class_embed_digest():
+    h = hashlib.sha256()
+    rng = random.Random(173)
+    for k in range(60):
+        p = helpers.random_poset(rng, 5 + k % 6, p=(0.2, 0.4, 0.6)[k % 3])
+        p = helpers.shuffled_poset(rng, p)
+        for spec in class_specs(len(p)):
+            h.update(class_check(p, spec).text().encode())
+    for k in range(60):
+        palette = helpers.PALETTES[k % len(helpers.PALETTES)]
+        y = helpers.random_coloured(rng, 6 + k % 5, palette, p=(0.2, 0.4)[k % 2])
+        if k % 3 == 2:
+            x = helpers.random_coloured(rng, 3 + k % 3, palette, p=0.3, prefix="s")
+        else:
+            x = y.restrict(rng.sample(y.elements, 3 + k % 4))
+        tx, ty = decomposition_tree(x), decomposition_tree(y)
+        for s, t in ((tx, ty), (ty, ty)) if k % 4 == 0 else ((tx, ty),):
+            phi = st_embed(s, t)
+            h.update(mapping_text(phi).encode())
+            if phi is not None:
+                h.update(mapping_text(lift_embedding(s, t, phi)).encode())
+    return h.hexdigest()
+
+
+def test_class_checks_and_tree_embeddings_match_the_pinned_digest():
+    assert class_embed_digest() == CLASS_EMBED_PINNED
