@@ -2,9 +2,11 @@
 
 A composition sequence is a list of sum-arities, each with a distinguished
 slot where the rest of the composition nests.  Evaluating it means summing
-arguments over the single index poset built by :func:`h_eta`.  Going the
-other way, :func:`maximal_decomposition` peels a poset into indecomposable
-arities along a canonical maximal interval chain, and
+arguments over the single index poset built by :func:`h_eta` from the
+arities' rows.  One bottom-up step evaluates a composition set, and the tail
+of a position's sequence, which is all that recomposition along a chain
+reads.  Going the other way, :func:`maximal_decomposition` peels a poset
+into indecomposable arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
 The iteration carries masks over the input's rows, and builds posets only
 for the layer arities.  The chain grows by interval closures
@@ -23,7 +25,6 @@ from .core import (
     ColouredPoset,
     Poset,
     coloured_isomorphic,
-    make_poset,
     p_sum_with_sources,
 )
 from .errors import (
@@ -90,31 +91,21 @@ class CompositionSequence(_Frozen):
 
 
 def h_eta_with_slots(seq):
-    """Index poset of a composition sequence, plus slot ids -> (i, u)."""
-    ids = []
-    slot_of = {}
-    for i in range(len(seq)):
-        for u in seq.slots(i):
-            sid = f"{i}.{u}"
-            ids.append(sid)
-            slot_of[sid] = (i, u)
-    pairs = []
-    for sid1 in ids:
-        i, u = slot_of[sid1]
-        for sid2 in ids:
-            j, v = slot_of[sid2]
-            if sid1 == sid2:
-                continue
-            if i == j:
-                if seq.arity(i).lt(u, v):
-                    pairs.append((sid1, sid2))
-            elif i < j:
-                if seq.arity(i).lt(u, seq.distinguished(i)):
-                    pairs.append((sid1, sid2))
-            else:
-                if seq.arity(j).lt(seq.distinguished(j), v):
-                    pairs.append((sid1, sid2))
-    return make_poset(ids, pairs), slot_of
+    """Index poset of a composition sequence, plus slot ids -> (i, u); its
+    rows are built directly, by the rule of :func:`h_eta`."""
+    slot_of = {f"{i}.{u}": (i, u) for i, u in seq.positions()}
+    rows = []
+    earlier = 0  # the slots of earlier layers above their distinguished slot
+    for i, (arity, s) in enumerate(seq.entries):
+        first = len(rows)
+        bit = {arity.index[u]: 1 << first + k for k, u in enumerate(seq.slots(i))}
+        later = (1 << len(slot_of)) - (1 << first + len(bit))
+        up = [sum(b for a, b in bit.items() if row >> a & 1) for row in arity.above]
+        d = arity.index[s]
+        for a in bit:
+            rows.append(earlier | up[a] | (later if arity.above[a] >> d & 1 else 0))
+        earlier |= up[d]
+    return Poset(list(slot_of), rows), slot_of
 
 
 def h_eta(seq):
@@ -370,26 +361,25 @@ def decomposition_function(x):
     return fset, {p: x.restrict([e]) for p, e in leaves.items()}
 
 
+def _value(fset, leaf_args, p, start=0):
+    """The value of position p of a composition set on its leaf arguments;
+    from a start layer on, the value of the tail of p's sequence from there."""
+    if p not in fset.sequences:
+        return leaf_args[p]
+    seq = fset.sequences[p].tail(start - 1) if start else fset.sequences[p]
+    args = {
+        (i, u): _value(fset, leaf_args, p + ((i + start, u),)) for i, u in seq.positions()
+    }
+    return eval_f_eta(seq, args)
+
+
 def eval_g(fset, leaf_args):
-    """Bottom-up evaluation of a composition set on its leaf arguments."""
+    """Bottom-up evaluation of a composition set on its leaf arguments:
+    every leaf needs one, and then the root's value is summed up."""
     for leaf in fset.leaves:
         if leaf not in leaf_args:
             raise MissingLeaf(f"no value for leaf {leaf}")
-    if not fset.sequences:
-        return leaf_args[fset.root]
-
-    def value_at(p):
-        seq = fset.sequences[p]
-        args = {}
-        for pos in seq.positions():
-            child = p + (pos,)
-            if child in fset.sequences:
-                args[pos] = value_at(child)
-            else:
-                args[pos] = leaf_args[child]
-        return eval_f_eta(seq, args)
-
-    return value_at(fset.root)
+    return _value(fset, leaf_args, fset.root)
 
 
 # -- serialization -----------------------------------------------------------

@@ -13,6 +13,7 @@ from .composition import (
     CompositionSequence,
     CompositionSet,
     _decompose,
+    _value,
     eval_f_eta,
     eval_g,
     inline_poset,
@@ -38,6 +39,7 @@ from .errors import (
     NotATree,
     NotUpClosedChain,
     PaletteMismatch,
+    UnknownElement,
     VerificationFailure,
 )
 from . import _search, config
@@ -100,12 +102,14 @@ class StructuredTree:
     """A finite rooted tree with arity-labelled cones and coloured nodes,
     stored in a linear extension of the tree order.
 
-    The constructor takes the labels as a dict (v, x) -> slot of v's arity,
-    one for every pair v < x (BadLabel otherwise; Malformed for a sum node
-    with no arity), and keeps them as rows: ``label_rows[i]`` holds, for the sum
-    node at index i, one mask per slot of its arity (in the arity's element
-    order) of the nodes above it that carry that label; it is empty for
-    leaves.  Decomposition trees bring their rows (``_layout``, ``_from_rows``).
+    Every node has kind "sum", with an arity, or "leaf", with a colour of
+    the ground palette (Malformed or UnknownElement otherwise).  The
+    constructor takes the labels as a dict (v, x) -> slot of v's arity, one
+    for every pair v < x (BadLabel otherwise), and keeps them as rows:
+    ``label_rows[i]`` holds, for the sum node at index i, one mask per slot
+    of its arity (in the arity's element order) of the nodes above it that
+    carry that label; it is empty for leaves.  Decomposition trees bring
+    their rows (``_layout``, ``_from_rows``).
     """
 
     __slots__ = (
@@ -127,9 +131,21 @@ class StructuredTree:
             poset = make_poset([poset.elements[i] for i in order], poset.lt_pairs())
         rows = []
         for v in poset.elements:
-            if kinds[v] == "sum" and v not in arities:
-                raise Malformed(f"sum node {v!r} has no arity")
-            rows.append([0] * len(arities[v]) if kinds[v] == "sum" else [])
+            kind = kinds.get(v)
+            if kind == "sum":
+                if v not in arities:
+                    raise Malformed(f"sum node {v!r} has no arity")
+                rows.append([0] * len(arities[v]))
+                continue
+            if kind is None:
+                raise Malformed(f"node {v!r} has no kind")
+            if kind != "leaf":
+                raise Malformed(f"node {v!r} has kind {kind!r}, not 'sum' or 'leaf'")
+            if v not in leaf_colours:
+                raise UnknownElement(f"leaf {v!r} has no colour")
+            if leaf_colours[v] not in ground_palette.index:
+                raise UnknownElement(f"colour {leaf_colours[v]!r} not in palette")
+            rows.append([])
         pairs = poset.lt_pairs()
         for (v, x), slot in labels.items():
             if (v, x) not in pairs or kinds[v] != "sum" or slot not in arities[v]:
@@ -227,18 +243,20 @@ class DecompositionTree:
     ``leaves`` maps each leaf position of ``fset`` to its element of
     ``base``, the coloured poset the root tree was built from; a leaf takes
     that element's colour, and its argument is the one-point restriction of
-    ``base`` to it, rebuilt when asked (``leaf_args``).  ``key_of`` maps
-    node ids back to positions; it is laid out on first use and kept.
+    ``base`` to it, rebuilt when asked (``leaf_args``).  The keys of the
+    internal nodes are kept from the one layout of ``fset``, in the tree's
+    storage order, and ``key_of`` maps node ids back to node keys.
     """
 
-    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree", "_key_of")
+    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree", "_keys")
 
     def __init__(self, fset, leaves, base):
         self.fset = fset
         self.base = base
         self.leaves = leaves
-        self._key_of = None
         keys, ids, above, label_rows = _layout(fset)
+        # internal node keys only: a leaf's position is already in ``leaves``
+        self._keys = [k if k[0] == "i" else None for k in keys]
         kinds = {}
         arities = {}
         leaf_colours = {}
@@ -276,20 +294,18 @@ class DecompositionTree:
 
     @property
     def key_of(self):
-        """Node id -> node key, laid out on first use and kept."""
-        if self._key_of is None:
-            keys, ids, _, _ = _layout(self.fset)
-            self._key_of = dict(zip(ids, keys))
-        return self._key_of
+        """Node id -> node key, read off the kept keys and ``leaves``."""
+        at = {e: ("l", p) for p, e in self.leaves.items()}
+        return {n: k or at[self.leaf_element[n]] for n, k in zip(self.tree.nodes, self._keys)}
 
     def _internal(self, node_id):
         """(position, layer) of an internal node; BadLabel for any other id."""
-        key = self.key_of.get(node_id)
-        if key is None:
+        k = self.tree.poset.index.get(node_id)
+        if k is None:
             raise BadLabel(f"unknown node {node_id!r}")
-        if key[0] != "i":
+        if self._keys[k] is None:
             raise BadLabel(f"{node_id} is a leaf")
-        return key[1:]
+        return self._keys[k][1:]
 
     def sequence_at(self, node_id):
         """The composition sequence and layer of an internal node."""
@@ -308,6 +324,15 @@ def decomposition_tree(x):
     return DecompositionTree(*_decompose(x), x)
 
 
+def _cone(seq, p, i, u):
+    """The cone above layer i of position p labelled u, as (position, start
+    layer) for ``_value``: the tail after layer i for the distinguished slot
+    of a layer before the last, the branch at (i, u) for any other slot."""
+    if u == seq.distinguished(i) and i < len(seq) - 1:
+        return p, i + 1
+    return p + ((i, u),), 0
+
+
 def subtree_extract(tree, node_id, value):
     """The decomposition tree of the cone above ``node_id`` labelled ``value``.
 
@@ -320,22 +345,21 @@ def subtree_extract(tree, node_id, value):
     if value not in seq.arity(i):
         raise BadLabel(f"{value!r} is not a slot of the arity at {node_id}")
     n = len(p)
-    tail = value == seq.distinguished(i) and i < len(seq) - 1
+    root, start = _cone(seq, p, i, value)
 
     def move(q):
         # q's address in the cone (never empty), or None: a branch keeps its
-        # positions, a tail shifts the layers after i down by i + 1
+        # positions, a tail shifts the layers from start down to 0
         if q[:n] == p and len(q) > n:
             j, v = q[n]
-            if not tail:
+            if not start:
                 return q if (j, v) == (i, value) else None
-            return p + ((j - i - 1, v),) + q[n + 1:] if j > i else None
+            return p + ((j - start, v),) + q[n + 1:] if j >= start else None
 
     sequences = {r: s for q, s in tree.fset.sequences.items() if (r := move(q))}
     leaves = {r: e for q, e in tree.leaves.items() if (r := move(q))}
-    if tail:
+    if start:
         sequences[p] = seq.tail(i)
-    root = p if tail else p + ((i, value),)
     return DecompositionTree(CompositionSet(root, sequences, leaves), leaves, tree.base)
 
 
@@ -343,8 +367,9 @@ def recompose_along_chain(tree, zeta):
     """Rebuild the base poset from any up-closed chain of internal nodes.
 
     The chain's node colours give the arities, the labels toward the chain
-    give the distinguished slots, and the extracted cones give the
-    arguments.
+    give the distinguished slots, and the cones of the other slots give the
+    arguments, read off the composition set (``_cone``): no tree is built,
+    and each leaf is restricted once per call.
     """
     zeta = list(zeta)
     if not zeta:
@@ -364,20 +389,19 @@ def recompose_along_chain(tree, zeta):
     if set(zeta) != expected:
         raise NotUpClosedChain("chain is not closed toward the root")
 
+    places = [tree._internal(node) for node in zeta]
     entries = []
-    args = {}
-    for idx, node in enumerate(zeta):
-        arity = tree.tree.arities[node]
-        if idx + 1 < len(zeta):
-            s = tree.tree.label(node, zeta[idx + 1])
-        else:
-            above = [m for m in poset.elements if poset.lt(node, m)]
-            s = tree.tree.label(node, above[0])
-        entries.append((arity, s))
+    for (p, i), node, nxt in zip(places, zeta, zeta[1:] + [None]):
+        at = tree.fset.sequences[p]
+        s = at.distinguished(i) if nxt is None else tree.tree.label(node, nxt)
+        entries.append((at.arity(i), s))
     seq = CompositionSequence(tuple(entries))
-    for idx, node in enumerate(zeta):
-        for u in seq.slots(idx):
-            args[(idx, u)] = subtree_extract(tree, node, u).evaluate()
+    leaf_args = tree.leaf_args
+    args = {
+        (idx, u): _value(tree.fset, leaf_args, *_cone(tree.fset.sequences[p], p, i, u))
+        for idx, (p, i) in enumerate(places)
+        for u in seq.slots(idx)
+    }
     return eval_f_eta(seq, args)
 
 

@@ -3,9 +3,12 @@ catalogs, and seeded random generators.
 
 The oracles here restate definitions directly (triple loops, permutation
 scans) and never call the library code paths they are used to check.  The
-one exception is ``pair_closure_indecomposable``, the library's former
-indecomposability test, kept to check its replacement; the two share only
-``interval._close``, which is checked against ``brute_intervals`` itself.
+exceptions are the library's former designs, kept to check their
+replacements: ``pair_closure_indecomposable``, the old indecomposability
+test, which shares only ``interval._close`` with the new one (and that is
+checked against ``brute_intervals`` itself); ``brute_h_eta``, the old index
+poset from name pairs; and ``extract_recompose``, the old recomposition,
+which evaluates one extracted tree per slot.
 """
 
 import functools
@@ -19,7 +22,8 @@ from poset_forge import (
     QuasiOrder,
     make_poset,
 )
-from poset_forge.composition import render_position
+from poset_forge.composition import CompositionSequence, eval_f_eta, render_position
+from poset_forge.dectree import subtree_extract
 from poset_forge.interval import _close
 from poset_forge.core import EmbeddingMap, one_colour_palette
 
@@ -191,6 +195,63 @@ def brute_tree_rows(fset):
                 rows[arity.index[s if j > i else u]] |= 1 << b
         label_rows.append(tuple(rows))
     return ids, above, label_rows
+
+
+def brute_h_eta(seq):
+    """Index poset of a composition sequence, plus slot ids -> (i, u), from
+    the comparison of every pair of slot ids: slots u, v at layers i, j
+    compare by the layer-i arity when i == j, by u below the layer-i
+    distinguished slot when i < j, and by v above the layer-j distinguished
+    slot when i > j."""
+    ids = []
+    slot_of = {}
+    for i in range(len(seq)):
+        for u in seq.slots(i):
+            sid = f"{i}.{u}"
+            ids.append(sid)
+            slot_of[sid] = (i, u)
+    pairs = []
+    for sid1 in ids:
+        i, u = slot_of[sid1]
+        for sid2 in ids:
+            j, v = slot_of[sid2]
+            if sid1 == sid2:
+                continue
+            if i == j:
+                if seq.arity(i).lt(u, v):
+                    pairs.append((sid1, sid2))
+            elif i < j:
+                if seq.arity(i).lt(u, seq.distinguished(i)):
+                    pairs.append((sid1, sid2))
+            elif seq.arity(j).lt(seq.distinguished(j), v):
+                pairs.append((sid1, sid2))
+    return make_poset(ids, pairs), slot_of
+
+
+def extract_recompose(tree, zeta):
+    """Recompose a decomposition tree's base along an up-closed chain of
+    internal nodes by evaluating one ``subtree_extract`` per slot.
+
+    The chain's arities and the labels toward the chain (toward the first
+    node above, for the top) make the sequence; the chain is not checked.
+    """
+    poset = tree.tree.poset
+    zeta = sorted(set(zeta), key=poset.index.__getitem__)
+    entries = []
+    for idx, node in enumerate(zeta):
+        if idx + 1 < len(zeta):
+            s = tree.tree.label(node, zeta[idx + 1])
+        else:
+            above = [m for m in poset.elements if poset.lt(node, m)]
+            s = tree.tree.label(node, above[0])
+        entries.append((tree.tree.arities[node], s))
+    seq = CompositionSequence(tuple(entries))
+    args = {
+        (idx, u): subtree_extract(tree, node, u).evaluate()
+        for idx, node in enumerate(zeta)
+        for u in seq.slots(idx)
+    }
+    return eval_f_eta(seq, args)
 
 
 def brute_tree_rank(poset):

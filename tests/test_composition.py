@@ -92,6 +92,37 @@ class TestHEta:
                     expected = n.lt("3", v)
                 assert H.lt(f"{i}.{u}", f"{j}.{v}") == expected
 
+    @staticmethod
+    def _assert_matches_brute(seq):
+        got, got_slots = composition.h_eta_with_slots(seq)
+        want, want_slots = helpers.brute_h_eta(seq)
+        assert got.elements == want.elements and got_slots == want_slots
+        assert got.above == want.above
+
+    def test_matches_brute_on_catalog6_decompositions(self, catalog6):
+        # every anchor of every poset up to 6 elements
+        for reps in catalog6.values():
+            for p in reps:
+                x = ColouredPoset.uniform(p)
+                for anchor in p.elements:
+                    self._assert_matches_brute(maximal_decomposition(x, anchor)[0])
+
+    def test_matches_brute_with_separator_slot_names(self):
+        # slot names holding ".", "/" and "\\" make slot ids like "1.a/b"
+        rng = random.Random(191)
+        alphabet = helpers.SEPARATOR_ID_ALPHABET
+        for _ in range(300):
+            entries = []
+            for _ in range(rng.randint(1, 4)):
+                ids = set()
+                for _ in range(rng.randint(1, 4)):
+                    ids.add("".join(rng.choices(alphabet, k=rng.randint(1, 3))))
+                ids = sorted(ids)
+                pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:] if rng.random() < 0.5]
+                arity = helpers.shuffled_poset(rng, make_poset(ids, pairs))
+                entries.append((arity, rng.choice(arity.elements)))
+            self._assert_matches_brute(CompositionSequence(tuple(entries)))
+
 
 class TestEvalFEta:
     def test_ch3_from_singletons(self):

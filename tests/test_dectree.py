@@ -31,7 +31,9 @@ from poset_forge.core import (
     one_colour_palette,
 )
 from poset_forge import _search, composition, dectree, interval
+from poset_forge.composition import CompositionSet
 from poset_forge.dectree import DecompositionTree, StructuredTree, _layout
+from poset_forge.textio import poset_text
 from poset_forge.errors import (
     BadLabel,
     Malformed,
@@ -39,6 +41,7 @@ from poset_forge.errors import (
     NotUpClosedChain,
     PaletteMismatch,
     TooLarge,
+    UnknownElement,
     VerificationFailure,
 )
 
@@ -246,8 +249,8 @@ class TestSubtreeExtract:
                     assert set(sub.leaf_element.values()) == ground
 
     def test_every_node_id_resolves(self, catalog5):
-        # key_of is laid out from the composition set on first access and
-        # kept; every id it holds resolves
+        # key_of reads the node keys kept from the tree's one layout; every
+        # id it holds resolves
         for reps in catalog5.values():
             for p in reps:
                 t = decomposition_tree(ColouredPoset.uniform(p))
@@ -300,6 +303,22 @@ class TestRecompose:
             t = decomposition_tree(x)
             for zeta in up_chains(t):
                 assert coloured_isomorphic(recompose_along_chain(t, zeta), x)
+
+    def test_matches_extract_recompose(self, catalog5):
+        # the cones read off the composition set give the same text as one
+        # evaluated extract per slot, on every up-closed chain
+        rng = random.Random(181)
+        xs = [ColouredPoset.uniform(p) for reps in catalog5.values() for p in reps]
+        for _ in range(30):
+            x = helpers.random_coloured(rng, rng.randint(2, 12), p=rng.choice((0.15, 0.35)), prefix="a.")
+            xs.append(ColouredPoset(helpers.shuffled_poset(rng, x.poset), x.colouring, x.palette))
+        for x in xs:
+            t = decomposition_tree(x)
+            for zeta in up_chains(t):
+                got = recompose_along_chain(t, zeta)
+                want = helpers.extract_recompose(t, zeta)
+                assert poset_text("r", got.poset, got.colouring) == poset_text("r", want.poset, want.colouring)
+                assert got.colouring == want.colouring and got.palette == want.palette
 
     def test_not_up_closed(self):
         t = decomposition_tree(uniform("chain", 3))
@@ -398,14 +417,14 @@ class TestConstructorRejectsMalformedLabels:
     NODES = ["r", "a", "b"]
     PAIRS = [("r", "a"), ("r", "b")]
 
-    def _build(self, labels, kinds=None, arities=None):
+    def _build(self, labels, kinds=None, arities=None, colours=None):
         poset = make_poset(self.NODES, self.PAIRS)
         point = make_poset(["x"], [])
         return StructuredTree(
             poset,
             kinds or {"r": "sum", "a": "leaf", "b": "leaf"},
             {"r": point} if arities is None else arities,
-            {"a": "0", "b": "0"},
+            colours or {"a": "0", "b": "0"},
             one_colour_palette(),
             labels,
         )
@@ -447,6 +466,23 @@ class TestConstructorRejectsMalformedLabels:
     def test_sum_node_without_arity(self):
         with pytest.raises(Malformed):
             self._build({("r", "a"): "x", ("r", "b"): "x"}, arities={})
+
+    def test_node_without_kind(self):
+        with pytest.raises(Malformed, match="no kind"):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, kinds={"r": "sum", "a": "leaf"})
+
+    def test_unknown_kind(self):
+        for kind in ("Leaf", "node", None):
+            with pytest.raises(Malformed):
+                self._build({("r", "a"): "x", ("r", "b"): "x"}, kinds={"r": "sum", "a": "leaf", "b": kind})
+
+    def test_leaf_without_colour(self):
+        with pytest.raises(UnknownElement, match="no colour"):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0"})
+
+    def test_colour_outside_the_palette(self):
+        with pytest.raises(UnknownElement, match="not in palette"):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0", "b": "1"})
 
 
 def _two_colour_shuffled(rng, n):
@@ -579,13 +615,13 @@ class TestNoRebuild:
         assert cases[True] and cases[False]
 
     def test_one_layout_per_tree(self, monkeypatch):
-        # recomposing lays out each extract once, and the parent once, on
-        # its first node lookup, however many extracts and chains it serves
+        # building a tree lays it out once, and its node lookups read the
+        # kept keys; each extract lays out once; recomposing builds no tree,
+        # no composition set and no layout
         rng = random.Random(163)
         xs = [_two_colour_shuffled(rng, rng.randint(8, 14)) for _ in range(4)]
         xs.append(uniform("chain", 4))
-        trees = [decomposition_tree(x) for x in xs]
-        layout, init = dectree._layout, DecompositionTree.__init__
+        layout, init, set_init = dectree._layout, DecompositionTree.__init__, CompositionSet.__init__
         calls = Counter()
 
         def counted_layout(fset):
@@ -596,14 +632,29 @@ class TestNoRebuild:
             calls["trees"] += 1
             init(self, *args)
 
+        def counted_set_init(self, *args):
+            calls["sets"] += 1
+            set_init(self, *args)
+
         monkeypatch.setattr(dectree, "_layout", counted_layout)
         monkeypatch.setattr(DecompositionTree, "__init__", counted_init)
-        for x, t in zip(xs, trees):
-            for k, zeta in enumerate(up_chains(t)):
+        monkeypatch.setattr(CompositionSet, "__init__", counted_set_init)
+        for x in xs:
+            calls.clear()
+            t = decomposition_tree(x)
+            assert t.key_of and t.sequence_at("0")
+            assert calls == {"trees": 1, "layouts": 1, "sets": 1}
+            for v in t.tree.internal_nodes():
+                seq, layer = t.sequence_at(v)
+                for u in seq.arity(layer).elements:
+                    calls.clear()
+                    sub = subtree_extract(t, v, u)
+                    assert len(sub.key_of) == len(sub.tree.nodes)
+                    assert calls == {"trees": 1, "layouts": 1, "sets": 1}
+            for zeta in up_chains(t):
                 calls.clear()
                 assert coloured_isomorphic(recompose_along_chain(t, zeta), x)
-                assert calls["trees"] >= 2
-                assert calls["layouts"] == calls["trees"] + (k == 0)
+                assert not calls
 
 
 class TestStEmbed:
