@@ -103,13 +103,15 @@ class StructuredTree:
     stored in a linear extension of the tree order.
 
     Every node has kind "sum", with an arity, or "leaf", with a colour of
-    the ground palette (Malformed or UnknownElement otherwise).  The
-    constructor takes the labels as a dict (v, x) -> slot of v's arity, one
-    for every pair v < x (BadLabel otherwise), and keeps them as rows:
-    ``label_rows[i]`` holds, for the sum node at index i, one mask per slot
-    of its arity (in the arity's element order) of the nodes above it that
-    carry that label; it is empty for leaves.  Decomposition trees bring
-    their rows (``_layout``, ``_from_rows``).
+    the ground palette, and kinds, arities and colours name nodes of that
+    kind only (Malformed or UnknownElement otherwise).  The constructor takes
+    the labels as a dict (v, x) -> slot of v's arity, one for every pair
+    v < x (BadLabel otherwise), and keeps them as rows: ``label_rows[i]``
+    holds, for the sum node at index i, one mask per slot of its arity (in
+    the arity's element order) of the nodes above it that carry that
+    label; it is empty for leaves.  Decomposition trees bring their rows
+    (``_layout``, ``_from_rows``).  What an embedding into the tree reads
+    of it is kept on first use (``_target_tables``).
     """
 
     __slots__ = (
@@ -119,6 +121,7 @@ class StructuredTree:
         "leaf_colours",
         "ground_palette",
         "label_rows",
+        "_target",
     )
 
     def __init__(self, poset, kinds, arities, leaf_colours, ground_palette, labels):
@@ -151,6 +154,19 @@ class StructuredTree:
             if (v, x) not in pairs or kinds[v] != "sum" or slot not in arities[v]:
                 raise BadLabel(f"cannot label ({v!r}, {x!r}) with {slot!r}")
             rows[poset.index[v]][arities[v].index[slot]] |= 1 << poset.index[x]
+        for v in kinds:
+            if v not in poset:
+                raise UnknownElement(f"kind for unknown node {v!r}")
+        for v in arities:
+            if v not in poset:
+                raise UnknownElement(f"arity for unknown node {v!r}")
+            if kinds[v] != "sum":
+                raise Malformed(f"leaf {v!r} has an arity")
+        for v in leaf_colours:
+            if v not in poset:
+                raise UnknownElement(f"colour for unknown node {v!r}")
+            if kinds[v] != "leaf":
+                raise Malformed(f"sum node {v!r} has a leaf colour")
         # the rows must split each up-set: verify_st_embedding relies on it
         for i, node_rows in enumerate(rows):
             if sum(node_rows) != poset.above[i]:
@@ -174,6 +190,41 @@ class StructuredTree:
         self.leaf_colours = dict(leaf_colours)
         self.ground_palette = ground_palette
         self.label_rows = tuple(map(tuple, label_rows))
+        self._target = None
+
+    def _target_tables(self):
+        """``(classes, fit, labels, down, up)``, what a structured-tree
+        embedding into this tree reads of it, built on first use and kept.
+
+        ``classes`` maps each node class (``_colour_key``) to one node of
+        the class and the mask of all of them; ``fit`` maps a source class
+        to the mask of nodes whose colour it may take, and is filled in as
+        sources ask (``_fits``).  ``labels[t]``, for a sum node t, is
+        ``(lab, rows, labelled)``: the label index of each node above t, the
+        rows of t's arity by relation code (``single``, one bit per label,
+        for EQUAL), and the nodes above t per label.  ``down`` and ``up``
+        are the reflexive down- and up-sets.
+        """
+        tables = self._target
+        if tables is None:
+            poset = self.poset
+            classes = {}
+            for j, b in enumerate(poset.elements):
+                key = _colour_key(self, b)
+                rep, mask = classes.get(key, (b, 0))
+                classes[key] = (rep, mask | 1 << j)
+            labels = {}
+            for t, labelled in enumerate(self.label_rows):
+                if not labelled:
+                    continue
+                arity = self.arities[poset.elements[t]]
+                lab = {u: lb for lb, row in enumerate(labelled) for u in _bits(row)}
+                single = tuple(1 << lb for lb in range(len(arity)))
+                labels[t] = (lab, (arity.beside, arity.above, arity.below, single), labelled)
+            down = tuple(row | 1 << t for t, row in enumerate(poset.below))
+            up = tuple(row | 1 << t for t, row in enumerate(poset.above))
+            tables = self._target = (classes, {}, labels, down, up)
+        return tables
 
     @property
     def nodes(self):
@@ -421,16 +472,34 @@ def _colour_key(tree, node):
     return ("sum", tree.arities[node].above)
 
 
-def _colour_leq(s_tree, t_tree, a, b, memo):
+def _colour_leq(s_tree, t_tree, a, b):
     (ka, ca), (kb, cb) = _colour_key(s_tree, a), _colour_key(t_tree, b)
     if ka != kb:
         return False
     if ka == "leaf":
         return s_tree.ground_palette.leq(ca, cb)
-    key = (ca, cb)
-    if key not in memo:
-        memo[key] = embed(s_tree.arities[a], t_tree.arities[b]) is not None
-    return memo[key]
+    return embed(s_tree.arities[a], t_tree.arities[b]) is not None
+
+
+def _fits(S, T):
+    """Per node of S, the mask of T's nodes whose colours it may take.
+
+    A colour comparison reads only the two nodes' classes (``_colour_key``)
+    and the shared palette, so T keeps one mask per source class it has
+    met, made by one comparison with one node of each of its own classes;
+    T's class masks are disjoint, so the passing ones add up.
+    """
+    classes, fit = T._target_tables()[:2]
+    out = []
+    for a in S.poset.elements:
+        key = _colour_key(S, a)
+        mask = fit.get(key)
+        if mask is None:
+            mask = fit[key] = sum(
+                nodes for b, nodes in classes.values() if _colour_leq(S, T, a, b)
+            )
+        out.append(mask)
+    return out
 
 
 def st_embed(source, target):
@@ -440,88 +509,80 @@ def st_embed(source, target):
     every node's labels, and increases colours (arity colours compare by
     arity embeddability, leaf colours by the ground palette, and the two
     kinds never compare).  Each condition becomes a target mask for the
-    shared driver ``_search.backtrack``: colours give the allowed masks,
-    order gives the relation-code rows, and meets and labels, which involve
-    two earlier nodes, narrow the candidates.  A colour comparison reads
-    only the nodes' classes (``_colour_key``), so it is made once per pair
-    of a source class and a target class, and each passing target class
-    adds its whole node mask.  Nodes are placed in storage
-    order, which StructuredTree keeps a linear extension, so ancestors and
-    meets are placed first.  The witness is the lexicographically first
-    embedding.
+    shared driver ``_search.backtrack``: colours give the allowed masks
+    (``_fits``), order gives the relation-code rows, and meets and labels,
+    which involve two earlier nodes, narrow the candidates.  Nodes are
+    placed in storage order, which StructuredTree keeps a linear extension,
+    so ancestors and meets are placed first.  The witness is the
+    lexicographically first embedding.
+
+    What depends on the target alone (its colour fits, label indices and
+    reflexive rows) is kept on it (``StructuredTree._target_tables``); the
+    source's meet and label entries are made per call, and only those that
+    can bind:
+
+    - Meets: node i needs, for each earlier p incomparable to it, with
+      m = p ∧ i, that f(i) avoid the child cone of f(m) holding f(p).  Let
+      c be the child of m towards p.  Then c is earlier than i (an
+      ancestor of p, or p), incomparable to i, and c ∧ i = m; and f(c) lies
+      between f(m) and f(p), so f(p) lies in the child cone of f(m) that
+      holds f(c).  Every p in one child cone of m gives the entry of c, so
+      one entry per (m, child of m), taken at the child itself: the earlier
+      nodes c incomparable to i whose parent is below i.
+    - Labels: under a sum node p below i, node i needs, for each earlier q
+      above p, that the label of f(i) under f(p) stand to that of f(q) as
+      i's label stands to q's.  Two earlier q < q' with one label: when q'
+      was placed it got the EQUAL entry against q, so f(q) and f(q') carry
+      one label under f(p), and q' asks of i what q does.  So one entry per
+      label value, at the first node above p with that label.
     """
     S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")
     spos, tpos = S.poset, T.poset
-    ns, nt = len(spos), len(tpos)
-    if ns > nt:
+    ns = len(spos)
+    if ns > len(tpos):
         return None
-    # colours are decided once per (source class, target class) pair, on
-    # one representative node of each; T's class masks are disjoint
-    classes = {}
-    for j, b in enumerate(tpos.elements):
-        key = _colour_key(T, b)
-        rep, mask = classes.get(key, (b, 0))
-        classes[key] = (rep, mask | 1 << j)
-    memo = {}
-    fit = {}
-    allowed = []
-    for a in spos.elements:
-        key = _colour_key(S, a)
-        if key not in fit:
-            fit[key] = sum(
-                mask for b, mask in classes.values() if _colour_leq(S, T, a, b, memo)
-            )
-        allowed.append(fit[key])
-    # meets: each earlier p incomparable to i, with m the meet of p and i
-    # (in a decomposition tree distinct children's cones carry distinct
-    # labels, so there the labels imply the meets; other structured trees
-    # need this step)
+    allowed = _fits(S, T)
+    _, _, ttables, tdown, tup = T._target_tables()
+    tabove = tpos.above
+    # meets: (c, m) per earlier c incomparable to i whose parent m is below
+    # i; a parent is the last node of a down-set in storage order (in a
+    # decomposition tree distinct children's cones carry distinct labels,
+    # so there the labels imply the meets; other structured trees need them)
+    below, beside = spos.below, spos.beside
+    parent = [row.bit_length() - 1 for row in below]
     meets = [
-        [(p, S.meet_index(p, i)) for p in range(i) if spos.beside[i] >> p & 1]
+        [(c, parent[c]) for c in _bits(beside[i] & (1 << i) - 1) if below[i] >> parent[c] & 1]
         for i in range(ns)
     ]
-    # labels: per sum node p below i, each earlier q above p with the code
-    # of q's label towards i's label in p's arity
+    # labels: per sum node p below i, (q, code) for the first node q above
+    # p with each label value, placed before i, where code is that of q's
+    # label towards i's label in p's arity
     labels = [[] for _ in range(ns)]
     for p, rows in enumerate(S.label_rows):
         if not rows:
             continue
         arity = S.arities[spos.elements[p]]
         a_up, a_dn = arity.above, arity.below
-        up = sorted((q, lb) for lb, row in enumerate(rows) for q in _bits(row))
-        for k in range(1, len(up)):
-            i, li = up[k]
-            # the code of lq towards li in p's arity, read off its rows
+        firsts = [((row & -row).bit_length() - 1, lq) for lq, row in enumerate(rows) if row]
+        for li, row in enumerate(rows):
             bit = 1 << li
-            codes = [
-                (q, EQUAL if lq == li else LESS if a_up[lq] & bit
-                 else GREATER if a_dn[lq] & bit else INCOMPARABLE)
-                for q, lq in up[:k]
-            ]
-            labels[i].append((p, codes))
-    # per target sum node t: the label index of each node above t, the
-    # code rows of t's arity, and labelled[lb], the nodes above t labelled lb
-    ttables = {}
-    for t, labelled in enumerate(T.label_rows):
-        if not labelled:
-            continue
-        arity = T.arities[tpos.elements[t]]
-        lab = {u: lb for lb, row in enumerate(labelled) for u in _bits(row)}
-        single = tuple(1 << lb for lb in range(len(arity)))
-        rows = (arity.beside, arity.above, arity.below, single)
-        ttables[t] = (lab, rows, labelled)
-    tabove = tpos.above
-    tdown = tuple(row | 1 << t for t, row in enumerate(tpos.below))
-    tup = tuple(row | 1 << t for t, row in enumerate(tabove))
+            for i in _bits(row):
+                codes = [
+                    (q, EQUAL if lq == li else LESS if a_up[lq] & bit
+                     else GREATER if a_dn[lq] & bit else INCOMPARABLE)
+                    for q, lq in firsts
+                    if q < i
+                ]
+                if codes:
+                    labels[i].append((p, codes))
 
     def narrow(i, assign, c):
-        for p, m in meets[i]:
-            # the images of p and i must meet at the image of m: i avoids
-            # the cone of the child of assign[m] towards assign[p], which is
+        for q, m in meets[i]:
+            # i avoids the cone of the child of assign[m] towards assign[q],
             # the lowest bit of the path, as T is stored in a linear extension
-            child = tdown[assign[p]] & tabove[assign[m]]
+            child = tdown[assign[q]] & tabove[assign[m]]
             c &= ~tup[(child & -child).bit_length() - 1]
         for p, earlier in labels[i]:
             lab, rows, labelled = ttables[assign[p]]
@@ -545,30 +606,31 @@ def st_embed(source, target):
 
 def verify_st_embedding(source, target, emap):
     """Full check of every structured-tree embedding condition, by node index:
-    order (``check_embedding`` on the tree posets), colours, meets, and under
-    each sum node a map of its labels that keeps its arity's relation codes."""
+    order (``check_embedding`` on the tree posets), colours (``_fits``),
+    meets, and under each sum node a map of its labels that keeps its
+    arity's relation codes, with the image's label indices read off the
+    target's kept tables."""
     S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         return False
     if not check_embedding(S.poset, T.poset, emap):
         return False
     m = emap.as_dict()
-    memo = {}
-    # one colour comparison per (source class, image class) pair
-    classes = {(_colour_key(S, a), _colour_key(T, b)): (a, b) for a, b in m.items()}
-    if not all(_colour_leq(S, T, a, b, memo) for a, b in classes.values()):
-        return False
     f = [T.poset.index[m[a]] for a in S.poset.elements]
+    if not all(fit >> j & 1 for fit, j in zip(_fits(S, T), f)):
+        return False
     for i in range(len(f)):
         for j in range(i):
             if f[S.meet_index(i, j)] != T.meet_index(f[i], f[j]):
                 return False
+    ttables = T._target_tables()[2]
     for p, rows in enumerate(S.label_rows):
         if not rows:
             continue
-        # T's rows split the up-set of f[p], so each image above it has a
-        # label index; the pairs (label under p, label under f[p]) form a map
-        tlab = {u: lb for lb, trow in enumerate(T.label_rows[f[p]]) for u in _bits(trow)}
+        # colours passed, so f[p] is a sum node whose arity takes p's; T's
+        # rows split the up-set of f[p], so each image above it has a label
+        # index; the pairs (label under p, label under f[p]) form a map
+        tlab = ttables[f[p]][0]
         used = {(la, tlab[f[q]]) for la, row in enumerate(rows) for q in _bits(row)}
         th = dict(used)
         if len(th) != len(used):

@@ -25,6 +25,7 @@ from poset_forge import (
 )
 from poset_forge.core import (
     EmbeddingMap,
+    _bits,
     check_coloured_embedding,
     coloured_isomorphic,
     is_isomorphic,
@@ -353,10 +354,10 @@ _SMALL_ARITIES = (
 )
 
 
-def _random_labelled_tree(rng):
+def _random_labelled_tree(rng, sizes=(1, 6)):
     """Nodes (parents first), tree pairs, arities and labels of a random
-    labelled tree on 1 to 6 nodes."""
-    n = rng.randint(1, 6)
+    labelled tree on 1 to 6 nodes, or on as many as ``sizes`` bounds."""
+    n = rng.randint(*sizes)
     parent = {k: rng.randrange(k) for k in range(1, n)}
     nodes = [f"n{k}" for k in range(n)]
     pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
@@ -483,6 +484,35 @@ class TestConstructorRejectsMalformedLabels:
     def test_colour_outside_the_palette(self):
         with pytest.raises(UnknownElement, match="not in palette"):
             self._build({("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0", "b": "1"})
+
+    def test_kind_for_an_unknown_node(self):
+        with pytest.raises(UnknownElement, match="kind for unknown node 'zz'"):
+            self._build(
+                {("r", "a"): "x", ("r", "b"): "x"},
+                kinds={"r": "sum", "a": "leaf", "b": "leaf", "zz": "sum"},
+            )
+
+    def test_arity_on_a_leaf(self):
+        point = make_poset(["x"], [])
+        with pytest.raises(Malformed, match="leaf 'a' has an arity"):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, arities={"r": point, "a": point})
+
+    def test_arity_for_an_unknown_node(self):
+        point = make_poset(["x"], [])
+        with pytest.raises(UnknownElement, match="arity for unknown node 'zz'"):
+            self._build({("r", "a"): "x", ("r", "b"): "x"}, arities={"r": point, "zz": point})
+
+    def test_colour_for_an_unknown_node(self):
+        with pytest.raises(UnknownElement, match="colour for unknown node 'q'"):
+            self._build(
+                {("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0", "b": "0", "q": "9"}
+            )
+
+    def test_colour_on_a_sum_node(self):
+        with pytest.raises(Malformed, match="sum node 'r' has a leaf colour"):
+            self._build(
+                {("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0", "b": "0", "r": "0"}
+            )
 
 
 def _two_colour_shuffled(rng, n):
@@ -828,9 +858,8 @@ def _pair_masks(s, t):
     S, T = s.tree, t.tree
     if len(S.nodes) > len(T.nodes):
         return None
-    memo = {}
     return [
-        sum(1 << j for j, b in enumerate(T.nodes) if dectree._colour_leq(S, T, a, b, memo))
+        sum(1 << j for j, b in enumerate(T.nodes) if dectree._colour_leq(S, T, a, b))
         for a in S.nodes
     ]
 
@@ -874,9 +903,9 @@ class TestColourClasses:
         leq = dectree._colour_leq
         calls = Counter()
 
-        def counted(S, T, a, b, memo):
+        def counted(S, T, a, b):
             calls[dectree._colour_key(S, a), dectree._colour_key(T, b)] += 1
-            return leq(S, T, a, b, memo)
+            return leq(S, T, a, b)
 
         monkeypatch.setattr(dectree, "_colour_leq", counted)
         for k in range(40):
@@ -886,6 +915,124 @@ class TestColourClasses:
             calls.clear()
             st_embed(decomposition_tree(x), decomposition_tree(y))
             assert set(calls.values()) == {1}
+
+
+def _entries(tree):
+    """(label entries, meet entries) of a source tree: all of them, as
+    pairs of a later node and an earlier node it is checked against, and
+    the ones st_embed keeps."""
+    S = getattr(tree, "tree", tree)
+    below, beside = S.poset.below, S.poset.beside
+    labels = kept_labels = meets = kept_meets = 0
+    for rows in S.label_rows:
+        up = sorted((q, lb) for lb, row in enumerate(rows) for q in _bits(row))
+        for k in range(len(up)):
+            labels += k
+            kept_labels += len({lb for _, lb in up[:k]})
+    for i in range(len(S.nodes)):
+        for p in _bits(beside[i] & (1 << i) - 1):
+            # kept: p is a child of the meet, its parent being below i
+            meets += 1
+            kept_meets += below[i] >> below[p].bit_length() - 1 & 1
+    return labels, kept_labels, meets, kept_meets
+
+
+class TestEntryDedup:
+    def test_matches_injection_scan_on_shared_labels_and_cones(self):
+        # raw trees of 5 and 6 nodes, kept only when earlier nodes share a
+        # label under some sum node and a child cone under some meet, so
+        # both rules drop entries; sources have 5 nodes, targets 5 or 6
+        rng = random.Random(167)
+        sources, targets = [], []
+        while len(sources) < 14 or len(targets) < 14:
+            nodes, pairs, arity, labels = _random_labelled_tree(rng, (5, 6))
+            tree = _raw_tree(nodes, pairs, arity, labels)
+            all_labels, kept_labels, all_meets, kept_meets = _entries(tree)
+            if kept_labels == all_labels or kept_meets == all_meets:
+                continue
+            pool = sources if len(nodes) == 5 and len(sources) < 14 else targets
+            if len(pool) < 14:
+                pool.append(tree)
+        found = 0
+        for s in sources:
+            for t in targets:
+                phi = st_embed(s, t)
+                assert phi == helpers.brute_st_embed(s, t)
+                found += phi is not None
+        assert 0 < found < len(sources) * len(targets)
+
+
+class TestTargetTables:
+    """A target tree keeps what st_embed reads of it; every later source
+    must get the witness it gets against a fresh copy of the target."""
+
+    @staticmethod
+    def _fresh(tree):
+        T = getattr(tree, "tree", tree)
+        return StructuredTree._from_rows(
+            T.poset, T.kinds, T.arities, T.leaf_colours, T.ground_palette, T.label_rows
+        )
+
+    def _assert_kept_tables_hold(self, target, sources, other):
+        T = getattr(target, "tree", target)
+        # used as a source first: a source keeps nothing
+        st_embed(target, other)
+        assert T._target is None
+        tables = None
+        found = 0
+        for s in sources:
+            phi = st_embed(s, target)
+            tables = tables or T._target
+            assert phi == st_embed(s, self._fresh(target))
+            if phi is not None:
+                found += 1
+                assert verify_st_embedding(s, target, phi)
+        assert T._target is tables is not None
+        return found
+
+    def test_reused_targets(self, catalog5, monkeypatch):
+        leq = dectree._colour_leq
+        calls = Counter()
+
+        def counted(S, T, a, b):
+            calls[T, dectree._colour_key(S, a), dectree._colour_key(T, b)] += 1
+            return leq(S, T, a, b)
+
+        monkeypatch.setattr(dectree, "_colour_leq", counted)
+        found = 0
+        # decomposition trees of catalog5, each 5-element class against
+        # every tree of up to 3 elements
+        small = [
+            decomposition_tree(ColouredPoset.uniform(p)) for k in (1, 2, 3) for p in catalog5[k]
+        ]
+        for p in catalog5[5][::6]:
+            found += self._assert_kept_tables_hold(
+                decomposition_tree(ColouredPoset.uniform(p)), small, small[-1]
+            )
+        # random coloured pairs over every test palette: sources include
+        # restrictions of the target's base, so that some embed
+        rng = random.Random(173)
+        for palette in helpers.PALETTES:
+            for _ in range(3):
+                y = helpers.random_coloured(rng, 7, palette)
+                xs = [y.restrict(rng.sample(y.elements, rng.randint(2, 5))) for _ in range(6)]
+                xs += [
+                    helpers.random_coloured(rng, rng.randint(2, 5), palette, prefix="s")
+                    for _ in range(6)
+                ]
+                found += self._assert_kept_tables_hold(
+                    decomposition_tree(y),
+                    [decomposition_tree(x) for x in xs],
+                    decomposition_tree(helpers.random_coloured(rng, 8, palette)),
+                )
+        # raw structured trees
+        raw = [tree for _, tree in _random_raw_trees(random.Random(179), 30)]
+        for target in raw[:8]:
+            found += self._assert_kept_tables_hold(target, raw, raw[-1])
+        assert found > 50
+        # at most one colour comparison per (source class, target class)
+        # over each target's lifetime
+        assert set(calls.values()) == {1}
 
 
 def _assert_verify_matches_oracle(s, t):
