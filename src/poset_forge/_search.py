@@ -13,7 +13,8 @@ they are incomparable, read off x's rows.  ``search_injection`` (poset and
 coloured embedding) is just that.  ``dectree.st_embed`` also passes
 ``narrow(i, assign, c)``, which returns the part of the candidate mask
 ``c`` that its meet and label conditions allow, since each involves two
-earlier sources.
+earlier sources.  ``narrow`` reads only the images of sources before i, so
+``dectree.verify_st_embedding`` calls it on a complete map too.
 """
 
 

@@ -167,7 +167,7 @@ class StructuredTree:
                 raise UnknownElement(f"colour for unknown node {v!r}")
             if kinds[v] != "leaf":
                 raise Malformed(f"sum node {v!r} has a leaf colour")
-        # the rows must split each up-set: verify_st_embedding relies on it
+        # the rows must split each up-set: the label entries rely on it
         for i, node_rows in enumerate(rows):
             if sum(node_rows) != poset.above[i]:
                 raise BadLabel(f"a node above {poset.elements[i]!r} has no label")
@@ -502,19 +502,11 @@ def _fits(S, T):
     return out
 
 
-def st_embed(source, target):
-    """First structured-tree embedding, or None.
-
-    Preserves order exactly, preserves meets, induces an arity embedding on
-    every node's labels, and increases colours (arity colours compare by
-    arity embeddability, leaf colours by the ground palette, and the two
-    kinds never compare).  Each condition becomes a target mask for the
-    shared driver ``_search.backtrack``: colours give the allowed masks
-    (``_fits``), order gives the relation-code rows, and meets and labels,
-    which involve two earlier nodes, narrow the candidates.  Nodes are
-    placed in storage order, which StructuredTree keeps a linear extension,
-    so ancestors and meets are placed first.  The witness is the
-    lexicographically first embedding.
+def _conditions(S, T):
+    """``(allowed, narrow)`` for embedding S into T with ``_search.backtrack``:
+    the colour masks (``_fits``), and ``narrow(i, f, c)``, the part of node
+    i's candidate mask c that its meet and label entries allow, given the
+    images f of the earlier nodes.
 
     What depends on the target alone (its colour fits, label indices and
     reflexive rows) is kept on it (``StructuredTree._target_tables``); the
@@ -535,17 +527,15 @@ def st_embed(source, target):
       was placed it got the EQUAL entry against q, so f(q) and f(q') carry
       one label under f(p), and q' asks of i what q does.  So one entry per
       label value, at the first node above p with that label.
+
+    Both proofs assume only that f keeps the order and that each earlier
+    node passed its own entries, so they hold for any complete map that
+    keeps the order, not just for the search's prefixes
+    (``verify_st_embedding``).
     """
-    S, T = _unwrap(source), _unwrap(target)
-    if S.ground_palette != T.ground_palette:
-        raise PaletteMismatch("structured trees must share the ground palette")
-    spos, tpos = S.poset, T.poset
-    ns = len(spos)
-    if ns > len(tpos):
-        return None
     allowed = _fits(S, T)
     _, _, ttables, tdown, tup = T._target_tables()
-    tabove = tpos.above
+    spos, tabove = S.poset, T.poset.above
     # meets: (c, m) per earlier c incomparable to i whose parent m is below
     # i; a parent is the last node of a down-set in storage order (in a
     # decomposition tree distinct children's cones carry distinct labels,
@@ -554,12 +544,12 @@ def st_embed(source, target):
     parent = [row.bit_length() - 1 for row in below]
     meets = [
         [(c, parent[c]) for c in _bits(beside[i] & (1 << i) - 1) if below[i] >> parent[c] & 1]
-        for i in range(ns)
+        for i in range(len(spos))
     ]
     # labels: per sum node p below i, (q, code) for the first node q above
     # p with each label value, placed before i, where code is that of q's
     # label towards i's label in p's arity
-    labels = [[] for _ in range(ns)]
+    labels = [[] for _ in range(len(spos))]
     for p, rows in enumerate(S.label_rows):
         if not rows:
             continue
@@ -597,6 +587,30 @@ def st_embed(source, target):
             c &= mask
         return c
 
+    return allowed, narrow
+
+
+def st_embed(source, target):
+    """First structured-tree embedding, or None.
+
+    Preserves order exactly, preserves meets, induces an arity embedding on
+    every node's labels, and increases colours (arity colours compare by
+    arity embeddability, leaf colours by the ground palette, and the two
+    kinds never compare).  Each condition becomes a target mask for the
+    shared driver ``_search.backtrack``: order gives the relation-code
+    rows, and ``_conditions`` the allowed masks (colours) and ``narrow``
+    (meets and labels, which involve two earlier nodes).
+    Nodes are placed in storage order, which StructuredTree keeps a linear
+    extension, so ancestors and meets are placed first.  The witness is
+    the lexicographically first embedding.
+    """
+    S, T = _unwrap(source), _unwrap(target)
+    if S.ground_palette != T.ground_palette:
+        raise PaletteMismatch("structured trees must share the ground palette")
+    spos, tpos = S.poset, T.poset
+    if len(spos) > len(tpos):
+        return None
+    allowed, narrow = _conditions(S, T)
     assign = _search.backtrack(allowed, _search.code_rows(spos, tpos), narrow)
     if assign is None:
         return None
@@ -605,11 +619,10 @@ def st_embed(source, target):
 
 
 def verify_st_embedding(source, target, emap):
-    """Full check of every structured-tree embedding condition, by node index:
-    order (``check_embedding`` on the tree posets), colours (``_fits``),
-    meets, and under each sum node a map of its labels that keeps its
-    arity's relation codes, with the image's label indices read off the
-    target's kept tables."""
+    """Full check of every structured-tree embedding condition, by node
+    index: the order first (``check_embedding`` on the tree posets), then
+    each node's colour mask and its meet and label entries
+    (``_conditions``), which read the images of earlier nodes."""
     S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         return False
@@ -617,40 +630,22 @@ def verify_st_embedding(source, target, emap):
         return False
     m = emap.as_dict()
     f = [T.poset.index[m[a]] for a in S.poset.elements]
-    if not all(fit >> j & 1 for fit, j in zip(_fits(S, T), f)):
-        return False
-    for i in range(len(f)):
-        for j in range(i):
-            if f[S.meet_index(i, j)] != T.meet_index(f[i], f[j]):
-                return False
-    ttables = T._target_tables()[2]
-    for p, rows in enumerate(S.label_rows):
-        if not rows:
-            continue
-        # colours passed, so f[p] is a sum node whose arity takes p's; T's
-        # rows split the up-set of f[p], so each image above it has a label
-        # index; the pairs (label under p, label under f[p]) form a map
-        tlab = ttables[f[p]][0]
-        used = {(la, tlab[f[q]]) for la, row in enumerate(rows) for q in _bits(row)}
-        th = dict(used)
-        if len(th) != len(used):
-            return False
-        xs = S.arities[S.poset.elements[p]]
-        xt = T.arities[T.poset.elements[f[p]]]
-        pairs = th.items()
-        if any(xs.code(a, b) != xt.code(c, d) for a, c in pairs for b, d in pairs):
-            return False
-    return True
+    allowed, narrow = _conditions(S, T)
+    return all(allowed[i] >> j & 1 and narrow(i, f, 1 << j) for i, j in enumerate(f))
 
 
 def lift_embedding(source_tree, target_tree, emap):
-    """Turn a verified tree embedding into a coloured-poset embedding.
+    """Turn a tree embedding between decomposition trees (Malformed for
+    other trees) into a coloured-poset embedding.
 
-    Leaves map to leaves (leaf colours never compare with arity colours),
-    so sending each ground element to the ground element at its leaf's
-    image is well defined; the result is re-verified before being returned
-    and a failure signals a library bug.
+    The input map is verified first (VerificationFailure if it is not a
+    structured-tree embedding).  Leaves map to leaves (leaf colours never
+    compare with arity colours), so sending each ground element to the
+    ground element at its leaf's image is well defined; the result is
+    re-verified before being returned and a failure signals a library bug.
     """
+    if not all(isinstance(t, DecompositionTree) for t in (source_tree, target_tree)):
+        raise Malformed("lift_embedding needs decomposition trees")
     if not verify_st_embedding(source_tree, target_tree, emap):
         raise VerificationFailure("input map is not a structured-tree embedding")
     m = emap.as_dict()

@@ -94,7 +94,9 @@ class NotUpClosedChain(PosetForgeError):
 
 
 class VerificationFailure(PosetForgeError):
-    """An output failed its own post-verification; indicates a library bug."""
+    """A map failed verification: an input map given to be lifted that is
+    not an embedding, or an output that failed its own post-verification,
+    which indicates a library bug."""
 
 
 # -- text formats -------------------------------------------------------

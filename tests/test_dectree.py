@@ -937,22 +937,28 @@ def _entries(tree):
     return labels, kept_labels, meets, kept_meets
 
 
+def _shared_entry_trees():
+    """14 sources and 14 targets: raw trees of 5 and 6 nodes, kept only when
+    earlier nodes share a label under some sum node and a child cone under
+    some meet, so both rules drop entries; sources have 5 nodes, targets 5
+    or 6."""
+    rng = random.Random(167)
+    sources, targets = [], []
+    while len(sources) < 14 or len(targets) < 14:
+        nodes, pairs, arity, labels = _random_labelled_tree(rng, (5, 6))
+        tree = _raw_tree(nodes, pairs, arity, labels)
+        all_labels, kept_labels, all_meets, kept_meets = _entries(tree)
+        if kept_labels == all_labels or kept_meets == all_meets:
+            continue
+        pool = sources if len(nodes) == 5 and len(sources) < 14 else targets
+        if len(pool) < 14:
+            pool.append(tree)
+    return sources, targets
+
+
 class TestEntryDedup:
     def test_matches_injection_scan_on_shared_labels_and_cones(self):
-        # raw trees of 5 and 6 nodes, kept only when earlier nodes share a
-        # label under some sum node and a child cone under some meet, so
-        # both rules drop entries; sources have 5 nodes, targets 5 or 6
-        rng = random.Random(167)
-        sources, targets = [], []
-        while len(sources) < 14 or len(targets) < 14:
-            nodes, pairs, arity, labels = _random_labelled_tree(rng, (5, 6))
-            tree = _raw_tree(nodes, pairs, arity, labels)
-            all_labels, kept_labels, all_meets, kept_meets = _entries(tree)
-            if kept_labels == all_labels or kept_meets == all_meets:
-                continue
-            pool = sources if len(nodes) == 5 and len(sources) < 14 else targets
-            if len(pool) < 14:
-                pool.append(tree)
+        sources, targets = _shared_entry_trees()
         found = 0
         for s in sources:
             for t in targets:
@@ -1071,6 +1077,18 @@ class TestVerifyAgainstOracle:
                 verdicts.update(_assert_verify_matches_oracle(s, t))
         assert verdicts[True] > 10 and verdicts[False] > 1000
 
+    def test_complete_maps_on_shared_labels_and_cones(self):
+        # the kept entries decide complete maps too, not just search prefixes:
+        # every map of 5-node sources into 6-node targets, on a part of the
+        # pool where some maps embed and labels alone reject a few maps that
+        # keep the order, colours and meets
+        sources, targets = _shared_entry_trees()
+        verdicts = Counter()
+        for s in sources[5:9]:
+            for t in targets[5:9]:
+                verdicts.update(_assert_verify_matches_oracle(s, t))
+        assert verdicts[True] > 0 and verdicts[False] > 10000
+
     def _only(self, s, t, mapping):
         # the map embeds the tree orders and keeps colours; the named
         # condition alone must reject it
@@ -1112,8 +1130,9 @@ class TestVerifyAgainstOracle:
 
 class TestNoNameLookups:
     def test_verify_and_lift_read_rows(self, catalog5, monkeypatch):
-        # with the name-based relation, meet and label disabled, verify and
-        # lift still agree with the oracles (computed beforehand)
+        # with the name-based relation, meet and label and the meet by index
+        # disabled, verify and lift still agree with the oracles (computed
+        # beforehand)
         trees = {
             k: [decomposition_tree(ColouredPoset.uniform(p)) for p in ps]
             for k, ps in catalog5.items()
@@ -1139,6 +1158,7 @@ class TestNoNameLookups:
 
         monkeypatch.setattr(Poset, "relation", boom)
         monkeypatch.setattr(StructuredTree, "meet", boom)
+        monkeypatch.setattr(StructuredTree, "meet_index", boom)
         monkeypatch.setattr(StructuredTree, "label", boom)
         verdicts = Counter()
         for s, t, emap, want in cases:
@@ -1189,6 +1209,15 @@ class TestLift:
         )
         with pytest.raises(VerificationFailure):
             lift_embedding(tx, ty, bogus)
+
+    def test_raw_trees_rejected(self):
+        # a raw structured tree has no ground elements to lift to
+        tx, ty = decomposition_tree(uniform("chain", 2)), decomposition_tree(uniform("chain", 3))
+        phi = st_embed(tx.tree, ty.tree)
+        assert verify_st_embedding(tx.tree, ty.tree, phi)
+        for s, t in ((tx.tree, ty.tree), (tx, ty.tree), (tx.tree, ty)):
+            with pytest.raises(Malformed, match="decomposition trees"):
+                lift_embedding(s, t, phi)
 
     def test_non_injective_map_unrepresentable(self):
         with pytest.raises(ValueError):
