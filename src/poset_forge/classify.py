@@ -8,16 +8,17 @@ in which every proper subset of M comes before M.  A decomposable M with
 two or more points has a minimal proper interval I of two or more points,
 and I is indecomposable: a proper interval of I would be an interval of M
 inside it.  So each indecomposable I, once found, marks every proper
-superset of I that contains no point splitting I (I is an interval of each
-of them), and a set of two or more points that reaches its turn unmarked
-is indecomposable.  A single poset is tested on its own by
-``interval.is_indecomposable``, with n - 1 closures.  Reports carry
-witnesses, because everything downstream of these predicates wants them.
+superset of I that contains no point splitting I (``interval._split``; I
+is an interval of each of them), and a set of two or more points that
+reaches its turn unmarked is indecomposable.  A single poset is tested on
+its own by ``interval.is_indecomposable``, with n - 1 closures.  Reports
+carry witnesses, because everything downstream of these predicates wants
+them.
 """
 
 from . import config
 from .core import Poset, _bits, _Frozen, _Record, canonical, embed, is_isomorphic
-from .interval import _canonical_sets
+from .interval import _canonical_sets, _split
 
 
 # masks are read from the marks one block of this many subsets at a time
@@ -29,15 +30,13 @@ def _indecomposable_masks(carrier, max_size):
     increasing order.
 
     Bit S of ``dec`` is set once some indecomposable proper subset of S is
-    an interval of S.  A point splits M when some c in M relates to it
-    differently from the lowest point a of M (as in ``interval._close``);
-    the supersets of M that avoid every such point are M plus any set of
-    the remaining free points, built by doubling the family once per free
+    an interval of S.  The supersets of M in which M is an interval are M
+    plus any set of the free points, those outside M that do not split it
+    (``interval._split``), built by doubling the family once per free
     point.  The family holds M itself too, whose bit has been read.  The
     marks are read a block at a time, and each new family is cleared from
     the block being read as well.
     """
-    up, dn = carrier.above, carrier.below
     size = 1 << len(carrier)
     block = min(_BLOCK, size)
     dec = 0
@@ -51,16 +50,7 @@ def _indecomposable_masks(carrier, max_size):
             if not 2 <= m.bit_count() <= max_size:
                 continue
             out.append(m)
-            first = m & -m
-            a = first.bit_length() - 1
-            up_a, dn_a = up[a], dn[a]
-            free = (size - 1) & ~m
-            rest = m ^ first
-            while rest:
-                c = rest & -rest
-                rest ^= c
-                c = c.bit_length() - 1
-                free &= ~((up_a ^ up[c]) | (dn_a ^ dn[c]))
+            free = (size - 1) & ~m & ~_split(carrier, (m & -m).bit_length() - 1, m)
             family = 1 << m
             while free:
                 f = free & -free
@@ -99,7 +89,7 @@ class ClassSpec(_Frozen):
             raise ValueError("max_size must be >= 1")
         if prefix_depth < 1:
             raise ValueError("prefix_depth must be >= 1")
-        object.__setattr__(self, "allowed", allowed)
+        object.__setattr__(self, "allowed", None if allowed is None else tuple(allowed))
         object.__setattr__(self, "max_size", max_size)
         object.__setattr__(self, "prefix_depth", prefix_depth)
 

@@ -180,7 +180,7 @@ def _cmd_classify(args, out):
             for rec in parse_records(_read(path)):
                 if isinstance(rec, PosetRecord):
                     allowed.append(rec.poset)
-        spec = ClassSpec(allowed=tuple(allowed))
+        spec = ClassSpec(allowed=allowed)
     report = class_check(x, spec, bound=args.bound)
     out.write(report.text())
     return 0 if report.passed else 1
@@ -232,7 +232,7 @@ def _cmd_matrix(args, out):
         name, x = _load(path)
         names.append(name)
         members.append(x)
-    fam = Family(tuple(members), tuple(names))
+    fam = Family(members, names)
     matrix = embeddability_matrix(fam, bound=args.bound)
     out.write(matrix_text(fam, matrix))
     bad = _first_bad_pair(matrix)

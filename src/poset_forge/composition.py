@@ -42,6 +42,7 @@ from .interval import (
     _chain_masks,
     _mask_to_set,
     _parts,
+    _split,
     is_indecomposable,
 )
 
@@ -52,6 +53,7 @@ class CompositionSequence(_Frozen):
     __slots__ = ("entries",)
 
     def __init__(self, entries):
+        entries = tuple(entries)
         if not entries:
             raise Malformed("a composition sequence has at least one entry")
         for arity, s in entries:
@@ -208,7 +210,7 @@ def _layers(carrier, within, anchor):
     3-antichain.  Each arity is checked with ``is_indecomposable``, which
     makes n - 1 closures on n points.
     """
-    up, dn, side = carrier.above, carrier.below, carrier.beside
+    up = carrier.above
     names = carrier.elements
     chain = _chain_masks(carrier, anchor, within)
     wide = [m for m in _parts(carrier, anchor, within) if m & m - 1]
@@ -228,19 +230,21 @@ def _layers(carrier, within, anchor):
         if rest:
             # the stand-in takes the rows of the rest's first point; the
             # rest is an interval, checked here, so any point would do
-            for d in _bits(layer):
-                if rest & ~up[d] and rest & ~dn[d] and rest & ~side[d]:
-                    raise VerificationFailure(
-                        f"chain member is not an interval relative to {names[d]!r}"
-                    )
-            kept.append((rest & -rest).bit_length() - 1)
+            first = (rest & -rest).bit_length() - 1
+            split = _split(carrier, first, rest) & layer
+            if split:
+                d = (split & -split).bit_length() - 1
+                raise VerificationFailure(
+                    f"chain member is not an interval relative to {names[d]!r}"
+                )
+            kept.append(first)
             ids.append(_fresh_id(_mask_to_set(carrier, layer)))
         rows = [sum(1 << k for k, e in enumerate(kept) if up[i] >> e & 1) for i in kept]
         arity = Poset(ids, rows)
         if not is_indecomposable(arity):
             raise VerificationFailure("layer arity is not indecomposable")
         entries.append((arity, ids[-1]))
-    seq = CompositionSequence(tuple(entries))
+    seq = CompositionSequence(entries)
     for pos in seq.positions():
         if pos not in args:
             raise VerificationFailure(f"no argument produced for slot {pos}")
@@ -288,30 +292,22 @@ class CompositionSet:
         self._validate()
 
     def _validate(self):
-        internal = set(self.sequences)
-        if internal & self.leaves:
+        """Walk from the root through each sequence's slots: the positions
+        reached must be exactly the internal ones and the leaves."""
+        if self.sequences.keys() & self.leaves:
             raise Malformed("a position cannot be both internal and a leaf")
-        positions = internal | self.leaves
-        if self.root not in positions:
-            raise Malformed("root position missing")
-        for p in positions:
-            if p[: len(self.root)] != self.root:
-                raise Malformed(f"position {p} outside the root")
-            if p != self.root:
-                parent = p[:-1]
-                if parent not in internal:
-                    raise Malformed(f"position {p} has no internal parent")
-        for p, seq in self.sequences.items():
-            expected = {p + (pos,) for pos in seq.positions()}
-            actual = {q for q in positions if len(q) == len(p) + 1 and q[:-1] == p}
-            if expected != actual:
-                raise Malformed(
-                    f"children of {p} do not match the sequence's slots"
-                )
-        if self.sequences and self.root in self.leaves:
-            raise Malformed("non-trivial set cannot have a leaf root")
-        if not self.sequences and self.leaves != {self.root}:
-            raise Malformed("empty set must have exactly the root leaf")
+        reached = set()
+        todo = [self.root]
+        while todo:
+            p = todo.pop()
+            reached.add(p)
+            if p in self.sequences:
+                todo.extend(p + (pos,) for pos in self.sequences[p].positions())
+        if reached != self.positions():
+            raise Malformed(
+                "positions do not match the slots reached from the root "
+                f"{self.root}: {sorted(reached ^ self.positions(), key=repr)}"
+            )
 
     def positions(self):
         return set(self.sequences) | set(self.leaves)

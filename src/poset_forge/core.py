@@ -635,6 +635,7 @@ class EmbeddingMap(_Frozen):
     __slots__ = ("mapping", "kind")
 
     def __init__(self, mapping, kind="poset"):
+        mapping = tuple(mapping)
         sources = [a for a, _ in mapping]
         targets = [b for _, b in mapping]
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):

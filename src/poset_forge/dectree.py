@@ -446,7 +446,7 @@ def recompose_along_chain(tree, zeta):
         at = tree.fset.sequences[p]
         s = at.distinguished(i) if nxt is None else tree.tree.label(node, nxt)
         entries.append((at.arity(i), s))
-    seq = CompositionSequence(tuple(entries))
+    seq = CompositionSequence(entries)
     leaf_args = tree.leaf_args
     args = {
         (idx, u): _value(tree.fset, leaf_args, *_cone(tree.fset.sequences[p], p, i, u))
@@ -615,7 +615,7 @@ def st_embed(source, target):
     if assign is None:
         return None
     pairs = zip(spos.elements, (tpos.elements[j] for j in assign))
-    return EmbeddingMap(tuple(pairs), "structured-tree")
+    return EmbeddingMap(pairs, "structured-tree")
 
 
 def verify_st_embedding(source, target, emap):
@@ -656,7 +656,7 @@ def lift_embedding(source_tree, target_tree, emap):
             raise VerificationFailure("a leaf mapped to a non-leaf")
         pairs.append((element, target_tree.leaf_element[image]))
     pairs.sort(key=lambda ab: source_tree.base.poset.index[ab[0]])
-    lifted = EmbeddingMap(tuple(pairs), "coloured")
+    lifted = EmbeddingMap(pairs, "coloured")
     if not check_coloured_embedding(
         source_tree.ground(), target_tree.ground(), lifted
     ):

@@ -2,20 +2,22 @@
 
 An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
-to all of them.  The decomposition path is built on two primitives over
-masks.  ``_close`` gives the closure of C inside M, the smallest interval
-of the order induced on M that contains C, in one pass over C.
-``_parts`` gives P(M, v), the maximal intervals of M that avoid a point v,
-which partition M minus v (Ehrenfeucht, Gabow, McConnell and Sullivan,
-J. Algorithms 16, 1994), by splitting parts until each is an interval.  The
-canonical chain of a mask grows from its anchor one closure at a time; the
-layer arities of :mod:`composition` read their blocks off P(M, anchor); and
-a poset on n points is indecomposable iff P(M, v) is all single points and
-each of the n - 1 pairs {v, w} closes to all of M.
-``enumerate_intervals`` stays exhaustive, as the public enumeration and as
-the oracle the closure-built results are checked against; the chain keeps
-its size bound, and anything too big for it is rejected up front with a
-clear error.
+to all of them.  ``_split`` gives the points that tell a mask's members
+apart: a mask is an interval iff no outside point is in its split.  Every
+test of the interval condition on masks reads it, except the exhaustive
+scan of ``_interval_masks``.  The decomposition path is built on two uses
+of it.  ``_close`` gives the closure of C inside M, the smallest interval
+of the order induced on M that contains C.  ``_parts`` gives P(M, v), the
+maximal intervals of M that avoid a point v, which partition M minus v
+(Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994), by
+splitting parts until each is an interval.  The canonical chain of a mask
+grows from its anchor one closure at a time; the layer arities of
+:mod:`composition` read their blocks off P(M, anchor); and a poset on n
+points is indecomposable iff P(M, v) is all single points and each of the
+n - 1 pairs {v, w} closes to all of M.  ``enumerate_intervals`` stays
+exhaustive, as the public enumeration and as the oracle the closure-built
+results are checked against; the chain keeps its size bound, and anything
+too big for it is rejected up front with a clear error.
 """
 
 from . import config
@@ -36,9 +38,40 @@ def ssr(p, a, b, carrier):
     return carrier.relation(p, a) == carrier.relation(p, b)
 
 
+def _split(carrier, a, mask):
+    """The points that relate to the point at index a differently from some
+    point of mask: the union over c in mask of
+    ``(above[a] ^ above[c]) | (below[a] ^ below[c])``.
+
+    A point p outside a mask M splits M when it relates to two points of M
+    differently.  Fix any a in M.  If p splits M, it relates to one of
+    those two points differently from a; and if p relates to some c in M
+    differently from a, it splits M at {a, c}.  So p splits M iff some c in
+    M relates to p differently from a.  Being distinct from a and c, p
+    relates to each of them by whether it lies in its ``above`` row and in
+    its ``below`` row, so differently iff p lies in ``above[a] ^ above[c]``
+    or in ``below[a] ^ below[c]``.  Hence the points outside M that split
+    M are ``_split(carrier, a, M) & ~M``, for any a in M; M is an interval
+    iff there are none, and every interval holding M holds them all.  The
+    union distributes over mask, so a closure need only feed in the points
+    it has just added.
+    """
+    up, dn = carrier.above, carrier.below
+    up_a, dn_a = up[a], dn[a]
+    split = 0
+    # the bits are walked inline: through the ``_bits`` generator, a job
+    # of the decompose benchmark ran about 5% slower (2 cores, CPython 3.11)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        c = low.bit_length() - 1
+        split |= (up_a ^ up[c]) | (dn_a ^ dn[c])
+    return split
+
+
 def is_interval(carrier, members):
-    """Check the interval condition for one subset: every outside point
-    has the subset inside one of its three relation rows."""
+    """Check the interval condition for one subset: no outside point
+    splits it (``_split``)."""
     members = set(members)
     if not members:
         raise EmptySet("an interval is non-empty")
@@ -46,18 +79,16 @@ def is_interval(carrier, members):
     if unknown:
         raise UnknownElement(f"unknown elements {sorted(unknown)}")
     mask = sum(1 << carrier.index[e] for e in members)
-    up, dn, side = carrier.above, carrier.below, carrier.beside
-    return not any(
-        mask & ~up[p] and mask & ~dn[p] and mask & ~side[p]
-        for p in _bits(~mask & ((1 << len(carrier)) - 1))
-    )
+    return not _split(carrier, (mask & -mask).bit_length() - 1, mask) & ~mask
 
 
 def _interval_masks(carrier):
     """Bitmasks of all intervals, via the subset-containment reformulation.
 
     A subset I is an interval iff every outside p has I inside one of p's
-    three relation classes.
+    three relation classes.  This literal scan is the specification behind
+    ``enumerate_intervals``, and it exits early: on random 16-element
+    posets a scan through ``_split`` took 3.5-4 times as long.
     """
     n = len(carrier)
     up, dn, inc = carrier.above, carrier.below, carrier.beside
@@ -110,27 +141,16 @@ def _close(carrier, members, within):
     a non-empty part of within): the smallest interval of the order induced
     on within that contains members.
 
-    Fix a point a of C.  A point p outside C splits C (relates to two of
-    its points differently) exactly when some c in C relates to p
-    differently from a, that is when p lies in one of ``above[a]``,
-    ``above[c]`` and not the other, or likewise for ``below``.  Every
-    interval containing C contains each point that splits C, so one pass
-    that takes each point of C once, the added ones included, and adds the
-    points of within that it separates from a gives the closure.
+    Every interval of within that holds C holds the points of within that
+    split C (``_split``), so C grows by them until none is left, with a
+    fixed to C's lowest point and each round splitting only by the points
+    just added.
     """
-    up, dn = carrier.above, carrier.below
-    low = members & -members
-    a = low.bit_length() - 1
-    up_a, dn_a = up[a], dn[a]
-    closed = members
-    todo = members ^ low
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        c = low.bit_length() - 1
-        new = ((up_a ^ up[c]) | (dn_a ^ dn[c])) & within & ~closed
+    a = (members & -members).bit_length() - 1
+    closed = new = members
+    while new:
+        new = _split(carrier, a, new) & within & ~closed
         closed |= new
-        todo |= new
     return closed
 
 
@@ -141,31 +161,18 @@ def _parts(carrier, v, within):
     Two intervals that avoid v and meet have an interval avoiding v as their
     union, so these maximal ones partition within minus v (Ehrenfeucht,
     Gabow, McConnell and Sullivan, J. Algorithms 16, 1994).  They are found
-    by refinement from the one part within minus v.  A point of within
-    outside a part X splits X when it relates to two points of X
-    differently; as in ``_close``, these splitters are the points outside X
-    in ``(up[a] ^ up[c]) | (dn[a] ^ dn[c])`` for some c in X, with a the
-    lowest point of X.  A part with no splitter is an interval, and final.
-    Otherwise it splits three ways by the lowest splitter's ``above``,
-    ``below`` and ``beside`` rows.  No maximal interval avoiding v is ever
-    cut, since every splitter of a part holding it lies outside it.
+    by refinement from the one part within minus v.  A part with no
+    splitter in within (``_split``) is an interval, and final.  Otherwise
+    it splits three ways by the lowest splitter's ``above``, ``below`` and
+    ``beside`` rows.  No maximal interval avoiding v is ever cut, since
+    every splitter of a part holding it lies outside it.
     """
     up, dn, side = carrier.above, carrier.below, carrier.beside
     done = []
     todo = [within & ~(1 << v)] if within & within - 1 else []
     while todo:
         part = todo.pop()
-        low = part & -part
-        a = low.bit_length() - 1
-        up_a, dn_a = up[a], dn[a]
-        split = 0
-        rest = part ^ low
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            c = low.bit_length() - 1
-            split |= (up_a ^ up[c]) | (dn_a ^ dn[c])
-        split &= within & ~part
+        split = _split(carrier, (part & -part).bit_length() - 1, part) & within & ~part
         if not split:
             done.append(part)
             continue
@@ -229,6 +236,7 @@ class Interval(_Frozen):
     __slots__ = ("carrier", "members")
 
     def __init__(self, carrier, members):
+        members = frozenset(members)
         if not is_interval(carrier, members):
             raise NotAnInterval(f"{sorted(members)} is not an interval")
         object.__setattr__(self, "carrier", carrier)
@@ -247,6 +255,7 @@ class IntervalChain(_Frozen):
     __slots__ = ("carrier", "members")  # members: frozensets, strictly decreasing
 
     def __init__(self, carrier, members):
+        members = tuple(map(frozenset, members))
         for cur, nxt in zip(members, members[1:]):
             if not (nxt < cur):
                 raise NotAnInterval("chain entries must be strictly nested")

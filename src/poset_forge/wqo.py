@@ -17,6 +17,7 @@ class Family(_Frozen):
     __slots__ = ("members", "names")
 
     def __init__(self, members, names):
+        members, names = tuple(members), tuple(names)
         if not members:
             raise ValueError("a family is non-empty")
         palette = members[0].palette
@@ -60,7 +61,7 @@ def fence_antichain(n_max):
         colouring = {e: MARK if e in ends else PLAIN for e in zig.elements}
         members.append(ColouredPoset(zig, colouring, palette))
         names.append(f"Z{k}")
-    return Family(tuple(members), tuple(names))
+    return Family(members, names)
 
 
 def _check_family_size(n, bound=None):

@@ -380,6 +380,46 @@ class TestEvalG:
             eval_g(fset, {})
 
 
+class TestCompositionSetValidation:
+    # SEQ has the slots (0, a) and (0, b); a valid set holds them as leaves
+    # under the root, or under a nested root
+    SEQ = CompositionSequence(((canonical("chain", 2), "b"),))
+    A, B = ((0, "a"),), ((0, "b"),)
+
+    def test_valid_sets(self):
+        CompositionSet((), {(): self.SEQ}, {self.A, self.B})
+        CompositionSet(self.A, {self.A: self.SEQ}, {self.A + self.A, self.A + self.B})
+        nested = {(): self.SEQ, self.A: self.SEQ}
+        CompositionSet((), nested, {self.A + self.A, self.A + self.B, self.B})
+
+    @pytest.mark.parametrize(
+        "root, sequences, leaves",
+        [
+            # a position both internal and a leaf
+            ((), {(): SEQ}, {(), A, B}),
+            # the root missing
+            ((), {}, {A}),
+            ((), {A: SEQ}, {A + A, A + B}),
+            # a position outside the root
+            (A, {A: SEQ}, {A + A, A + B, B}),
+            # a position with no internal parent
+            ((), {(): SEQ}, {A, B, A + A}),
+            # children that do not match the sequence's slots
+            ((), {(): SEQ}, {A}),
+            ((), {(): SEQ}, {A, B, ((0, "c"),)}),
+            ((), {(): SEQ}, {A, ((1, "b"),)}),
+            # a leaf root beside sequences
+            ((), {A: SEQ}, {(), A + A, A + B}),
+            # an empty set whose leaves are not exactly the root
+            ((), {}, set()),
+            ((), {}, {(), A}),
+        ],
+    )
+    def test_rejected(self, root, sequences, leaves):
+        with pytest.raises(Malformed):
+            CompositionSet(root, sequences, leaves)
+
+
 class TestObstructionsAvoidHEta:
     def test_depth3_prefixes_never_embed(self):
         # arities too small to contain them, and the index poset never

@@ -16,7 +16,7 @@ from poset_forge import (
 )
 from poset_forge.composition import maximal_decomposition
 from poset_forge.core import ColouredPoset
-from poset_forge.interval import _close, _mask_to_set, _parts
+from poset_forge.interval import _close, _mask_to_set, _parts, _split
 from poset_forge.errors import (
     EmptyPoset,
     EmptySet,
@@ -157,6 +157,26 @@ def _smallest_interval_holding(intervals, members):
         if members <= iv and (out is None or len(iv) < len(out)):
             out = iv
     return out
+
+
+class TestSplit:
+    def test_matches_brute_every_mask_and_point_catalog5(self, catalog5):
+        # the exact set of outside points that relate differently to two
+        # points of the mask, from every point of it
+        for reps in catalog5.values():
+            for p in reps:
+                full = (1 << len(p)) - 1
+                for mask in range(1, full + 1):
+                    members = _mask_to_set(p, mask)
+                    want = {
+                        q
+                        for q in p.elements
+                        if q not in members
+                        and len({helpers.rel_name(p, q, x) for x in members}) > 1
+                    }
+                    for a in members:
+                        got = _split(p, p.index[a], mask) & ~mask
+                        assert _mask_to_set(p, got) == want
 
 
 class TestClose:

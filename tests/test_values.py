@@ -20,25 +20,42 @@ CH3 = canonical("chain", 3)  # a < b < c
 PAIRS = (("a", "x"), ("b", "y"))
 
 # per immutable class: a builder (each call gives a new, equal instance)
-# and one of its fields
+# and one of its fields; the builders named "from ..." pass an iterator, a
+# list or a set, which the record must not keep
 FROZEN = {
     "EmbeddingMap": (lambda: EmbeddingMap(PAIRS), "kind"),
+    "EmbeddingMap from an iterator": (lambda: EmbeddingMap(zip("ab", "xy")), "mapping"),
+    "EmbeddingMap from a list": (lambda: EmbeddingMap(list(PAIRS)), "mapping"),
     "Interval": (lambda: Interval(CH3, frozenset("ab")), "members"),
+    "Interval from a set": (lambda: Interval(CH3, {"a", "b"}), "members"),
     "IntervalChain": (
         lambda: IntervalChain(
             CH3, (frozenset("abc"), frozenset("ab"), frozenset("a"))
         ),
         "members",
     ),
+    "IntervalChain from a list of sets": (
+        lambda: IntervalChain(CH3, [set("abc"), set("ab"), {"a"}]),
+        "members",
+    ),
     "ClassSpec": (lambda: ClassSpec(max_size=3), "max_size"),
+    "ClassSpec allowing a list": (lambda: ClassSpec(allowed=[CH3]), "allowed"),
     "CompositionSequence": (lambda: CompositionSequence(((CH3, "c"),)), "entries"),
+    "CompositionSequence from a list": (
+        lambda: CompositionSequence([(CH3, "c")]),
+        "entries",
+    ),
     "Family": (
         lambda: Family((ColouredPoset.uniform(canonical("chain", 2)),), ("C2",)),
         "names",
     ),
+    "Family from lists": (
+        lambda: Family([ColouredPoset.uniform(canonical("chain", 2))], ["C2"]),
+        "names",
+    ),
 }
 # a Family holds ColouredPosets, which are unhashable
-HASHABLE = sorted(set(FROZEN) - {"Family"})
+HASHABLE = sorted(name for name in FROZEN if not name.startswith("Family"))
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -58,6 +75,8 @@ def test_frozen_equal_by_value(name):
     build, _ = FROZEN[name]
     a, b = build(), build()
     assert a is not b and a == b and not a != b
+    # a "from ..." builder gives the value of its plain one
+    assert a == FROZEN[name.split(" from ")[0]][0]()
 
 
 @pytest.mark.parametrize("name", HASHABLE)
@@ -123,12 +142,15 @@ class TestDefaultsAndKeywords:
         m = EmbeddingMap(mapping=PAIRS, kind="coloured")
         assert (m.mapping, m.kind) == (PAIRS, "coloured")
         assert m.as_dict() == {"a": "x", "b": "y"} and m["b"] == "y" and len(m) == 2
+        m = EmbeddingMap(zip("ab", "xy"))
+        assert m.as_dict() == {"a": "x", "b": "y"} and m["b"] == "y" and len(m) == 2
 
     def test_class_spec(self):
         spec = ClassSpec(max_size=3)
         assert (spec.allowed, spec.max_size, spec.prefix_depth) == (None, 3, 3)
         spec = ClassSpec(allowed=(CH3,), prefix_depth=2)
         assert (spec.allowed, spec.max_size, spec.prefix_depth) == ((CH3,), None, 2)
+        assert ClassSpec(allowed=[CH3]).allowed == (CH3,)
         assert ClassSpec(None, 5).max_size == 5
 
     def test_class_report(self):
