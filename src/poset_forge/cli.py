@@ -136,7 +136,7 @@ def _cmd_tree(args, out):
     name, x = _load(args.file)
     t = decomposition_tree(x)
     print(f"tree {name}", file=out)
-    out.write(structured_tree_text(t.tree))
+    out.write(structured_tree_text(t))
     print("end", file=out)
     return 0
 

@@ -7,6 +7,11 @@ slot of its arity.  Structured-tree embeddings preserve order (iff), meets
 and labels, and increase colours; arity colours compare by embeddability,
 ground colours by the ground palette, and the two blocks never compare.
 Lifting such an embedding to the underlying posets is the whole point.
+
+A decomposition tree is a structured tree that keeps its composition set:
+``DecompositionTree`` subclasses ``StructuredTree`` and stores the layout
+that ``_layout`` proves to be a rooted tree, so the one rooted-tree check
+is the public ``StructuredTree`` constructor's.
 """
 
 from .composition import (
@@ -45,33 +50,42 @@ from .errors import (
 from . import _search, config
 
 
-# node keys: ("i", position, layer) for internal nodes, ("l", position) for
-# leaves; positions are the composition set's (layer, slot) pair tuples
-def _node_id(key):
-    # absolute addresses: a branch extraction's nodes ARE the cone's nodes
-    if key[0] == "i":
-        _, p, i = key
-        return f"{render_position(p)}/{i}" if p else str(i)
-    _, p = key
-    return render_position(p)
-
-
 def _layout(fset):
     """Node keys, ids, ``above`` rows and label rows of the tree that
     records a composition set, in one depth-first pass.
+
+    Node keys are ("i", position, layer) for layer nodes and ("l",
+    position) for leaves; positions are the composition set's (layer, slot)
+    pair tuples.  Ids are absolute, so a branch extract's nodes keep the
+    cone's ids: a position's id is rendered once, from its parent's, and a
+    layer node's id is that id and the layer index (the index alone at the
+    root position).
 
     A position's nodes come in order: layer node 0, then its branches in
     slot-name order, then layer node 1 and its branches, and so on, so every
     node follows its ancestors.  A layer node is below the rest of its
     position's index range: its slot u labels the branch at (layer, u), and
     its distinguished slot labels the later layers.
-    """
-    keys, above, label_rows = [], [], []
 
-    def visit(p):
+    The rows form a rooted tree stored in a linear extension, so the tree
+    needs no rooted-tree check:
+
+    - a layer node's ``above`` row is the index range from the next node to
+      the end of its position's range, and a leaf's row is empty; every
+      row holds later nodes only;
+    - depth-first ranges either nest or are disjoint, and a range that
+      holds a node holds that node's range, so the rows are transitively
+      closed and every down-set is a chain;
+    - node 0's range covers every other node, so node 0 is the only
+      minimal node.
+    """
+    keys, ids, above, label_rows = [], [], [], []
+
+    def visit(p, name):
         seq = fset.sequences.get(p)
         if seq is None:
             keys.append(("l", p))
+            ids.append(name)
             above.append(0)
             label_rows.append(())
             return
@@ -79,13 +93,15 @@ def _layout(fset):
         for i in range(len(seq)):
             node = len(keys)
             keys.append(("i", p, i))
+            ids.append(f"{name}/{i}" if p else str(i))
             above.append(0)
             label_rows.append(())
             arity = seq.arity(i)
             rows = [0] * len(arity)
             for u in sorted(seq.slots(i)):
                 start = len(keys)
-                visit(p + ((i, u),))
+                step = render_position(((i, u),))
+                visit(p + ((i, u),), f"{name}/{step}" if p else step)
                 rows[arity.index[u]] = (1 << len(keys)) - (1 << start)
             layers.append((node, rows, arity.index[seq.distinguished(i)], len(keys)))
         end = (1 << len(keys)) - 1
@@ -94,8 +110,8 @@ def _layout(fset):
             rows[s] |= end & -(1 << later)
             label_rows[node] = tuple(rows)
 
-    visit(fset.root)
-    return keys, [_node_id(k) for k in keys], above, label_rows
+    visit(fset.root, render_position(fset.root))
+    return keys, ids, above, label_rows
 
 
 class StructuredTree:
@@ -109,9 +125,12 @@ class StructuredTree:
     v < x (BadLabel otherwise), and keeps them as rows: ``label_rows[i]``
     holds, for the sum node at index i, one mask per slot of its arity (in
     the arity's element order) of the nodes above it that carry that
-    label; it is empty for leaves.  Decomposition trees bring their rows
-    (``_layout``, ``_from_rows``).  What an embedding into the tree reads
-    of it is kept on first use (``_target_tables``).
+    label; it is empty for leaves.  This constructor is the one rooted-tree
+    check (NotATree, after every other check); a decomposition tree is a
+    structured tree that keeps its composition set, and stores the rows of
+    its layout (``_layout``), a rooted tree by construction.  What an
+    embedding into the tree reads of it is kept on first use
+    (``_target_tables``).
     """
 
     __slots__ = (
@@ -171,19 +190,12 @@ class StructuredTree:
         for i, node_rows in enumerate(rows):
             if sum(node_rows) != poset.above[i]:
                 raise BadLabel(f"a node above {poset.elements[i]!r} has no label")
-        self._fill(poset, kinds, arities, leaf_colours, ground_palette, rows)
-
-    @classmethod
-    def _from_rows(cls, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
-        """A structured tree from its label rows; the poset must already be
-        stored as the constructor would sort it."""
-        tree = cls.__new__(cls)
-        tree._fill(poset, kinds, arities, leaf_colours, ground_palette, label_rows)
-        return tree
-
-    def _fill(self, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
         if not poset.is_rooted_tree():
             raise NotATree("structured trees are rooted trees")
+        self._fill(poset, kinds, arities, leaf_colours, ground_palette, rows)
+
+    def _fill(self, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
+        # the poset must be a rooted tree, stored as the constructor sorts it
         self.poset = poset
         self.kinds = dict(kinds)
         self.arities = dict(arities)
@@ -288,18 +300,20 @@ def structured_tree_text(tree):
     return "\n".join(lines) + "\n"
 
 
-class DecompositionTree:
-    """A structured tree together with the composition set that generated it.
+class DecompositionTree(StructuredTree):
+    """A structured tree that keeps the composition set that generated it.
 
-    ``leaves`` maps each leaf position of ``fset`` to its element of
-    ``base``, the coloured poset the root tree was built from; a leaf takes
-    that element's colour, and its argument is the one-point restriction of
-    ``base`` to it, rebuilt when asked (``leaf_args``).  The keys of the
-    internal nodes are kept from the one layout of ``fset``, in the tree's
-    storage order, and ``key_of`` maps node ids back to node keys.
+    Its rows are ``_layout``'s, a rooted tree by construction, so they are
+    stored without the public constructor's checks.  ``leaves`` maps each
+    leaf position of ``fset`` to its element of ``base``, the coloured poset
+    the root tree was built from; a leaf takes that element's colour, and
+    its argument is the one-point restriction of ``base`` to it, rebuilt
+    when asked (``leaf_args``).  The keys of the internal nodes are kept
+    from the one layout of ``fset``, in the tree's storage order, and
+    ``key_of`` maps node ids back to node keys.
     """
 
-    __slots__ = ("fset", "base", "leaves", "leaf_element", "tree", "_keys")
+    __slots__ = ("fset", "base", "leaves", "leaf_element", "_keys")
 
     def __init__(self, fset, leaves, base):
         self.fset = fset
@@ -322,9 +336,13 @@ class DecompositionTree:
                 e = leaves[k[1]]
                 leaf_colours[nid] = base.colour(e)
                 self.leaf_element[nid] = e
-        self.tree = StructuredTree._from_rows(
-            Poset(ids, above), kinds, arities, leaf_colours, base.palette, label_rows
-        )
+        self._fill(Poset(ids, above), kinds, arities, leaf_colours, base.palette, label_rows)
+
+    @property
+    def tree(self):
+        """The tree itself, for callers that read ``t.tree`` (the benchmark
+        workloads and many tests)."""
+        return self
 
     def evaluate(self):
         """Rebuild the poset this tree describes, by bottom-up summation."""
@@ -347,11 +365,11 @@ class DecompositionTree:
     def key_of(self):
         """Node id -> node key, read off the kept keys and ``leaves``."""
         at = {e: ("l", p) for p, e in self.leaves.items()}
-        return {n: k or at[self.leaf_element[n]] for n, k in zip(self.tree.nodes, self._keys)}
+        return {n: k or at[self.leaf_element[n]] for n, k in zip(self.nodes, self._keys)}
 
     def _internal(self, node_id):
         """(position, layer) of an internal node; BadLabel for any other id."""
-        k = self.tree.poset.index.get(node_id)
+        k = self.poset.index.get(node_id)
         if k is None:
             raise BadLabel(f"unknown node {node_id!r}")
         if self._keys[k] is None:
@@ -425,18 +443,18 @@ def recompose_along_chain(tree, zeta):
     zeta = list(zeta)
     if not zeta:
         raise NotUpClosedChain("empty chain")
+    poset = tree.poset
     for n in zeta:
-        if n not in tree.tree.poset:
+        if n not in poset:
             raise NotUpClosedChain(f"unknown node {n!r}")
-        if tree.tree.kinds[n] != "sum":
+        if tree.kinds[n] != "sum":
             raise NotUpClosedChain(f"{n!r} is a leaf")
-    poset = tree.tree.poset
     zeta = sorted(set(zeta), key=poset.index.__getitem__)
     top = zeta[-1]
     for a in zeta:
         if not poset.leq(a, top):
             raise NotUpClosedChain("nodes are not pairwise comparable")
-    expected = {n for n in tree.tree.internal_nodes() if poset.leq(n, top)}
+    expected = {n for n in tree.internal_nodes() if poset.leq(n, top)}
     if set(zeta) != expected:
         raise NotUpClosedChain("chain is not closed toward the root")
 
@@ -444,7 +462,7 @@ def recompose_along_chain(tree, zeta):
     entries = []
     for (p, i), node, nxt in zip(places, zeta, zeta[1:] + [None]):
         at = tree.fset.sequences[p]
-        s = at.distinguished(i) if nxt is None else tree.tree.label(node, nxt)
+        s = at.distinguished(i) if nxt is None else tree.label(node, nxt)
         entries.append((at.arity(i), s))
     seq = CompositionSequence(entries)
     leaf_args = tree.leaf_args
@@ -454,11 +472,6 @@ def recompose_along_chain(tree, zeta):
         for u in seq.slots(idx)
     }
     return eval_f_eta(seq, args)
-
-
-def _unwrap(tree):
-    """A decomposition tree's structured tree; any other argument as given."""
-    return tree.tree if isinstance(tree, DecompositionTree) else tree
 
 
 # -- structured-tree embedding ----------------------------------------------
@@ -590,7 +603,7 @@ def _conditions(S, T):
     return allowed, narrow
 
 
-def st_embed(source, target):
+def st_embed(S, T):
     """First structured-tree embedding, or None.
 
     Preserves order exactly, preserves meets, induces an arity embedding on
@@ -604,7 +617,6 @@ def st_embed(source, target):
     extension, so ancestors and meets are placed first.  The witness is
     the lexicographically first embedding.
     """
-    S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")
     spos, tpos = S.poset, T.poset
@@ -618,12 +630,11 @@ def st_embed(source, target):
     return EmbeddingMap(pairs, "structured-tree")
 
 
-def verify_st_embedding(source, target, emap):
+def verify_st_embedding(S, T, emap):
     """Full check of every structured-tree embedding condition, by node
     index: the order first (``check_embedding`` on the tree posets), then
     each node's colour mask and its meet and label entries
     (``_conditions``), which read the images of earlier nodes."""
-    S, T = _unwrap(source), _unwrap(target)
     if S.ground_palette != T.ground_palette:
         return False
     if not check_embedding(S.poset, T.poset, emap):
@@ -673,9 +684,9 @@ def tree_rank(tree):
     The height of a rooted tree is its greatest depth, and a node's depth is
     the size of its down-set, which is a chain.
     """
-    tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
-    # a structured tree was checked when it was built
+    # a structured tree is a rooted tree: its constructor checks it, and
+    # ``_layout`` proves it
     if poset is tree and not poset.is_rooted_tree():
         raise NotATree("rank is defined for rooted trees")
     return max(row.bit_count() for row in poset.below)
@@ -689,7 +700,6 @@ def scattered_rank(tree, bound=None):
     paths, with the rank of each of the n cones (a node and everything
     above it) found once, deepest node first.
     """
-    tree = _unwrap(tree)
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     config.check_size(len(poset), config.SCATTERED_RANK_BOUND, bound, "tree", "nodes")
     if poset is tree and not poset.is_rooted_tree():

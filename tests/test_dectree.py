@@ -514,6 +514,41 @@ class TestConstructorRejectsMalformedLabels:
                 {("r", "a"): "x", ("r", "b"): "x"}, colours={"a": "0", "b": "0", "r": "0"}
             )
 
+    # the constructor is the one rooted-tree check, made after every other
+    @staticmethod
+    def _forest(kinds):
+        # two leaves, incomparable
+        return StructuredTree(
+            make_poset(["a", "b"], []), kinds, {}, {"a": "0", "b": "0"}, one_colour_palette(), {}
+        )
+
+    def test_forest(self):
+        with pytest.raises(NotATree):
+            self._forest({"a": "leaf", "b": "leaf"})
+
+    def test_leaf_with_two_parents(self):
+        # r < a, b < c, every label in place: only the tree condition fails
+        point = make_poset(["x"], [])
+        nodes = ["r", "a", "b", "c"]
+        pairs = [("r", "a"), ("r", "b"), ("a", "c"), ("b", "c")]
+        with pytest.raises(NotATree):
+            StructuredTree(
+                make_poset(nodes, pairs),
+                {"r": "sum", "a": "sum", "b": "sum", "c": "leaf"},
+                {"r": point, "a": point, "b": point},
+                {"c": "0"},
+                one_colour_palette(),
+                {(v, x): "x" for v, x in pairs + [("r", "c")]},
+            )
+
+    def test_empty(self):
+        with pytest.raises(NotATree):
+            StructuredTree(make_poset([], []), {}, {}, {}, one_colour_palette(), {})
+
+    def test_forest_without_a_kind(self):
+        with pytest.raises(Malformed, match="no kind"):
+            self._forest({"a": "leaf"})
+
 
 def _two_colour_shuffled(rng, n):
     x = helpers.random_coloured(rng, n, helpers.PALETTES[1], rng.choice((0.15, 0.35)))
@@ -530,19 +565,28 @@ def _extracts(t):
             yield tail, subtree_extract(t, v, u)
 
 
-def _assert_layout_matches_brute(t):
-    ids, above, label_rows = helpers.brute_tree_rows(t.fset)
-    assert _layout(t.fset)[1:] == (ids, above, label_rows)
-    tree = t.tree
-    assert tree.nodes == tuple(ids)
-    assert tree.poset.above == tuple(above)
-    assert tree.label_rows == tuple(label_rows)
-    # the public constructor, fed the labels read off the tree, agrees
+def _rebuilt(tree):
+    """A raw structured tree with tree's nodes, colours and labels, built
+    through the public constructor."""
     labels = {(v, x): tree.label(v, x) for v in tree.internal_nodes() for x in tree.poset.up(v)}
-    rebuilt = StructuredTree(
+    return StructuredTree(
         tree.poset, tree.kinds, tree.arities, tree.leaf_colours, tree.ground_palette, labels
     )
-    assert rebuilt.poset == tree.poset and rebuilt.label_rows == tree.label_rows
+
+
+def _assert_layout_matches_brute(t):
+    # a decomposition tree is stored without a rooted-tree check: the
+    # layout must be one by construction
+    assert isinstance(t, StructuredTree) and t.tree is t
+    assert t.poset.is_rooted_tree()
+    ids, above, label_rows = helpers.brute_tree_rows(t.fset)
+    assert _layout(t.fset)[1:] == (ids, above, label_rows)
+    assert t.nodes == tuple(ids)
+    assert t.poset.above == tuple(above)
+    assert t.label_rows == tuple(label_rows)
+    # the public constructor, fed the labels read off the tree, agrees
+    rebuilt = _rebuilt(t)
+    assert rebuilt.poset == t.poset and rebuilt.label_rows == t.label_rows
 
 
 class TestLayout:
@@ -972,28 +1016,20 @@ class TestTargetTables:
     """A target tree keeps what st_embed reads of it; every later source
     must get the witness it gets against a fresh copy of the target."""
 
-    @staticmethod
-    def _fresh(tree):
-        T = getattr(tree, "tree", tree)
-        return StructuredTree._from_rows(
-            T.poset, T.kinds, T.arities, T.leaf_colours, T.ground_palette, T.label_rows
-        )
-
     def _assert_kept_tables_hold(self, target, sources, other):
-        T = getattr(target, "tree", target)
         # used as a source first: a source keeps nothing
         st_embed(target, other)
-        assert T._target is None
+        assert target._target is None
         tables = None
         found = 0
         for s in sources:
             phi = st_embed(s, target)
-            tables = tables or T._target
-            assert phi == st_embed(s, self._fresh(target))
+            tables = tables or target._target
+            assert phi == st_embed(s, _rebuilt(target))
             if phi is not None:
                 found += 1
                 assert verify_st_embedding(s, target, phi)
-        assert T._target is tables is not None
+        assert target._target is tables is not None
         return found
 
     def test_reused_targets(self, catalog5, monkeypatch):
@@ -1213,9 +1249,10 @@ class TestLift:
     def test_raw_trees_rejected(self):
         # a raw structured tree has no ground elements to lift to
         tx, ty = decomposition_tree(uniform("chain", 2)), decomposition_tree(uniform("chain", 3))
-        phi = st_embed(tx.tree, ty.tree)
-        assert verify_st_embedding(tx.tree, ty.tree, phi)
-        for s, t in ((tx.tree, ty.tree), (tx, ty.tree), (tx.tree, ty)):
+        rx, ry = _rebuilt(tx), _rebuilt(ty)
+        phi = st_embed(rx, ry)
+        assert verify_st_embedding(rx, ry, phi)
+        for s, t in ((rx, ry), (tx, ry), (rx, ty)):
             with pytest.raises(Malformed, match="decomposition trees"):
                 lift_embedding(s, t, phi)
 
@@ -1241,8 +1278,9 @@ class TestTreeRank:
             tree_rank(canonical("antichain", 2))
 
     def test_one_rooted_tree_check_per_tree(self, monkeypatch):
-        # a structured tree is checked when it is built, and the ranks do
-        # not check it again; a raw poset is checked by the rank itself
+        # a decomposition tree is a rooted tree by construction, and the
+        # ranks do not check a structured tree; a raw poset is checked by
+        # the rank itself
         calls = [0]
         check = Poset.is_rooted_tree
 
@@ -1259,9 +1297,9 @@ class TestTreeRank:
             want = helpers.brute_tree_rank(tree.tree.poset)
             assert tree_rank(tree) == tree_rank(tree.tree) == want
             scattered_rank(tree, bound=len(tree.tree.nodes))
-            assert calls[0] == 1
+            assert calls[0] == 0
             tree_rank(tree.tree.poset)
-            assert calls[0] == 2
+            assert calls[0] == 1
 
 
 class TestScatteredRank:
