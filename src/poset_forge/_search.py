@@ -9,12 +9,15 @@ lexicographically first injection.
 
 ``code_rows`` makes an injection relation-exact: for ``p < i`` the table is
 ``y.above`` when p < i in x, ``y.below`` when p > i and ``y.beside`` when
-they are incomparable, read off x's rows.  ``search_injection`` (poset and
-coloured embedding) is just that.  ``dectree.st_embed`` also passes
-``narrow(i, assign, c)``, which returns the part of the candidate mask
-``c`` that its meet and label conditions allow, since each involves two
-earlier sources.  ``narrow`` reads only the images of sources before i, so
-``dectree.verify_st_embedding`` calls it on a complete map too.
+they are incomparable, read off x's rows.  It serves ``search_injection``
+(poset and coloured embedding) only, which is just that.
+``dectree.st_embed`` passes one row per tree node instead, ``(parent,
+y.above)``, and ``narrow(i, assign, c)``, which returns the part of the
+candidate mask ``c`` that its meet and label conditions allow, since each
+involves two earlier sources; together they give what the relation-code
+rows would (``dectree._conditions``).  ``narrow`` reads only the images of
+sources before i, so ``dectree.verify_st_embedding`` calls it on a complete
+map too.
 """
 
 

@@ -516,24 +516,23 @@ def _fits(S, T):
 
 
 def _conditions(S, T):
-    """``(allowed, narrow)`` for embedding S into T with ``_search.backtrack``:
-    the colour masks (``_fits``), and ``narrow(i, f, c)``, the part of node
-    i's candidate mask c that its meet and label entries allow, given the
-    images f of the earlier nodes.
+    """``(allowed, order, narrow)`` for embedding S into T with
+    ``_search.backtrack``: the colour masks (``_fits``), one order row per
+    node, and ``narrow(i, f, c)``, the part of node i's candidate mask c
+    that its meet and label entries allow, given the images f of the
+    earlier nodes.
 
     What depends on the target alone (its colour fits, label indices and
     reflexive rows) is kept on it (``StructuredTree._target_tables``); the
-    source's meet and label entries are made per call, and only those that
-    can bind:
+    source's rows and entries are made per call, read off its parent map
+    (a node's parent is the last node of its down-set, as S is stored in a
+    linear extension), and only those that can bind:
 
-    - Meets: node i needs, for each earlier p incomparable to it, with
-      m = p ∧ i, that f(i) avoid the child cone of f(m) holding f(p).  Let
-      c be the child of m towards p.  Then c is earlier than i (an
-      ancestor of p, or p), incomparable to i, and c ∧ i = m; and f(c) lies
-      between f(m) and f(p), so f(p) lies in the child cone of f(m) that
-      holds f(c).  Every p in one child cone of m gives the entry of c, so
-      one entry per (m, child of m), taken at the child itself: the earlier
-      nodes c incomparable to i whose parent is below i.
+    - Order: ``order[i]`` is ``((parent, T.poset.above),)``, so f(i) lies
+      above f(parent); the root has none.
+    - Meets: node i has one entry per earlier sibling q, an earlier node
+      with i's parent m: f(i) avoids the child cone of f(m) that holds
+      f(q).
     - Labels: under a sum node p below i, node i needs, for each earlier q
       above p, that the label of f(i) under f(p) stand to that of f(q) as
       i's label stands to q's.  Two earlier q < q' with one label: when q'
@@ -541,24 +540,34 @@ def _conditions(S, T):
       one label under f(p), and q' asks of i what q does.  So one entry per
       label value, at the first node above p with that label.
 
-    Both proofs assume only that f keeps the order and that each earlier
-    node passed its own entries, so they hold for any complete map that
-    keeps the order, not just for the search's prefixes
-    (``verify_st_embedding``).
+    The parent rows and sibling entries give the whole of order-exactness
+    and meet preservation, once every earlier node has passed its own:
+
+    1. Chaining parent rows gives f(p) < f(i) whenever p < i.
+    2. Take p and i incomparable, with meet m, and let a and a' be the
+       children of m towards p and towards i.  They are distinct siblings,
+       so the later of them has an entry against the earlier, and f(a) and
+       f(a') lie in distinct child cones of f(m).  As f(p) >= f(a) and
+       f(i) >= f(a'), f(p) and f(i) lie in those two cones: they are
+       incomparable, and their meet is f(m).
+
+    An earlier node is never above i, so 1 and 2 cover every earlier p:
+    each relation-code row and meet entry left out follows from the kept
+    ones, each candidate mask is the one the full conditions give, and the
+    search meets its witnesses in the same order.  The proofs assume only
+    that each earlier node passed its own rows and entries, so they hold
+    for any complete map that keeps the order, not just for the search's
+    prefixes (``verify_st_embedding``).
     """
     allowed = _fits(S, T)
     _, _, ttables, tdown, tup = T._target_tables()
     spos, tabove = S.poset, T.poset.above
-    # meets: (c, m) per earlier c incomparable to i whose parent m is below
-    # i; a parent is the last node of a down-set in storage order (in a
+    parent = [row.bit_length() - 1 for row in spos.below]
+    order = [((m, tabove),) if m >= 0 else () for m in parent]
+    # meets: (q, m) per earlier sibling q of i, m their parent (in a
     # decomposition tree distinct children's cones carry distinct labels,
     # so there the labels imply the meets; other structured trees need them)
-    below, beside = spos.below, spos.beside
-    parent = [row.bit_length() - 1 for row in below]
-    meets = [
-        [(c, parent[c]) for c in _bits(beside[i] & (1 << i) - 1) if below[i] >> parent[c] & 1]
-        for i in range(len(spos))
-    ]
+    meets = [[(q, m) for q in range(i) if parent[q] == m] for i, m in enumerate(parent)]
     # labels: per sum node p below i, (q, code) for the first node q above
     # p with each label value, placed before i, where code is that of q's
     # label towards i's label in p's arity
@@ -600,7 +609,7 @@ def _conditions(S, T):
             c &= mask
         return c
 
-    return allowed, narrow
+    return allowed, order, narrow
 
 
 def st_embed(S, T):
@@ -610,38 +619,37 @@ def st_embed(S, T):
     every node's labels, and increases colours (arity colours compare by
     arity embeddability, leaf colours by the ground palette, and the two
     kinds never compare).  Each condition becomes a target mask for the
-    shared driver ``_search.backtrack``: order gives the relation-code
-    rows, and ``_conditions`` the allowed masks (colours) and ``narrow``
-    (meets and labels, which involve two earlier nodes).
-    Nodes are placed in storage order, which StructuredTree keeps a linear
-    extension, so ancestors and meets are placed first.  The witness is
-    the lexicographically first embedding.
+    shared driver ``_search.backtrack``, all made by ``_conditions``: the
+    allowed masks (colours), one row per node keeping its image above its
+    parent's (order), and ``narrow`` (meets and labels, which involve two
+    earlier nodes).  Nodes are placed in storage order, which
+    StructuredTree keeps a linear extension, so ancestors and meets are
+    placed first.  The witness is the lexicographically first embedding.
     """
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")
-    spos, tpos = S.poset, T.poset
-    if len(spos) > len(tpos):
+    if len(S.poset) > len(T.poset):
         return None
-    allowed, narrow = _conditions(S, T)
-    assign = _search.backtrack(allowed, _search.code_rows(spos, tpos), narrow)
+    assign = _search.backtrack(*_conditions(S, T))
     if assign is None:
         return None
-    pairs = zip(spos.elements, (tpos.elements[j] for j in assign))
+    pairs = zip(S.poset.elements, (T.poset.elements[j] for j in assign))
     return EmbeddingMap(pairs, "structured-tree")
 
 
 def verify_st_embedding(S, T, emap):
     """Full check of every structured-tree embedding condition, by node
-    index: the order first (``check_embedding`` on the tree posets), then
-    each node's colour mask and its meet and label entries
-    (``_conditions``), which read the images of earlier nodes."""
+    index: the order first (``check_embedding`` on the tree posets, which
+    covers the order rows of ``_conditions``), then each node's colour mask
+    and its meet and label entries (``_conditions``), which read the images
+    of earlier nodes."""
     if S.ground_palette != T.ground_palette:
         return False
     if not check_embedding(S.poset, T.poset, emap):
         return False
     m = emap.as_dict()
     f = [T.poset.index[m[a]] for a in S.poset.elements]
-    allowed, narrow = _conditions(S, T)
+    allowed, _, narrow = _conditions(S, T)
     return all(allowed[i] >> j & 1 and narrow(i, f, 1 << j) for i, j in enumerate(f))
 
 
@@ -696,9 +704,21 @@ def scattered_rank(tree, bound=None):
     """Least number of nested chain-of-trees layerings that build the tree.
 
     A tree is rank <= r+1 when some root path exists whose off-path cones
-    all have rank <= r; singletons are rank 0.  Exact search over root
-    paths, with the rank of each of the n cones (a node and everything
-    above it) found once, deepest node first.
+    all have rank <= r; singletons are rank 0.  One pass over the nodes,
+    deepest first, reads each node's children once: a leaf has rank 0, and
+    a node v with children has rank
+
+        1 + min over children c of max(max(rank[c] - 1, 0), c's siblings' ranks).
+
+    Proof: a root path of v's cone that stops at v leaves every child's
+    cone hanging off it.  Continuing into a child c instead swaps c's cone,
+    of rank rank[c], for c's own best continuation, whose highest hanging
+    cone has rank rank[c] - 1 by c's own definition, or none when c is a
+    leaf.  c's siblings hang off the path either way, so a best path never
+    stops early.  The minimum is reached at a child of the highest rank
+    (any other child leaves that one hanging), so rank[v] is one more than
+    the larger of the highest child rank less one, the second highest (0
+    for an only child), and 0.
     """
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     config.check_size(len(poset), config.SCATTERED_RANK_BOUND, bound, "tree", "nodes")
@@ -713,15 +733,7 @@ def scattered_rank(tree, bound=None):
             children[max(_bits(row), key=depth.__getitem__)] |= 1 << d
     rank = [0] * len(poset)
     for v in sorted(range(len(poset)), key=depth.__getitem__, reverse=True):
-        if poset.above[v]:
-            cone = poset.above[v] | 1 << v
-            # each root path of the cone, from v to t, against the cones
-            # hanging off it
-            rank[v] = 1 + min(
-                max(
-                    (rank[d] for u in _bits(path) for d in _bits(children[u] & ~path)),
-                    default=0,
-                )
-                for path in (cone & (poset.below[t] | 1 << t) for t in _bits(cone))
-            )
+        if children[v]:
+            top, *rest = sorted((rank[c] for c in _bits(children[v])), reverse=True)
+            rank[v] = 1 + max(top - 1, *rest[:1], 0)
     return rank[depth.index(0)]

@@ -876,15 +876,16 @@ class TestStEmbed:
         assert lifted.as_dict() == {e: e for e in poset.elements}
 
 
-def _captured_allowed(monkeypatch, pairs):
-    """The allowed masks st_embed hands to the search, per pair."""
+def _captured(monkeypatch, pairs, part=0):
+    """Per pair, what st_embed hands to the search: its allowed masks (part
+    0) or its order rows (part 1)."""
     seen = []
     backtrack = _search.backtrack
 
     def capture(allowed, rows, narrow=None):
         # only st_embed narrows; the arity comparisons search without
         if narrow is not None:
-            seen.append(list(allowed))
+            seen.append((list(allowed), rows)[part])
         return backtrack(allowed, rows, narrow)
 
     monkeypatch.setattr(_search, "backtrack", capture)
@@ -892,7 +893,7 @@ def _captured_allowed(monkeypatch, pairs):
         before = len(seen)
         st_embed(s, t)
         if len(seen) == before:  # more source nodes than targets: no search
-            assert len(s.tree.nodes) > len(t.tree.nodes)
+            assert len(s.nodes) > len(t.nodes)
             seen.append(None)
     return seen
 
@@ -916,7 +917,7 @@ class TestColourClasses:
             for p in catalog5[k]
         ]
         pairs = [(s, t) for s in trees for t in trees]
-        seen = _captured_allowed(monkeypatch, pairs)
+        seen = _captured(monkeypatch, pairs)
         assert seen == [_pair_masks(s, t) for s, t in pairs]
 
     def test_class_masks_match_pair_masks_random(self, monkeypatch):
@@ -929,7 +930,7 @@ class TestColourClasses:
             y = helpers.random_coloured(rng, rng.randint(3, 9), palette, p=0.35)
             x = helpers.random_coloured(rng, rng.randint(2, 6), palette, p=0.35, prefix="s")
             pairs.append((decomposition_tree(x), decomposition_tree(y)))
-        seen = _captured_allowed(monkeypatch, pairs)
+        seen = _captured(monkeypatch, pairs)
         shared = 0
         for (s, t), allowed in zip(pairs, seen):
             assert allowed == _pair_masks(s, t)
@@ -961,10 +962,50 @@ class TestColourClasses:
             assert set(calls.values()) == {1}
 
 
+class TestOrderRows:
+    def test_one_parent_row_per_node(self, catalog5, monkeypatch):
+        # st_embed keeps the order by one row per node, its image above its
+        # parent's, and builds no relation-code rows
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p))
+            for k in (1, 2, 3, 4)
+            for p in catalog5[k]
+        ]
+        raw = [tree for _, tree in _random_raw_trees(random.Random(181), 20)]
+        pairs = [(s, t) for s in trees for t in trees]
+        pairs += [(s, t) for s in raw for t in raw]
+        # a first pass keeps every colour fit on its target, so that the
+        # arity comparisons (which do build relation-code rows) are not rerun
+        for s, t in pairs:
+            st_embed(s, t)
+
+        def boom(*args):
+            raise AssertionError("st_embed built relation-code rows")
+
+        monkeypatch.setattr(_search, "code_rows", boom)
+        seen = _captured(monkeypatch, pairs, 1)
+        searched = 0
+        for (s, t), rows in zip(pairs, seen):
+            if rows is None:
+                continue
+            searched += 1
+            below = s.poset.below
+            # the parent of i is the node j whose reflexive down-set is i's
+            # strict one; the root has none
+            want = [
+                tuple((j, t.poset.above) for j in range(len(below)) if below[i] == below[j] | 1 << j)
+                for i in range(len(below))
+            ]
+            assert list(rows) == want
+            assert all(table is t.poset.above for row in rows for _, table in row)
+        assert searched > 1000
+
+
 def _entries(tree):
-    """(label entries, meet entries) of a source tree: all of them, as
-    pairs of a later node and an earlier node it is checked against, and
-    the ones st_embed keeps."""
+    """(label entries, meet entries) of a source tree, as pairs of a later
+    node and an earlier node it is checked against: all of them, and those
+    left when one entry stands for each label value under a sum node, or
+    for each child cone of a meet."""
     S = getattr(tree, "tree", tree)
     below, beside = S.poset.below, S.poset.beside
     labels = kept_labels = meets = kept_meets = 0
@@ -1343,6 +1384,29 @@ class TestScatteredRank:
             )
         for lv in (1, 2, 3):
             assert scattered_rank(level[lv], bound=60) == lv
+
+    def test_closed_forms_at_size(self):
+        # sizes no oracle reaches: a chain and a caterpillar (a spine with
+        # one leaf per spine node) are rank 1, the binary tree of depth 7 is
+        # rank 6, and level 5 of the bottom-up construction is rank 5
+        spine = [f"s{k}" for k in range(100)]
+        caterpillar = make_poset(
+            spine + [f"l{k}" for k in range(100)],
+            list(zip(spine, spine[1:])) + [(f"s{k}", f"l{k}") for k in range(100)],
+        )
+        level = canonical("chain", 1)
+        for _ in range(5):
+            level = zeta_tree_sum(
+                canonical("chain", 2), {("a", 0): level, ("a", 1): level, ("b", 0): level}
+            )
+        for tree, size, rank in (
+            (canonical("chain", 200), 200, 1),
+            (caterpillar, 200, 1),
+            (canonical("binary_tree_prefix", 7), 127, 6),
+            (level, 485, 5),
+        ):
+            assert len(tree) == size
+            assert scattered_rank(tree, bound=size) == rank
 
 
 def _rooted_trees(catalog):
