@@ -167,24 +167,19 @@ class PrefixReport(_Record):
         self.reversed_tree = reversed_tree
         self.perp = perp
 
-    def found(self):
+    def _witnesses(self):
         return [
-            name
-            for name, w in (
-                ("binary_tree_prefix", self.tree),
-                ("reversed_binary_tree_prefix", self.reversed_tree),
-                ("perp_prefix", self.perp),
-            )
-            if w is not None
-        ]
-
-    def text(self):
-        lines = [f"prefix_depth {self.depth}"]
-        for name, w in (
             ("binary_tree_prefix", self.tree),
             ("reversed_binary_tree_prefix", self.reversed_tree),
             ("perp_prefix", self.perp),
-        ):
+        ]
+
+    def found(self):
+        return [name for name, w in self._witnesses() if w is not None]
+
+    def text(self):
+        lines = [f"prefix_depth {self.depth}"]
+        for name, w in self._witnesses():
             if w is None:
                 lines.append(f"{name} absent")
             else:

@@ -10,7 +10,7 @@ import os
 from .errors import TooLarge
 
 INTERVAL_ENUM_BOUND = 16
-SCATTERED_RANK_BOUND = 15
+SCATTERED_RANK_BOUND = 4096
 MATRIX_FAMILY_BOUND = 10
 
 _ENV_BOUND = "POSET_FORGE_BOUND"

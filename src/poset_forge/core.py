@@ -255,14 +255,32 @@ class Poset:
     def is_chain(self):
         return not any(self.beside)
 
+    def _parents(self):
+        """Each element's parent index (-1 for a minimal element), or None
+        when some down-set is not a chain; one lookup per element.
+
+        Proof: take a non-empty strict down-set B of d.  If B is a chain,
+        its top q lies above every other member, and everything at or below
+        q is below d, so B is q's reflexive down-set and q is d's parent.
+        Conversely, if every non-empty strict down-set is some element's
+        reflexive down-set, induction on size shows each one is a chain: q's
+        own strict down-set is a smaller chain, all of it below q.  Distinct
+        elements have distinct reflexive down-sets, so each key of ``top``
+        names one element.
+        """
+        top = {row | 1 << i: i for i, row in enumerate(self.below)}
+        try:
+            return [top[row] if row else -1 for row in self.below]
+        except KeyError:
+            return None
+
     def is_tree(self):
         """Every down-set is a chain (the library's working notion of a tree)."""
-        return all(
-            not row & self.beside[j] for row in self.below for j in _bits(row)
-        )
+        return self._parents() is not None
 
     def is_rooted_tree(self):
-        return len(self) > 0 and self.is_tree() and len(self.minimal_elements()) == 1
+        parents = self._parents()
+        return parents is not None and parents.count(-1) == 1
 
 
 def make_poset(elements, pairs):

@@ -722,15 +722,16 @@ def scattered_rank(tree, bound=None):
     """
     poset = tree.poset if isinstance(tree, StructuredTree) else tree
     config.check_size(len(poset), config.SCATTERED_RANK_BOUND, bound, "tree", "nodes")
-    if poset is tree and not poset.is_rooted_tree():
+    # ``Poset.is_rooted_tree`` on the parent map that also gives the children
+    parents = poset._parents()
+    if poset is tree and (parents is None or parents.count(-1) != 1):
         raise NotATree("scattered rank is defined for rooted trees")
 
-    # a node's parent is its deepest strict ancestor
     depth = [row.bit_count() for row in poset.below]
     children = [0] * len(poset)
-    for d, row in enumerate(poset.below):
-        if row:
-            children[max(_bits(row), key=depth.__getitem__)] |= 1 << d
+    for d, p in enumerate(parents):
+        if p >= 0:
+            children[p] |= 1 << d
     rank = [0] * len(poset)
     for v in sorted(range(len(poset)), key=depth.__getitem__, reverse=True):
         if children[v]:

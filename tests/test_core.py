@@ -96,6 +96,34 @@ def _oracle_cases(catalog5):
             if rng.random() < density
         ]
         yield make_poset(ids, pairs), ids, helpers.brute_lt(ids, pairs)
+    yield from _tree_cases()
+
+
+def _tree_cases():
+    """Seeded random rooted trees and forests of 1-40 nodes, each grown
+    along one shuffled order and stored in another, then each again with
+    one extra pair that gives a non-root node a second, incomparable lower
+    cover."""
+    rng = random.Random(41)
+    for k in range(48):
+        n = rng.randint(1, 40)
+        ids = [f"t{i}" for i in range(n)]
+        grown = rng.sample(ids, n)
+        roots = 1 if k % 2 else rng.randint(2, max(2, n))
+        pairs = [(rng.choice(grown[:d]), grown[d]) for d in range(min(roots, n), n)]
+        stored = rng.sample(ids, n)
+        lt = helpers.brute_lt(ids, pairs)
+        yield make_poset(stored, pairs), stored, lt
+        # a second lower cover a of b, incomparable to b and to b's parent p
+        strays = [
+            (a, b)
+            for p, b in pairs
+            for a in ids
+            if not {(a, p), (p, a), (a, b), (b, a)} & lt
+        ]
+        if strays:
+            extra = pairs + [rng.choice(strays)]
+            yield make_poset(stored, extra), stored, helpers.brute_lt(ids, extra)
 
 
 class TestRowQueriesAgainstOracle:
@@ -138,18 +166,26 @@ class TestRowQueriesAgainstOracle:
             ]
 
     def test_shape_predicates(self, catalog5):
+        seen = set()  # (tree, root count capped at 2) above 5 elements
         for poset, ids, lt in _oracle_cases(catalog5):
             def comparable(a, b):
                 return a == b or (a, b) in lt or (b, a) in lt
 
             assert poset.is_chain() == all(comparable(a, b) for a in ids for b in ids)
-            assert poset.is_tree() == all(
+            tree = all(
                 comparable(b, c)
                 for a in ids
                 for b in ids
                 for c in ids
                 if (b, a) in lt and (c, a) in lt
             )
+            roots = [b for b in ids if not any((a, b) in lt for a in ids)]
+            assert poset.is_tree() == tree
+            assert poset.is_rooted_tree() == (tree and len(roots) == 1)
+            if len(ids) > 5:
+                seen.add((tree, min(len(roots), 2)))
+        # rooted trees, forests of two or more roots, and one-root non-trees
+        assert {(True, 1), (True, 2), (False, 1)} <= seen
 
     def test_derived_posets(self, catalog5):
         rng = random.Random(31)

@@ -1408,6 +1408,26 @@ class TestScatteredRank:
             assert len(tree) == size
             assert scattered_rank(tree, bound=size) == rank
 
+    @pytest.mark.parametrize("shape", ["chain", "caterpillar"])
+    def test_default_bound_from_rows(self, shape):
+        # 4,096 nodes, the default bound, built straight from their rows
+        n = 4096
+        above = [(1 << n) - (1 << k + 1) for k in range(n)]  # a chain
+        if shape == "caterpillar":
+            # the even nodes form the spine, and each odd node is a leaf
+            # just above the even node before it
+            above = [0 if k % 2 else row for k, row in enumerate(above)]
+        ids = [f"v{k}" for k in range(n)]
+        tree = Poset(ids, above)
+        assert tree.is_rooted_tree()
+        assert scattered_rank(tree) == 1
+        # cutting the rows of the lower half at n/2 leaves two roots, 0 and n/2
+        cut = (1 << n // 2) - 1
+        forest = Poset(ids, [row & cut for row in above[: n // 2]] + above[n // 2 :])
+        assert forest.is_tree() and not forest.is_rooted_tree()
+        with pytest.raises(NotATree):
+            scattered_rank(forest)
+
 
 def _rooted_trees(catalog):
     return [p for reps in catalog.values() for p in reps if p.is_rooted_tree()]
