@@ -1,29 +1,45 @@
 """The one backtracking driver behind every injection search.
 
 ``backtrack`` fills sources ``0 .. n-1`` in ascending order with distinct
-targets, bit ``j`` of an int standing for target ``j``.  The candidates for
-source ``i`` are ``allowed[i]`` (colours, degree pruning) minus the used
-targets, ANDed with ``table[assign[p]]`` for each ``(p, table)`` in
-``rows[i]``.  Candidates are taken lowest bit first, so the witness is the
-lexicographically first injection.
+targets, bit ``j`` of an int standing for target ``j``.  It checks forward
+(Haralick and Elliott, Artificial Intelligence 14, 1980): it keeps, per
+depth, a candidate mask for every source, starting from ``allowed``
+(colours, degree pruning).  Placing source i at target v ANDs the mask of
+each later source j with ``table[v]`` for each ``(j, table)`` in
+``rows[i]``; if one of them empties, v is rejected there and then.  When a
+source is reached, its candidates are its kept mask minus the used targets,
+then ``narrow``.  Candidates are taken lowest bit first, so the witness is
+the lexicographically first injection.
 
-``code_rows`` makes an injection relation-exact: for ``p < i`` the table is
-``y.above`` when p < i in x, ``y.below`` when p > i and ``y.beside`` when
-they are incomparable, read off x's rows.  It serves ``search_injection``
-(poset and coloured embedding) only, which is just that.
-``dectree.st_embed`` passes one row per tree node instead, ``(parent,
-y.above)``, and ``narrow(i, assign, c)``, which returns the part of the
-candidate mask ``c`` that its meet and label conditions allow, since each
-involves two earlier sources; together they give what the relation-code
-rows would (``dectree._conditions``).  ``narrow`` reads only the images of
-sources before i, so ``dectree.verify_st_embedding`` calls it on a complete
-map too.
+Forward checking cannot change that witness.  A reached source's kept mask
+is ``allowed`` ANDed with the same tables a check against each placed
+source would read, so it gets the same candidates in the same order; and a
+rejected placement leaves some later source with no target that the placed
+sources allow, so no injection extends it.  The search only skips prefixes
+that have no completion.
+
+``code_rows`` makes an injection relation-exact: for ``j > i`` the table is
+``y.above`` when i < j in x, ``y.below`` when i > j and ``y.beside`` when
+they are incomparable, read off x's rows.  These are strict rows, so each
+also drops v itself.  It serves ``search_injection`` (poset and coloured
+embedding) only, which is just that.
+``dectree.st_embed`` passes instead one row from each tree node to each of
+its children, ``(child, y.above)``, and ``narrow(i, assign, c)``, which
+returns the part of the candidate mask ``c`` that its meet and label
+conditions allow, since each involves two earlier sources; together they
+give what the relation-code rows would (``dectree._conditions``).
+``narrow`` reads only the images of sources before i, so
+``dectree.verify_st_embedding`` calls it on a complete map too.
 """
 
 
 def backtrack(allowed, rows, narrow=None):
     """First assignment of distinct targets to the sources, as a list of
-    target indices, or None."""
+    target indices, or None.
+
+    ``rows[i]`` lists ``(j, table)`` for later sources j: placing i at v
+    keeps j's candidates inside ``table[v]``.
+    """
     n = len(allowed)
     if n == 0:
         return []
@@ -33,6 +49,9 @@ def backtrack(allowed, rows, narrow=None):
     assign = [0] * n
     cand = [0] * n
     cand[0] = allowed[0]
+    # kept[i]: every source's candidate mask once sources before i are placed
+    kept = [None] * n
+    kept[0] = list(allowed)
     used = 0
     i = 0
     while True:
@@ -40,17 +59,24 @@ def backtrack(allowed, rows, narrow=None):
         if c:
             low = c & -c
             cand[i] = c ^ low
-            assign[i] = low.bit_length() - 1
-            used |= low
-            i += 1
-            if i == n:
-                return assign
-            c = allowed[i] & ~used
-            for p, table in rows[i]:
-                c &= table[assign[p]]
-            if c and narrow is not None:
-                c = narrow(i, assign, c)
-            cand[i] = c
+            v = low.bit_length() - 1
+            masks = kept[i][:]
+            for j, table in rows[i]:
+                m = masks[j] & table[v]
+                if not m:
+                    break
+                masks[j] = m
+            else:
+                assign[i] = v
+                used |= low
+                i += 1
+                if i == n:
+                    return assign
+                kept[i] = masks
+                c = masks[i] & ~used
+                if c and narrow is not None:
+                    c = narrow(i, assign, c)
+                cand[i] = c
         else:
             i -= 1
             if i < 0:
@@ -59,12 +85,13 @@ def backtrack(allowed, rows, narrow=None):
 
 
 def code_rows(x, y):
-    """Per source i of x, the rows keeping its image in the same relation to
-    each earlier source's image as i has to that source in x."""
+    """Per source i of x, the rows keeping each later source's image in the
+    same relation to i's image as that source has to i in x."""
+    n = len(x)
     return [
         [
-            (p, y.above if dn >> p & 1 else y.below if up >> p & 1 else y.beside)
-            for p in range(i)
+            (j, y.above if up >> j & 1 else y.below if dn >> j & 1 else y.beside)
+            for j in range(i + 1, n)
         ]
         for i, (dn, up) in enumerate(zip(x.below, x.above))
     ]

@@ -517,10 +517,10 @@ def _fits(S, T):
 
 def _conditions(S, T):
     """``(allowed, order, narrow)`` for embedding S into T with
-    ``_search.backtrack``: the colour masks (``_fits``), one order row per
-    node, and ``narrow(i, f, c)``, the part of node i's candidate mask c
-    that its meet and label entries allow, given the images f of the
-    earlier nodes.
+    ``_search.backtrack``: the colour masks (``_fits``), the order rows
+    each node pushes to its children, and ``narrow(i, f, c)``, the part of
+    node i's candidate mask c that its meet and label entries allow, given
+    the images f of the earlier nodes.
 
     What depends on the target alone (its colour fits, label indices and
     reflexive rows) is kept on it (``StructuredTree._target_tables``); the
@@ -528,8 +528,9 @@ def _conditions(S, T):
     (a node's parent is the last node of its down-set, as S is stored in a
     linear extension), and only those that can bind:
 
-    - Order: ``order[i]`` is ``((parent, T.poset.above),)``, so f(i) lies
-      above f(parent); the root has none.
+    - Order: each node pushes one row to each of its children, so
+      ``order[m]`` holds ``(child, T.poset.above)`` per child of m: once m
+      is placed, f(child) is kept above f(m).  A leaf pushes none.
     - Meets: node i has one entry per earlier sibling q, an earlier node
       with i's parent m: f(i) avoids the child cone of f(m) that holds
       f(q).
@@ -563,7 +564,10 @@ def _conditions(S, T):
     _, _, ttables, tdown, tup = T._target_tables()
     spos, tabove = S.poset, T.poset.above
     parent = [row.bit_length() - 1 for row in spos.below]
-    order = [((m, tabove),) if m >= 0 else () for m in parent]
+    order = [[] for _ in parent]
+    for i, m in enumerate(parent):
+        if m >= 0:
+            order[m].append((i, tabove))
     # meets: (q, m) per earlier sibling q of i, m their parent (in a
     # decomposition tree distinct children's cones carry distinct labels,
     # so there the labels imply the meets; other structured trees need them)
@@ -620,11 +624,12 @@ def st_embed(S, T):
     arity embeddability, leaf colours by the ground palette, and the two
     kinds never compare).  Each condition becomes a target mask for the
     shared driver ``_search.backtrack``, all made by ``_conditions``: the
-    allowed masks (colours), one row per node keeping its image above its
-    parent's (order), and ``narrow`` (meets and labels, which involve two
-    earlier nodes).  Nodes are placed in storage order, which
-    StructuredTree keeps a linear extension, so ancestors and meets are
-    placed first.  The witness is the lexicographically first embedding.
+    allowed masks (colours), one row from each node to each of its
+    children keeping the child's image above its own (order), and
+    ``narrow`` (meets and labels, which involve two earlier nodes).  Nodes
+    are placed in storage order, which StructuredTree keeps a linear
+    extension, so ancestors and meets are placed first.  The witness is the
+    lexicographically first embedding.
     """
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")

@@ -7,8 +7,10 @@ exceptions are the library's former designs, kept to check their
 replacements: ``pair_closure_indecomposable``, the old indecomposability
 test, which shares only ``interval._close`` with the new one (and that is
 checked against ``brute_intervals`` itself); ``brute_h_eta``, the old index
-poset from name pairs; and ``extract_recompose``, the old recomposition,
-which evaluates one extracted tree per slot.
+poset from name pairs; ``extract_recompose``, the old recomposition,
+which evaluates one extracted tree per slot; and ``backward_backtrack``
+with ``backward_code_rows``, the old search kernel, which checks each
+source against the earlier ones only once it reaches it.
 """
 
 import functools
@@ -23,7 +25,7 @@ from poset_forge import (
     make_poset,
 )
 from poset_forge.composition import CompositionSequence, eval_f_eta, render_position
-from poset_forge.dectree import subtree_extract
+from poset_forge.dectree import StructuredTree, subtree_extract
 from poset_forge.interval import _close
 from poset_forge.core import EmbeddingMap, one_colour_palette
 
@@ -252,6 +254,57 @@ def extract_recompose(tree, zeta):
         for u in seq.slots(idx)
     }
     return eval_f_eta(seq, args)
+
+
+def backward_backtrack(allowed, rows, narrow=None):
+    """First assignment of distinct targets to the sources, as a list of
+    target indices, or None, checking backward: ``rows[i]`` lists
+    ``(p, table)`` for earlier sources p, and source i's candidates are
+    ``allowed[i]`` minus the used targets, ANDed with ``table[assign[p]]``
+    per row, then ``narrow``."""
+    n = len(allowed)
+    if n == 0:
+        return []
+    if not all(allowed):
+        return None
+    assign = [0] * n
+    cand = [0] * n
+    cand[0] = allowed[0]
+    used = 0
+    i = 0
+    while True:
+        c = cand[i]
+        if c:
+            low = c & -c
+            cand[i] = c ^ low
+            assign[i] = low.bit_length() - 1
+            used |= low
+            i += 1
+            if i == n:
+                return assign
+            c = allowed[i] & ~used
+            for p, table in rows[i]:
+                c &= table[assign[p]]
+            if c and narrow is not None:
+                c = narrow(i, assign, c)
+            cand[i] = c
+        else:
+            i -= 1
+            if i < 0:
+                return None
+            used ^= 1 << assign[i]
+
+
+def backward_code_rows(x, y):
+    """Per source i of x, the rows keeping its image in the same relation to
+    each earlier source's image as i has to that source in x."""
+    return [
+        [
+            (p, y.above if dn >> p & 1 else y.below if up >> p & 1 else y.beside)
+            for p in range(i)
+        ]
+        for i, (dn, up) in enumerate(zip(x.below, x.above))
+    ]
 
 
 def brute_tree_rank(poset):
@@ -669,6 +722,63 @@ def random_coloured(rng, n, palette=None, p=0.35, prefix="e"):
 
 def uniform(poset):
     return ColouredPoset.uniform(poset)
+
+
+def raw_tree(nodes, pairs, arity=None, labels=None):
+    """A structured tree over one ground colour.  Nodes with something above
+    are sums; by default their arity is a point and every label its slot."""
+    poset = make_poset(nodes, pairs)
+    sums = {v for v, _ in poset.lt_pairs()}
+    point = make_poset(["x"], [])
+    return StructuredTree(
+        poset,
+        {n: "sum" if n in sums else "leaf" for n in nodes},
+        {n: arity[n] if arity else point for n in sums},
+        {n: "0" for n in nodes if n not in sums},
+        one_colour_palette(),
+        labels if labels else {vw: "x" for vw in poset.lt_pairs()},
+    )
+
+
+SMALL_ARITIES = (
+    make_poset(["x"], []),
+    make_poset(["x", "y"], [("x", "y")]),
+    make_poset(["x", "y"], []),
+)
+
+
+def random_labelled_tree(rng, sizes=(1, 6)):
+    """Nodes (parents first), tree pairs, arities and labels of a random
+    labelled tree on 1 to 6 nodes, or on as many as ``sizes`` bounds."""
+    n = rng.randint(*sizes)
+    parent = {k: rng.randrange(k) for k in range(1, n)}
+    nodes = [f"n{k}" for k in range(n)]
+    pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
+    arity = {v: rng.choice(SMALL_ARITIES) for v in nodes[:-1]}
+    slot = {c: rng.choice(arity[nodes[parent[k]]].elements)
+            for k, c in enumerate(nodes) if k}
+    labels = {}
+    for k in range(1, n):
+        # k's label under every strict ancestor v is the slot of the
+        # child of v on the path to k
+        c = k
+        while c:
+            labels[(nodes[parent[c]], nodes[k])] = slot[nodes[c]]
+            c = parent[c]
+    return nodes, pairs, arity, labels
+
+
+def random_raw_trees(rng, count):
+    """(labels, tree) for count random labelled trees, each stored in both
+    its own node order and a shuffled one."""
+    out = []
+    for _ in range(count):
+        nodes, pairs, arity, labels = random_labelled_tree(rng)
+        shuffled = nodes[:]
+        rng.shuffle(shuffled)
+        for order in (nodes, shuffled):
+            out.append((labels, raw_tree(order, pairs, arity, labels)))
+    return out
 
 
 # ids made of separators, digits and the stand-in's letters, so that ids

@@ -15,6 +15,7 @@ from poset_forge import (
     check_embedding,
     coloured_embed,
     coloured_isomorphic,
+    decomposition_tree,
     embed,
     is_isomorphic,
     make_poset,
@@ -23,7 +24,7 @@ from poset_forge import (
     union_q,
     zeta_tree_sum,
 )
-from poset_forge import _search
+from poset_forge import _search, dectree
 from poset_forge.core import (
     EQUAL,
     GREATER,
@@ -762,6 +763,117 @@ class TestColouredEmbed:
                 assert check_coloured_embedding(
                     ColouredPoset.uniform(x), ColouredPoset.uniform(y), cw
                 )
+
+
+def _counted(narrow=None):
+    """A narrow that passes ``narrow``'s mask (or the mask itself) through,
+    and the list whose length counts the search nodes that called it."""
+    nodes = []
+
+    def count(i, assign, c):
+        nodes.append(i)
+        return c if narrow is None else narrow(i, assign, c)
+
+    return count, nodes
+
+
+def _forward_against_backward(cases):
+    """Per case ``(allowed, rows, backward rows, narrow)``: the forward
+    search returns the backward oracle's assignment and reaches no more
+    nodes.  Returns the two node totals."""
+    forward_total = backward_total = 0
+    for allowed, rows, backward_rows, narrow in cases:
+        count, forward = _counted(narrow)
+        got = _search.backtrack(allowed, rows, count)
+        count, backward = _counted(narrow)
+        assert got == helpers.backward_backtrack(allowed, backward_rows, count)
+        assert len(forward) <= len(backward)
+        forward_total += len(forward)
+        backward_total += len(backward)
+    return forward_total, backward_total
+
+
+def _code_cases(searches):
+    """Per ``(allowed, x, y)``, a case with the forward and the backward
+    relation-code rows of x into y."""
+    for allowed, x, y in searches:
+        yield allowed, _search.code_rows(x, y), helpers.backward_code_rows(x, y), None
+
+
+def _planted_and_random(rng, count):
+    """count pairs of 8-12 elements into 14-20, every other one planted (a
+    shuffled induced suborder of the target, so always found)."""
+    for k in range(count):
+        n, density = rng.randint(14, 20), rng.choice((0.25, 0.35, 0.45))
+        y = helpers.random_poset(rng, n, density, "y")
+        n, density = rng.randint(8, 12), rng.choice((0.25, 0.35))
+        if k % 2:
+            x = helpers.random_poset(rng, n, density, "x")
+        else:
+            x = helpers.shuffled_poset(rng, y.restrict(rng.sample(y.elements, n)))
+        yield x, y
+
+
+class TestForwardChecking:
+    """The forward-checking kernel against the former backward one: the
+    same first witness on every pair, never more search nodes, and fewer in
+    total."""
+
+    def test_catalog5_pairs(self, catalog5):
+        posets = [p for reps in catalog5.values() for p in reps]
+        pairs = [(x, y) for x in posets for y in posets]
+        cases = _code_cases((_search.degree_mask(x, y), x, y) for x, y in pairs)
+        forward, backward = _forward_against_backward(cases)
+        assert forward < backward
+
+    def test_planted_and_random_pairs(self):
+        # sizes the brute scans cannot reach
+        pairs = list(_planted_and_random(random.Random(193), 300))
+        cases = _code_cases((_search.degree_mask(x, y), x, y) for x, y in pairs)
+        forward, backward = _forward_against_backward(cases)
+        assert forward < backward
+
+    def test_coloured_pairs_every_palette(self):
+        rng = random.Random(197)
+        pairs = []
+        for k in range(240):
+            palette = helpers.PALETTES[k % len(helpers.PALETTES)]
+            y = helpers.random_coloured(rng, rng.randint(10, 14), palette, prefix="y")
+            if k % 2:
+                x = helpers.random_coloured(rng, rng.randint(5, 8), palette, prefix="x")
+            else:
+                x = y.restrict(rng.sample(y.elements, rng.randint(5, 8)))
+            pairs.append((x, y))
+        cases = _code_cases(
+            (_coloured_allowed(x, y, strict), x.poset, y.poset)
+            for strict in (False, True)
+            for x, y in pairs
+        )
+        forward, backward = _forward_against_backward(cases)
+        assert forward < backward
+
+    def test_tree_conditions_against_parent_rows(self, catalog5):
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p))
+            for reps in catalog5.values()
+            for p in reps
+        ]
+        trees += [tree for _, tree in helpers.random_raw_trees(random.Random(199), 30)]
+
+        def cases():
+            for s in trees:
+                # the former order rows: one per node, against its parent
+                parent = [row.bit_length() - 1 for row in s.poset.below]
+                for t in trees:
+                    if len(s.poset) > len(t.poset):
+                        continue
+                    allowed, order, narrow = dectree._conditions(s, t)
+                    above = t.poset.above
+                    backward_rows = [((m, above),) if m >= 0 else () for m in parent]
+                    yield allowed, order, backward_rows, narrow
+
+        forward, backward = _forward_against_backward(cases())
+        assert forward < backward
 
 
 class TestConstructorsProduceStrictOrders:

@@ -189,7 +189,7 @@ class TestMeet:
                     assert [tree.meet(a, b)] == greatest
 
     def test_meet_index_on_raw_trees(self):
-        for _, tree in _random_raw_trees(random.Random(139), 40):
+        for _, tree in helpers.random_raw_trees(random.Random(139), 40):
             poset = tree.poset
             nodes = poset.elements
             for i, a in enumerate(nodes):
@@ -331,66 +331,9 @@ class TestRecompose:
             recompose_along_chain(t, [t.tree.leaf_nodes()[0]])
 
 
-def _raw_tree(nodes, pairs, arity=None, labels=None):
-    """A structured tree over one ground colour.  Nodes with something above
-    are sums; by default their arity is a point and every label its slot."""
-    poset = make_poset(nodes, pairs)
-    sums = {v for v, _ in poset.lt_pairs()}
-    point = make_poset(["x"], [])
-    return StructuredTree(
-        poset,
-        {n: "sum" if n in sums else "leaf" for n in nodes},
-        {n: arity[n] if arity else point for n in sums},
-        {n: "0" for n in nodes if n not in sums},
-        one_colour_palette(),
-        labels if labels else {vw: "x" for vw in poset.lt_pairs()},
-    )
-
-
-_SMALL_ARITIES = (
-    make_poset(["x"], []),
-    make_poset(["x", "y"], [("x", "y")]),
-    make_poset(["x", "y"], []),
-)
-
-
-def _random_labelled_tree(rng, sizes=(1, 6)):
-    """Nodes (parents first), tree pairs, arities and labels of a random
-    labelled tree on 1 to 6 nodes, or on as many as ``sizes`` bounds."""
-    n = rng.randint(*sizes)
-    parent = {k: rng.randrange(k) for k in range(1, n)}
-    nodes = [f"n{k}" for k in range(n)]
-    pairs = [(nodes[parent[k]], nodes[k]) for k in parent]
-    arity = {v: rng.choice(_SMALL_ARITIES) for v in nodes[:-1]}
-    slot = {c: rng.choice(arity[nodes[parent[k]]].elements)
-            for k, c in enumerate(nodes) if k}
-    labels = {}
-    for k in range(1, n):
-        # k's label under every strict ancestor v is the slot of the
-        # child of v on the path to k
-        c = k
-        while c:
-            labels[(nodes[parent[c]], nodes[k])] = slot[nodes[c]]
-            c = parent[c]
-    return nodes, pairs, arity, labels
-
-
-def _random_raw_trees(rng, count):
-    """(labels, tree) for count random labelled trees, each stored in both
-    its own node order and a shuffled one."""
-    out = []
-    for _ in range(count):
-        nodes, pairs, arity, labels = _random_labelled_tree(rng)
-        shuffled = nodes[:]
-        rng.shuffle(shuffled)
-        for order in (nodes, shuffled):
-            out.append((labels, _raw_tree(order, pairs, arity, labels)))
-    return out
-
-
 class TestLabelRows:
     def test_label_reads_the_given_dict(self):
-        for labels, tree in _random_raw_trees(random.Random(131), 60):
+        for labels, tree in helpers.random_raw_trees(random.Random(131), 60):
             for v in tree.nodes:
                 for x in tree.nodes:
                     if (v, x) in labels:
@@ -402,7 +345,7 @@ class TestLabelRows:
     def test_rows_split_each_up_set(self):
         # one row per slot of the arity; together they partition the nodes
         # above, and leaves have none
-        for _, tree in _random_raw_trees(random.Random(137), 40):
+        for _, tree in helpers.random_raw_trees(random.Random(137), 40):
             for i, v in enumerate(tree.nodes):
                 rows = tree.label_rows[i]
                 if tree.kinds[v] == "leaf":
@@ -787,8 +730,8 @@ class TestStEmbed:
         # a raw structured tree may give two branches the same label; then
         # only the meet condition keeps two incomparable nodes from landing
         # in one branch
-        s = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
-        t = _raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
+        s = helpers.raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        t = helpers.raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
         phi = st_embed(s, t)
         assert phi.as_dict() == {"r": "C", "a": "c1", "b": "c2"}
         assert verify_st_embedding(s, t, phi)
@@ -799,8 +742,8 @@ class TestStEmbed:
     def test_raw_trees_out_of_order(self):
         # nodes given before their ancestors are re-stored in a linear
         # extension, so the search still places ancestors and meets first
-        s = _raw_tree(["a", "b", "r"], [("r", "a"), ("r", "b")])
-        t = _raw_tree(["c1", "R", "c2", "C"], [("R", "C"), ("C", "c1"), ("C", "c2")])
+        s = helpers.raw_tree(["a", "b", "r"], [("r", "a"), ("r", "b")])
+        t = helpers.raw_tree(["c1", "R", "c2", "C"], [("R", "C"), ("C", "c1"), ("C", "c2")])
         assert s.nodes == ("r", "a", "b")
         assert t.nodes == ("R", "C", "c1", "c2")
         phi = st_embed(s, t)
@@ -813,7 +756,7 @@ class TestStEmbed:
         rng = random.Random(97)
 
         def random_pair():
-            return [tree for _, tree in _random_raw_trees(rng, 1)]
+            return [tree for _, tree in helpers.random_raw_trees(rng, 1)]
 
         checked = found = 0
         for _ in range(60):
@@ -964,14 +907,15 @@ class TestColourClasses:
 
 class TestOrderRows:
     def test_one_parent_row_per_node(self, catalog5, monkeypatch):
-        # st_embed keeps the order by one row per node, its image above its
-        # parent's, and builds no relation-code rows
+        # st_embed keeps the order by one row per node, pushed by its parent:
+        # once m is placed, each child's image is kept above m's; it builds
+        # no relation-code rows
         trees = [
             decomposition_tree(ColouredPoset.uniform(p))
             for k in (1, 2, 3, 4)
             for p in catalog5[k]
         ]
-        raw = [tree for _, tree in _random_raw_trees(random.Random(181), 20)]
+        raw = [tree for _, tree in helpers.random_raw_trees(random.Random(181), 20)]
         pairs = [(s, t) for s in trees for t in trees]
         pairs += [(s, t) for s in raw for t in raw]
         # a first pass keeps every colour fit on its target, so that the
@@ -990,13 +934,13 @@ class TestOrderRows:
                 continue
             searched += 1
             below = s.poset.below
-            # the parent of i is the node j whose reflexive down-set is i's
-            # strict one; the root has none
+            # the children of m are the nodes j whose strict down-set is m's
+            # reflexive one; a leaf has none
             want = [
-                tuple((j, t.poset.above) for j in range(len(below)) if below[i] == below[j] | 1 << j)
-                for i in range(len(below))
+                tuple((j, t.poset.above) for j in range(len(below)) if below[j] == below[m] | 1 << m)
+                for m in range(len(below))
             ]
-            assert list(rows) == want
+            assert [tuple(row) for row in rows] == want
             assert all(table is t.poset.above for row in rows for _, table in row)
         assert searched > 1000
 
@@ -1030,8 +974,8 @@ def _shared_entry_trees():
     rng = random.Random(167)
     sources, targets = [], []
     while len(sources) < 14 or len(targets) < 14:
-        nodes, pairs, arity, labels = _random_labelled_tree(rng, (5, 6))
-        tree = _raw_tree(nodes, pairs, arity, labels)
+        nodes, pairs, arity, labels = helpers.random_labelled_tree(rng, (5, 6))
+        tree = helpers.raw_tree(nodes, pairs, arity, labels)
         all_labels, kept_labels, all_meets, kept_meets = _entries(tree)
         if kept_labels == all_labels or kept_meets == all_meets:
             continue
@@ -1109,7 +1053,7 @@ class TestTargetTables:
                     decomposition_tree(helpers.random_coloured(rng, 8, palette)),
                 )
         # raw structured trees
-        raw = [tree for _, tree in _random_raw_trees(random.Random(179), 30)]
+        raw = [tree for _, tree in helpers.random_raw_trees(random.Random(179), 30)]
         for target in raw[:8]:
             found += self._assert_kept_tables_hold(target, raw, raw[-1])
         assert found > 50
@@ -1146,7 +1090,7 @@ class TestVerifyAgainstOracle:
         assert verdicts[True] > 10 and verdicts[False] > 1000
 
     def test_raw_trees_up_to_4_nodes(self):
-        raw = _random_raw_trees(random.Random(149), 40)
+        raw = helpers.random_raw_trees(random.Random(149), 40)
         trees = [tree for _, tree in raw if len(tree.nodes) <= 4]
         verdicts = Counter()
         for s in trees:
@@ -1176,19 +1120,19 @@ class TestVerifyAgainstOracle:
         assert not verify_st_embedding(s, t, emap)
 
     def test_map_breaking_only_the_meets(self):
-        s = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
-        t = _raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
+        s = helpers.raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        t = helpers.raw_tree(["R", "C", "c1", "c2"], [("R", "C"), ("C", "c1"), ("C", "c2")])
         self._only(s, t, {"r": "R", "a": "c1", "b": "c2"})
         fine = EmbeddingMap((("r", "C"), ("a", "c1"), ("b", "c2")))
         assert verify_st_embedding(s, t, fine)
 
     def test_maps_breaking_only_the_labels(self):
-        chain, antichain = _SMALL_ARITIES[1], _SMALL_ARITIES[2]
-        s = _raw_tree(
+        chain, antichain = helpers.SMALL_ARITIES[1], helpers.SMALL_ARITIES[2]
+        s = helpers.raw_tree(
             ["r", "a", "b"], [("r", "a"), ("r", "b")], {"r": chain},
             {("r", "a"): "x", ("r", "b"): "y"},
         )
-        t = _raw_tree(
+        t = helpers.raw_tree(
             ["R", "c1", "c2"], [("R", "c1"), ("R", "c2")], {"R": chain},
             {("R", "c1"): "y", ("R", "c2"): "x"},
         )
@@ -1197,11 +1141,11 @@ class TestVerifyAgainstOracle:
         fine = EmbeddingMap((("r", "R"), ("a", "c2"), ("b", "c1")))
         assert verify_st_embedding(s, t, fine)
         # one label under r, two under R: the labels map is not a function
-        u = _raw_tree(
+        u = helpers.raw_tree(
             ["R", "c1", "c2"], [("R", "c1"), ("R", "c2")], {"R": antichain},
             {("R", "c1"): "x", ("R", "c2"): "y"},
         )
-        point = _raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
+        point = helpers.raw_tree(["r", "a", "b"], [("r", "a"), ("r", "b")])
         self._only(point, u, {"r": "R", "a": "c1", "b": "c2"})
 
 
