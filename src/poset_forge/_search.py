@@ -6,7 +6,7 @@ targets, bit ``j`` of an int standing for target ``j``.  It checks forward
 depth, a candidate mask for every source, starting from ``allowed``
 (colours, degree pruning).  Placing source i at target v ANDs the mask of
 each later source j with ``table[v]`` for each ``(j, table)`` in
-``rows[i]``; if one of them empties, v is rejected there and then.  When a
+``row(i)``; if one of them empties, v is rejected there and then.  When a
 source is reached, its candidates are its kept mask minus the used targets,
 then ``narrow``.  Candidates are taken lowest bit first, so the witness is
 the lexicographically first injection.
@@ -18,27 +18,38 @@ rejected placement leaves some later source with no target that the placed
 sources allow, so no injection extends it.  The search only skips prefixes
 that have no completion.
 
+The rows come from a builder, ``row(i)``, called at most once per source
+and search: for source 0 before the loop, and for a later source the first
+time it is reached with a candidate left after ``narrow``.  A row is read
+only when its source is placed, and a source is placed only from a
+non-empty candidate mask, so every row is built before it is read.  A
+row depends on its source alone, so when it is built changes neither the
+kept masks nor the candidates and their order, and so not the witness; a
+search that dies early builds only the rows of the sources it reached.
+
 ``code_rows`` makes an injection relation-exact: for ``j > i`` the table is
 ``y.above`` when i < j in x, ``y.below`` when i > j and ``y.beside`` when
 they are incomparable, read off x's rows.  These are strict rows, so each
 also drops v itself.  It serves ``search_injection`` (poset and coloured
 embedding) only, which is just that.
-``dectree.st_embed`` passes instead one row from each tree node to each of
-its children, ``(child, y.above)``, and ``narrow(i, assign, c)``, which
-returns the part of the candidate mask ``c`` that its meet and label
-conditions allow, since each involves two earlier sources; together they
-give what the relation-code rows would (``dectree._conditions``).
+``dectree.st_embed`` passes instead ``order.__getitem__``, one row from
+each tree node to each of its children, ``(child, y.above)``, and
+``narrow(i, assign, c)``, which returns the part of the candidate mask
+``c`` that its meet and label conditions allow, since each involves two
+earlier sources; together they give what the relation-code rows would
+(``dectree._conditions``).
 ``narrow`` reads only the images of sources before i, so
 ``dectree.verify_st_embedding`` calls it on a complete map too.
 """
 
 
-def backtrack(allowed, rows, narrow=None):
+def backtrack(allowed, row, narrow=None):
     """First assignment of distinct targets to the sources, as a list of
     target indices, or None.
 
-    ``rows[i]`` lists ``(j, table)`` for later sources j: placing i at v
-    keeps j's candidates inside ``table[v]``.
+    ``row(i)`` lists ``(j, table)`` for later sources j: placing i at v
+    keeps j's candidates inside ``table[v]``.  It is called at most once
+    per source, when the search first reaches it with a candidate.
     """
     n = len(allowed)
     if n == 0:
@@ -52,6 +63,8 @@ def backtrack(allowed, rows, narrow=None):
     # kept[i]: every source's candidate mask once sources before i are placed
     kept = [None] * n
     kept[0] = list(allowed)
+    rows = [None] * n
+    rows[0] = row(0)
     used = 0
     i = 0
     while True:
@@ -76,6 +89,8 @@ def backtrack(allowed, rows, narrow=None):
                 c = masks[i] & ~used
                 if c and narrow is not None:
                     c = narrow(i, assign, c)
+                if c and rows[i] is None:
+                    rows[i] = row(i)
                 cand[i] = c
         else:
             i -= 1
@@ -85,16 +100,20 @@ def backtrack(allowed, rows, narrow=None):
 
 
 def code_rows(x, y):
-    """Per source i of x, the rows keeping each later source's image in the
-    same relation to i's image as that source has to i in x."""
+    """The row builder of x into y: ``row(i)`` keeps each later source's
+    image in the same relation to i's image as that source has to i in x."""
     n = len(x)
-    return [
-        [
-            (j, y.above if up >> j & 1 else y.below if dn >> j & 1 else y.beside)
+    above, below, beside = y.above, y.below, y.beside
+    x_above, x_below = x.above, x.below
+
+    def row(i):
+        up, dn = x_above[i], x_below[i]
+        return [
+            (j, above if up >> j & 1 else below if dn >> j & 1 else beside)
             for j in range(i + 1, n)
         ]
-        for i, (dn, up) in enumerate(zip(x.below, x.above))
-    ]
+
+    return row
 
 
 def search_injection(x, y, allowed):

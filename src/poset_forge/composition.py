@@ -397,10 +397,13 @@ def inline_poset(p):
 
 
 def composition_set_text(fset, leaf_args=None):
-    """Indented, bit-stable dump: one line per position sequence."""
+    """Indented, bit-stable dump: one line per position sequence, in
+    pre-order, walked with an explicit stack so that any depth the
+    constructor accepts can be dumped."""
     lines = []
-
-    def emit(p, depth):
+    todo = [(fset.root, 0)]
+    while todo:
+        p, depth = todo.pop()
         pad = "  " * depth
         rel = p[len(fset.root):]
         if p in fset.sequences:
@@ -409,8 +412,8 @@ def composition_set_text(fset, leaf_args=None):
                 f"[{inline_poset(arity)}/{s}]" for arity, s in seq.entries
             )
             lines.append(f"{pad}{render_position(rel)}: {body}")
-            for pos in fset.sequences[p].positions():
-                emit(p + (pos,), depth + 1)
+            # reversed, so that the first slot is emitted first
+            todo.extend((p + (pos,), depth + 1) for pos in reversed(seq.positions()))
         else:
             suffix = ""
             if leaf_args is not None and p in leaf_args:
@@ -418,6 +421,4 @@ def composition_set_text(fset, leaf_args=None):
                 e = leaf.elements[0]
                 suffix = f" {e} colour={leaf.colour(e)}"
             lines.append(f"{pad}{render_position(rel)}: leaf{suffix}")
-
-    emit(fset.root, 0)
     return "\n".join(lines) + "\n"

@@ -516,11 +516,12 @@ def _fits(S, T):
 
 
 def _conditions(S, T):
-    """``(allowed, order, narrow)`` for embedding S into T with
-    ``_search.backtrack``: the colour masks (``_fits``), the order rows
-    each node pushes to its children, and ``narrow(i, f, c)``, the part of
-    node i's candidate mask c that its meet and label entries allow, given
-    the images f of the earlier nodes.
+    """``(allowed, order.__getitem__, narrow)`` for embedding S into T with
+    ``_search.backtrack``: the colour masks (``_fits``), the row builder
+    over the order rows each node pushes to its children (made in one
+    linear pass, so the builder only looks a row up), and
+    ``narrow(i, f, c)``, the part of node i's candidate mask c that its
+    meet and label entries allow, given the images f of the earlier nodes.
 
     What depends on the target alone (its colour fits, label indices and
     reflexive rows) is kept on it (``StructuredTree._target_tables``); the
@@ -613,7 +614,7 @@ def _conditions(S, T):
             c &= mask
         return c
 
-    return allowed, order, narrow
+    return allowed, order.__getitem__, narrow
 
 
 def st_embed(S, T):
@@ -624,12 +625,12 @@ def st_embed(S, T):
     arity embeddability, leaf colours by the ground palette, and the two
     kinds never compare).  Each condition becomes a target mask for the
     shared driver ``_search.backtrack``, all made by ``_conditions``: the
-    allowed masks (colours), one row from each node to each of its
-    children keeping the child's image above its own (order), and
-    ``narrow`` (meets and labels, which involve two earlier nodes).  Nodes
-    are placed in storage order, which StructuredTree keeps a linear
-    extension, so ancestors and meets are placed first.  The witness is the
-    lexicographically first embedding.
+    allowed masks (colours), ``order.__getitem__``, whose row for a node
+    holds one entry per child keeping the child's image above its own
+    (order), and ``narrow`` (meets and labels, which involve two earlier
+    nodes).  Nodes are placed in storage order, which StructuredTree keeps
+    a linear extension, so ancestors and meets are placed first.  The
+    witness is the lexicographically first embedding.
     """
     if S.ground_palette != T.ground_palette:
         raise PaletteMismatch("structured trees must share the ground palette")

@@ -19,7 +19,7 @@ from poset_forge import (
     split_assoc_check,
 )
 from poset_forge import composition
-from poset_forge.composition import eval_f_eta_with_sources
+from poset_forge.composition import eval_f_eta_with_sources, inline_poset
 from poset_forge.interval import _mask_to_set, _parts
 from poset_forge.core import ColouredPoset, _bits, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
@@ -477,6 +477,23 @@ class TestSerialization:
         text = composition_set_text(fset, leafs)
         fset2, leafs2 = decomposition_function(x)
         assert composition_set_text(fset2, leafs2) == text
+
+    def test_deep_nesting_serializes(self):
+        # 1,200 levels, nested at the last slot: more than the interpreter's
+        # recursion limit, which a walk with one call per level would hit
+        seq = TestCompositionSetValidation.SEQ
+        A, B = TestCompositionSetValidation.A, TestCompositionSetValidation.B
+        depth = 1200
+        fset = CompositionSet(
+            (),
+            {B * k: seq for k in range(depth)},
+            {B * k + A for k in range(depth)} | {B * depth},
+        )
+        lines = composition_set_text(fset).splitlines()
+        assert len(lines) == 2 * depth + 1
+        assert lines[0] == f"e: [{inline_poset(seq.entries[0][0])}/b]"
+        assert lines[1] == "  0.a: leaf"
+        assert lines[-1] == "  " * depth + "/".join(["0.b"] * depth) + ": leaf"
 
     def test_extracted_subtree_serializes(self):
         from poset_forge import decomposition_tree, subtree_extract

@@ -25,6 +25,7 @@ from poset_forge import (
     zeta_tree_sum,
 )
 from poset_forge import _search, dectree
+from poset_forge.wqo import embeddability_matrix, fence_antichain
 from poset_forge.core import (
     EQUAL,
     GREATER,
@@ -874,6 +875,80 @@ class TestForwardChecking:
 
         forward, backward = _forward_against_backward(cases())
         assert forward < backward
+
+
+def _counted_rows(row):
+    """A row builder that passes ``row``'s rows through, and the list of the
+    sources it was called for, in call order."""
+    built = []
+
+    def counted(i):
+        built.append(i)
+        return row(i)
+
+    return counted, built
+
+
+class TestRowBuilder:
+    """The kernel builds a source's row at most once per search: source 0's
+    before the loop, a later one's the first time it is reached with a
+    candidate, and no other."""
+
+    @staticmethod
+    def _check(pairs):
+        for x, y in pairs:
+            allowed = _search.degree_mask(x, y)
+            first = {0} if allowed and all(allowed) else set()
+            # code rows are strict and a placement that empties a mask is
+            # rejected, so every reached source has a candidate; dropping
+            # each reached source's lowest candidate leaves some with none
+            for drop in (False, True):
+                row, built = _counted_rows(_search.code_rows(x, y))
+                kept = []
+
+                def narrow(i, assign, c):
+                    if drop:
+                        c &= c - 1
+                    if c:
+                        kept.append(i)
+                    return c
+
+                _search.backtrack(allowed, row, narrow)
+                assert len(built) == len(set(built))
+                assert set(built) == first | set(kept)
+
+    def test_catalog5_pairs(self, catalog5):
+        posets = [p for reps in catalog5.values() for p in reps]
+        self._check((x, y) for x in posets for y in posets)
+
+    def test_planted_and_random_pairs(self):
+        # the same seeded pairs as TestForwardChecking
+        self._check(_planted_and_random(random.Random(193), 300))
+
+    def test_fence_matrix_builds_fewer_rows_than_sources(self, monkeypatch):
+        code_rows = _search.code_rows
+        searches = []
+
+        def counted_code_rows(x, y):
+            row, built = _counted_rows(code_rows(x, y))
+            searches.append((len(x), built))
+            return row
+
+        monkeypatch.setattr(_search, "code_rows", counted_code_rows)
+        fam = fence_antichain(10)
+        matrix = embeddability_matrix(fam)
+        # an antichain: each member embeds only into itself
+        assert matrix == [[a == b for b in range(10)] for a in range(10)]
+        # one search per pair with the source no larger than the target
+        assert len(searches) == 55
+        for _, built in searches:
+            assert len(built) == len(set(built))
+        sources = sum(n for n, _ in searches)
+        assert sources == 385
+        # fewer rows even than the sources of the searches that build any,
+        # so that not all of a reached search's rows are built up front
+        rows = sum(len(built) for _, built in searches)
+        assert rows < sum(n for n, built in searches if built)
 
 
 class TestConstructorsProduceStrictOrders:

@@ -821,15 +821,15 @@ class TestStEmbed:
 
 def _captured(monkeypatch, pairs, part=0):
     """Per pair, what st_embed hands to the search: its allowed masks (part
-    0) or its order rows (part 1)."""
+    0) or its order row builder (part 1)."""
     seen = []
     backtrack = _search.backtrack
 
-    def capture(allowed, rows, narrow=None):
+    def capture(allowed, row, narrow=None):
         # only st_embed narrows; the arity comparisons search without
         if narrow is not None:
-            seen.append((list(allowed), rows)[part])
-        return backtrack(allowed, rows, narrow)
+            seen.append((list(allowed), row)[part])
+        return backtrack(allowed, row, narrow)
 
     monkeypatch.setattr(_search, "backtrack", capture)
     for s, t in pairs:
@@ -929,8 +929,8 @@ class TestOrderRows:
         monkeypatch.setattr(_search, "code_rows", boom)
         seen = _captured(monkeypatch, pairs, 1)
         searched = 0
-        for (s, t), rows in zip(pairs, seen):
-            if rows is None:
+        for (s, t), row in zip(pairs, seen):
+            if row is None:
                 continue
             searched += 1
             below = s.poset.below
@@ -940,8 +940,9 @@ class TestOrderRows:
                 tuple((j, t.poset.above) for j in range(len(below)) if below[j] == below[m] | 1 << m)
                 for m in range(len(below))
             ]
-            assert [tuple(row) for row in rows] == want
-            assert all(table is t.poset.above for row in rows for _, table in row)
+            rows = [tuple(row(m)) for m in range(len(below))]
+            assert rows == want
+            assert all(table is t.poset.above for entries in rows for _, table in entries)
         assert searched > 1000
 
 
