@@ -17,7 +17,7 @@ them.
 """
 
 from . import config
-from .core import Poset, _bits, _Frozen, _Record, canonical, embed, is_isomorphic
+from .core import Poset, _bits, _Frozen, _induced_rows, _Record, canonical, embed, is_isomorphic
 from .interval import _canonical_sets, _split
 
 
@@ -136,16 +136,13 @@ def class_check(x, spec, bound=None):
     sizes = {len(p) for p in spec.allowed}
     # the singletons sort first, in element order, as one-point masks
     bad = [] if 1 in sizes else [1 << i for i in range(len(poset))]
-    up = poset.above
     verdicts = {}
     for m in masks:
         if m.bit_count() not in sizes:
             bad.append(m)
             continue
         index = list(_bits(m))
-        rows = tuple(
-            sum(1 << k for k, j in enumerate(index) if up[i] >> j & 1) for i in index
-        )
+        rows = _induced_rows([poset.above[i] for i in index], index)
         allowed = verdicts.get(rows)
         if allowed is None:
             sub = Poset([poset.elements[i] for i in index], rows)

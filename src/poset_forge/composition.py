@@ -22,6 +22,7 @@ from .core import (
     _ID_ESCAPES,
     _Frozen,
     _bits,
+    _induced_rows,
     ColouredPoset,
     Poset,
     coloured_isomorphic,
@@ -100,11 +101,11 @@ def h_eta_with_slots(seq):
     earlier = 0  # the slots of earlier layers above their distinguished slot
     for i, (arity, s) in enumerate(seq.entries):
         first = len(rows)
-        bit = {arity.index[u]: 1 << first + k for k, u in enumerate(seq.slots(i))}
-        later = (1 << len(slot_of)) - (1 << first + len(bit))
-        up = [sum(b for a, b in bit.items() if row >> a & 1) for row in arity.above]
+        slots = [arity.index[u] for u in seq.slots(i)]
+        later = (1 << len(slot_of)) - (1 << first + len(slots))
+        up = [row << first for row in _induced_rows(arity.above, slots)]
         d = arity.index[s]
-        for a in bit:
+        for a in slots:
             rows.append(earlier | up[a] | (later if arity.above[a] >> d & 1 else 0))
         earlier |= up[d]
     return Poset(list(slot_of), rows), slot_of
@@ -210,7 +211,6 @@ def _layers(carrier, within, anchor):
     3-antichain.  Each arity is checked with ``is_indecomposable``, which
     makes n - 1 closures on n points.
     """
-    up = carrier.above
     names = carrier.elements
     chain = _chain_masks(carrier, anchor, within)
     wide = [m for m in _parts(carrier, anchor, within) if m & m - 1]
@@ -239,8 +239,7 @@ def _layers(carrier, within, anchor):
                 )
             kept.append(first)
             ids.append(_fresh_id(_mask_to_set(carrier, layer)))
-        rows = [sum(1 << k for k, e in enumerate(kept) if up[i] >> e & 1) for i in kept]
-        arity = Poset(ids, rows)
+        arity = Poset(ids, _induced_rows([carrier.above[i] for i in kept], kept))
         if not is_indecomposable(arity):
             raise VerificationFailure("layer arity is not indecomposable")
         entries.append((arity, ids[-1]))

@@ -3,17 +3,17 @@
 A :class:`Poset` is a strict partial order over named elements, stored in
 transitively closed form as rows of Python int bitmasks, bit ``j`` standing
 for element ``j``: ``above[i]`` holds the j with i < j, ``below[i]`` the j
-with j < i and ``beside[i]`` the j incomparable to i.  Relation codes,
-covers, shape predicates and every search read these rows.  Beyond them
-only two lazy caches are stored, each filled on first use from the rows
-and colouring alone: :meth:`Poset.degree_table` (the relation counts and
-the cumulative count masks behind the searches' degree filter) and
-:meth:`ColouredPoset.colour_masks` (each element's palette index and one
-element mask per palette colour).  The element tuple is the canonical
+with j < i and ``beside[i]`` the j incomparable to i.  Relation codes, covers,
+shape predicates, every search and every induced suborder (``_induced_rows``)
+read these rows.  Beyond them only two lazy caches are stored, each filled on
+first use from the rows and colouring alone: :meth:`Poset.degree_table` (the
+relation counts and the cumulative count masks behind the searches' degree
+filter) and :meth:`ColouredPoset.colour_masks` (each element's palette index
+and one element mask per palette colour).  The element tuple is the canonical
 enumeration: all tie-breaking anywhere in the library (interval chain
-selection, quotient representatives, witness search order) refers back to
-it.  Values are
-immutable after construction; every operation here is a pure function.
+selection, quotient representatives, witness search order) refers back to it.
+Values are immutable after construction; every operation here is a pure
+function.
 """
 
 from functools import lru_cache
@@ -40,6 +40,25 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _induced_rows(rows, index):
+    """Each row read on the points of index, in that order: bit k of a result
+    is bit ``index[k]`` of its row.  The bits are walked inline."""
+    bit, points = {}, 0
+    for k, j in enumerate(index):
+        bit[j] = 1 << k
+        points |= 1 << j
+    out = []
+    for row in rows:
+        row &= points
+        sub = 0
+        while row:
+            low = row & -row
+            row ^= low
+            sub |= bit[low.bit_length() - 1]
+        out.append(sub)
+    return tuple(out)
 
 
 def _warshall(rows):
@@ -233,18 +252,11 @@ class Poset:
     def restrict(self, members):
         """Induced subposet; keeps the carrier's canonical element order."""
         members = set(members)
-        unknown = members - set(self.elements)
+        unknown = members - self.index.keys()
         if unknown:
             raise UnknownElement(f"unknown elements {sorted(unknown)}")
-        keep = [i for i, e in enumerate(self.elements) if e in members]
-        pos = {i: k for k, i in enumerate(keep)}
-        above = []
-        for i in keep:
-            row = 0
-            for j in _bits(self.above[i]):
-                if j in pos:
-                    row |= 1 << pos[j]
-            above.append(row)
+        keep = sorted(self.index[e] for e in members)
+        above = _induced_rows([self.above[i] for i in keep], keep)
         return Poset([self.elements[i] for i in keep], above)
 
     def reversed(self):
@@ -290,15 +302,11 @@ def make_poset(elements, pairs):
     raises :class:`CycleError`.
     """
     elements = list(elements)
-    if len(set(elements)) != len(elements):
-        seen, dup = set(), None
-        for e in elements:
-            if e in seen:
-                dup = e
-                break
-            seen.add(e)
-        raise DuplicateElement(f"duplicate element id {dup!r}")
-    index = {e: i for i, e in enumerate(elements)}
+    index = {}
+    for i, e in enumerate(elements):
+        if e in index:
+            raise DuplicateElement(f"duplicate element id {e!r}")
+        index[e] = i
     rows = [0] * len(elements)
     for a, b in pairs:
         if a not in index:
@@ -728,20 +736,15 @@ def coloured_embed(x, y):
 
 
 def check_embedding(x, y, emap):
-    """Re-check a witness on the rows: f maps x into y injectively, and for
-    each source i the image of ``x.above[i]`` is the part of the image above
-    f(i), which gives i < j iff f(i) < f(j) for every ordered pair."""
+    """Re-check a witness on the rows: f maps x into y injectively and its
+    image induces x, so i < j iff f(i) < f(j) for every ordered pair."""
     m = emap.as_dict()
     if set(m) != set(x.elements):
         return False
     f = [y.index.get(m[a]) for a in x.elements]
     if None in f or len(set(f)) != len(f):
         return False
-    image = sum(1 << j for j in f)
-    for i, row in enumerate(x.above):
-        if sum(1 << f[j] for j in _bits(row)) != y.above[f[i]] & image:
-            return False
-    return True
+    return _induced_rows([y.above[j] for j in f], f) == x.above
 
 
 def check_coloured_embedding(x, y, emap):

@@ -32,10 +32,10 @@ from .core import (
     EmbeddingMap,
     Poset,
     _bits,
+    _induced_rows,
     check_coloured_embedding,
     check_embedding,
     embed,
-    make_poset,
 )
 from .errors import (
     BadLabel,
@@ -150,7 +150,8 @@ class StructuredTree:
         down = [row | 1 << i for i, row in enumerate(poset.below)]
         order = sorted(range(len(down)), key=lambda i: (down[i].bit_length(), down[i]))
         if order != list(range(len(down))):
-            poset = make_poset([poset.elements[i] for i in order], poset.lt_pairs())
+            above = _induced_rows([poset.above[i] for i in order], order)
+            poset = Poset([poset.elements[i] for i in order], above)
         rows = []
         for v in poset.elements:
             kind = kinds.get(v)

@@ -68,6 +68,13 @@ def brute_ssr(poset, p, a, b):
     return True
 
 
+def induced(poset, names):
+    """The order induced on names, stored in the order given, from the name
+    pairs that ``poset.lt`` reports."""
+    names = list(names)
+    return make_poset(names, [(a, b) for a in names for b in names if poset.lt(a, b)])
+
+
 def brute_intervals(poset):
     """Every non-empty subset passing the literal interval condition: each
     point outside it has one relation to all of its points."""
@@ -724,13 +731,15 @@ def uniform(poset):
     return ColouredPoset.uniform(poset)
 
 
-def raw_tree(nodes, pairs, arity=None, labels=None):
-    """A structured tree over one ground colour.  Nodes with something above
-    are sums; by default their arity is a point and every label its slot."""
+def raw_tree_args(nodes, pairs, arity=None, labels=None):
+    """The ``StructuredTree`` arguments of a structured tree over one ground
+    colour, its poset stored in the order of nodes.  Nodes with something
+    above are sums; by default their arity is a point and every label its
+    slot."""
     poset = make_poset(nodes, pairs)
     sums = {v for v, _ in poset.lt_pairs()}
     point = make_poset(["x"], [])
-    return StructuredTree(
+    return (
         poset,
         {n: "sum" if n in sums else "leaf" for n in nodes},
         {n: arity[n] if arity else point for n in sums},
@@ -738,6 +747,11 @@ def raw_tree(nodes, pairs, arity=None, labels=None):
         one_colour_palette(),
         labels if labels else {vw: "x" for vw in poset.lt_pairs()},
     )
+
+
+def raw_tree(nodes, pairs, arity=None, labels=None):
+    """The structured tree of ``raw_tree_args``."""
+    return StructuredTree(*raw_tree_args(nodes, pairs, arity, labels))
 
 
 SMALL_ARITIES = (

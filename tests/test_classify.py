@@ -13,7 +13,6 @@ from poset_forge import (
     indecomposable_subsets,
     is_indecomposable,
     is_n_free,
-    make_poset,
     maximal_decomposition,
     maximal_interval_chain,
     pathological_prefix_check,
@@ -313,19 +312,13 @@ class TestNoRestrict:
                 s
                 for s in want
                 if len(s) > 2
-                and not (len(s) == 4 and helpers.brute_embed(n_poset, _induced(p, s)))
+                and not (len(s) == 4 and helpers.brute_embed(n_poset, helpers.induced(p, s)))
             ]
             assert len(calls) == len(set(calls))
             searched += len({rows for _, rows in calls})
             listed_size += sum(len(s) in (2, 4) for s in want)
         # shapes repeat: fewer searches than subsets of a listed size
         assert 0 < searched < listed_size / 2
-
-
-def _induced(p, members):
-    """The order induced on members, in p's element order, by name pairs."""
-    keep = [e for e in p.elements if e in members]
-    return make_poset(keep, [(a, b) for a in keep for b in keep if p.lt(a, b)])
 
 
 class TestPathologicalPrefix:

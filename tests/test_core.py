@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -32,7 +33,9 @@ from poset_forge.core import (
     INCOMPARABLE,
     LESS,
     EmbeddingMap,
+    Poset,
     _coloured_allowed,
+    _induced_rows,
     p_sum_with_sources,
 )
 from poset_forge.errors import (
@@ -66,6 +69,13 @@ class TestMakePoset:
     def test_duplicate_rejected(self):
         with pytest.raises(DuplicateElement):
             make_poset(["a", "a"], [])
+
+    def test_duplicate_named_at_first_repeat(self):
+        # "a" repeats before "b" does
+        with pytest.raises(DuplicateElement, match=r"^duplicate element id 'a'$"):
+            make_poset(["a", "b", "a", "b"], [])
+        with pytest.raises(DuplicateElement, match=r"^duplicate element id 'b'$"):
+            make_poset(["a", "b", "c", "b", "a"], [])
 
     def test_unknown_pair_member(self):
         with pytest.raises(UnknownElement):
@@ -585,6 +595,81 @@ class TestEmbed:
             witness = embed(x, y)
             if witness is not None:
                 assert check_embedding(x, y, witness)
+
+
+class TestInducedRows:
+    """``_induced_rows`` and ``Poset.restrict`` against ``helpers.induced``,
+    the order induced on a list of names, built from name pairs."""
+
+    @staticmethod
+    def _assert_matches(p, index):
+        want = helpers.induced(p, [p.elements[i] for i in index])
+        assert _induced_rows([p.above[i] for i in index], index) == want.above
+
+    def test_every_subset_of_catalog5(self, catalog5):
+        for posets in catalog5.values():
+            for p in posets:
+                n = len(p)
+                for mask in range(1 << n):
+                    index = [i for i in range(n) if mask >> i & 1]
+                    self._assert_matches(p, index)
+                    names = {p.elements[i] for i in index}
+                    want = helpers.induced(p, [e for e in p.elements if e in names])
+                    assert p.restrict(names) == want
+
+    def test_random_subsets_and_permutations(self):
+        rng = random.Random(53)
+        for _ in range(200):
+            n = rng.randint(1, 16)
+            p = helpers.shuffled_poset(rng, helpers.random_poset(rng, n, rng.random()))
+            index = rng.sample(range(n), rng.randint(0, n))
+            self._assert_matches(p, index)
+            self._assert_matches(p, sorted(index))
+            # restrict keeps the carrier's order, whatever order it is given
+            want = helpers.induced(p, [p.elements[i] for i in sorted(index)])
+            assert p.restrict([p.elements[i] for i in index]) == want
+
+    def test_ascending_list_with_one_lower_index_appended(self):
+        # the shape of a layer arity: its kept points, ascending, then the
+        # stand-in, which lies below some of them
+        rng = random.Random(59)
+        checked = 0
+        while checked < 200:
+            n = rng.randint(3, 16)
+            p = helpers.random_poset(rng, n, rng.choice([0.2, 0.4, 0.6]))
+            kept = sorted(rng.sample(range(n), rng.randint(2, n - 1)))
+            lower = [j for j in range(kept[-1]) if j not in kept]
+            if not lower:
+                continue
+            self._assert_matches(p, kept + [rng.choice(lower)])
+            checked += 1
+
+    def test_rows_read_on_points_not_their_own(self):
+        # every row of the poset read on a subset, as the index poset reads
+        # an arity's rows on its slots
+        rng = random.Random(61)
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            p = helpers.random_poset(rng, n, rng.random())
+            index = rng.sample(range(n), rng.randint(0, n))
+            want = tuple(
+                sum(1 << k for k, j in enumerate(index) if p.lt(a, p.elements[j]))
+                for a in p.elements
+            )
+            assert _induced_rows(p.above, index) == want
+
+    def test_restrict_is_linear_in_its_points(self):
+        # 4,000 of 4,096 incomparable points: reading each row by a scan of
+        # the whole index, as class_check once did, took about a second
+        ids = [f"v{i}" for i in range(4096)]
+        p = Poset(ids, [0] * 4096)
+        names = ids[:2000] + ids[2096:]
+        start = time.perf_counter()
+        sub = p.restrict(names)
+        elapsed = time.perf_counter() - start
+        assert sub.elements == tuple(names)
+        assert sub.above == (0,) * 4000
+        assert elapsed < 0.25
 
 
 class TestCheckEmbeddingOracle:

@@ -31,7 +31,7 @@ from poset_forge.core import (
     is_isomorphic,
     one_colour_palette,
 )
-from poset_forge import _search, composition, dectree, interval
+from poset_forge import _search, composition, core, dectree, interval
 from poset_forge.composition import CompositionSet
 from poset_forge.dectree import DecompositionTree, StructuredTree, _layout
 from poset_forge.textio import poset_text
@@ -773,6 +773,33 @@ class TestStEmbed:
             assert (phi is None) == (st_embed(s, t) is None)
             found += phi is not None
         assert 0 < found < checked
+
+    def test_reorder_builds_no_closure(self, monkeypatch):
+        # the first 60 shuffled trees that test_raw_trees_random_order draws
+        # are re-stored by reading their closed rows in a linear extension;
+        # the expected poset is built first by name pairs, through the
+        # closure
+        rng = random.Random(97)
+        cases = []
+        for _ in range(60):
+            nodes, pairs, arity, labels = helpers.random_labelled_tree(rng)
+            rng.shuffle(nodes)
+            args = helpers.raw_tree_args(nodes, pairs, arity, labels)
+            poset = args[0]
+            # sorted by the root path's mask: every node after its ancestors
+            path = {v: sum(1 << poset.index[u] for u in poset.down(v) | {v}) for v in nodes}
+            order = sorted(nodes, key=path.get)
+            cases.append((args, make_poset(order, poset.lt_pairs())))
+
+        def boom(rows):
+            raise AssertionError("a closure was computed")
+
+        monkeypatch.setattr(core, "_warshall", boom)
+        moved = 0
+        for args, want in cases:
+            assert StructuredTree(*args).poset == want
+            moved += want.elements != args[0].elements
+        assert moved > 20
 
     def test_matches_injection_scan(self, catalog5):
         # dual route: the search's first witness vs the first injection in
