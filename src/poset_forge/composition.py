@@ -8,14 +8,14 @@ of a position's sequence, which is all that recomposition along a chain
 reads.  Going the other way, :func:`maximal_decomposition` peels a poset
 into indecomposable arities along a canonical maximal interval chain, and
 :func:`decomposition_function` iterates that until only singletons remain.
-The iteration carries masks over the input's rows, and builds posets only
-for the layer arities.  The chain grows by interval closures
-(``interval._close``) inside the mask; every layer's blocks are read off one
-partition, P(M, anchor), the maximal intervals of M that avoid the anchor
-(``interval._parts``, after Ehrenfeucht, Gabow, McConnell and Sullivan,
-J. Algorithms 16, 1994); and each arity's self-check is the n - 1-closure
-test of ``interval.is_indecomposable``.  Each leaf is an element of the
-input.
+The iteration carries masks over the input's rows, on an explicit stack,
+and builds posets only for the layer arities, with no transpose.  The chain
+and every layer's blocks are read off one walk down the strong modules of
+the mask that hold the anchor (``interval._spine``, after Ehrenfeucht,
+Gabow, McConnell and Sullivan, J. Algorithms 16, 1994): a layer adds the
+children of one strong module, and its blocks are those children with two
+or more points.  Each arity's self-check is the n - 1-closure test of
+``interval.is_indecomposable``.  Each leaf is an element of the input.
 """
 
 from .core import (
@@ -40,9 +40,8 @@ from .errors import (
 )
 from .interval import (
     IntervalChain,
-    _chain_masks,
     _mask_to_set,
-    _parts,
+    _spine,
     _split,
     is_indecomposable,
 )
@@ -198,28 +197,29 @@ def _layers(carrier, within, anchor):
     plus a distinguished stand-in slot for the next chain member, listed
     last; the last layer is the anchor alone.
 
-    The blocks of layer j are the maximal intervals of chain member j that
-    have two or more points and avoid member j + 1.  They are the sets
-    X & layer with two or more points, for X in P(within, anchor)
-    (``_parts``, computed once per call).  Each X avoids the anchor, which
-    every member holds, so X & layer is an interval: X & member j is one,
-    and taking member j + 1 out of it leaves it as it is, or leaves the
-    difference of two overlapping intervals.  So X & layer lies in a block.
-    A block is an interval of within that avoids the anchor, so it lies in
-    some X, and so in X & layer.  Take X & layer, not X: X may cross a
-    chain member, as X = {1, 2} crosses the member {0, 1} on the
-    3-antichain.  Each arity is checked with ``is_indecomposable``, which
-    makes n - 1 closures on n points.
+    The chain and its layers come from one walk down the strong modules
+    that hold the anchor (``interval._spine``): each layer is the union of
+    the children of one strong module that its member adds to the next
+    member, and its blocks, the maximal intervals of member j with two or
+    more points that avoid member j + 1, are those children with two or
+    more points.  Each arity is checked with ``is_indecomposable``, which
+    makes n - 1 closures on n points, and the next member with ``_split``.
+
+    An arity's ``below`` rows are the carrier's ``below`` rows read on the
+    same index list (``_induced_rows``), so they are the transpose of its
+    ``above`` rows, as ``Poset._from_rows`` needs: the list holds distinct
+    carrier points, and bit k of ``above'[m]`` and bit m of ``below'[k]``
+    both say that point m of the list is below point k.
     """
     names = carrier.elements
-    chain = _chain_masks(carrier, anchor, within)
-    wide = [m for m in _parts(carrier, anchor, within) if m & m - 1]
+    up, dn = carrier.above, carrier.below
+    spine = _spine(carrier, anchor, within)
     entries = []
     args = {}
-    for j, cur in enumerate(chain):
-        rest = chain[j + 1] if j + 1 < len(chain) else 0
+    for j, (cur, children) in enumerate(spine):
+        rest = spine[j + 1][0] if j + 1 < len(spine) else 0
         layer = cur & ~rest
-        blocks = [b for b in (m & layer for m in wide) if b & b - 1]
+        blocks = [b for b in children if b & b - 1]
         keep = layer
         for block in blocks:
             keep &= ~block | block & -block
@@ -238,8 +238,12 @@ def _layers(carrier, within, anchor):
                     f"chain member is not an interval relative to {names[d]!r}"
                 )
             kept.append(first)
-            ids.append(_fresh_id(_mask_to_set(carrier, layer)))
-        arity = Poset(ids, _induced_rows([carrier.above[i] for i in kept], kept))
+            ids.append(_fresh_id({names[i] for i in _bits(layer)}))
+        arity = Poset._from_rows(
+            ids,
+            _induced_rows([up[i] for i in kept], kept),
+            _induced_rows([dn[i] for i in kept], kept),
+        )
         if not is_indecomposable(arity):
             raise VerificationFailure("layer arity is not indecomposable")
         entries.append((arity, ids[-1]))
@@ -247,7 +251,7 @@ def _layers(carrier, within, anchor):
     for pos in seq.positions():
         if pos not in args:
             raise VerificationFailure(f"no argument produced for slot {pos}")
-    return seq, args, chain
+    return seq, args, [m for m, _ in spine]
 
 
 def maximal_decomposition(x, anchor=None):
@@ -290,6 +294,26 @@ class CompositionSet:
         self.leaves = frozenset(leaves)
         self._validate()
 
+    @classmethod
+    def _grown(cls, sequences, leaves):
+        """A set rooted at (), with no ``_validate``: for ``_decompose``,
+        whose walk adds each position exactly once, as a slot of a sequence
+        it has already added, or as the root.
+
+        That is the property ``_validate`` checks.  The walk pushes the
+        root, and for each sequence it adds, one position per slot:
+        ``_layers`` returns one argument per slot, and checks that each slot
+        has one.  So the positions it adds are exactly those reached from
+        the root.  Distinct slots give distinct positions, so each position
+        is pushed once and stored once, as a leaf when its mask is one point
+        and as a sequence otherwise, never as both.
+        """
+        fset = cls.__new__(cls)
+        fset.root = ()
+        fset.sequences = sequences
+        fset.leaves = frozenset(leaves)
+        return fset
+
     def _validate(self):
         """Walk from the root through each sequence's slots: the positions
         reached must be exactly the internal ones and the leaves."""
@@ -331,18 +355,18 @@ def _decompose(x):
         raise EmptyPoset("cannot decompose an empty poset")
     carrier = x.poset
     seqs, leaves = {}, {}
-
-    def walk(p, within):
+    # pre-order on an explicit stack, each position's slots in argument
+    # order, so that no depth of nesting reaches the recursion limit
+    todo = [((), (1 << len(carrier)) - 1)]
+    while todo:
+        p, within = todo.pop()
         if not within & within - 1:
             leaves[p] = carrier.elements[within.bit_length() - 1]
-            return
+            continue
         seq, args, _ = _layers(carrier, within, (within & -within).bit_length() - 1)
         seqs[p] = seq
-        for pos, m in args.items():
-            walk(p + (pos,), m)
-
-    walk((), (1 << len(carrier)) - 1)
-    return CompositionSet((), seqs, leaves), leaves
+        todo.extend((p + (pos,), m) for pos, m in reversed(args.items()))
+    return CompositionSet._grown(seqs, leaves), leaves
 
 
 def decomposition_function(x):

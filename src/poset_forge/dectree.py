@@ -51,8 +51,8 @@ from . import _search, config
 
 
 def _layout(fset):
-    """Node keys, ids, ``above`` rows and label rows of the tree that
-    records a composition set, in one depth-first pass.
+    """Node keys, ids, ``above`` and ``below`` rows and label rows of the
+    tree that records a composition set, in one depth-first pass.
 
     Node keys are ("i", position, layer) for layer nodes and ("l",
     position) for leaves; positions are the composition set's (layer, slot)
@@ -78,30 +78,47 @@ def _layout(fset):
       closed and every down-set is a chain;
     - node 0's range covers every other node, so node 0 is the only
       minimal node.
-    """
-    keys, ids, above, label_rows = [], [], [], []
 
-    def visit(p, name):
-        seq = fset.sequences.get(p)
-        if seq is None:
-            keys.append(("l", p))
-            ids.append(name)
-            above.append(0)
-            label_rows.append(())
-            return
+    A node's ``below`` row is the mask of the layer nodes whose ranges hold
+    it, so it is the transpose of the ``above`` rows, as
+    ``Poset._from_rows`` needs.  The range of layer node i of position p
+    holds p's later layer nodes and the branches of p at layers i and
+    later, and meets no other node.  So a node of position p, or of a
+    branch of p at layer i, lies in the ranges of the layer nodes that hold
+    p, and in those of p's layer nodes before it, or of p's layer nodes up
+    to i; the walk hands that mask down.  Positions are laid out by
+    generators on an explicit stack, each paused while a branch is laid
+    out, so that no depth of nesting reaches the recursion limit.
+    """
+    keys, ids, above, below, label_rows = [], [], [], [], []
+
+    def add(key, name, ancestors):
+        keys.append(key)
+        ids.append(name)
+        above.append(0)
+        below.append(ancestors)
+        label_rows.append(())
+
+    def visit(p, name, ancestors):
+        # yields each branch that is a sequence, to be laid out in full
+        # before this position resumes
+        seq = fset.sequences[p]
         layers = []
         for i in range(len(seq)):
             node = len(keys)
-            keys.append(("i", p, i))
-            ids.append(f"{name}/{i}" if p else str(i))
-            above.append(0)
-            label_rows.append(())
+            add(("i", p, i), f"{name}/{i}" if p else str(i), ancestors)
+            ancestors |= 1 << node
             arity = seq.arity(i)
             rows = [0] * len(arity)
             for u in sorted(seq.slots(i)):
                 start = len(keys)
+                q = p + ((i, u),)
                 step = render_position(((i, u),))
-                visit(p + ((i, u),), f"{name}/{step}" if p else step)
+                q_name = f"{name}/{step}" if p else step
+                if q in fset.sequences:
+                    yield q, q_name, ancestors
+                else:
+                    add(("l", q), q_name, ancestors)
                 rows[arity.index[u]] = (1 << len(keys)) - (1 << start)
             layers.append((node, rows, arity.index[seq.distinguished(i)], len(keys)))
         end = (1 << len(keys)) - 1
@@ -110,8 +127,19 @@ def _layout(fset):
             rows[s] |= end & -(1 << later)
             label_rows[node] = tuple(rows)
 
-    visit(fset.root, render_position(fset.root))
-    return keys, ids, above, label_rows
+    root, name = fset.root, render_position(fset.root)
+    stack = []
+    if root in fset.sequences:
+        stack.append(visit(root, name, 0))
+    else:
+        add(("l", root), name, 0)
+    while stack:
+        branch = next(stack[-1], None)
+        if branch is None:
+            stack.pop()
+        else:
+            stack.append(visit(*branch))
+    return keys, ids, above, below, label_rows
 
 
 class StructuredTree:
@@ -320,7 +348,7 @@ class DecompositionTree(StructuredTree):
         self.fset = fset
         self.base = base
         self.leaves = leaves
-        keys, ids, above, label_rows = _layout(fset)
+        keys, ids, above, below, label_rows = _layout(fset)
         # internal node keys only: a leaf's position is already in ``leaves``
         self._keys = [k if k[0] == "i" else None for k in keys]
         kinds = {}
@@ -337,7 +365,8 @@ class DecompositionTree(StructuredTree):
                 e = leaves[k[1]]
                 leaf_colours[nid] = base.colour(e)
                 self.leaf_element[nid] = e
-        self._fill(Poset(ids, above), kinds, arities, leaf_colours, base.palette, label_rows)
+        poset = Poset._from_rows(ids, above, below)
+        self._fill(poset, kinds, arities, leaf_colours, base.palette, label_rows)
 
     @property
     def tree(self):

@@ -10,14 +10,16 @@ of it.  ``_close`` gives the closure of C inside M, the smallest interval
 of the order induced on M that contains C.  ``_parts`` gives P(M, v), the
 maximal intervals of M that avoid a point v, which partition M minus v
 (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994), by
-splitting parts until each is an interval.  The canonical chain of a mask
-grows from its anchor one closure at a time; the layer arities of
-:mod:`composition` read their blocks off P(M, anchor); and a poset on n
-points is indecomposable iff P(M, v) is all single points and each of the
-n - 1 pairs {v, w} closes to all of M.  ``enumerate_intervals`` stays
-exhaustive, as the public enumeration and as the oracle the closure-built
-results are checked against; the chain keeps its size bound, and anything
-too big for it is rejected up front with a clear error.
+splitting parts until each is an interval.  The canonical chain of a mask,
+and the blocks of each of its layers, are read off one walk down the strong
+modules that hold its anchor (``_spine``): a parallel or linear module's
+children are the components of its comparability or incomparability rows,
+and a prime module's are read off P(M, anchor) with one closure per part.
+A poset on n points is indecomposable iff P(M, v) is all single points and
+each of the n - 1 pairs {v, w} closes to all of M.  ``enumerate_intervals``
+stays exhaustive, as the public enumeration and as the oracle the
+closure-built results are checked against; the chain keeps its size bound,
+and anything too big for it is rejected up front with a clear error.
 """
 
 from . import config
@@ -111,9 +113,8 @@ def _interval_masks(carrier):
 
 
 def _mask_to_set(carrier, mask):
-    return frozenset(
-        carrier.elements[i] for i in range(len(carrier)) if mask >> i & 1
-    )
+    names = carrier.elements
+    return frozenset(names[i] for i in _bits(mask))
 
 
 def _canonical_sets(carrier, masks):
@@ -144,11 +145,11 @@ def _close(carrier, members, within):
     Every interval of within that holds C holds the points of within that
     split C (``_split``), so C grows by them until none is left, with a
     fixed to C's lowest point and each round splitting only by the points
-    just added.
+    just added, and none once C is all of within.
     """
     a = (members & -members).bit_length() - 1
     closed = new = members
-    while new:
+    while new and closed != within:
         new = _split(carrier, a, new) & within & ~closed
         closed |= new
     return closed
@@ -276,44 +277,119 @@ class IntervalChain(_Frozen):
         return tuple(Interval(self.carrier, m) for m in self.members)
 
 
-def _chain_masks(carrier, anchor, within, bound=None):
-    """Masks, largest first, of the canonical chain of the order induced on
-    the mask within, from within down to the point at index anchor.
+def _components(carrier, within, comparable):
+    """Masks of the connected components of the comparability graph on the
+    mask within (``above | below`` rows), or of its incomparability graph
+    (``beside`` rows) when comparable is false, in the order of their lowest
+    points."""
+    up, dn, side = carrier.above, carrier.below, carrier.beside
+    out = []
+    rest = within
+    while rest:
+        comp = new = rest & -rest
+        rest ^= new
+        while new:
+            reach = 0
+            while new:
+                low = new & -new
+                new ^= low
+                i = low.bit_length() - 1
+                reach |= up[i] | dn[i] if comparable else side[i]
+            new = reach & rest
+            rest ^= new
+            comp |= new
+        out.append(comp)
+    return out
 
-    Greedy and deterministic: while any interval can be inserted keeping all
-    members pairwise nested, insert the smallest one, breaking ties by the
-    lexicographically least sorted tuple of element indices.  The chain is
-    grown upwards one closure at a time: the least closure of a member c
-    plus one point is the interval the greedy insertion puts next above c.
-    The size bound of ``enumerate_intervals`` applies to within's points.
+
+def _tie(mask):
+    """The order in which the chain adds sibling modules: smaller first, and
+    on equal sizes the one with the lowest point."""
+    return mask.bit_count(), mask & -mask
+
+
+def _spine(carrier, anchor, within, bound=None):
+    """The canonical chain of the order induced on the mask within, from
+    within down to the point at index anchor, as (member, children) pairs,
+    largest member first: children are the masks that the member adds to
+    the next member (none for the anchor alone).  The size bound of
+    ``enumerate_intervals`` applies to within's points.
+
+    The chain is the greedy one: while any interval can be inserted keeping
+    all members pairwise nested, insert the smallest, breaking ties by the
+    lexicographically least sorted index tuple.  It is read off the strong
+    modules that hold the anchor, the modules that overlap no module
+    (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994),
+    walked down from within.  A strong module S of two or more points splits
+    into its maximal strong proper submodules, its children, in one of three
+    ways (Gallai 1967):
+
+    - parallel: the comparability rows do not connect S, and its children
+      are the components; any union of them is a module;
+    - linear: the ``beside`` rows do not connect S, and its children are the
+      co-components, each below the next; a run of consecutive ones is a
+      module;
+    - prime: any other S.  Every module of S is S or lies in one child.  So
+      the children that avoid the anchor are the parts X of P(S, anchor)
+      (``_parts``) whose closure with the anchor is S; every other part lies
+      in the anchor's child, which is the rest of S.
+
+    Every module of within that holds the anchor and a point outside the
+    anchor's child C of S holds C, being a module that meets the strong C
+    without lying in it.  So read bottom-up, the greedy chain passes
+    through each strong module on the walk, and between C and S it takes
+    the smallest modules that hold C: at a prime node S itself; at a
+    parallel node C plus the other children one at a time, in ``_tie``
+    order; at a linear node C plus the smaller (``_tie``) of the two
+    neighbouring children of the run, one at a time.  Equal sizes go to the
+    lower index tuple, which holds the lowest point where two candidates
+    differ, and so the lowest point of the two children they add.
     """
     config.check_size(
         within.bit_count(), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
     )
-    c = 1 << anchor
-    masks = [c]
-    while c != within:
-        best = within
-        rest = within & ~c
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            m = _close(carrier, c | x, within)
-            # equal sizes: the lexicographically lesser index tuple holds
-            # the lowest point where the two masks differ
-            diff = m ^ best
-            if m.bit_count() < best.bit_count() or (
-                m.bit_count() == best.bit_count() and m & diff & -diff
-            ):
-                best = m
-        c = best
-        masks.append(c)
-    return masks[::-1]
+    point = 1 << anchor
+    spine = []
+    module = within
+    while module != point:
+        children = _components(carrier, module, True)
+        if len(children) > 1:  # parallel
+            added = sorted((c for c in children if not c & point), key=_tie)
+        else:
+            children = _components(carrier, module, False)
+            if len(children) == 1:  # prime
+                others = [
+                    x
+                    for x in _parts(carrier, anchor, module)
+                    if _close(carrier, x | point, module) == module
+                ]
+                spine.append((module, others))
+                for x in others:
+                    module &= ~x
+                continue
+            # linear: bottom first, by the points of the module below each
+            # child's first point: all those of the children below it, and
+            # fewer than its size of its own
+            dn = carrier.below
+            children.sort(key=lambda c: (dn[(c & -c).bit_length() - 1] & module).bit_count())
+            t = next(k for k, c in enumerate(children) if c & point)
+            lower, upper = children[:t][::-1], children[t + 1 :]  # nearest first
+            added = []
+            while lower or upper:
+                if not upper or lower and _tie(lower[0]) < _tie(upper[0]):
+                    added.append(lower.pop(0))
+                else:
+                    added.append(upper.pop(0))
+        for c in reversed(added):
+            spine.append((module, [c]))
+            module &= ~c
+    spine.append((point, []))
+    return spine
 
 
 def maximal_interval_chain(carrier, anchor=None, bound=None):
     """Canonical maximal nested chain from the full carrier down to {anchor},
-    which defaults to the first canonical element (``_chain_masks``)."""
+    which defaults to the first canonical element (``_spine``)."""
     if len(carrier) == 0:
         raise EmptyPoset("cannot chain an empty poset")
     if anchor is None:
@@ -321,5 +397,5 @@ def maximal_interval_chain(carrier, anchor=None, bound=None):
     if anchor not in carrier:
         raise UnknownElement(f"unknown anchor {anchor!r}")
     full = (1 << len(carrier)) - 1
-    masks = _chain_masks(carrier, carrier.index[anchor], full, bound)
-    return IntervalChain(carrier, tuple(_mask_to_set(carrier, m) for m in masks))
+    spine = _spine(carrier, carrier.index[anchor], full, bound)
+    return IntervalChain(carrier, tuple(_mask_to_set(carrier, m) for m, _ in spine))

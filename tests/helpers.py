@@ -6,7 +6,8 @@ scans) and never call the library code paths they are used to check.  The
 exceptions are the library's former designs, kept to check their
 replacements: ``pair_closure_indecomposable``, the old indecomposability
 test, which shares only ``interval._close`` with the new one (and that is
-checked against ``brute_intervals`` itself); ``brute_h_eta``, the old index
+checked against ``brute_intervals`` itself); ``greedy_chain_masks``, the
+old interval chain, grown one closure at a time; ``brute_h_eta``, the old index
 poset from name pairs; ``extract_recompose``, the old recomposition,
 which evaluates one extracted tree per slot; and ``backward_backtrack``
 with ``backward_code_rows``, the old search kernel, which checks each
@@ -112,6 +113,53 @@ def brute_interval_chain(poset, anchor=None, intervals=None):
                 grown = True
                 break
     return tuple(sorted(chain, key=len, reverse=True))
+
+
+def greedy_chain_masks(carrier, anchor, within):
+    """Masks, largest first, of the canonical chain of the order induced on
+    the mask within, from within down to the point at index anchor, grown
+    upwards one closure at a time: the least closure of a member c plus one
+    point, by size and then by sorted index tuple, is the interval the
+    greedy insertion puts next above c.  The library's former chain."""
+    c = 1 << anchor
+    masks = [c]
+    while c != within:
+        best = within
+        for x in range(within.bit_length()):
+            if (within & ~c) >> x & 1:
+                m = _close(carrier, c | 1 << x, within)
+                # equal sizes: the lexicographically lesser index tuple holds
+                # the lowest point where the two masks differ
+                diff = m ^ best
+                if m.bit_count() < best.bit_count() or (
+                    m.bit_count() == best.bit_count() and m & diff & -diff
+                ):
+                    best = m
+        c = best
+        masks.append(c)
+    return masks[::-1]
+
+
+def transpose(rows):
+    """The rows of the converse relation: bit i of row j set iff bit j of
+    row i is, one pair at a time."""
+    n = len(rows)
+    return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+
+
+def alternating_nesting(levels, innermost_first=True):
+    """The series-parallel nesting x0, x1, ..., x<levels>: each odd x_k is
+    above every earlier point and each even one beside them all.  Stored
+    with x0 first, or with x<levels> first."""
+    n = levels + 1
+    odd = sum(1 << k for k in range(1, n, 2))
+    above = [odd & -(2 << k) for k in range(n)]
+    ids = [f"x{k}" for k in range(n)]
+    if not innermost_first:
+        ids.reverse()
+        # point k moves to n - 1 - k: reverse each row's n bits
+        above = [int(format(row, f"0{n}b")[::-1], 2) for row in reversed(above)]
+    return Poset(ids, above)
 
 
 def brute_maximal_blocks(poset, stand_in):

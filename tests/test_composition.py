@@ -21,7 +21,7 @@ from poset_forge import (
 from poset_forge import composition
 from poset_forge.composition import eval_f_eta_with_sources, inline_poset
 from poset_forge.interval import _mask_to_set, _parts
-from poset_forge.core import ColouredPoset, _bits, coloured_isomorphic, embed, is_isomorphic
+from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
     BadIndex,
     EmptyPoset,
@@ -291,10 +291,12 @@ class TestLayerSelfChecks:
     # the walk checks what it builds: a chain member that is not an
     # interval, or a layer arity that is not indecomposable, is a library
     # bug and raises instead of giving a wrong decomposition
+    # both faults are injected through the one chain reader, ``_spine``,
+    # as (member, children it adds to the next member) pairs
     def test_non_interval_chain_member(self, monkeypatch):
         x = ColouredPoset.uniform(canonical("chain", 3))  # a < b < c
-        chain = [0b111, 0b101, 0b001]  # {a, c} is not an interval
-        monkeypatch.setattr(composition, "_chain_masks", lambda *args: chain)
+        spine = [(0b111, [0b010]), (0b101, [0b100]), (0b001, [])]  # {a, c} is not an interval
+        monkeypatch.setattr(composition, "_spine", lambda *args: spine)
         with pytest.raises(VerificationFailure, match="not an interval"):
             maximal_decomposition(x)
         with pytest.raises(VerificationFailure, match="not an interval"):
@@ -305,12 +307,8 @@ class TestLayerSelfChecks:
         # {b, c, d} of an antichain beside the stand-in for {a} is a
         # decomposable arity
         x = ColouredPoset.uniform(canonical("antichain", 4))
-        monkeypatch.setattr(composition, "_chain_masks", lambda *args: [0b1111, 0b0001])
-        monkeypatch.setattr(
-            composition,
-            "_parts",
-            lambda carrier, v, within: [1 << i for i in _bits(within & ~(1 << v))],
-        )
+        spine = [(0b1111, [0b0010, 0b0100, 0b1000]), (0b0001, [])]
+        monkeypatch.setattr(composition, "_spine", lambda *args: spine)
         with pytest.raises(VerificationFailure, match="not indecomposable"):
             maximal_decomposition(x)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -523,9 +524,13 @@ def _assert_layout_matches_brute(t):
     assert isinstance(t, StructuredTree) and t.tree is t
     assert t.poset.is_rooted_tree()
     ids, above, label_rows = helpers.brute_tree_rows(t.fset)
-    assert _layout(t.fset)[1:] == (ids, above, label_rows)
+    _, got_ids, got_above, got_below, got_label_rows = _layout(t.fset)
+    assert (got_ids, got_above, got_label_rows) == (ids, above, label_rows)
+    # the ancestor masks handed down are the transpose of the ranges
+    assert got_below == helpers.transpose(above)
     assert t.nodes == tuple(ids)
     assert t.poset.above == tuple(above)
+    assert t.poset.below == tuple(got_below)
     assert t.label_rows == tuple(label_rows)
     # the public constructor, fed the labels read off the tree, agrees
     rebuilt = _rebuilt(t)
@@ -555,6 +560,73 @@ class TestLayout:
                 cases[tail] += 1
                 _assert_layout_matches_brute(sub)
         assert cases[True] and cases[False]
+
+
+def _assert_rows_match_public(x, monkeypatch):
+    # the walk builds every arity and the tree through ``Poset._from_rows``
+    # and its composition set through ``CompositionSet._grown``: no public
+    # ``Poset`` constructor and no ``_validate`` runs.  What they build is
+    # what the public constructors would: the rows of ``Poset(ids,
+    # above)``, and a set that passes the check it skipped
+    init, validate = Poset.__init__, CompositionSet._validate
+
+    def refused(*args):
+        raise AssertionError("the walk transposed rows or validated its set")
+
+    monkeypatch.setattr(Poset, "__init__", refused)
+    monkeypatch.setattr(CompositionSet, "_validate", refused)
+    t = decomposition_tree(x)
+    monkeypatch.setattr(Poset, "__init__", init)
+    monkeypatch.setattr(CompositionSet, "_validate", validate)
+    t.fset._validate()
+    posets = [t.poset] + [arity for seq in t.fset.sequences.values() for arity, _ in seq.entries]
+    for p in posets:
+        public = Poset(p.elements, p.above)
+        assert (p.below, p.beside) == (public.below, public.beside)
+        assert list(p.below) == helpers.transpose(p.above)
+
+
+class TestUncheckedPaths:
+    def test_catalog6(self, catalog6, monkeypatch):
+        for reps in catalog6.values():
+            for p in reps:
+                _assert_rows_match_public(ColouredPoset.uniform(p), monkeypatch)
+
+    def test_random_shuffled(self, monkeypatch):
+        rng = random.Random(167)
+        for _ in range(150):
+            _assert_rows_match_public(_two_colour_shuffled(rng, rng.randint(1, 16)), monkeypatch)
+
+
+class TestDeepNesting:
+    # an alternating series-parallel nesting has one strong module per
+    # level: stored with the innermost point first, the chain has a member
+    # per level; stored with it last, the walk has a position per level
+    def test_chain_per_level_is_not_cubic(self, monkeypatch):
+        # 301 elements; the former greedy chain, one closure per outside
+        # point per member, took 4.7 s (2 cores, CPython 3.11)
+        x = ColouredPoset.uniform(helpers.alternating_nesting(300))
+        monkeypatch.setenv("POSET_FORGE_BOUND", "301")
+        start = time.perf_counter()
+        t = decomposition_tree(x)
+        elapsed = time.perf_counter() - start
+        seq = t.fset.sequences[()]
+        assert len(seq) == 301 and all(len(arity) == 2 for arity, _ in seq.entries[:-1])
+        assert len(t.leaf_nodes()) == 301
+        assert elapsed < 1.5
+
+    def test_position_per_level_needs_no_recursion(self, monkeypatch):
+        # 1,200 levels, more than the interpreter's recursion limit, which
+        # a walk with one call per level would hit
+        x = ColouredPoset.uniform(helpers.alternating_nesting(1200, innermost_first=False))
+        monkeypatch.setenv("POSET_FORGE_BOUND", "1201")
+        start = time.perf_counter()
+        t = decomposition_tree(x)
+        elapsed = time.perf_counter() - start
+        assert len(t.fset.sequences) == 1200
+        assert max(map(len, t.fset.sequences)) == 1199
+        assert len(t.leaf_nodes()) == 1201
+        assert elapsed < 10
 
 
 def _assert_positions_match_brute(x, t):
@@ -634,11 +706,14 @@ class TestNoRebuild:
     def test_one_layout_per_tree(self, monkeypatch):
         # building a tree lays it out once, and its node lookups read the
         # kept keys; each extract lays out once; recomposing builds no tree,
-        # no composition set and no layout
+        # no composition set and no layout.  A decomposition builds its set
+        # through the unchecked constructor, an extract through the public
+        # one: both count as one set
         rng = random.Random(163)
         xs = [_two_colour_shuffled(rng, rng.randint(8, 14)) for _ in range(4)]
         xs.append(uniform("chain", 4))
         layout, init, set_init = dectree._layout, DecompositionTree.__init__, CompositionSet.__init__
+        grown = CompositionSet._grown.__func__
         calls = Counter()
 
         def counted_layout(fset):
@@ -653,9 +728,14 @@ class TestNoRebuild:
             calls["sets"] += 1
             set_init(self, *args)
 
+        def counted_grown(cls, *args):
+            calls["sets"] += 1
+            return grown(cls, *args)
+
         monkeypatch.setattr(dectree, "_layout", counted_layout)
         monkeypatch.setattr(DecompositionTree, "__init__", counted_init)
         monkeypatch.setattr(CompositionSet, "__init__", counted_set_init)
+        monkeypatch.setattr(CompositionSet, "_grown", classmethod(counted_grown))
         for x in xs:
             calls.clear()
             t = decomposition_tree(x)

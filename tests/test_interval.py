@@ -16,7 +16,7 @@ from poset_forge import (
 )
 from poset_forge.composition import maximal_decomposition
 from poset_forge.core import ColouredPoset
-from poset_forge.interval import _close, _mask_to_set, _parts, _split
+from poset_forge.interval import _close, _mask_to_set, _parts, _spine, _split
 from poset_forge.errors import (
     EmptyPoset,
     EmptySet,
@@ -268,6 +268,23 @@ class TestQuotient:
             quotient(canonical("chain", 3), [{"a", "b"}, {"b", "c"}])
 
 
+def _assert_spine_matches_greedy(p, anchor, within, spine=False):
+    # the walk down the strong modules gives the library's former greedy
+    # chain, the children of each step partition its layer, and the last
+    # member, the anchor alone, adds none
+    got = _spine(p, anchor, within)
+    masks = [m for m, _ in got]
+    assert masks == helpers.greedy_chain_masks(p, anchor, within)
+    assert got[-1] == (1 << anchor, [])
+    for (m, children), rest in zip(got, masks[1:]):
+        layer = 0
+        for c in children:
+            assert c and not c & layer
+            layer |= c
+        assert layer == m & ~rest
+    return got if spine else masks
+
+
 class TestMaximalIntervalChain:
     def test_chain3_anchor_a(self):
         chain = maximal_interval_chain(canonical("chain", 3), "a")
@@ -309,6 +326,8 @@ class TestMaximalIntervalChain:
             for anchor in p.elements:
                 want = helpers.brute_interval_chain(p, anchor, intervals)
                 assert maximal_interval_chain(p, anchor).members == want
+                masks = _assert_spine_matches_greedy(p, p.index[anchor], (1 << len(p)) - 1)
+                assert tuple(_mask_to_set(p, m) for m in masks) == want
 
     def test_matches_brute_chain_random_shuffled(self):
         rng = random.Random(113)
@@ -318,6 +337,21 @@ class TestMaximalIntervalChain:
             anchor = rng.choice(p.elements)
             want = helpers.brute_interval_chain(p, anchor)
             assert maximal_interval_chain(p, anchor).members == want
+
+    def test_matches_greedy_chain_random_shuffled_every_anchor(self):
+        # and inside each strong module the walk passes, as the
+        # decomposition reads it for a block
+        rng = random.Random(173)
+        for _ in range(300):
+            n = rng.randint(8, 16)
+            p = helpers.shuffled_poset(rng, helpers.random_poset(rng, n, rng.choice((0.15, 0.35))))
+            full = (1 << n) - 1
+            for anchor in range(n):
+                for _, children in _assert_spine_matches_greedy(p, anchor, full, spine=True):
+                    for block in children:
+                        if block & block - 1:
+                            low = (block & -block).bit_length() - 1
+                            _assert_spine_matches_greedy(p, low, block)
 
     def test_bound(self, monkeypatch):
         with pytest.raises(TooLarge):
