@@ -30,8 +30,11 @@ search that dies early builds only the rows of the sources it reached.
 ``code_rows`` makes an injection relation-exact: for ``j > i`` the table is
 ``y.above`` when i < j in x, ``y.below`` when i > j and ``y.beside`` when
 they are incomparable, read off x's rows.  These are strict rows, so each
-also drops v itself.  It serves ``search_injection`` (poset and coloured
-embedding) only, which is just that.
+also drops v itself.  It serves ``search_injection`` only, which is just
+that.  ``search_injection`` has three callers, all in ``core``:
+``_embed_assign`` (behind ``embed``, ``is_isomorphic`` and
+``classify.is_n_free``), ``_coloured_assign`` (behind ``coloured_embed``
+and ``wqo``'s matrix and bad-pair search) and ``coloured_isomorphic``.
 ``dectree.st_embed`` passes instead ``order.__getitem__``, one row from
 each tree node to each of its children, ``(child, y.above)``, and
 ``narrow(i, assign, c)``, which returns the part of the candidate mask

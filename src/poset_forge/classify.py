@@ -17,7 +17,7 @@ them.
 """
 
 from . import config
-from .core import Poset, _bits, _Frozen, _induced_rows, _Record, canonical, embed, is_isomorphic
+from .core import Poset, _bits, _embed_assign, _Frozen, _induced_rows, _Record, canonical, embed, is_isomorphic
 from .interval import _canonical_sets, _split
 
 
@@ -73,7 +73,7 @@ def indecomposable_subsets(x, max_size, bound=None):
 def is_n_free(x):
     """No induced subposet is a copy of the four-element N."""
     x = x.poset if hasattr(x, "poset") else x
-    return embed(canonical("N", 0), x) is None
+    return _embed_assign(canonical("N", 0), x) is None
 
 
 class ClassSpec(_Frozen):

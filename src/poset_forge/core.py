@@ -8,8 +8,10 @@ shape predicates, every search and every induced suborder (``_induced_rows``)
 read these rows.  Beyond them only two lazy caches are stored, each filled on
 first use from the rows and colouring alone: :meth:`Poset.degree_table` (the
 relation counts and the cumulative count masks behind the searches' degree
-filter) and :meth:`ColouredPoset.colour_masks` (each element's palette index
-and one element mask per palette colour).  The element tuple is the canonical
+filter) and :meth:`ColouredPoset.colour_masks` (each element's palette index,
+one element mask per palette colour and, per colour, the mask of the
+elements whose colour is at or above it, the colour filter of every
+coloured search).  The element tuple is the canonical
 enumeration: all tie-breaking anywhere in the library (interval chain
 selection, quotient representatives, witness search order) refers back to it.
 Values are immutable after construction; every operation here is a pure
@@ -639,9 +641,10 @@ class ColouredPoset:
         return self.colouring[e]
 
     def colour_masks(self):
-        """``(index, masks)``, built on first use and kept: ``index[i]`` is
-        the palette index of element i's colour, and bit i of ``masks[c]``
-        is set iff element i has palette colour c."""
+        """``(index, masks, up)``, built on first use and kept: ``index[i]``
+        is the palette index of element i's colour, bit i of ``masks[c]`` is
+        set iff element i has palette colour c, and bit i of ``up[c]`` iff
+        element i's colour is at or above c."""
         table = self._colour_masks
         if table is None:
             palette_index = self.palette.index
@@ -649,7 +652,13 @@ class ColouredPoset:
             masks = [0] * len(self.palette)
             for i, c in enumerate(index):
                 masks[c] |= 1 << i
-            table = self._colour_masks = (index, masks)
+            up = []
+            for row in self.palette.rows:
+                mask = 0
+                for d in _bits(row):
+                    mask |= masks[d]
+                up.append(mask)
+            table = self._colour_masks = (index, masks, up)
         return table
 
     def restrict(self, members):
@@ -701,10 +710,22 @@ class EmbeddingMap(_Frozen):
 
 
 def _as_embedding(x, y, assign, kind):
+    """The map of a kernel assignment, or None when there is none."""
+    if assign is None:
+        return None
     pairs = tuple(
         (x.elements[i], y.elements[j]) for i, j in enumerate(assign)
     )
     return EmbeddingMap(pairs, kind)
+
+
+def _embed_assign(x, y):
+    """Target indices of the first induced-suborder embedding of x into y,
+    or None: the one search behind ``embed``, ``is_isomorphic`` and
+    ``classify.is_n_free``."""
+    if len(x) > len(y):
+        return None
+    return _search.search_injection(x, y, _search.degree_mask(x, y))
 
 
 def embed(x, y):
@@ -715,45 +736,34 @@ def embed(x, y):
     non-embeddability.  Candidates are tried in canonical target order and
     the first witness found is returned.
     """
-    if len(x) > len(y):
-        return None
-    assign = _search.search_injection(x, y, _search.degree_mask(x, y))
-    if assign is None:
-        return None
-    return _as_embedding(x, y, assign, "poset")
+    return _as_embedding(x, y, _embed_assign(x, y), "poset")
 
 
 def _coloured_allowed(x, y, exact):
     """Per source of x, the targets of y that pass the degree filter and
     whose colour is at or above the source's, or equal to it when exact."""
-    allowed = _search.degree_mask(x.poset, y.poset)
-    targets = y.colour_masks()[1]
-    rows = x.palette.rows
-    fit = {}
-    for i, c in enumerate(x.colour_masks()[0]):
-        if c not in fit:
-            if exact:
-                mask = targets[c]
-            else:
-                mask = 0
-                for d in _bits(rows[c]):
-                    mask |= targets[d]
-            fit[c] = mask
-        allowed[i] &= fit[c]
-    return allowed
+    fit = y.colour_masks()[1 if exact else 2]
+    return [
+        mask & fit[c]
+        for mask, c in zip(_search.degree_mask(x.poset, y.poset), x.colour_masks()[0])
+    ]
+
+
+def _coloured_assign(x, y):
+    """Target indices of the first colour-increasing embedding of x into y,
+    or None; x and y share a palette.  The one search behind
+    ``coloured_embed``, ``wqo.embeddability_matrix`` and
+    ``wqo.bad_pair_search``."""
+    if len(x) > len(y):
+        return None
+    return _search.search_injection(x.poset, y.poset, _coloured_allowed(x, y, False))
 
 
 def coloured_embed(x, y):
     """Poset embedding that also increases colours, or None."""
     if x.palette != y.palette:
         raise PaletteMismatch("coloured embedding requires a shared palette")
-    if len(x) > len(y):
-        return None
-    allowed = _coloured_allowed(x, y, False)
-    assign = _search.search_injection(x.poset, y.poset, allowed)
-    if assign is None:
-        return None
-    return _as_embedding(x.poset, y.poset, assign, "coloured")
+    return _as_embedding(x.poset, y.poset, _coloured_assign(x, y), "coloured")
 
 
 def check_embedding(x, y, emap):
@@ -779,7 +789,7 @@ def check_coloured_embedding(x, y, emap):
 
 def is_isomorphic(x, y):
     """Poset isomorphism: same size plus an embedding either way round."""
-    return len(x) == len(y) and embed(x, y) is not None
+    return len(x) == len(y) and _embed_assign(x, y) is not None
 
 
 def coloured_isomorphic(x, y):

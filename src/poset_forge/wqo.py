@@ -7,7 +7,7 @@ indecomposable.  The antichain check is exhaustive, never probabilistic.
 """
 
 from . import config
-from .core import _Frozen, ColouredPoset, QuasiOrder, canonical, coloured_embed
+from .core import _coloured_assign, _Frozen, ColouredPoset, QuasiOrder, canonical
 from .interval import is_indecomposable
 
 
@@ -70,11 +70,17 @@ def _check_family_size(n, bound=None):
 
 
 def embeddability_matrix(fam, bound=None):
-    """Boolean matrix of coloured embeddability within a family."""
+    """Boolean matrix of coloured embeddability within a family.
+
+    Entry (i, i) is true by reflexivity: the identity map preserves the
+    order exactly, and a palette quasi-order is reflexive, so it keeps
+    colours too.  Every other entry is an exhaustive search.  A family has
+    one shared palette, so no pair checks it again.
+    """
     _check_family_size(len(fam), bound)
     return [
-        [coloured_embed(a, b) is not None for b in fam.members]
-        for a in fam.members
+        [i == j or _coloured_assign(a, b) is not None for j, b in enumerate(fam.members)]
+        for i, a in enumerate(fam.members)
     ]
 
 
@@ -87,8 +93,18 @@ def _first_bad_pair(matrix):
 
 def bad_pair_search(fam, bound=None):
     """Lexicographically least (i, j), i < j, with member i not below
-    member j; None when the sequence is good."""
-    return _first_bad_pair(embeddability_matrix(fam, bound))
+    member j; None when the sequence is good.  The pairs are searched in
+    that order, and the first that fails ends the search."""
+    _check_family_size(len(fam), bound)
+    m = fam.members
+    n = len(m)
+    bad = (
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if _coloured_assign(m[i], m[j]) is None
+    )
+    return next(bad, None)
 
 
 def family_indecomposable(fam):

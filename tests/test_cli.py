@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from poset_forge.cli import run
 from poset_forge.textio import load_coloured_poset, poset_text
-from poset_forge import canonical, coloured_embed, wqo
+from poset_forge import canonical, wqo
 from poset_forge.wqo import Family, bad_pair_search, embeddability_matrix, matrix_text
 
 
@@ -199,22 +199,25 @@ class TestVerbs:
         assert "bad-pair 0 1" in text
 
     def test_matrix_searches_each_pair_once(self, files, monkeypatch):
-        # the bad pair is read off the printed matrix: n^2 searches, not 2n^2
+        # the bad pair is read off the printed matrix, and the diagonal is
+        # true by reflexivity: n^2 - n searches, one per off-diagonal pair
         names = ["ch3.poset", "ch2.poset", "one.poset"]
         members = [load_coloured_poset(Path(files[n]).read_text()) for n in names]
         fam = Family(tuple(x for _, x in members), tuple(name for name, _ in members))
         want = matrix_text(fam, embeddability_matrix(fam)) + "bad-pair 0 1\n"
         assert bad_pair_search(fam) == (0, 1)
         calls = []
+        assign = wqo._coloured_assign
 
         def counted(x, y):
             calls.append((x, y))
-            return coloured_embed(x, y)
+            return assign(x, y)
 
-        monkeypatch.setattr(wqo, "coloured_embed", counted)
+        monkeypatch.setattr(wqo, "_coloured_assign", counted)
         code, text = invoke(["matrix"] + [files[n] for n in names])
         assert code == 0 and text == want
-        assert len(calls) == len(names) ** 2
+        assert len(calls) == len(names) ** 2 - len(names) == 6
+        assert all(x is not y for x, y in calls)
 
     def test_scattered_rank_bound_flag(self, files):
         code, text = invoke(

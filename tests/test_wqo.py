@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import helpers
 from poset_forge import (
     ColouredPoset,
     Family,
@@ -8,8 +11,9 @@ from poset_forge import (
     embeddability_matrix,
     fence_antichain,
     is_indecomposable,
+    wqo,
 )
-from poset_forge.core import QuasiOrder
+from poset_forge.core import Poset, QuasiOrder
 from poset_forge.errors import TooLarge
 from poset_forge.wqo import matrix_text
 
@@ -19,6 +23,19 @@ def chain_family(sizes):
         ColouredPoset.uniform(canonical("chain", k)) for k in sizes
     )
     return Family(members, tuple(f"C{k}" for k in sizes))
+
+
+def counted_assign(monkeypatch):
+    """Record each (x, y) that wqo searches, in call order."""
+    calls = []
+    assign = wqo._coloured_assign
+
+    def counted(x, y):
+        calls.append((x, y))
+        return assign(x, y)
+
+    monkeypatch.setattr(wqo, "_coloured_assign", counted)
+    return calls
 
 
 class TestFenceAntichain:
@@ -85,6 +102,36 @@ class TestMatrix:
                 ("a", "b"),
             )
 
+    def test_random_families_match_brute(self):
+        # one comparable pair, so colour-increasing differs from colour-equal
+        pal = QuasiOrder(["0", "1", "2"], [("0", "1")])
+        rng = random.Random(59)
+        for _ in range(25):
+            members = tuple(
+                helpers.random_coloured(rng, rng.randrange(1, 8), pal, prefix=f"m{k}")
+                for k in range(rng.randrange(3, 7))
+            )
+            fam = Family(members, tuple(f"M{k}" for k in range(len(members))))
+            want = [
+                [helpers.brute_coloured_embed(a, b) is not None for b in members]
+                for a in members
+            ]
+            assert embeddability_matrix(fam) == want
+
+    def test_repeated_members_searched_off_diagonal(self, monkeypatch):
+        x = helpers.random_coloured(
+            random.Random(7), 6, QuasiOrder(["0", "1"], [("0", "1")]), prefix="x"
+        )
+        copy = ColouredPoset(Poset(x.elements, x.poset.above), x.colouring, x.palette)
+        assert copy == x and copy is not x
+        calls = counted_assign(monkeypatch)
+        for second in (x, copy):
+            calls.clear()
+            fam = Family((x, second), ("a", "b"))
+            assert embeddability_matrix(fam) == [[True, True], [True, True]]
+            # both off-diagonal entries found by search, the diagonal by none
+            assert calls == [(x, second), (second, x)]
+
     def test_text_stable_and_machine_readable(self):
         fam = chain_family([1, 2])
         text = matrix_text(fam, embeddability_matrix(fam))
@@ -103,6 +150,20 @@ class TestBadPair:
 
     def test_fence_family(self):
         assert bad_pair_search(fence_antichain(3)) == (0, 1)
+
+    def test_stops_at_first_bad_pair(self, monkeypatch):
+        calls = counted_assign(monkeypatch)
+        fam = chain_family([3, 2, 1])
+        assert bad_pair_search(fam) == (0, 1)
+        assert calls == [(fam.members[0], fam.members[1])]
+
+    def test_family_bound_checked_first(self, monkeypatch):
+        def refused(a, b):
+            raise AssertionError("searched past the family bound")
+
+        monkeypatch.setattr(wqo, "_coloured_assign", refused)
+        with pytest.raises(TooLarge):
+            bad_pair_search(chain_family(range(5, 0, -1)), bound=4)
 
     def test_agrees_with_matrix(self):
         for fam in (chain_family([2, 1, 3]), fence_antichain(3)):
