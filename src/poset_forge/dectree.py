@@ -25,7 +25,6 @@ from .composition import (
     render_position,
 )
 from .core import (
-    EQUAL,
     GREATER,
     INCOMPARABLE,
     LESS,
@@ -545,6 +544,44 @@ def _fits(S, T):
     return out
 
 
+def _label_entries(S):
+    """Per node of S, ``(codes, sames)``: the label entries that
+    ``_conditions`` narrows with, read off S's label rows.
+
+    Under a sum node p, a node above p whose label no earlier node above p
+    carries is a first node (the lowest bit of its label's row).  A first
+    node i after the first one gets the entry ``(p, [(q, code), ...])`` in
+    ``codes[i]``, one code per earlier first node q: the relation code of
+    q's label towards i's label in p's arity.  Every other node i above p
+    gets the entry ``(p, q0)`` in ``sames[i]``, where q0 is the first node
+    with i's label.  So p gives firsts(p) * (firsts(p) - 1) / 2 codes, each
+    list built once, and |up(p)| - firsts(p) same-label entries.
+    """
+    elements = S.poset.elements
+    codes = [[] for _ in elements]
+    sames = [[] for _ in elements]
+    for p, rows in enumerate(S.label_rows):
+        if not rows:
+            continue
+        arity = S.arities[elements[p]]
+        a_up, a_dn = arity.above, arity.below
+        firsts = sorted([((row & -row).bit_length() - 1, li) for li, row in enumerate(rows) if row])
+        for k, (i, li) in enumerate(firsts):
+            bit = 1 << li
+            if k:
+                codes[i].append((p, [
+                    (q, LESS if a_up[lq] & bit else GREATER if a_dn[lq] & bit else INCOMPARABLE)
+                    for q, lq in firsts[:k]
+                ]))
+            row = rows[li]
+            row &= row - 1  # the later nodes with label li
+            while row:
+                low = row & -row
+                sames[low.bit_length() - 1].append((p, i))
+                row ^= low
+    return codes, sames
+
+
 def _conditions(S, T):
     """``(allowed, order.__getitem__, narrow)`` for embedding S into T with
     ``_search.backtrack``: the colour masks (``_fits``), the row builder
@@ -564,13 +601,21 @@ def _conditions(S, T):
       is placed, f(child) is kept above f(m).  A leaf pushes none.
     - Meets: node i has one entry per earlier sibling q, an earlier node
       with i's parent m: f(i) avoids the child cone of f(m) that holds
-      f(q).
-    - Labels: under a sum node p below i, node i needs, for each earlier q
-      above p, that the label of f(i) under f(p) stand to that of f(q) as
-      i's label stands to q's.  Two earlier q < q' with one label: when q'
-      was placed it got the EQUAL entry against q, so f(q) and f(q') carry
-      one label under f(p), and q' asks of i what q does.  So one entry per
-      label value, at the first node above p with that label.
+      f(q).  The siblings are read off the children lists, in the same
+      pass that makes the order rows.
+    - Labels (``_label_entries``): under a sum node p below i, the label of
+      f(i) under f(p) must stand to that of each earlier f(q) above f(p) as
+      i's label stands to q's.  An earlier q that carries the label of an
+      earlier first node q' (the first node above p with that label) took
+      the label of f(q') when it was placed, so it asks of i what q' does,
+      and only the earlier first nodes need checking.  A first node i gets
+      one code against each of them.  Any other node i gets one entry
+      against q0, the first node with its label: f(i) takes the label of
+      f(q0).  That implies the codes: every first node q < q0 was checked
+      against q0 when q0 was placed, and every first node q with
+      q0 < q < i was checked against q0 when q itself was placed.  So once
+      f(i) has the label of f(q0), it stands to each f(q) as q0's label,
+      which is i's, stands to q's.
 
     The parent rows and sibling entries give the whole of order-exactness
     and meet preservation, once every earlier node has passed its own:
@@ -584,46 +629,30 @@ def _conditions(S, T):
        incomparable, and their meet is f(m).
 
     An earlier node is never above i, so 1 and 2 cover every earlier p:
-    each relation-code row and meet entry left out follows from the kept
-    ones, each candidate mask is the one the full conditions give, and the
-    search meets its witnesses in the same order.  The proofs assume only
-    that each earlier node passed its own rows and entries, so they hold
-    for any complete map that keeps the order, not just for the search's
-    prefixes (``verify_st_embedding``).
+    each relation-code row, meet entry and label code left out follows from
+    the kept ones, each candidate mask is the one the full conditions give,
+    and the search meets its witnesses in the same order.  The proofs
+    assume only that each earlier node passed its own rows and entries, so
+    they hold for any complete map that keeps the order, not just for the
+    search's prefixes (``verify_st_embedding``).
     """
     allowed = _fits(S, T)
     _, _, ttables, tdown, tup = T._target_tables()
-    spos, tabove = S.poset, T.poset.above
-    parent = [row.bit_length() - 1 for row in spos.below]
-    order = [[] for _ in parent]
-    for i, m in enumerate(parent):
+    tabove = T.poset.above
+    # order: (child, T's above rows) per child of m; meets: (q, m) per
+    # earlier sibling q of i, m their parent (in a decomposition tree
+    # distinct children's cones carry distinct labels, so there the labels
+    # imply the meets; other structured trees need them)
+    order, meets = [], []
+    for i, row in enumerate(S.poset.below):
+        order.append([])
+        m = row.bit_length() - 1
         if m >= 0:
+            meets.append([(q, m) for q, _ in order[m]])
             order[m].append((i, tabove))
-    # meets: (q, m) per earlier sibling q of i, m their parent (in a
-    # decomposition tree distinct children's cones carry distinct labels,
-    # so there the labels imply the meets; other structured trees need them)
-    meets = [[(q, m) for q in range(i) if parent[q] == m] for i, m in enumerate(parent)]
-    # labels: per sum node p below i, (q, code) for the first node q above
-    # p with each label value, placed before i, where code is that of q's
-    # label towards i's label in p's arity
-    labels = [[] for _ in range(len(spos))]
-    for p, rows in enumerate(S.label_rows):
-        if not rows:
-            continue
-        arity = S.arities[spos.elements[p]]
-        a_up, a_dn = arity.above, arity.below
-        firsts = [((row & -row).bit_length() - 1, lq) for lq, row in enumerate(rows) if row]
-        for li, row in enumerate(rows):
-            bit = 1 << li
-            for i in _bits(row):
-                codes = [
-                    (q, EQUAL if lq == li else LESS if a_up[lq] & bit
-                     else GREATER if a_dn[lq] & bit else INCOMPARABLE)
-                    for q, lq in firsts
-                    if q < i
-                ]
-                if codes:
-                    labels[i].append((p, codes))
+        else:
+            meets.append(())
+    codes, sames = _label_entries(S)
 
     def narrow(i, assign, c):
         for q, m in meets[i]:
@@ -631,7 +660,10 @@ def _conditions(S, T):
             # the lowest bit of the path, as T is stored in a linear extension
             child = tdown[assign[q]] & tabove[assign[m]]
             c &= ~tup[(child & -child).bit_length() - 1]
-        for p, earlier in labels[i]:
+        for p, q in sames[i]:
+            lab, _, labelled = ttables[assign[p]]
+            c &= labelled[lab[assign[q]]]
+        for p, earlier in codes[i]:
             lab, rows, labelled = ttables[assign[p]]
             ok = -1  # the label values i may take under assign[p]
             for q, code in earlier:

@@ -9,9 +9,11 @@ test, which shares only ``interval._close`` with the new one (and that is
 checked against ``brute_intervals`` itself); ``greedy_chain_masks``, the
 old interval chain, grown one closure at a time; ``brute_h_eta``, the old index
 poset from name pairs; ``extract_recompose``, the old recomposition,
-which evaluates one extracted tree per slot; and ``backward_backtrack``
+which evaluates one extracted tree per slot; ``backward_backtrack``
 with ``backward_code_rows``, the old search kernel, which checks each
-source against the earlier ones only once it reaches it.
+source against the earlier ones only once it reaches it; and
+``full_label_narrow``, the old meet and label entries of ``st_embed``,
+which give every node above a sum node one code per earlier first node.
 """
 
 import functools
@@ -28,7 +30,15 @@ from poset_forge import (
 from poset_forge.composition import CompositionSequence, eval_f_eta, render_position
 from poset_forge.dectree import StructuredTree, subtree_extract
 from poset_forge.interval import _close
-from poset_forge.core import EmbeddingMap, one_colour_palette
+from poset_forge.core import (
+    EQUAL,
+    GREATER,
+    INCOMPARABLE,
+    LESS,
+    EmbeddingMap,
+    _bits,
+    one_colour_palette,
+)
 
 
 # -- direct-definition oracles ------------------------------------------------
@@ -560,6 +570,51 @@ def brute_st_embed(tx, ty):
         if brute_is_st_embedding(tx, ty, cand):
             return cand
     return None
+
+
+def full_label_narrow(S, T):
+    """``narrow(i, assign, c)`` for the st_embed search of S into T, with
+    every meet and label entry of the old set-up: one meet entry per
+    earlier sibling, found by a scan of the earlier nodes, and, under each
+    sum node p below i, one relation code (EQUAL included) against every
+    earlier node that is the first above p with its label.  It reads T's
+    kept tables (``StructuredTree._target_tables``)."""
+    _, _, ttables, tdown, tup = T._target_tables()
+    spos, tabove = S.poset, T.poset.above
+    parent = [row.bit_length() - 1 for row in spos.below]
+    meets = [[(q, m) for q in range(i) if parent[q] == m] for i, m in enumerate(parent)]
+    labels = [[] for _ in parent]
+    for p, rows in enumerate(S.label_rows):
+        if not rows:
+            continue
+        arity = S.arities[spos.elements[p]]
+        a_up, a_dn = arity.above, arity.below
+        firsts = [((row & -row).bit_length() - 1, lq) for lq, row in enumerate(rows) if row]
+        for li, row in enumerate(rows):
+            bit = 1 << li
+            for i in _bits(row):
+                codes = [
+                    (q, EQUAL if lq == li else LESS if a_up[lq] & bit
+                     else GREATER if a_dn[lq] & bit else INCOMPARABLE)
+                    for q, lq in firsts
+                    if q < i
+                ]
+                if codes:
+                    labels[i].append((p, codes))
+
+    def narrow(i, assign, c):
+        for q, m in meets[i]:
+            child = tdown[assign[q]] & tabove[assign[m]]
+            c &= ~tup[(child & -child).bit_length() - 1]
+        for p, earlier in labels[i]:
+            lab, rows, labelled = ttables[assign[p]]
+            ok = -1
+            for q, code in earlier:
+                ok &= rows[code][lab[assign[q]]]
+            c &= sum(labelled[lb] for lb in _bits(ok))
+        return c
+
+    return narrow
 
 
 def brute_indecomposable(poset):

@@ -1056,16 +1056,19 @@ class TestOrderRows:
 def _entries(tree):
     """(label entries, meet entries) of a source tree, as pairs of a later
     node and an earlier node it is checked against: all of them, and those
-    left when one entry stands for each label value under a sum node, or
+    left when, under a sum node, a node whose label an earlier node carries
+    is checked against the first such node only, and any other node against
+    the first node of each earlier label value; or when one entry stands
     for each child cone of a meet."""
     S = getattr(tree, "tree", tree)
     below, beside = S.poset.below, S.poset.beside
     labels = kept_labels = meets = kept_meets = 0
     for rows in S.label_rows:
         up = sorted((q, lb) for lb, row in enumerate(rows) for q in _bits(row))
-        for k in range(len(up)):
+        for k, (_, lb) in enumerate(up):
+            earlier = {lq for _, lq in up[:k]}
             labels += k
-            kept_labels += len({lb for _, lb in up[:k]})
+            kept_labels += 1 if lb in earlier else len(earlier)
     for i in range(len(S.nodes)):
         for p in _bits(beside[i] & (1 << i) - 1):
             # kept: p is a child of the meet, its parent being below i
@@ -1103,6 +1106,89 @@ class TestEntryDedup:
                 assert phi == helpers.brute_st_embed(s, t)
                 found += phi is not None
         assert 0 < found < len(sources) * len(targets)
+
+
+def _label_entry_trees(catalog5):
+    """Decomposition trees of catalog5, and 80 raw trees, in which distinct
+    child cones of a sum node can share a label."""
+    trees = [
+        decomposition_tree(ColouredPoset.uniform(p)) for k in range(1, 6) for p in catalog5[k]
+    ]
+    raw = [tree for _, tree in helpers.random_raw_trees(random.Random(191), 40)]
+    return trees, raw
+
+
+def _assert_narrow_matches_full_labels(pairs):
+    """Over each pair's st_embed search, ``_conditions``' narrow returns the
+    mask of ``helpers.full_label_narrow`` at every node the search reaches,
+    and a search narrowed by the oracle alone reaches as many nodes and
+    finds the same witness.  Returns the nodes reached, in all and with a
+    same-label entry."""
+    reached = same = 0
+    for s, t in pairs:
+        if len(s.nodes) > len(t.nodes):
+            continue
+        allowed, row, narrow = dectree._conditions(s, t)
+        oracle = helpers.full_label_narrow(s, t)
+        sames = dectree._label_entries(s)[1]
+        calls = Counter()
+
+        def checked(i, assign, c):
+            calls["new"] += 1
+            calls["same"] += bool(sames[i])
+            got = narrow(i, assign, c)
+            assert got == oracle(i, assign, c)
+            return got
+
+        def counted(i, assign, c):
+            calls["oracle"] += 1
+            return oracle(i, assign, c)
+
+        assert _search.backtrack(allowed, row, checked) == _search.backtrack(allowed, row, counted)
+        assert calls["new"] == calls["oracle"]
+        reached += calls["new"]
+        same += calls["same"]
+    return reached, same
+
+
+class TestLabelEntries:
+    """A node above a sum node p whose label an earlier node carries keeps
+    one same-label entry, against the first node with that label; a first
+    node keeps one code per earlier first node."""
+
+    def test_narrow_matches_full_labels_on_decomposition_trees(self, catalog5):
+        # sources of up to 4 elements into every tree of catalog5
+        trees, _ = _label_entry_trees(catalog5)
+        pairs = [(s, t) for s in trees if len(s.base) < 5 for t in trees]
+        reached, same = _assert_narrow_matches_full_labels(pairs)
+        assert reached > 5000 and same > 1000
+
+    def test_narrow_matches_full_labels_on_raw_trees(self, catalog5):
+        _, raw = _label_entry_trees(catalog5)
+        reached, same = _assert_narrow_matches_full_labels([(s, t) for s in raw for t in raw])
+        assert reached > 2000 and same > 500
+
+    def test_entry_counts(self, catalog5):
+        trees, raw = _label_entry_trees(catalog5)
+        shared = 0
+        for S in trees + raw:
+            codes, sames = dectree._label_entries(S)
+            want_sames = want_codes = 0
+            for p, rows in enumerate(S.label_rows):
+                firsts = sum(1 for row in rows if row)
+                want_sames += S.poset.above[p].bit_count() - firsts
+                want_codes += firsts * (firsts - 1) // 2
+            assert sum(map(len, sames)) == want_sames
+            assert sum(len(c) for entries in codes for _, c in entries) == want_codes
+            for i, entries in enumerate(sames):
+                for p, q in entries:
+                    # q is the first node above p with i's label
+                    v, x = S.nodes[p], S.nodes[i]
+                    assert q < i and S.label(v, S.nodes[q]) == S.label(v, x)
+                    assert all(S.label(v, S.nodes[r]) != S.label(v, x)
+                               for r in _bits(S.poset.above[p] & (1 << q) - 1))
+            shared += want_sames > 0
+        assert shared > 100
 
 
 class TestTargetTables:
