@@ -235,7 +235,7 @@ def _cmd_matrix(args, out):
     fam = Family(members, names)
     matrix = embeddability_matrix(fam, bound=args.bound)
     out.write(matrix_text(fam, matrix))
-    bad = _first_bad_pair(matrix)
+    bad = _first_bad_pair(len(matrix), lambda i, j: matrix[i][j])
     if bad is None:
         print("bad-pair none", file=out)
     else:

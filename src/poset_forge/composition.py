@@ -14,8 +14,9 @@ and every layer's blocks are read off one walk down the strong modules of
 the mask that hold the anchor (``interval._spine``, after Ehrenfeucht,
 Gabow, McConnell and Sullivan, J. Algorithms 16, 1994): a layer adds the
 children of one strong module, and its blocks are those children with two
-or more points.  Each arity's self-check is the n - 1-closure test of
-``interval.is_indecomposable``.  Each leaf is an element of the input.
+or more points.  Each arity is indecomposable by construction, a prime
+module's quotient or at most two points (Gallai 1967), so the walk checks
+none of them.  Each leaf is an element of the input.
 """
 
 from .core import (
@@ -36,15 +37,8 @@ from .errors import (
     MissingLeaf,
     PaletteMismatch,
     UnknownElement,
-    VerificationFailure,
 )
-from .interval import (
-    IntervalChain,
-    _mask_to_set,
-    _spine,
-    _split,
-    is_indecomposable,
-)
+from .interval import IntervalChain, _mask_to_set, _spine
 
 
 class CompositionSequence(_Frozen):
@@ -193,17 +187,31 @@ def _layers(carrier, within, anchor):
     Returns (sequence, argument masks keyed by (layer, slot), chain masks).
     The intervals of the order induced on an interval M are the intervals
     inside M (Gallai 1967), so everything is read off the carrier's rows.
-    Layer j's arity is the layer with each block kept as its first point,
-    plus a distinguished stand-in slot for the next chain member, listed
-    last; the last layer is the anchor alone.
-
     The chain and its layers come from one walk down the strong modules
-    that hold the anchor (``interval._spine``): each layer is the union of
-    the children of one strong module that its member adds to the next
-    member, and its blocks, the maximal intervals of member j with two or
-    more points that avoid member j + 1, are those children with two or
-    more points.  Each arity is checked with ``is_indecomposable``, which
-    makes n - 1 closures on n points, and the next member with ``_split``.
+    that hold the anchor (``interval._spine``).  Layer j's arity keeps the first point of
+    each child that member j adds to member j + 1, in order of those
+    points, and that child is the slot's argument; then comes a
+    distinguished stand-in slot for the next member, listed last, which
+    takes the rows of that member's first point.  The last layer is the
+    anchor alone, its own child.
+
+    Nothing is checked at run time, since the walk guarantees it:
+
+    1. Each next member is an interval.  From a module M, ``_spine`` steps
+       at a parallel node by removing one child, and any union of a
+       parallel node's children is a module; at a linear node by removing
+       an end child of a consecutive run, and such a run is a module; at a
+       prime node by removing every child but the anchor's, and that child
+       is a strong module.  A module of a module of within is a module of
+       within.  So the stand-in may take the rows of any point of it.
+    2. Each arity is indecomposable.  A parallel or linear layer is one
+       child plus the stand-in, two points; the last layer is one point.  A
+       prime layer has one point per child of a prime strong module, with
+       the stand-in for the anchor's child: that is the module's quotient,
+       which is indecomposable (Gallai 1967).
+    3. Every slot has an argument.  ``args`` gets one entry per child
+       added at layer j, and those children are exactly the layer's slots
+       other than the stand-in; the last layer's one slot is the anchor.
 
     An arity's ``below`` rows are the carrier's ``below`` rows read on the
     same index list (``_induced_rows``), so they are the transpose of its
@@ -217,41 +225,23 @@ def _layers(carrier, within, anchor):
     entries = []
     args = {}
     for j, (cur, children) in enumerate(spine):
-        rest = spine[j + 1][0] if j + 1 < len(spine) else 0
-        layer = cur & ~rest
-        blocks = [b for b in children if b & b - 1]
-        keep = layer
-        for block in blocks:
-            keep &= ~block | block & -block
-        kept = list(_bits(keep))
-        ids = [names[i] for i in kept]
-        for i, u in zip(kept, ids):
-            args[(j, u)] = next((m for m in blocks if m >> i & 1), 1 << i)
-        if rest:
-            # the stand-in takes the rows of the rest's first point; the
-            # rest is an interval, checked here, so any point would do
-            first = (rest & -rest).bit_length() - 1
-            split = _split(carrier, first, rest) & layer
-            if split:
-                d = (split & -split).bit_length() - 1
-                raise VerificationFailure(
-                    f"chain member is not an interval relative to {names[d]!r}"
-                )
+        kept = []
+        for child in sorted(children or [cur], key=lambda c: c & -c):
+            first = (child & -child).bit_length() - 1
             kept.append(first)
-            ids.append(_fresh_id({names[i] for i in _bits(layer)}))
+            args[(j, names[first])] = child
+        ids = [names[i] for i in kept]
+        if j + 1 < len(spine):
+            rest = spine[j + 1][0]
+            kept.append((rest & -rest).bit_length() - 1)
+            ids.append(_fresh_id({names[i] for i in _bits(cur & ~rest)}))
         arity = Poset._from_rows(
             ids,
             _induced_rows([up[i] for i in kept], kept),
             _induced_rows([dn[i] for i in kept], kept),
         )
-        if not is_indecomposable(arity):
-            raise VerificationFailure("layer arity is not indecomposable")
         entries.append((arity, ids[-1]))
-    seq = CompositionSequence(entries)
-    for pos in seq.positions():
-        if pos not in args:
-            raise VerificationFailure(f"no argument produced for slot {pos}")
-    return seq, args, [m for m, _ in spine]
+    return CompositionSequence(entries), args, [m for m, _ in spine]
 
 
 def maximal_decomposition(x, anchor=None):
@@ -302,11 +292,11 @@ class CompositionSet:
 
         That is the property ``_validate`` checks.  The walk pushes the
         root, and for each sequence it adds, one position per slot:
-        ``_layers`` returns one argument per slot, and checks that each slot
-        has one.  So the positions it adds are exactly those reached from
-        the root.  Distinct slots give distinct positions, so each position
-        is pushed once and stored once, as a leaf when its mask is one point
-        and as a sequence otherwise, never as both.
+        ``_layers`` returns one argument per slot, by construction.  So the
+        positions it adds are exactly those reached from the root.  Distinct
+        slots give distinct positions, so each position is pushed once and
+        stored once, as a leaf when its mask is one point and as a sequence
+        otherwise, never as both.
         """
         fset = cls.__new__(cls)
         fset.root = ()

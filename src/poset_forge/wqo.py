@@ -84,27 +84,21 @@ def embeddability_matrix(fam, bound=None):
     ]
 
 
-def _first_bad_pair(matrix):
-    """Lexicographically least (i, j), i < j, with matrix[i][j] false."""
-    n = len(matrix)
-    bad = ((i, j) for i in range(n) for j in range(i + 1, n) if not matrix[i][j])
+def _first_bad_pair(n, below):
+    """Lexicographically least (i, j), i < j < n, with below(i, j) false;
+    None when there is none.  The pairs are asked in that order, and the
+    first false answer ends the walk."""
+    bad = ((i, j) for i in range(n) for j in range(i + 1, n) if not below(i, j))
     return next(bad, None)
 
 
 def bad_pair_search(fam, bound=None):
     """Lexicographically least (i, j), i < j, with member i not below
-    member j; None when the sequence is good.  The pairs are searched in
-    that order, and the first that fails ends the search."""
+    member j; None when the sequence is good.  Each pair is searched only
+    when it is reached (``_first_bad_pair``)."""
     _check_family_size(len(fam), bound)
     m = fam.members
-    n = len(m)
-    bad = (
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if _coloured_assign(m[i], m[j]) is None
-    )
-    return next(bad, None)
+    return _first_bad_pair(len(m), lambda i, j: _coloured_assign(m[i], m[j]) is not None)
 
 
 def family_indecomposable(fam):

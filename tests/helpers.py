@@ -102,6 +102,16 @@ def brute_intervals(poset):
     return out
 
 
+def brute_strong_modules(poset):
+    """The intervals from ``brute_intervals`` that overlap no other: each
+    other interval is disjoint from it, inside it or around it."""
+    intervals = brute_intervals(poset)
+    return [
+        s for s in intervals
+        if all(not s & t or s <= t or t <= s for t in intervals)
+    ]
+
+
 def brute_interval_chain(poset, anchor=None, intervals=None):
     """The canonical maximal interval chain, largest member first, by greedy
     insertion: from {full set, {anchor}}, insert the least interval, by size

@@ -18,9 +18,9 @@ from poset_forge import (
     maximal_decomposition,
     split_assoc_check,
 )
-from poset_forge import composition
+from poset_forge import composition, interval
 from poset_forge.composition import eval_f_eta_with_sources, inline_poset
-from poset_forge.interval import _mask_to_set, _parts
+from poset_forge.interval import _mask_to_set, _parts, _split
 from poset_forge.core import ColouredPoset, coloured_isomorphic, embed, is_isomorphic
 from poset_forge.errors import (
     BadIndex,
@@ -29,7 +29,6 @@ from poset_forge.errors import (
     MissingArgument,
     MissingLeaf,
     PaletteMismatch,
-    VerificationFailure,
 )
 
 
@@ -287,30 +286,113 @@ def _assert_blocks_match_brute(x, anchor=None):
         assert helpers.argument_blocks(args, j) == want
 
 
-class TestLayerSelfChecks:
-    # the walk checks what it builds: a chain member that is not an
-    # interval, or a layer arity that is not indecomposable, is a library
-    # bug and raises instead of giving a wrong decomposition
-    # both faults are injected through the one chain reader, ``_spine``,
-    # as (member, children it adds to the next member) pairs
-    def test_non_interval_chain_member(self, monkeypatch):
-        x = ColouredPoset.uniform(canonical("chain", 3))  # a < b < c
-        spine = [(0b111, [0b010]), (0b101, [0b100]), (0b001, [])]  # {a, c} is not an interval
-        monkeypatch.setattr(composition, "_spine", lambda *args: spine)
-        with pytest.raises(VerificationFailure, match="not an interval"):
-            maximal_decomposition(x)
-        with pytest.raises(VerificationFailure, match="not an interval"):
-            decomposition_function(x)
+def _layer_calls(x, monkeypatch):
+    # every (within, sequence, argument masks, chain masks) that
+    # ``_decompose`` builds, one per internal position
+    calls = []
+    layers = composition._layers
 
-    def test_decomposable_layer_arity(self, monkeypatch):
-        # with every part a single point no blocks form, and the layer
-        # {b, c, d} of an antichain beside the stand-in for {a} is a
-        # decomposable arity
-        x = ColouredPoset.uniform(canonical("antichain", 4))
-        spine = [(0b1111, [0b0010, 0b0100, 0b1000]), (0b0001, [])]
-        monkeypatch.setattr(composition, "_spine", lambda *args: spine)
-        with pytest.raises(VerificationFailure, match="not indecomposable"):
-            maximal_decomposition(x)
+    def recorded(carrier, within, anchor):
+        out = layers(carrier, within, anchor)
+        calls.append((within, *out))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(composition, "_layers", recorded)
+        fset, _ = composition._decompose(x)
+    assert len(calls) == len(fset.sequences)
+    return calls
+
+
+def _assert_layers_hold(p, within, seq, args, chain):
+    # what ``_layers`` no longer checks at run time: its arities are
+    # indecomposable and are the order induced on the slots' points and the
+    # stand-in's, each next member has no splitter in the current one, and
+    # the slots' argument masks partition each layer
+    assert chain[0] == within
+    assert set(args) == set(seq.positions())
+    for j, (arity, s) in enumerate(seq.entries):
+        assert is_indecomposable(arity)
+        cur = chain[j]
+        rest = chain[j + 1] if j + 1 < len(chain) else 0
+        point = {u: u for u in arity.elements}
+        if rest:
+            first = (rest & -rest).bit_length() - 1
+            assert not _split(p, first, rest) & cur & ~rest
+            point[s] = p.elements[first]
+        for a in arity.elements:
+            for b in arity.elements:
+                assert arity.lt(a, b) == p.lt(point[a], point[b])
+        union = 0
+        for (i, _), m in args.items():
+            if i == j:
+                assert m and not m & union
+                union |= m
+        assert union == cur & ~rest
+
+
+def _assert_layers_by_construction(x, monkeypatch):
+    for call in _layer_calls(x, monkeypatch):
+        _assert_layers_hold(x.poset, *call)
+
+
+class TestLayersByConstruction:
+    # ``_layers`` reads its arities, stand-ins and arguments off the
+    # strong-module walk and checks none of them; its docstring proves
+    # they hold, and these tests assert it at every position
+    def test_catalog6(self, catalog6, monkeypatch):
+        for reps in catalog6.values():
+            for p in reps:
+                _assert_layers_by_construction(ColouredPoset.uniform(p), monkeypatch)
+
+    def test_random_shuffled(self, monkeypatch):
+        rng = random.Random(131)
+        for _ in range(200):
+            n = rng.randint(8, 13)
+            p = helpers.random_poset(rng, n, rng.choice((0.15, 0.35, 0.6)))
+            x = ColouredPoset.uniform(helpers.shuffled_poset(rng, p))
+            _assert_layers_by_construction(x, monkeypatch)
+            # and along a chain down to any anchor, not only the lowest point
+            full = (1 << n) - 1
+            v = rng.randrange(n)
+            _assert_layers_hold(x.poset, full, *composition._layers(x.poset, full, v))
+
+    @pytest.mark.parametrize("innermost_first", [True, False])
+    def test_alternating_nesting(self, innermost_first, monkeypatch):
+        p = helpers.alternating_nesting(15, innermost_first)
+        _assert_layers_by_construction(ColouredPoset.uniform(p), monkeypatch)
+
+
+class TestStrongModulesOpenedOnce:
+    # the decomposition needs no separate modular-decomposition tree: over
+    # all its positions, the walk splits each strong module of two or more
+    # points once, and no other mask
+    @staticmethod
+    def _assert_opened_once(p, monkeypatch):
+        opened = []
+        components = interval._components
+
+        def counted(carrier, within, comparable):
+            if comparable:
+                opened.append(within)
+            return components(carrier, within, comparable)
+
+        with monkeypatch.context() as m:
+            m.setattr(interval, "_components", counted)
+            decomposition_function(ColouredPoset.uniform(p))
+        strong = [s for s in helpers.brute_strong_modules(p) if len(s) >= 2]
+        assert sorted(sorted(_mask_to_set(p, m)) for m in opened) == sorted(map(sorted, strong))
+
+    def test_catalog6(self, catalog6, monkeypatch):
+        for reps in catalog6.values():
+            for p in reps:
+                self._assert_opened_once(p, monkeypatch)
+
+    def test_random_shuffled(self, monkeypatch):
+        rng = random.Random(137)
+        for _ in range(60):
+            p = helpers.random_poset(rng, rng.randint(7, 10), rng.choice((0.15, 0.35, 0.6)))
+            self._assert_opened_once(helpers.shuffled_poset(rng, p), monkeypatch)
 
 
 class TestLayerBlocks:

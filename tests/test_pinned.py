@@ -81,8 +81,9 @@ def test_outputs_match_the_pinned_digest(tmp_path):
 
 
 def test_no_pair_closures(tmp_path, monkeypatch):
-    # each layer's self-check makes at most n - 1 closures on an n-point
-    # arity, and the pair-closure test is never called
+    # the decomposition checks no arity (each is indecomposable by
+    # construction), so the pair-closure test is never called; closures
+    # still run where the walk reads a prime node's children
     def pair_test(*args):
         raise AssertionError("the pair-closure test was called")
 
@@ -92,18 +93,12 @@ def test_no_pair_closures(tmp_path, monkeypatch):
         calls[0] += 1
         return close(*args)
 
-    def checked(arity):
-        before = calls[0]
-        verdict = check(arity)
-        assert calls[0] - before <= len(arity) - 1
-        return verdict
-
-    close, check = interval._close, composition.is_indecomposable
+    close = interval._close
     monkeypatch.setattr(helpers, "pair_closure_indecomposable", pair_test)
     monkeypatch.setattr(interval, "_close", counted)
-    monkeypatch.setattr(composition, "is_indecomposable", checked)
     assert not hasattr(interval, "_indecomposable_mask")
     assert not hasattr(composition, "_maximal_blocks")
+    assert not hasattr(composition, "is_indecomposable")
     assert digest(tmp_path / "x.poset") == PINNED
     assert calls[0]
 
