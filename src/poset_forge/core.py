@@ -144,8 +144,9 @@ class Poset:
         """A poset from both row sets, with no transpose: ``below`` must be
         the transpose of ``above`` (bit i of ``below[j]`` set iff bit j of
         ``above[i]`` is).  Each caller proves that its rows are: the layer
-        arities of ``composition._layers`` and the tree rows of
-        ``dectree._layout``."""
+        arities of ``composition._layers``, and the tree of
+        ``dectree.DecompositionTree``, whose rows come from the same
+        ``dectree._layout`` pass that types its nodes."""
         poset = cls.__new__(cls)
         poset._store(elements, above, below)
         return poset

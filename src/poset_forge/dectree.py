@@ -11,7 +11,9 @@ Lifting such an embedding to the underlying posets is the whole point.
 A decomposition tree is a structured tree that keeps its composition set:
 ``DecompositionTree`` subclasses ``StructuredTree`` and stores the layout
 that ``_layout`` proves to be a rooted tree, so the one rooted-tree check
-is the public ``StructuredTree`` constructor's.
+is the public ``StructuredTree`` constructor's.  The same pass gives the
+nodes' kinds, arities, leaf colours and leaf elements, which the tree keeps
+as they are; the public constructor copies what its caller passes.
 """
 
 from .composition import (
@@ -49,16 +51,23 @@ from .errors import (
 from . import _search, config
 
 
-def _layout(fset):
-    """Node keys, ids, ``above`` and ``below`` rows and label rows of the
-    tree that records a composition set, in one depth-first pass.
+def _layout(fset, leaves, base):
+    """The tree that records a composition set, laid out and typed in one
+    depth-first pass: ``(ids, above, below, label_rows, keys, kinds,
+    arities, leaf_colours, leaf_element)``.
 
-    Node keys are ("i", position, layer) for layer nodes and ("l",
-    position) for leaves; positions are the composition set's (layer, slot)
-    pair tuples.  Ids are absolute, so a branch extract's nodes keep the
+    ``leaves`` maps each leaf position of ``fset`` to its element of the
+    coloured poset ``base``.  The first four are lists, one entry per node
+    in storage order: ids, ``above`` and ``below`` rows, and label rows (one
+    mask per slot of a layer node's arity, in the arity's element order, and
+    ``()`` for a leaf).  ``keys`` holds ("i", position, layer) for each
+    layer node and ``None`` for each leaf; positions are the composition set's
+    (layer, slot) pair tuples.  The four dicts are keyed by node id: kind
+    "sum" or "leaf", a layer node's arity, and a leaf's colour and element
+    of ``base``.  Ids are absolute, so a branch extract's nodes keep the
     cone's ids: a position's id is rendered once, from its parent's, and a
     layer node's id is that id and the layer index (the index alone at the
-    root position).
+    root position).  Each sequence is read through its ``entries``.
 
     A position's nodes come in order: layer node 0, then its branches in
     slot-name order, then layer node 1 and its branches, and so on, so every
@@ -89,38 +98,54 @@ def _layout(fset):
     generators on an explicit stack, each paused while a branch is laid
     out, so that no depth of nesting reaches the recursion limit.
     """
-    keys, ids, above, below, label_rows = [], [], [], [], []
+    sequences = fset.sequences
+    colour = base.colouring
+    ids, above, below, label_rows, keys = [], [], [], [], []
+    kinds, arities, leaf_colours, leaf_element = {}, {}, {}, {}
 
-    def add(key, name, ancestors):
-        keys.append(key)
+    def leaf(q, name, ancestors):
         ids.append(name)
         above.append(0)
         below.append(ancestors)
         label_rows.append(())
+        keys.append(None)
+        kinds[name] = "leaf"
+        e = leaf_element[name] = leaves[q]
+        leaf_colours[name] = colour[e]
 
     def visit(p, name, ancestors):
         # yields each branch that is a sequence, to be laid out in full
         # before this position resumes
-        seq = fset.sequences[p]
+        entries = sequences[p].entries
+        last = len(entries) - 1
         layers = []
-        for i in range(len(seq)):
-            node = len(keys)
-            add(("i", p, i), f"{name}/{i}" if p else str(i), ancestors)
+        for i, (arity, s) in enumerate(entries):
+            node = len(ids)
+            nid = f"{name}/{i}" if p else str(i)
+            ids.append(nid)
+            above.append(0)
+            below.append(ancestors)
+            label_rows.append(())
+            keys.append(("i", p, i))
+            kinds[nid] = "sum"
+            arities[nid] = arity
             ancestors |= 1 << node
-            arity = seq.arity(i)
-            rows = [0] * len(arity)
-            for u in sorted(seq.slots(i)):
-                start = len(keys)
+            index = arity.index
+            rows = [0] * len(index)
+            for u in sorted(index):
+                if u == s and i < last:
+                    continue
+                start = len(ids)
                 q = p + ((i, u),)
                 step = render_position(((i, u),))
                 q_name = f"{name}/{step}" if p else step
-                if q in fset.sequences:
+                if q in sequences:
                     yield q, q_name, ancestors
                 else:
-                    add(("l", q), q_name, ancestors)
-                rows[arity.index[u]] = (1 << len(keys)) - (1 << start)
-            layers.append((node, rows, arity.index[seq.distinguished(i)], len(keys)))
-        end = (1 << len(keys)) - 1
+                    leaf(q, q_name, ancestors)
+                rows[index[u]] = (1 << len(ids)) - (1 << start)
+            layers.append((node, rows, index[s], len(ids)))
+        end = (1 << len(ids)) - 1
         for node, rows, s, later in layers:
             above[node] = end & -(2 << node)
             rows[s] |= end & -(1 << later)
@@ -128,17 +153,17 @@ def _layout(fset):
 
     root, name = fset.root, render_position(fset.root)
     stack = []
-    if root in fset.sequences:
+    if root in sequences:
         stack.append(visit(root, name, 0))
     else:
-        add(("l", root), name, 0)
+        leaf(root, name, 0)
     while stack:
         branch = next(stack[-1], None)
         if branch is None:
             stack.pop()
         else:
             stack.append(visit(*branch))
-    return keys, ids, above, below, label_rows
+    return ids, above, below, label_rows, keys, kinds, arities, leaf_colours, leaf_element
 
 
 class StructuredTree:
@@ -154,8 +179,10 @@ class StructuredTree:
     the arity's element order) of the nodes above it that carry that
     label; it is empty for leaves.  This constructor is the one rooted-tree
     check (NotATree, after every other check); a decomposition tree is a
-    structured tree that keeps its composition set, and stores the rows of
-    its layout (``_layout``), a rooted tree by construction.  What an
+    structured tree that keeps its composition set, and stores the rows and
+    dicts of its layout (``_layout``), a rooted tree by construction.  The
+    tree keeps the dicts given to ``_fill``, so this constructor passes it
+    copies of the caller's.  What an
     embedding into the tree reads of it is kept on first use
     (``_target_tables``).
     """
@@ -220,16 +247,25 @@ class StructuredTree:
                 raise BadLabel(f"a node above {poset.elements[i]!r} has no label")
         if not poset.is_rooted_tree():
             raise NotATree("structured trees are rooted trees")
-        self._fill(poset, kinds, arities, leaf_colours, ground_palette, rows)
+        self._fill(
+            poset,
+            dict(kinds),
+            dict(arities),
+            dict(leaf_colours),
+            ground_palette,
+            tuple(map(tuple, rows)),
+        )
 
     def _fill(self, poset, kinds, arities, leaf_colours, ground_palette, label_rows):
-        # the poset must be a rooted tree, stored as the constructor sorts it
+        # the poset must be a rooted tree, stored as the constructor sorts
+        # it, and label_rows a tuple of tuples; the tree keeps the dicts it
+        # is given, so a caller hands over dicts no one else holds
         self.poset = poset
-        self.kinds = dict(kinds)
-        self.arities = dict(arities)
-        self.leaf_colours = dict(leaf_colours)
+        self.kinds = kinds
+        self.arities = arities
+        self.leaf_colours = leaf_colours
         self.ground_palette = ground_palette
-        self.label_rows = tuple(map(tuple, label_rows))
+        self.label_rows = label_rows
         self._target = None
 
     def _target_tables(self):
@@ -331,13 +367,15 @@ def structured_tree_text(tree):
 class DecompositionTree(StructuredTree):
     """A structured tree that keeps the composition set that generated it.
 
-    Its rows are ``_layout``'s, a rooted tree by construction, so they are
-    stored without the public constructor's checks.  ``leaves`` maps each
-    leaf position of ``fset`` to its element of ``base``, the coloured poset
-    the root tree was built from; a leaf takes that element's colour, and
-    its argument is the one-point restriction of ``base`` to it, rebuilt
-    when asked (``leaf_args``).  The keys of the internal nodes are kept
-    from the one layout of ``fset``, in the tree's storage order, and
+    Everything it stores comes from one pass, ``_layout``: the rows, a
+    rooted tree by construction, so they are stored without the public
+    constructor's checks, and the kinds, arities, leaf colours and leaf
+    elements, kept as the pass built them.  ``leaves`` maps each leaf
+    position of ``fset`` to its element of ``base``, the coloured poset the
+    root tree was built from; a leaf takes that element's colour, and its
+    argument is the one-point restriction of ``base`` to it, rebuilt when
+    asked (``leaf_args``).  The keys of the internal nodes (``None`` for a
+    leaf) are kept from the same pass, in the tree's storage order, and
     ``key_of`` maps node ids back to node keys.
     """
 
@@ -347,25 +385,12 @@ class DecompositionTree(StructuredTree):
         self.fset = fset
         self.base = base
         self.leaves = leaves
-        keys, ids, above, below, label_rows = _layout(fset)
-        # internal node keys only: a leaf's position is already in ``leaves``
-        self._keys = [k if k[0] == "i" else None for k in keys]
-        kinds = {}
-        arities = {}
-        leaf_colours = {}
-        self.leaf_element = {}
-        for k, nid in zip(keys, ids):
-            if k[0] == "i":
-                _, p, i = k
-                kinds[nid] = "sum"
-                arities[nid] = fset.sequences[p].arity(i)
-            else:
-                kinds[nid] = "leaf"
-                e = leaves[k[1]]
-                leaf_colours[nid] = base.colour(e)
-                self.leaf_element[nid] = e
+        (
+            ids, above, below, label_rows, self._keys, kinds, arities, leaf_colours,
+            self.leaf_element,
+        ) = _layout(fset, leaves, base)
         poset = Poset._from_rows(ids, above, below)
-        self._fill(poset, kinds, arities, leaf_colours, base.palette, label_rows)
+        self._fill(poset, kinds, arities, leaf_colours, base.palette, tuple(label_rows))
 
     @property
     def tree(self):

@@ -7,7 +7,8 @@ exceptions are the library's former designs, kept to check their
 replacements: ``pair_closure_indecomposable``, the old indecomposability
 test, which shares only ``interval._close`` with the new one (and that is
 checked against ``brute_intervals`` itself); ``greedy_chain_masks``, the
-old interval chain, grown one closure at a time; ``brute_h_eta``, the old index
+old interval chain, grown one closure at a time; ``closure_children``, the
+old children of a prime node, one closure per part; ``brute_h_eta``, the old index
 poset from name pairs; ``extract_recompose``, the old recomposition,
 which evaluates one extracted tree per slot; ``backward_backtrack``
 with ``backward_code_rows``, the old search kernel, which checks each
@@ -112,6 +113,21 @@ def brute_strong_modules(poset):
     ]
 
 
+def brute_prime_modules(poset):
+    """The strong modules (``brute_strong_modules``) that are prime: the
+    maximal strong modules strictly inside one, its children, are neither
+    pairwise comparable nor pairwise incomparable."""
+    strong = brute_strong_modules(poset)
+    out = []
+    for s in strong:
+        inner = [t for t in strong if t < s]
+        reps = [min(t) for t in inner if not any(t < u for u in inner)]
+        pairs = [poset.relation(a, b) == INCOMPARABLE for a, b in itertools.combinations(reps, 2)]
+        if any(pairs) and not all(pairs):
+            out.append(s)
+    return out
+
+
 def brute_interval_chain(poset, anchor=None, intervals=None):
     """The canonical maximal interval chain, largest member first, by greedy
     insertion: from {full set, {anchor}}, insert the least interval, by size
@@ -158,6 +174,15 @@ def greedy_chain_masks(carrier, anchor, within):
         c = best
         masks.append(c)
     return masks[::-1]
+
+
+def closure_children(carrier, anchor, module, parts):
+    """The children of the prime strong module ``module`` that avoid the
+    point at index anchor, by one closure per part: the parts of P(module,
+    anchor), in the order of ``parts``, whose closure with the anchor is
+    the whole module."""
+    point = 1 << anchor
+    return [x for x in parts if _close(carrier, x | point, module) == module]
 
 
 def transpose(rows):
@@ -218,17 +243,15 @@ def argument_blocks(args, j):
     return {frozenset(q.elements) for (i, _), q in args.items() if i == j and len(q) >= 2}
 
 
-def brute_tree_rows(fset):
-    """Node ids, ``above`` rows and label rows of the tree that records a
-    composition set, from the pairwise definitions.
+def _brute_tree_nodes(fset):
+    """Node keys and ids of the tree that records a composition set, in
+    address order, with the ``above_node`` test between two keys.
 
     Nodes are layer nodes ("i", position, layer) and leaves ("l", position).
     A node's address is one (layer, 1, slot) step per pair of its position
     below the root, then (layer, 0, "") for a layer node; nodes are stored
     in address order.  x is above the layer node (p, i) when x's position
     continues p at a layer at least i, or x is a later layer node of p.
-    (p, i) labels such an x with the slot x's position takes at layer i, or
-    with its distinguished slot when that layer is past i or x is on p.
     Ids render the absolute position as the serialization does.
     """
     root = fset.root
@@ -255,6 +278,17 @@ def brute_tree_rows(fset):
         else render_position(k[1])
         for k in keys
     ]
+    return keys, ids, above_node
+
+
+def brute_tree_rows(fset):
+    """Node ids, ``above`` rows and label rows of the tree that records a
+    composition set, from the pairwise definitions (``_brute_tree_nodes``).
+    The layer node (p, i) labels a node x above it with the slot x's
+    position takes at layer i, or with its distinguished slot when that
+    layer is past i or x is on p.
+    """
+    keys, ids, above_node = _brute_tree_nodes(fset)
     above = [sum(1 << b for b, kb in enumerate(keys) if above_node(ka, kb)) for ka in keys]
     label_rows = []
     for ka in keys:
@@ -272,6 +306,25 @@ def brute_tree_rows(fset):
                 rows[arity.index[s if j > i else u]] |= 1 << b
         label_rows.append(tuple(rows))
     return ids, above, label_rows
+
+
+def brute_tree_types(fset, leaves, base):
+    """What the tree that records a composition set keeps per node, from
+    its node keys (``_brute_tree_nodes``): the layer nodes' keys in storage
+    order (None for a leaf), and by node id the kind, a layer node's arity
+    (``seq.arity``), and a leaf's colour (``base.colour``) and element."""
+    keys, ids, _ = _brute_tree_nodes(fset)
+    kinds, arities, leaf_colours, leaf_element = {}, {}, {}, {}
+    for k, nid in zip(keys, ids):
+        if k[0] == "i":
+            kinds[nid] = "sum"
+            arities[nid] = fset.sequences[k[1]].arity(k[2])
+        else:
+            kinds[nid] = "leaf"
+            leaf_element[nid] = leaves[k[1]]
+            leaf_colours[nid] = base.colour(leaves[k[1]])
+    internal = [k if k[0] == "i" else None for k in keys]
+    return internal, kinds, arities, leaf_colours, leaf_element
 
 
 def brute_h_eta(seq):

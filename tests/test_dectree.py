@@ -356,6 +356,23 @@ class TestLabelRows:
                 assert sum(rows) == tree.poset.above[i]
                 assert sum(bin(row).count("1") for row in rows) == len(tree.poset.up(v))
 
+    def test_public_constructor_copies_its_dicts(self):
+        # ``_fill`` keeps the dicts it is given, so the public constructor
+        # hands it copies: a caller's later edits do not reach the tree
+        for _, tree in helpers.random_raw_trees(random.Random(191), 20):
+            args = _rebuilt_args(tree)
+            built = StructuredTree(*args)
+            kept = (dict(built.kinds), dict(built.arities), dict(built.leaf_colours), built.label_rows)
+            _, kinds, arities, leaf_colours, _, labels = args
+            for d in (kinds, arities, leaf_colours, labels):
+                for key in list(d):
+                    d[key] = "changed"
+                d["extra"] = "changed"
+            assert (built.kinds, built.arities, built.leaf_colours, built.label_rows) == kept
+            assert built.kinds is not kinds and built.arities is not arities
+            assert built.leaf_colours is not leaf_colours
+            assert structured_tree_text(built) == structured_tree_text(tree)
+
 
 class TestConstructorRejectsMalformedLabels:
     # r < a and r < b, with a point arity at r unless given
@@ -509,13 +526,24 @@ def _extracts(t):
             yield tail, subtree_extract(t, v, u)
 
 
+def _rebuilt_args(tree):
+    """The public constructor's arguments for tree's nodes, colours and
+    labels, in fresh dicts."""
+    labels = {(v, x): tree.label(v, x) for v in tree.internal_nodes() for x in tree.poset.up(v)}
+    return (
+        tree.poset,
+        dict(tree.kinds),
+        dict(tree.arities),
+        dict(tree.leaf_colours),
+        tree.ground_palette,
+        labels,
+    )
+
+
 def _rebuilt(tree):
     """A raw structured tree with tree's nodes, colours and labels, built
     through the public constructor."""
-    labels = {(v, x): tree.label(v, x) for v in tree.internal_nodes() for x in tree.poset.up(v)}
-    return StructuredTree(
-        tree.poset, tree.kinds, tree.arities, tree.leaf_colours, tree.ground_palette, labels
-    )
+    return StructuredTree(*_rebuilt_args(tree))
 
 
 def _assert_layout_matches_brute(t):
@@ -524,7 +552,10 @@ def _assert_layout_matches_brute(t):
     assert isinstance(t, StructuredTree) and t.tree is t
     assert t.poset.is_rooted_tree()
     ids, above, label_rows = helpers.brute_tree_rows(t.fset)
-    _, got_ids, got_above, got_below, got_label_rows = _layout(t.fset)
+    (
+        got_ids, got_above, got_below, got_label_rows, keys, kinds, arities, leaf_colours,
+        leaf_element,
+    ) = _layout(t.fset, t.leaves, t.base)
     assert (got_ids, got_above, got_label_rows) == (ids, above, label_rows)
     # the ancestor masks handed down are the transpose of the ranges
     assert got_below == helpers.transpose(above)
@@ -532,9 +563,15 @@ def _assert_layout_matches_brute(t):
     assert t.poset.above == tuple(above)
     assert t.poset.below == tuple(got_below)
     assert t.label_rows == tuple(label_rows)
+    # the same pass types the nodes, as the pairwise definitions do, and
+    # the tree stores what it returns
+    types = helpers.brute_tree_types(t.fset, t.leaves, t.base)
+    assert (keys, kinds, arities, leaf_colours, leaf_element) == types
+    assert (t._keys, t.kinds, t.arities, t.leaf_colours, t.leaf_element) == types
     # the public constructor, fed the labels read off the tree, agrees
     rebuilt = _rebuilt(t)
     assert rebuilt.poset == t.poset and rebuilt.label_rows == t.label_rows
+    assert (rebuilt.kinds, rebuilt.arities, rebuilt.leaf_colours) == types[1:4]
 
 
 class TestLayout:
@@ -716,9 +753,9 @@ class TestNoRebuild:
         grown = CompositionSet._grown.__func__
         calls = Counter()
 
-        def counted_layout(fset):
+        def counted_layout(*args):
             calls["layouts"] += 1
-            return layout(fset)
+            return layout(*args)
 
         def counted_init(self, *args):
             calls["trees"] += 1

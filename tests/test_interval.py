@@ -15,7 +15,8 @@ from poset_forge import (
     ssr,
 )
 from poset_forge.composition import maximal_decomposition
-from poset_forge.core import ColouredPoset
+from poset_forge import interval
+from poset_forge.core import ColouredPoset, p_sum_with_sources
 from poset_forge.interval import _close, _mask_to_set, _parts, _spine, _split
 from poset_forge.errors import (
     EmptyPoset,
@@ -422,3 +423,90 @@ class TestIntervalClassification:
                         if found:
                             break
                     assert found, (p, sorted(iv))
+
+
+def _prime_children(p, anchor, monkeypatch, order=None):
+    """Walk ``_spine`` from the whole of p down to anchor, and check at each
+    prime node that the children it records are the closure-built ones
+    (``helpers.closure_children``), in the same order of the parts.
+    ``order`` reorders the list ``_parts`` returns.  Returns, per prime
+    node, the parts as ``_spine`` saw them, the index of the first child
+    among them and the closures made there."""
+    parts, close = interval._parts, interval._close
+    nodes = []
+
+    def recorded(carrier, v, module):
+        got = parts(carrier, v, module)
+        if order:
+            got = order(got)
+        nodes.append([module, got, 0])
+        return got
+
+    def counted(*args):
+        nodes[-1][2] += 1
+        return close(*args)
+
+    monkeypatch.setattr(interval, "_parts", recorded)
+    monkeypatch.setattr(interval, "_close", counted)
+    spine = dict(_spine(p, anchor, (1 << len(p)) - 1))
+    monkeypatch.setattr(interval, "_parts", parts)
+    monkeypatch.setattr(interval, "_close", close)
+    out = []
+    for module, got, closes in nodes:
+        want = helpers.closure_children(p, anchor, module, got)
+        assert spine[module] == want
+        first = next(k for k, x in enumerate(got) if x in want)
+        # a closure per part up to the first child at most, and one for it
+        assert 1 <= closes <= first + 1
+        out.append((got, first, closes))
+    return out
+
+
+def _substituted_primes():
+    """N and fences with a poset of 2 to 4 points substituted at one slot,
+    and the anchors inside that slot's module, so the anchor's child of
+    the prime root has parts of its own."""
+    subs = [p for n in (2, 3, 4) for p in helpers.iso_classes(n)]
+    for index in (canonical("N", 0), canonical("fence", 2), canonical("fence", 3)):
+        point = make_poset(["a"], [])
+        for slot in index.elements:
+            for sub in subs:
+                parts = {e: sub if e == slot else point for e in index.elements}
+                x, sources = p_sum_with_sources(index, parts)
+                yield x, [x.index[e] for e, (s, _) in sources.items() if s == slot]
+
+
+class TestPrimeChildren:
+    # the children of a prime node read off one closure and one backward
+    # pass equal the children of the former one-closure-per-part filter, at
+    # every prime node on the walk, in every anchor's walk
+    def _inputs(self, catalog6):
+        for reps in catalog6.values():
+            for p in reps:
+                yield p, range(len(p))
+        rng = random.Random(197)
+        for _ in range(200):
+            n = rng.randint(6, 13)
+            p = helpers.shuffled_poset(rng, helpers.random_poset(rng, n, rng.choice((0.15, 0.35))))
+            yield p, range(n)
+        yield from _substituted_primes()
+
+    def _run(self, catalog6, monkeypatch, order=None):
+        nodes = []
+        for p, anchors in self._inputs(catalog6):
+            for anchor in anchors:
+                nodes += _prime_children(p, anchor, monkeypatch, order)
+        return nodes
+
+    def test_parts_in_their_own_order(self, catalog6, monkeypatch):
+        nodes = self._run(catalog6, monkeypatch)
+        assert len(nodes) > 1000
+        # measured, not proven: the first part is a child, so one closure
+        assert all(closes == 1 for _, _, closes in nodes)
+
+    def test_parts_reversed_and_rotated(self, catalog6, monkeypatch):
+        # a part of the anchor's child comes first: its closure falls short
+        # of the module, and a later part inside that closure is skipped
+        nodes = self._run(catalog6, monkeypatch, lambda got: got[::-1][1:] + got[::-1][:1])
+        assert any(closes > 1 for _, _, closes in nodes)
+        assert any(closes < first + 1 for _, first, closes in nodes)

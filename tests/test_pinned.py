@@ -103,6 +103,34 @@ def test_no_pair_closures(tmp_path, monkeypatch):
     assert calls[0]
 
 
+def test_one_closure_per_prime_node(catalog6, monkeypatch):
+    # measured, not proven: at each prime strong module the first part of
+    # P(M, anchor) is a child that avoids the anchor, so the decomposition
+    # makes one closure per prime node, and none anywhere else
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return close(*args)
+
+    close = interval._close
+    monkeypatch.setattr(interval, "_close", counted)
+    rng = random.Random(199)
+    posets = [p for reps in catalog6.values() for p in reps]
+    posets += [
+        helpers.shuffled_poset(rng, helpers.random_poset(rng, rng.randint(7, 11), rng.choice((0.15, 0.35, 0.6))))
+        for _ in range(60)
+    ]
+    primes = 0
+    for p in posets:
+        calls[0] = 0
+        decomposition_function(ColouredPoset.uniform(p))
+        want = len(helpers.brute_prime_modules(p))
+        assert calls[0] == want
+        primes += want
+    assert primes > 100
+
+
 def extract_corpus():
     rng = random.Random(167)
     for k in range(60):
