@@ -125,7 +125,9 @@ def class_check(x, spec, bound=None):
     per induced shape: a size cap reads the popcount of the subset's mask,
     and a list is searched once per distinct tuple of rows induced on the
     mask (in carrier order), since equal rows are the same poset up to
-    names.  Only the violating masks are named.
+    names.  A pair is a 2-chain or a 2-antichain, so the list is searched
+    for those two shapes once, and each pair is judged by whether its
+    points compare.  Only the violating masks are named.
     """
     poset = x.poset if hasattr(x, "poset") else x
     config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
@@ -136,10 +138,21 @@ def class_check(x, spec, bound=None):
     sizes = {len(p) for p in spec.allowed}
     # the singletons sort first, in element order, as one-point masks
     bad = [] if 1 in sizes else [1 << i for i in range(len(poset))]
+    # a pair passes when its shape does: [2-antichain, 2-chain]
+    pair_ok = [
+        any(is_isomorphic(shape, p) for p in spec.allowed)
+        for shape in (canonical("antichain", 2), canonical("chain", 2))
+    ]
     verdicts = {}
     for m in masks:
-        if m.bit_count() not in sizes:
+        size = m.bit_count()
+        if size not in sizes:
             bad.append(m)
+            continue
+        if size == 2:
+            i = (m & -m).bit_length() - 1
+            if not pair_ok[bool((poset.above[i] | poset.below[i]) & m)]:
+                bad.append(m)
             continue
         index = list(_bits(m))
         rows = _induced_rows([poset.above[i] for i in index], index)

@@ -17,6 +17,7 @@ as they are; the public constructor copies what its caller passes.
 """
 
 from .composition import (
+    _SLOT_ESCAPES,
     CompositionSequence,
     CompositionSet,
     _decompose,
@@ -97,6 +98,18 @@ def _layout(fset, leaves, base):
     to i; the walk hands that mask down.  Positions are laid out by
     generators on an explicit stack, each paused while a branch is laid
     out, so that no depth of nesting reaches the recursion limit.
+
+    Labels are constant on each child cone of a layer node, and distinct
+    between its children; ``_conditions`` relies on both.  Layer node i of
+    position p has as children the root of each of its branches and, before
+    the last layer, layer node i + 1: every other node of its range lies in
+    one of their ranges.  The row of a branch's slot is that branch's range,
+    which is its root's cone (the root is laid out first); the row of the
+    distinguished slot of a layer before the last is the range from layer
+    node i + 1 to the end of p's range, which is that node's cone.  So each
+    slot's row is one child's cone, and no two children share a slot.  A
+    branch extract is laid out by this same pass, so it has both properties
+    too.
     """
     sequences = fset.sequences
     colour = base.colouring
@@ -137,7 +150,7 @@ def _layout(fset, leaves, base):
                     continue
                 start = len(ids)
                 q = p + ((i, u),)
-                step = render_position(((i, u),))
+                step = f"{i}.{u.translate(_SLOT_ESCAPES)}"  # one step of render_position
                 q_name = f"{name}/{step}" if p else step
                 if q in sequences:
                     yield q, q_name, ancestors
@@ -570,41 +583,55 @@ def _fits(S, T):
 
 
 def _label_entries(S):
-    """Per node of S, ``(codes, sames)``: the label entries that
-    ``_conditions`` narrows with, read off S's label rows.
+    """Per node of S, the relation codes that ``_conditions`` narrows with,
+    read off S's label rows.
 
     Under a sum node p, a node above p whose label no earlier node above p
     carries is a first node (the lowest bit of its label's row).  A first
-    node i after the first one gets the entry ``(p, [(q, code), ...])`` in
-    ``codes[i]``, one code per earlier first node q: the relation code of
-    q's label towards i's label in p's arity.  Every other node i above p
-    gets the entry ``(p, q0)`` in ``sames[i]``, where q0 is the first node
-    with i's label.  So p gives firsts(p) * (firsts(p) - 1) / 2 codes, each
-    list built once, and |up(p)| - firsts(p) same-label entries.
+    node i after the first one gets the entry ``(p, [(q, code), ...])``,
+    one code per earlier first node q: the relation code of q's label
+    towards i's label in p's arity.  So p gives
+    firsts(p) * (firsts(p) - 1) / 2 codes, each list built once.
     """
     elements = S.poset.elements
     codes = [[] for _ in elements]
-    sames = [[] for _ in elements]
     for p, rows in enumerate(S.label_rows):
         if not rows:
             continue
         arity = S.arities[elements[p]]
         a_up, a_dn = arity.above, arity.below
         firsts = sorted([((row & -row).bit_length() - 1, li) for li, row in enumerate(rows) if row])
-        for k, (i, li) in enumerate(firsts):
+        for k in range(1, len(firsts)):
+            i, li = firsts[k]
             bit = 1 << li
-            if k:
-                codes[i].append((p, [
-                    (q, LESS if a_up[lq] & bit else GREATER if a_dn[lq] & bit else INCOMPARABLE)
-                    for q, lq in firsts[:k]
-                ]))
-            row = rows[li]
-            row &= row - 1  # the later nodes with label li
-            while row:
-                low = row & -row
-                sames[low.bit_length() - 1].append((p, i))
-                row ^= low
-    return codes, sames
+            codes[i].append((p, [
+                (q, LESS if a_up[lq] & bit else GREATER if a_dn[lq] & bit else INCOMPARABLE)
+                for q, lq in firsts[:k]
+            ]))
+    return codes
+
+
+def _same_label_entries(S):
+    """Per node of S, its same-label entries: a node i above a sum node p
+    that is not a first node gets ``(p, q0)``, where q0 is the first node
+    with i's label.  So p gives |up(p)| - firsts(p) of them."""
+    sames = [[] for _ in S.poset.elements]
+    for p, rows in enumerate(S.label_rows):
+        for row in rows:
+            q0 = (row & -row).bit_length() - 1
+            for i in _bits(row & row - 1):
+                sames[i].append((p, q0))
+    return sames
+
+
+def _meet_entries(order):
+    """Per node, its meet entries ``(q, m)``, one per earlier sibling q,
+    where m is their parent, read off the children lists ``order[m]``."""
+    meets = [()] * len(order)
+    for m, children in enumerate(order):
+        for k, (i, _) in enumerate(children):
+            meets[i] = [(q, m) for q, _ in children[:k]]
+    return meets
 
 
 def _conditions(S, T):
@@ -613,7 +640,7 @@ def _conditions(S, T):
     over the order rows each node pushes to its children (made in one
     linear pass, so the builder only looks a row up), and
     ``narrow(i, f, c)``, the part of node i's candidate mask c that its
-    meet and label entries allow, given the images f of the earlier nodes.
+    label and meet entries allow, given the images f of the earlier nodes.
 
     What depends on the target alone (its colour fits, label indices and
     reflexive rows) is kept on it (``StructuredTree._target_tables``); the
@@ -624,23 +651,41 @@ def _conditions(S, T):
     - Order: each node pushes one row to each of its children, so
       ``order[m]`` holds ``(child, T.poset.above)`` per child of m: once m
       is placed, f(child) is kept above f(m).  A leaf pushes none.
+    - Labels: under a sum node p below i, the label of f(i) under f(p)
+      must stand to that of each earlier f(q) above f(p) as i's label
+      stands to q's.  An earlier q that carries the label of an earlier
+      first node q' (the first node above p with that label) took the
+      label of f(q') when it was placed, so it asks of i what q' does, and
+      only the earlier first nodes need checking.  A first node i gets one
+      code against each of them (``_label_entries``).  Any other node i
+      gets one same-label entry against q0, the first node with its label:
+      f(i) takes the label of f(q0) (``_same_label_entries``).  That
+      implies the codes: every first node q < q0 was checked against q0
+      when q0 was placed, and every first node q with q0 < q < i was
+      checked against q0 when q itself was placed.  So once f(i) has the
+      label of f(q0), it stands to each f(q) as q0's label, which is i's,
+      stands to q's.
     - Meets: node i has one entry per earlier sibling q, an earlier node
       with i's parent m: f(i) avoids the child cone of f(m) that holds
-      f(q).  The siblings are read off the children lists, in the same
-      pass that makes the order rows.
-    - Labels (``_label_entries``): under a sum node p below i, the label of
-      f(i) under f(p) must stand to that of each earlier f(q) above f(p) as
-      i's label stands to q's.  An earlier q that carries the label of an
-      earlier first node q' (the first node above p with that label) took
-      the label of f(q') when it was placed, so it asks of i what q' does,
-      and only the earlier first nodes need checking.  A first node i gets
-      one code against each of them.  Any other node i gets one entry
-      against q0, the first node with its label: f(i) takes the label of
-      f(q0).  That implies the codes: every first node q < q0 was checked
-      against q0 when q0 was placed, and every first node q with
-      q0 < q < i was checked against q0 when q itself was placed.  So once
-      f(i) has the label of f(q0), it stands to each f(q) as q0's label,
-      which is i's, stands to q's.
+      f(q) (``_meet_entries``).
+
+    When S and T are both decomposition trees, each has its labels
+    constant on each child cone and distinct between siblings
+    (``_layout``), and the order rows and the codes imply the same-label
+    and meet entries, so neither is built:
+
+    - Same-label entries.  An entry ``(p, q0)`` names i's ancestor q0, the
+      child of p towards i, since the cone of that child holds exactly the
+      nodes above p with its label and the child comes first.  The order
+      rows force f(i) >= f(q0), so f(i) lies in f(q0)'s child cone of
+      f(p), and takes its label.
+    - Meet entries.  Siblings are first nodes, each the first of its own
+      label's cone, so every sibling pair has a code under their parent m.
+      A code between distinct labels is never EQUAL, and the arity's rows
+      are strict, so it gives f(i) a label under f(m) other than f(q)'s:
+      the two images lie in distinct child cones of f(m).
+
+    Raw structured trees, whose sibling cones may share a label, keep both.
 
     The parent rows and sibling entries give the whole of order-exactness
     and meet preservation, once every earlier node has passed its own:
@@ -648,10 +693,10 @@ def _conditions(S, T):
     1. Chaining parent rows gives f(p) < f(i) whenever p < i.
     2. Take p and i incomparable, with meet m, and let a and a' be the
        children of m towards p and towards i.  They are distinct siblings,
-       so the later of them has an entry against the earlier, and f(a) and
-       f(a') lie in distinct child cones of f(m).  As f(p) >= f(a) and
-       f(i) >= f(a'), f(p) and f(i) lie in those two cones: they are
-       incomparable, and their meet is f(m).
+       so the later of them has an entry against the earlier (or a code
+       that implies it), and f(a) and f(a') lie in distinct child cones of
+       f(m).  As f(p) >= f(a) and f(i) >= f(a'), f(p) and f(i) lie in those
+       two cones: they are incomparable, and their meet is f(m).
 
     An earlier node is never above i, so 1 and 2 cover every earlier p:
     each relation-code row, meet entry and label code left out follows from
@@ -664,30 +709,15 @@ def _conditions(S, T):
     allowed = _fits(S, T)
     _, _, ttables, tdown, tup = T._target_tables()
     tabove = T.poset.above
-    # order: (child, T's above rows) per child of m; meets: (q, m) per
-    # earlier sibling q of i, m their parent (in a decomposition tree
-    # distinct children's cones carry distinct labels, so there the labels
-    # imply the meets; other structured trees need them)
-    order, meets = [], []
+    # order: (child, T's above rows) per child of m
+    order = []
     for i, row in enumerate(S.poset.below):
         order.append([])
-        m = row.bit_length() - 1
-        if m >= 0:
-            meets.append([(q, m) for q, _ in order[m]])
-            order[m].append((i, tabove))
-        else:
-            meets.append(())
-    codes, sames = _label_entries(S)
+        if row:
+            order[row.bit_length() - 1].append((i, tabove))
+    codes = _label_entries(S)
 
-    def narrow(i, assign, c):
-        for q, m in meets[i]:
-            # i avoids the cone of the child of assign[m] towards assign[q],
-            # the lowest bit of the path, as T is stored in a linear extension
-            child = tdown[assign[q]] & tabove[assign[m]]
-            c &= ~tup[(child & -child).bit_length() - 1]
-        for p, q in sames[i]:
-            lab, _, labelled = ttables[assign[p]]
-            c &= labelled[lab[assign[q]]]
+    def narrow_codes(i, assign, c):
         for p, earlier in codes[i]:
             lab, rows, labelled = ttables[assign[p]]
             ok = -1  # the label values i may take under assign[p]
@@ -700,6 +730,22 @@ def _conditions(S, T):
                 ok ^= low
             c &= mask
         return c
+
+    if isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree):
+        return allowed, order.__getitem__, narrow_codes
+    meets = _meet_entries(order)
+    sames = _same_label_entries(S)
+
+    def narrow(i, assign, c):
+        for q, m in meets[i]:
+            # i avoids the cone of the child of assign[m] towards assign[q],
+            # the lowest bit of the path, as T is stored in a linear extension
+            child = tdown[assign[q]] & tabove[assign[m]]
+            c &= ~tup[(child & -child).bit_length() - 1]
+        for p, q in sames[i]:
+            lab, _, labelled = ttables[assign[p]]
+            c &= labelled[lab[assign[q]]]
+        return narrow_codes(i, assign, c)
 
     return allowed, order.__getitem__, narrow
 
@@ -714,8 +760,8 @@ def st_embed(S, T):
     shared driver ``_search.backtrack``, all made by ``_conditions``: the
     allowed masks (colours), ``order.__getitem__``, whose row for a node
     holds one entry per child keeping the child's image above its own
-    (order), and ``narrow`` (meets and labels, which involve two earlier
-    nodes).  Nodes are placed in storage order, which StructuredTree keeps
+    (order), and ``narrow`` (labels and meets, which involve two earlier
+    nodes; between decomposition trees the relation codes alone).  Nodes are placed in storage order, which StructuredTree keeps
     a linear extension, so ancestors and meets are placed first.  The
     witness is the lexicographically first embedding.
     """
@@ -734,8 +780,10 @@ def verify_st_embedding(S, T, emap):
     """Full check of every structured-tree embedding condition, by node
     index: the order first (``check_embedding`` on the tree posets, which
     covers the order rows of ``_conditions``), then each node's colour mask
-    and its meet and label entries (``_conditions``), which read the images
-    of earlier nodes."""
+    and its label and meet entries (``_conditions``), which read the images
+    of earlier nodes.  The order is checked first, so the entries that
+    ``_conditions`` leaves out between decomposition trees are implied here
+    as they are in the search."""
     if S.ground_palette != T.ground_palette:
         return False
     if not check_embedding(S.poset, T.poset, emap):

@@ -13,6 +13,7 @@ from poset_forge import (
     indecomposable_subsets,
     is_indecomposable,
     is_n_free,
+    make_poset,
     maximal_decomposition,
     maximal_interval_chain,
     pathological_prefix_check,
@@ -276,6 +277,47 @@ class TestNoIntervalScan:
                 for v in tree.tree.internal_nodes():
                     assert helpers.brute_indecomposable(tree.tree.arities[v])
                 assert coloured_isomorphic(tree.evaluate(), x)
+
+
+class TestPairVerdicts:
+    def test_lists_without_a_pair_shape_match_brute(self, catalog6, monkeypatch):
+        # a pair is judged by whether its points compare, against the list's
+        # 2-chain and 2-antichain, decided once per call: lists that lack
+        # one or both shapes, or hold them under other names, against the
+        # rows oracle and brute isomorphism over catalog6
+        point, n_poset = canonical("chain", 1), canonical("N", 0)
+        chain = make_poset(["q", "p"], [("p", "q")])
+        antichain = make_poset(["v", "u"], [])
+        lists = [
+            (point, antichain, n_poset),
+            (point, chain, n_poset),
+            (point, n_poset, canonical("chain", 3)),
+            (antichain, chain),
+        ]
+        induced = classify._induced_rows
+        sizes = []
+
+        def counted(rows, index):
+            sizes.append(len(index))
+            return induced(rows, index)
+
+        monkeypatch.setattr(classify, "_induced_rows", counted)
+        pairs = 0
+        for reps in catalog6.values():
+            for p in reps:
+                masks = [1 << i for i in range(len(p))] + helpers.brute_indecomposable_masks(p, len(p))
+                subsets = _named(p, masks)
+                shapes = [p.restrict(s) for s in subsets]
+                pairs += len(p) * (len(p) - 1) // 2
+                for listed in lists:
+                    want = [
+                        s
+                        for s, shape in zip(subsets, shapes)
+                        if not any(len(q) == len(s) and helpers.brute_embed(q, shape) for q in listed)
+                    ]
+                    assert class_check(p, ClassSpec(allowed=listed)).violations == want
+        # no pair's rows are read
+        assert 2 not in sizes and pairs > 2000
 
 
 class TestNoRestrict:

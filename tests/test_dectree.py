@@ -1155,24 +1155,31 @@ def _label_entry_trees(catalog5):
     return trees, raw
 
 
+def _same_label_nodes(S):
+    """The nodes to which the old set-up (``helpers.full_label_narrow``)
+    gives an EQUAL code: under some sum node, an earlier node carries their
+    label, so they are not first in its row."""
+    return {i for rows in S.label_rows for row in rows for i in _bits(row & row - 1)}
+
+
 def _assert_narrow_matches_full_labels(pairs):
     """Over each pair's st_embed search, ``_conditions``' narrow returns the
     mask of ``helpers.full_label_narrow`` at every node the search reaches,
     and a search narrowed by the oracle alone reaches as many nodes and
     finds the same witness.  Returns the nodes reached, in all and with a
-    same-label entry."""
+    same-label entry in the old set-up."""
     reached = same = 0
     for s, t in pairs:
         if len(s.nodes) > len(t.nodes):
             continue
         allowed, row, narrow = dectree._conditions(s, t)
         oracle = helpers.full_label_narrow(s, t)
-        sames = dectree._label_entries(s)[1]
+        sames = _same_label_nodes(s)
         calls = Counter()
 
         def checked(i, assign, c):
             calls["new"] += 1
-            calls["same"] += bool(sames[i])
+            calls["same"] += i in sames
             got = narrow(i, assign, c)
             assert got == oracle(i, assign, c)
             return got
@@ -1190,8 +1197,9 @@ def _assert_narrow_matches_full_labels(pairs):
 
 class TestLabelEntries:
     """A node above a sum node p whose label an earlier node carries keeps
-    one same-label entry, against the first node with that label; a first
-    node keeps one code per earlier first node."""
+    one same-label entry, against the first node with that label, unless
+    both trees are decomposition trees; a first node keeps one code per
+    earlier first node."""
 
     def test_narrow_matches_full_labels_on_decomposition_trees(self, catalog5):
         # sources of up to 4 elements into every tree of catalog5
@@ -1209,7 +1217,7 @@ class TestLabelEntries:
         trees, raw = _label_entry_trees(catalog5)
         shared = 0
         for S in trees + raw:
-            codes, sames = dectree._label_entries(S)
+            codes, sames = dectree._label_entries(S), dectree._same_label_entries(S)
             want_sames = want_codes = 0
             for p, rows in enumerate(S.label_rows):
                 firsts = sum(1 for row in rows if row)
@@ -1226,6 +1234,143 @@ class TestLabelEntries:
                                for r in _bits(S.poset.above[p] & (1 << q) - 1))
             shared += want_sames > 0
         assert shared > 100
+
+
+def _children(S, m):
+    """The children of node m of S, by index."""
+    below = S.poset.below
+    return [c for c in _bits(S.poset.above[m]) if below[c] == below[m] | 1 << m]
+
+
+def _siblings_share_a_label(S):
+    """Whether two children of some sum node of S carry one label."""
+    for m, rows in enumerate(S.label_rows):
+        labels = [next(lb for lb, row in enumerate(rows) if row >> c & 1) for c in _children(S, m)]
+        if len(set(labels)) < len(labels):
+            return True
+    return False
+
+
+class TestImpliedEntries:
+    """Between decomposition trees, labels are constant on each child cone
+    and distinct between siblings, so the order rows and the codes imply
+    the same-label and meet entries, and ``_conditions`` builds neither."""
+
+    def test_child_cones_are_the_label_rows(self, catalog6):
+        # each slot's row is one child's cone, and each child's cone is one
+        # slot's row: over catalog6, random two-colour posets and every
+        # extract of these
+        rng = random.Random(211)
+        xs = [ColouredPoset.uniform(p) for ps in catalog6.values() for p in ps]
+        xs += [_two_colour_shuffled(rng, rng.randint(2, 12)) for _ in range(60)]
+        checked = 0
+        for x in xs:
+            t = decomposition_tree(x)
+            for S in [t] + [e for _, e in _extracts(t)]:
+                above = S.poset.above
+                for m, rows in enumerate(S.label_rows):
+                    cones = [above[c] | 1 << c for c in _children(S, m)]
+                    assert sorted(rows) == sorted(cones)
+                    checked += len(cones)
+        assert checked > 10000
+
+    def test_decomposition_pairs_build_neither(self, catalog5, monkeypatch):
+        built = Counter()
+        for name in ("_meet_entries", "_same_label_entries"):
+            def counted(arg, build=getattr(dectree, name), name=name):
+                entries = build(arg)
+                built[name] += sum(map(len, entries))
+                return entries
+
+            monkeypatch.setattr(dectree, name, counted)
+        trees, raw = _label_entry_trees(catalog5)
+        found = 0
+        for s in trees[:8]:  # the trees of up to 3 elements
+            for t in trees:
+                built.clear()
+                phi = st_embed(s, t)
+                assert not built
+                # raw copies keep every entry, and find the same witness
+                assert phi == st_embed(_rebuilt(s), _rebuilt(t))
+                found += phi is not None
+        assert found > 100
+        # raw trees whose siblings share a label keep both kinds: one meet
+        # entry per pair of siblings, one same-label entry per node above a
+        # sum node that is not first with its label
+        shared = [S for S in raw if _siblings_share_a_label(S)]
+        assert len(shared) > 10
+        for S in shared:
+            built.clear()
+            dectree._conditions(S, S)
+            siblings = sum(len(_children(S, m)) * (len(_children(S, m)) - 1) // 2
+                           for m in range(len(S.nodes)))
+            sames = sum(S.poset.above[p].bit_count() - sum(1 for row in rows if row)
+                        for p, rows in enumerate(S.label_rows))
+            assert built == Counter(_meet_entries=siblings, _same_label_entries=sames)
+            assert siblings > 0 and sames > 0
+
+
+def _cone_swaps(S):
+    """Permutations of a decomposition tree's node indices that swap the
+    cones of two siblings of the same shape: order automorphisms of the
+    tree, which may move labels and colours.  Each cone is an index range,
+    as the tree is laid out depth first."""
+    above = S.poset.above
+    out = []
+    for m in range(len(above)):
+        for a, b in itertools.combinations(_children(S, m), 2):
+            size = above[a].bit_count() + 1
+            if above[b].bit_count() + 1 == size and all(
+                above[a + k] >> a == above[b + k] >> b for k in range(size)
+            ):
+                perm = list(range(len(above)))
+                for k in range(size):
+                    perm[a + k], perm[b + k] = b + k, a + k
+                out.append(perm)
+    return out
+
+
+class TestVerifyDecompositionPairs:
+    def test_swapped_siblings_and_cones_match_the_oracle(self, catalog5):
+        # maps that keep the order, so that only the label and meet
+        # conditions decide: each witness with two sibling images swapped,
+        # with two same-shape cones of the source or the target swapped
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p)) for k in range(1, 6) for p in catalog5[k]
+        ]
+        rng = random.Random(223)
+        for _ in range(12):
+            y = _two_colour_shuffled(rng, 7)
+            trees.append(decomposition_tree(y))
+            trees.append(decomposition_tree(y.restrict(rng.sample(y.elements, 4))))
+        verdicts = Counter()
+        for s in trees:
+            if len(s.base) > 4:
+                continue
+            for t in trees:
+                if s.base.palette != t.base.palette or len(s.base) > len(t.base):
+                    continue
+                phi = st_embed(s, t)
+                if phi is None:
+                    continue
+                f = [t.poset.index[b] for _, b in phi.mapping]
+                maps = [[g[j] for j in f] for g in _cone_swaps(t)]
+                maps += [[f[g[i]] for i in range(len(f))] for g in _cone_swaps(s)]
+                for m in range(len(f)):
+                    for a, b in itertools.combinations(_children(s, m), 2):
+                        g = f[:]
+                        g[a], g[b] = f[b], f[a]
+                        maps.append(g)
+                for g in maps:
+                    emap = EmbeddingMap(
+                        tuple(zip(s.nodes, (t.nodes[j] for j in g))), "structured-tree"
+                    )
+                    if not helpers.brute_is_embedding(s.poset, t.poset, emap):
+                        continue
+                    want = helpers.brute_is_st_embedding(s, t, emap)
+                    assert verify_st_embedding(s, t, emap) == want
+                    verdicts[want] += 1
+        assert verdicts[True] > 100 and verdicts[False] > 100
 
 
 class TestTargetTables:
