@@ -39,16 +39,7 @@ and ``wqo``'s matrix and bad-pair search) and ``coloured_isomorphic``.
 each tree node to each of its children, ``(child, y.above)``, and
 ``narrow(i, assign, c)``, which returns the part of the candidate mask
 ``c`` that its label and meet conditions allow, since each involves two
-earlier sources.  It reads, for node i, under each sum node p below i
-where no earlier node carries i's label, one relation code per earlier
-node that is the first with its label.  Unless both trees are
-decomposition trees, it also reads one meet entry per earlier sibling
-(the images of the sibling and of the parent), and under each other sum
-node p below i one same-label entry, the image of the first earlier node
-with i's label, whose label i's image must take.  Between decomposition
-trees the order rows and the codes imply those two.  Together they give
-what the relation-code rows and the full label conditions would
-(``dectree._conditions``).
+earlier sources; ``dectree._conditions`` says which entries it reads.
 ``narrow`` reads only the images of sources before i, so
 ``dectree.verify_st_embedding`` calls it on a complete map too.
 """

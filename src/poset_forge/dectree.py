@@ -28,6 +28,7 @@ from .composition import (
     render_position,
 )
 from .core import (
+    EQUAL,
     GREATER,
     INCOMPARABLE,
     LESS,
@@ -195,9 +196,9 @@ class StructuredTree:
     structured tree that keeps its composition set, and stores the rows and
     dicts of its layout (``_layout``), a rooted tree by construction.  The
     tree keeps the dicts given to ``_fill``, so this constructor passes it
-    copies of the caller's.  What an
-    embedding into the tree reads of it is kept on first use
-    (``_target_tables``).
+    copies of the caller's.  What an embedding into the tree reads of it
+    beyond its poset (colour classes and fits, label indices) is kept on
+    first use (``_target_tables``).
     """
 
     __slots__ = (
@@ -282,8 +283,8 @@ class StructuredTree:
         self._target = None
 
     def _target_tables(self):
-        """``(classes, fit, labels, down, up)``, what a structured-tree
-        embedding into this tree reads of it, built on first use and kept.
+        """``(classes, fit, labels)``, what a structured-tree embedding into
+        this tree reads of it beyond its poset, built on first use and kept.
 
         ``classes`` maps each node class (``_colour_key``) to one node of
         the class and the mask of all of them; ``fit`` maps a source class
@@ -291,8 +292,7 @@ class StructuredTree:
         sources ask (``_fits``).  ``labels[t]``, for a sum node t, is
         ``(lab, rows, labelled)``: the label index of each node above t, the
         rows of t's arity by relation code (``single``, one bit per label,
-        for EQUAL), and the nodes above t per label.  ``down`` and ``up``
-        are the reflexive down- and up-sets.
+        for EQUAL), and the nodes above t per label.
         """
         tables = self._target
         if tables is None:
@@ -310,9 +310,7 @@ class StructuredTree:
                 lab = {u: lb for lb, row in enumerate(labelled) for u in _bits(row)}
                 single = tuple(1 << lb for lb in range(len(arity)))
                 labels[t] = (lab, (arity.beside, arity.above, arity.below, single), labelled)
-            down = tuple(row | 1 << t for t, row in enumerate(poset.below))
-            up = tuple(row | 1 << t for t, row in enumerate(poset.above))
-            tables = self._target = (classes, {}, labels, down, up)
+            tables = self._target = (classes, {}, labels)
         return tables
 
     @property
@@ -582,7 +580,7 @@ def _fits(S, T):
     return out
 
 
-def _label_entries(S):
+def _label_entries(S, every_label):
     """Per node of S, the relation codes that ``_conditions`` narrows with,
     read off S's label rows.
 
@@ -591,7 +589,10 @@ def _label_entries(S):
     node i after the first one gets the entry ``(p, [(q, code), ...])``,
     one code per earlier first node q: the relation code of q's label
     towards i's label in p's arity.  So p gives
-    firsts(p) * (firsts(p) - 1) / 2 codes, each list built once.
+    firsts(p) * (firsts(p) - 1) / 2 codes, each list built once.  With
+    ``every_label``, each other node i above p gets ``(p, [(q0, EQUAL)])``,
+    where q0 is the first node with i's label, one list per label; so p
+    gives |up(p)| - firsts(p) EQUAL codes more.
     """
     elements = S.poset.elements
     codes = [[] for _ in elements]
@@ -608,20 +609,12 @@ def _label_entries(S):
                 (q, LESS if a_up[lq] & bit else GREATER if a_dn[lq] & bit else INCOMPARABLE)
                 for q, lq in firsts[:k]
             ]))
+        if every_label:
+            for q0, li in firsts:
+                same = [(q0, EQUAL)]
+                for i in _bits(rows[li] & rows[li] - 1):
+                    codes[i].append((p, same))
     return codes
-
-
-def _same_label_entries(S):
-    """Per node of S, its same-label entries: a node i above a sum node p
-    that is not a first node gets ``(p, q0)``, where q0 is the first node
-    with i's label.  So p gives |up(p)| - firsts(p) of them."""
-    sames = [[] for _ in S.poset.elements]
-    for p, rows in enumerate(S.label_rows):
-        for row in rows:
-            q0 = (row & -row).bit_length() - 1
-            for i in _bits(row & row - 1):
-                sames[i].append((p, q0))
-    return sames
 
 
 def _meet_entries(order):
@@ -640,45 +633,47 @@ def _conditions(S, T):
     over the order rows each node pushes to its children (made in one
     linear pass, so the builder only looks a row up), and
     ``narrow(i, f, c)``, the part of node i's candidate mask c that its
-    label and meet entries allow, given the images f of the earlier nodes.
+    relation codes and meet entries allow, given the images f of the
+    earlier nodes.
 
-    What depends on the target alone (its colour fits, label indices and
-    reflexive rows) is kept on it (``StructuredTree._target_tables``); the
-    source's rows and entries are made per call, read off its parent map
-    (a node's parent is the last node of its down-set, as S is stored in a
-    linear extension), and only those that can bind:
+    What depends on the target alone (its colour fits and label indices)
+    is kept on it (``StructuredTree._target_tables``); the source's rows
+    and entries are made per call, read off its parent map (a node's
+    parent is the last node of its down-set, as S is stored in a linear
+    extension), and only those that can bind.  Besides the order rows
+    there are two kinds of entry:
 
     - Order: each node pushes one row to each of its children, so
       ``order[m]`` holds ``(child, T.poset.above)`` per child of m: once m
       is placed, f(child) is kept above f(m).  A leaf pushes none.
-    - Labels: under a sum node p below i, the label of f(i) under f(p)
-      must stand to that of each earlier f(q) above f(p) as i's label
-      stands to q's.  An earlier q that carries the label of an earlier
-      first node q' (the first node above p with that label) took the
-      label of f(q') when it was placed, so it asks of i what q' does, and
-      only the earlier first nodes need checking.  A first node i gets one
-      code against each of them (``_label_entries``).  Any other node i
-      gets one same-label entry against q0, the first node with its label:
-      f(i) takes the label of f(q0) (``_same_label_entries``).  That
-      implies the codes: every first node q < q0 was checked against q0
-      when q0 was placed, and every first node q with q0 < q < i was
-      checked against q0 when q itself was placed.  So once f(i) has the
-      label of f(q0), it stands to each f(q) as q0's label, which is i's,
-      stands to q's.
-    - Meets: node i has one entry per earlier sibling q, an earlier node
-      with i's parent m: f(i) avoids the child cone of f(m) that holds
-      f(q) (``_meet_entries``).
+    - Relation codes (``_label_entries``): under a sum node p below i, the
+      label of f(i) under f(p) must stand to that of each earlier f(q)
+      above f(p) as i's label stands to q's.  An earlier q that carries
+      the label of an earlier first node q' (the first node above p with
+      that label) took the label of f(q') when it was placed, so it asks
+      of i what q' does, and only the earlier first nodes need checking.
+      A first node i gets one code against each of them.  Any other node
+      i gets one EQUAL code against q0, the first node with its label: the
+      EQUAL row of f(p)'s arity has one bit per label, so f(i) takes the
+      label of f(q0).  That implies the other codes: every first node
+      q < q0 was checked against q0 when q0 was placed, and every first
+      node q with q0 < q < i was checked against q0 when q itself was
+      placed.  So once f(i) has the label of f(q0), it stands to each f(q)
+      as q0's label, which is i's, stands to q's.
+    - Meets (``_meet_entries``): node i has one entry per earlier sibling
+      q, an earlier node with i's parent m: f(i) avoids the child cone of
+      f(m) that holds f(q), read off T's order rows.
 
     When S and T are both decomposition trees, each has its labels
     constant on each child cone and distinct between siblings
-    (``_layout``), and the order rows and the codes imply the same-label
-    and meet entries, so neither is built:
+    (``_layout``), and the order rows and the codes between first nodes
+    imply the EQUAL codes and the meet entries, so neither is built:
 
-    - Same-label entries.  An entry ``(p, q0)`` names i's ancestor q0, the
-      child of p towards i, since the cone of that child holds exactly the
-      nodes above p with its label and the child comes first.  The order
-      rows force f(i) >= f(q0), so f(i) lies in f(q0)'s child cone of
-      f(p), and takes its label.
+    - EQUAL codes.  A code ``(p, [(q0, EQUAL)])`` names i's ancestor q0,
+      the child of p towards i, since the cone of that child holds exactly
+      the nodes above p with its label and the child comes first.  The
+      order rows force f(i) >= f(q0), so f(i) lies in f(q0)'s child cone
+      of f(p), and takes its label.
     - Meet entries.  Siblings are first nodes, each the first of its own
       label's cone, so every sibling pair has a code under their parent m.
       A code between distinct labels is never EQUAL, and the arity's rows
@@ -707,7 +702,7 @@ def _conditions(S, T):
     search's prefixes (``verify_st_embedding``).
     """
     allowed = _fits(S, T)
-    _, _, ttables, tdown, tup = T._target_tables()
+    ttables = T._target_tables()[2]
     tabove = T.poset.above
     # order: (child, T's above rows) per child of m
     order = []
@@ -715,7 +710,8 @@ def _conditions(S, T):
         order.append([])
         if row:
             order[row.bit_length() - 1].append((i, tabove))
-    codes = _label_entries(S)
+    every_label = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
+    codes = _label_entries(S, every_label)
 
     def narrow_codes(i, assign, c):
         for p, earlier in codes[i]:
@@ -731,20 +727,19 @@ def _conditions(S, T):
             c &= mask
         return c
 
-    if isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree):
+    if not every_label:
         return allowed, order.__getitem__, narrow_codes
     meets = _meet_entries(order)
-    sames = _same_label_entries(S)
+    tbelow = T.poset.below
 
     def narrow(i, assign, c):
         for q, m in meets[i]:
             # i avoids the cone of the child of assign[m] towards assign[q],
             # the lowest bit of the path, as T is stored in a linear extension
-            child = tdown[assign[q]] & tabove[assign[m]]
-            c &= ~tup[(child & -child).bit_length() - 1]
-        for p, q in sames[i]:
-            lab, _, labelled = ttables[assign[p]]
-            c &= labelled[lab[assign[q]]]
+            t = assign[q]
+            child = (tbelow[t] | 1 << t) & tabove[assign[m]]
+            k = (child & -child).bit_length() - 1
+            c &= ~(tabove[k] | 1 << k)
         return narrow_codes(i, assign, c)
 
     return allowed, order.__getitem__, narrow
@@ -760,9 +755,10 @@ def st_embed(S, T):
     shared driver ``_search.backtrack``, all made by ``_conditions``: the
     allowed masks (colours), ``order.__getitem__``, whose row for a node
     holds one entry per child keeping the child's image above its own
-    (order), and ``narrow`` (labels and meets, which involve two earlier
-    nodes; between decomposition trees the relation codes alone).  Nodes are placed in storage order, which StructuredTree keeps
-    a linear extension, so ancestors and meets are placed first.  The
+    (order), and ``narrow`` (relation codes and meets, which involve two
+    earlier nodes; between decomposition trees the codes between first
+    nodes alone).  Nodes are placed in storage order, which StructuredTree
+    keeps a linear extension, so ancestors and meets are placed first.  The
     witness is the lexicographically first embedding.
     """
     if S.ground_palette != T.ground_palette:
@@ -799,22 +795,22 @@ def lift_embedding(source_tree, target_tree, emap):
     other trees) into a coloured-poset embedding.
 
     The input map is verified first (VerificationFailure if it is not a
-    structured-tree embedding).  Leaves map to leaves (leaf colours never
-    compare with arity colours), so sending each ground element to the
-    ground element at its leaf's image is well defined; the result is
-    re-verified before being returned and a failure signals a library bug.
+    structured-tree embedding).  Leaves map to leaves: the colour masks of
+    the verification admit only nodes of a node's own kind (leaf colours
+    never compare with arity colours, ``_colour_leq``).  So sending each
+    ground element to the ground element at its leaf's image is well
+    defined; the result is re-verified before being returned and a failure
+    signals a library bug.
     """
     if not all(isinstance(t, DecompositionTree) for t in (source_tree, target_tree)):
         raise Malformed("lift_embedding needs decomposition trees")
     if not verify_st_embedding(source_tree, target_tree, emap):
         raise VerificationFailure("input map is not a structured-tree embedding")
     m = emap.as_dict()
-    pairs = []
-    for leaf, element in source_tree.leaf_element.items():
-        image = m[leaf]
-        if image not in target_tree.leaf_element:
-            raise VerificationFailure("a leaf mapped to a non-leaf")
-        pairs.append((element, target_tree.leaf_element[image]))
+    pairs = [
+        (element, target_tree.leaf_element[m[leaf]])
+        for leaf, element in source_tree.leaf_element.items()
+    ]
     pairs.sort(key=lambda ab: source_tree.base.poset.index[ab[0]])
     lifted = EmbeddingMap(pairs, "coloured")
     if not check_coloured_embedding(

@@ -25,6 +25,8 @@ closure-built results are checked against; the chain keeps its size bound,
 and anything too big for it is rejected up front with a clear error.
 """
 
+from itertools import compress
+
 from . import config
 from .core import _Frozen, _bits
 from .errors import (
@@ -120,12 +122,23 @@ def _mask_to_set(carrier, mask):
     return frozenset(names[i] for i in _bits(mask))
 
 
+# binary digits as the 0 and 1 selectors of ``itertools.compress``
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _canonical_sets(carrier, masks):
     """The masks as sets of element names, sorted by size and then by their
-    ascending index tuples."""
+    ascending index tuples.
+
+    Each mask is read as its bits from index 0 up, as bytes of ``0`` and
+    ``1`` digits.  Between two masks of one size, the first index in only
+    one of them decides, and the mask that holds it comes first: its digits
+    are the larger there.  So the pairs (-size, digits) sort in descending
+    order, and each set is read off its digits."""
     names = carrier.elements
-    keys = sorted((m.bit_count(), tuple(_bits(m))) for m in masks)
-    return [frozenset(names[i] for i in index) for _, index in keys]
+    n = len(names)
+    keys = sorted([(-m.bit_count(), f"{m:0{n}b}".encode()[::-1]) for m in masks], reverse=True)
+    return [frozenset(compress(names, digits.translate(_DIGIT_FLAGS))) for _, digits in keys]
 
 
 def enumerate_intervals(carrier, bound=None):

@@ -641,8 +641,9 @@ def full_label_narrow(S, T):
     earlier sibling, found by a scan of the earlier nodes, and, under each
     sum node p below i, one relation code (EQUAL included) against every
     earlier node that is the first above p with its label.  It reads T's
-    kept tables (``StructuredTree._target_tables``)."""
-    _, _, ttables, tdown, tup = T._target_tables()
+    kept label tables (``StructuredTree._target_tables``) and T's order
+    rows."""
+    ttables = T._target_tables()[2]
     spos, tabove = S.poset, T.poset.above
     parent = [row.bit_length() - 1 for row in spos.below]
     meets = [[(q, m) for q in range(i) if parent[q] == m] for i, m in enumerate(parent)]
@@ -667,8 +668,10 @@ def full_label_narrow(S, T):
 
     def narrow(i, assign, c):
         for q, m in meets[i]:
-            child = tdown[assign[q]] & tabove[assign[m]]
-            c &= ~tup[(child & -child).bit_length() - 1]
+            # the child of assign[m] towards assign[q], and its cone
+            child = next(k for k in _bits(tabove[assign[m]])
+                         if k == assign[q] or tabove[k] >> assign[q] & 1)
+            c &= ~(tabove[child] | 1 << child)
         for p, earlier in labels[i]:
             lab, rows, labelled = ttables[assign[p]]
             ok = -1

@@ -25,6 +25,7 @@ from poset_forge import (
     zeta_tree_sum,
 )
 from poset_forge.core import (
+    EQUAL,
     EmbeddingMap,
     _bits,
     check_coloured_embedding,
@@ -1197,9 +1198,9 @@ def _assert_narrow_matches_full_labels(pairs):
 
 class TestLabelEntries:
     """A node above a sum node p whose label an earlier node carries keeps
-    one same-label entry, against the first node with that label, unless
-    both trees are decomposition trees; a first node keeps one code per
-    earlier first node."""
+    one EQUAL code, against the first node with that label, unless both
+    trees are decomposition trees; a first node keeps one code per earlier
+    first node."""
 
     def test_narrow_matches_full_labels_on_decomposition_trees(self, catalog5):
         # sources of up to 4 elements into every tree of catalog5
@@ -1217,7 +1218,14 @@ class TestLabelEntries:
         trees, raw = _label_entry_trees(catalog5)
         shared = 0
         for S in trees + raw:
-            codes, sames = dectree._label_entries(S), dectree._same_label_entries(S)
+            entries = dectree._label_entries(S, True)
+            sames = [[(p, c[0][0]) for p, c in e if c[0][1] == EQUAL] for e in entries]
+            codes = [[(p, c) for p, c in e if c[0][1] != EQUAL] for e in entries]
+            # an EQUAL code stands alone, and without every_label none is built
+            assert all(
+                len(c) == 1 for e in entries for _, c in e if any(code == EQUAL for _, code in c)
+            )
+            assert codes == dectree._label_entries(S, False)
             want_sames = want_codes = 0
             for p, rows in enumerate(S.label_rows):
                 firsts = sum(1 for row in rows if row)
@@ -1253,8 +1261,9 @@ def _siblings_share_a_label(S):
 
 class TestImpliedEntries:
     """Between decomposition trees, labels are constant on each child cone
-    and distinct between siblings, so the order rows and the codes imply
-    the same-label and meet entries, and ``_conditions`` builds neither."""
+    and distinct between siblings, so the order rows and the codes between
+    first nodes imply the EQUAL codes and the meet entries, and
+    ``_conditions`` builds neither."""
 
     def test_child_cones_are_the_label_rows(self, catalog6):
         # each slot's row is one child's cone, and each child's cone is one
@@ -1276,27 +1285,34 @@ class TestImpliedEntries:
 
     def test_decomposition_pairs_build_neither(self, catalog5, monkeypatch):
         built = Counter()
-        for name in ("_meet_entries", "_same_label_entries"):
-            def counted(arg, build=getattr(dectree, name), name=name):
-                entries = build(arg)
-                built[name] += sum(map(len, entries))
-                return entries
+        build_meets, build_codes = dectree._meet_entries, dectree._label_entries
 
-            monkeypatch.setattr(dectree, name, counted)
+        def meets(order):
+            entries = build_meets(order)
+            built["meets"] += sum(map(len, entries))
+            return entries
+
+        def codes(S, every_label):
+            entries = build_codes(S, every_label)
+            built["equal"] += sum(code == EQUAL for e in entries for _, c in e for _, code in c)
+            return entries
+
+        monkeypatch.setattr(dectree, "_meet_entries", meets)
+        monkeypatch.setattr(dectree, "_label_entries", codes)
         trees, raw = _label_entry_trees(catalog5)
         found = 0
         for s in trees[:8]:  # the trees of up to 3 elements
             for t in trees:
                 built.clear()
                 phi = st_embed(s, t)
-                assert not built
+                assert built["meets"] == built["equal"] == 0
                 # raw copies keep every entry, and find the same witness
                 assert phi == st_embed(_rebuilt(s), _rebuilt(t))
                 found += phi is not None
         assert found > 100
         # raw trees whose siblings share a label keep both kinds: one meet
-        # entry per pair of siblings, one same-label entry per node above a
-        # sum node that is not first with its label
+        # entry per pair of siblings, one EQUAL code per node above a sum
+        # node that is not first with its label
         shared = [S for S in raw if _siblings_share_a_label(S)]
         assert len(shared) > 10
         for S in shared:
@@ -1306,7 +1322,7 @@ class TestImpliedEntries:
                            for m in range(len(S.nodes)))
             sames = sum(S.poset.above[p].bit_count() - sum(1 for row in rows if row)
                         for p, rows in enumerate(S.label_rows))
-            assert built == Counter(_meet_entries=siblings, _same_label_entries=sames)
+            assert built == Counter(meets=siblings, equal=sames)
             assert siblings > 0 and sames > 0
 
 
@@ -1371,6 +1387,36 @@ class TestVerifyDecompositionPairs:
                     assert verify_st_embedding(s, t, emap) == want
                     verdicts[want] += 1
         assert verdicts[True] > 100 and verdicts[False] > 100
+
+    def test_rejects_every_leaf_sent_to_a_sum_node(self, catalog5):
+        # for each leaf of the source and sum node of the target, the first
+        # order embedding that sends the one to the other: verification must
+        # reject it (its colour masks admit only nodes of a leaf's kind), so
+        # ``lift_embedding`` never meets a leaf whose image is not a leaf
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p)) for k in range(1, 6) for p in catalog5[k]
+        ]
+        rejected = 0
+        for s in trees[:8]:  # the trees of up to 3 elements
+            for t in trees:
+                if len(s.nodes) > len(t.nodes):
+                    continue
+                every = (1 << len(t.nodes)) - 1
+                rows = _search.code_rows(s.poset, t.poset)
+                for leaf in s.leaf_nodes():
+                    for node in t.internal_nodes():
+                        allowed = [every] * len(s.nodes)
+                        allowed[s.poset.index[leaf]] = 1 << t.poset.index[node]
+                        g = _search.backtrack(allowed, rows)
+                        if g is None:
+                            continue
+                        emap = EmbeddingMap(
+                            tuple(zip(s.nodes, (t.nodes[j] for j in g))), "structured-tree"
+                        )
+                        assert helpers.brute_is_embedding(s.poset, t.poset, emap)
+                        assert not verify_st_embedding(s, t, emap)
+                        rejected += 1
+        assert rejected > 2000
 
 
 class TestTargetTables:

@@ -16,7 +16,7 @@ from poset_forge import (
 )
 from poset_forge.composition import maximal_decomposition
 from poset_forge import interval
-from poset_forge.core import ColouredPoset, p_sum_with_sources
+from poset_forge.core import ColouredPoset, _bits, p_sum_with_sources
 from poset_forge.interval import _close, _mask_to_set, _parts, _spine, _split
 from poset_forge.errors import (
     EmptyPoset,
@@ -109,6 +109,18 @@ class TestEnumerateIntervals:
         assert enumerate_intervals(canonical("antichain", 3), bound=3)
         with pytest.raises(TooLarge):
             enumerate_intervals(canonical("antichain", 4), bound=3)
+
+    def test_canonical_order_is_size_then_index_tuple(self):
+        # random mask sets of 1-16 points, in random order, against the
+        # (size, ascending index tuple) key written out
+        rng = random.Random(229)
+        for _ in range(3000):
+            n = rng.randint(1, 16)
+            carrier = canonical("antichain", n)
+            masks = rng.sample(range(1, 1 << n), min(rng.randint(1, 40), (1 << n) - 1))
+            want = sorted(masks, key=lambda m: (m.bit_count(), tuple(_bits(m))))
+            got = interval._canonical_sets(carrier, masks)
+            assert got == [_mask_to_set(carrier, m) for m in want]
 
 
 class TestIndecomposable:
