@@ -144,7 +144,8 @@ class Poset:
         """A poset from both row sets, with no transpose: ``below`` must be
         the transpose of ``above`` (bit i of ``below[j]`` set iff bit j of
         ``above[i]`` is).  Each caller proves that its rows are: the layer
-        arities of ``composition._layers``, and the tree of
+        arities of ``composition._layers``, the prime quotients of
+        ``classify._quotients``, and the tree of
         ``dectree.DecompositionTree``, whose rows come from the same
         ``dectree._layout`` pass that types its nodes."""
         poset = cls.__new__(cls)

@@ -17,7 +17,9 @@ children are the components of its comparability or incomparability rows,
 and a prime module's are the parts of P(M, anchor) that one backward pass
 over the rows reaches from one child, found by closing parts with the
 anchor until one closes to all of M (the first part, in every case
-measured).
+measured; ``_prime_children``).  ``_prime_nodes`` walks every strong
+module the same way and lists each prime node's children, from which
+``classify`` reads the indecomposable subsets.
 A poset on n points is indecomposable iff P(M, v) is all single points and
 each of the n - 1 pairs {v, w} closes to all of M.  ``enumerate_intervals``
 stays exhaustive, as the public enumeration and as the oracle the
@@ -324,47 +326,19 @@ def _tie(mask):
     return mask.bit_count(), mask & -mask
 
 
-def _spine(carrier, anchor, within, bound=None):
-    """The canonical chain of the order induced on the mask within, from
-    within down to the point at index anchor, as (member, children) pairs,
-    largest member first: children are the masks that the member adds to
-    the next member (none for the anchor alone).  The size bound of
-    ``enumerate_intervals`` applies to within's points.
+def _prime_children(carrier, anchor, module):
+    """The children of the prime strong module ``module`` (a mask) that
+    avoid the point at index anchor, a point of it, in the order of
+    ``_parts``, together with their union: ``module & ~reach`` is the
+    anchor's child C.
 
-    The chain is the greedy one: while any interval can be inserted keeping
-    all members pairwise nested, insert the smallest, breaking ties by the
-    lexicographically least sorted index tuple.  It is read off the strong
-    modules that hold the anchor, the modules that overlap no module
-    (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994),
-    walked down from within.  A strong module S of two or more points splits
-    into its maximal strong proper submodules, its children, in one of three
-    ways (Gallai 1967):
-
-    - parallel: the comparability rows do not connect S, and its children
-      are the components; any union of them is a module;
-    - linear: the ``beside`` rows do not connect S, and its children are the
-      co-components, each below the next; a run of consecutive ones is a
-      module;
-    - prime: any other S.  Every module of S is S or lies in one child.  So
-      the children that avoid the anchor v are parts of P(S, v)
-      (``_parts``), and every other part lies in v's child C, the rest of
-      S.  They are read off one closure and one backward pass, below.
-
-    Every module of within that holds the anchor and a point outside the
-    anchor's child C of S holds C, being a module that meets the strong C
-    without lying in it.  So read bottom-up, the greedy chain passes
-    through each strong module on the walk, and between C and S it takes
-    the smallest modules that hold C: at a prime node S itself; at a
-    parallel node C plus the other children one at a time, in ``_tie``
-    order; at a linear node C plus the smaller (``_tie``) of the two
-    neighbouring children of the run, one at a time.  Equal sizes go to the
-    lower index tuple, which holds the lowest point where two candidates
-    differ, and so the lowest point of the two children they add.
-
-    At a prime node, for a point y of S other than v, let same(y) be the
-    one of y's ``above``, ``below`` and ``beside`` rows that holds v, and
-    diff(y) the points of S outside same(y) and other than y: those that
-    y relates to differently than to v.  v is in no diff(y).
+    Write v for the anchor and S for the module.  Every module of S is S or
+    lies in one child, so the children that avoid v are parts of P(S, v)
+    (``_parts``), and every other part lies in C.  For a point y of S other
+    than v, let same(y) be the one of y's ``above``, ``below`` and
+    ``beside`` rows that holds v, and diff(y) the points of S outside
+    same(y) and other than y: those that y relates to differently than to
+    v.  v is in no diff(y).
 
     1. A set T of S that holds v and misses y is split by y iff T meets
        diff(y).  So the closure of T in S (``_close``) is T plus every y
@@ -392,13 +366,106 @@ def _spine(carrier, anchor, within, bound=None):
        then S, and by 2 z is outside C.  Conversely, for z outside C and
        other than v, the closure of {z, v} is S by 2, so by 1 each x in X
        has a path to z, and ``reach`` holds z.  So ``reach`` is S minus C,
-       and the children that avoid v are the parts that meet it, kept in
-       the order of the parts.
+       and the children that avoid v are the parts that meet it.
+    """
+    up, dn, side = carrier.above, carrier.below, carrier.beside
+    point = 1 << anchor
+    parts = _parts(carrier, anchor, module)
+    short = 0
+    for x in parts:
+        if x & short:
+            continue
+        closed = _close(carrier, x | point, module)
+        if closed == module:
+            break
+        short |= closed
+    reach = new = x
+    while new:
+        diff = 0
+        while new:
+            low = new & -new
+            new ^= low
+            y = low.bit_length() - 1
+            row = up[y]
+            if not row >> anchor & 1:
+                row = dn[y]
+                if not row >> anchor & 1:
+                    row = side[y]
+            diff |= ~row
+        new = diff & module & ~reach
+        reach |= new
+    return [x for x in parts if x & reach], reach
+
+
+def _prime_nodes(carrier):
+    """The children of every prime strong module of the carrier, one list
+    per module, each list sorted by the children's lowest points.
+
+    One walk with an explicit stack opens every strong module of two or
+    more points, from the whole carrier down (Gallai 1967, as in
+    ``_spine``): a parallel or linear module's children are the components
+    of its comparability or incomparability rows, and a prime module's
+    those of ``_prime_children`` at its lowest point, plus that point's
+    child, ``module & ~reach``.  So each prime node costs one closure.
+    Sorted by lowest point, the children of a prime node whose children are
+    all of the carrier's points one by one are those points in index order.
+    """
+    out = []
+    stack = [(1 << len(carrier)) - 1] if len(carrier) > 1 else []
+    while stack:
+        module = stack.pop()
+        children = _components(carrier, module, True)
+        if len(children) == 1:
+            children = _components(carrier, module, False)
+            if len(children) == 1:
+                anchor = (module & -module).bit_length() - 1
+                others, reach = _prime_children(carrier, anchor, module)
+                children = [module & ~reach] + sorted(others, key=lambda c: c & -c)
+                out.append(children)
+        stack += [c for c in children if c & c - 1]
+    return out
+
+
+def _spine(carrier, anchor, within, bound=None):
+    """The canonical chain of the order induced on the mask within, from
+    within down to the point at index anchor, as (member, children) pairs,
+    largest member first: children are the masks that the member adds to
+    the next member (none for the anchor alone).  The size bound of
+    ``enumerate_intervals`` applies to within's points.
+
+    The chain is the greedy one: while any interval can be inserted keeping
+    all members pairwise nested, insert the smallest, breaking ties by the
+    lexicographically least sorted index tuple.  It is read off the strong
+    modules that hold the anchor, the modules that overlap no module
+    (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994),
+    walked down from within.  A strong module S of two or more points splits
+    into its maximal strong proper submodules, its children, in one of three
+    ways (Gallai 1967):
+
+    - parallel: the comparability rows do not connect S, and its children
+      are the components; any union of them is a module;
+    - linear: the ``beside`` rows do not connect S, and its children are the
+      co-components, each below the next; a run of consecutive ones is a
+      module;
+    - prime: any other S.  Every module of S is S or lies in one child, and
+      the children are read off one closure and one backward pass
+      (``_prime_children``).
+
+    Every module of within that holds the anchor and a point outside the
+    anchor's child C of S holds C, being a module that meets the strong C
+    without lying in it.  So read bottom-up, the greedy chain passes
+    through each strong module on the walk, and between C and S it takes
+    the smallest modules that hold C: at a prime node S itself; at a
+    parallel node C plus the other children one at a time, in ``_tie``
+    order; at a linear node C plus the smaller (``_tie``) of the two
+    neighbouring children of the run, one at a time.  Equal sizes go to the
+    lower index tuple, which holds the lowest point where two candidates
+    differ, and so the lowest point of the two children they add.
     """
     config.check_size(
         within.bit_count(), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
     )
-    up, dn, side = carrier.above, carrier.below, carrier.beside
+    dn = carrier.below
     point = 1 << anchor
     spine = []
     module = within
@@ -409,35 +476,9 @@ def _spine(carrier, anchor, within, bound=None):
         else:
             children = _components(carrier, module, False)
             if len(children) == 1:  # prime
-                parts = _parts(carrier, anchor, module)
-                short = 0
-                for x in parts:
-                    if x & short:
-                        continue
-                    closed = _close(carrier, x | point, module)
-                    if closed == module:
-                        break
-                    short |= closed
-                # reach: S minus the anchor's child, by one backward pass
-                reach = new = x
-                while new:
-                    diff = 0
-                    while new:
-                        low = new & -new
-                        new ^= low
-                        y = low.bit_length() - 1
-                        row = up[y]
-                        if not row >> anchor & 1:
-                            row = dn[y]
-                            if not row >> anchor & 1:
-                                row = side[y]
-                        diff |= ~row
-                    new = diff & module & ~reach
-                    reach |= new
-                others = [x for x in parts if x & reach]
+                others, reach = _prime_children(carrier, anchor, module)
                 spine.append((module, others))
-                for x in others:
-                    module &= ~x
+                module &= ~reach
                 continue
             # linear: bottom first, by the points of the module below each
             # child's first point: all those of the children below it, and

@@ -113,19 +113,28 @@ def brute_strong_modules(poset):
     ]
 
 
-def brute_prime_modules(poset):
-    """The strong modules (``brute_strong_modules``) that are prime: the
-    maximal strong modules strictly inside one, its children, are neither
-    pairwise comparable nor pairwise incomparable."""
+def brute_prime_children(poset):
+    """Each prime strong module with its children, as sets of names: the
+    strong modules (``brute_strong_modules``) whose children, the maximal
+    strong modules strictly inside one, are neither pairwise comparable nor
+    pairwise incomparable."""
     strong = brute_strong_modules(poset)
-    out = []
+    out = {}
     for s in strong:
         inner = [t for t in strong if t < s]
-        reps = [min(t) for t in inner if not any(t < u for u in inner)]
-        pairs = [poset.relation(a, b) == INCOMPARABLE for a, b in itertools.combinations(reps, 2)]
+        children = {t for t in inner if not any(t < u for u in inner)}
+        pairs = [
+            poset.relation(min(a), min(b)) == INCOMPARABLE
+            for a, b in itertools.combinations(children, 2)
+        ]
         if any(pairs) and not all(pairs):
-            out.append(s)
+            out[s] = children
     return out
+
+
+def brute_prime_modules(poset):
+    """The prime strong modules (``brute_prime_children``)."""
+    return list(brute_prime_children(poset))
 
 
 def brute_interval_chain(poset, anchor=None, intervals=None):
@@ -867,6 +876,70 @@ def shuffled_poset(rng, poset):
     ids = list(poset.elements)
     rng.shuffle(ids)
     return make_poset(ids, poset.lt_pairs())
+
+
+def random_prime_order(rng, n, p=0.4):
+    """A random order on n >= 4 points that is indecomposable, by rejection
+    on ``brute_indecomposable``."""
+    while True:
+        base = random_poset(rng, n, p, "b")
+        if brute_indecomposable(base):
+            return base
+
+
+def substituted(rng, base, sizes, prefix="u"):
+    """The order with a module of ``sizes[i]`` points in place of the i-th
+    point of base, each module a random order (density 0.5), stored in a
+    shuffled order: a point of one module is below a point of another iff
+    their base points are in that order."""
+    ids, home, pairs = [], [], []
+    for i, size in enumerate(sizes):
+        inner = random_poset(rng, size, 0.5, f"{prefix}{len(ids)}_")
+        ids += inner.elements
+        home += [i] * size
+        pairs += inner.lt_pairs()
+    for a, u in enumerate(ids):
+        for b, v in enumerate(ids):
+            if home[a] != home[b] and base.lt(base.elements[home[a]], base.elements[home[b]]):
+                pairs.append((u, v))
+    return shuffled_poset(rng, make_poset(ids, pairs))
+
+
+def substitution_poset(rng, n):
+    """A poset on n points (5 <= n <= 21) with a prime node whose children
+    are not all single points: N, a fence or a random prime order of 4 to
+    7 points, with modules of 2 or 3 points put in at one or more of its
+    points (``substituted``)."""
+    while True:
+        k = rng.randint(max(4, -(-n // 3)), min(7, n - 1))
+        kind = rng.randrange(3)
+        if kind == 0:
+            base = make_poset(["0", "1", "2", "3"], [("0", "2"), ("1", "2"), ("1", "3")])
+            k = 4
+        elif kind == 1:
+            base = make_poset(
+                [str(i) for i in range(k)],
+                [(str(i), str(i + 1)) if i % 2 == 0 else (str(i + 1), str(i)) for i in range(k - 1)],
+            )
+        else:
+            base = random_prime_order(rng, k)
+        if k <= n <= 3 * k:
+            break
+    sizes = [1] * k
+    for _ in range(n - k):
+        sizes[rng.choice([i for i in range(k) if sizes[i] < 3])] += 1
+    return substituted(rng, base, sizes)
+
+
+def prime_node_posets(rng, count):
+    """count shuffled random posets and count substitution posets
+    (``substitution_poset``), each of 6 to 12 points."""
+    out = []
+    for k in range(count):
+        n = 6 + k % 7
+        out.append(shuffled_poset(rng, random_poset(rng, n, (0.15, 0.35, 0.6)[k % 3])))
+        out.append(substitution_poset(rng, n))
+    return out
 
 
 def random_rooted_tree(rng, n, prefix="t"):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import helpers
+import test_pinned
 from poset_forge import (
     ClassSpec,
     ColouredPoset,
@@ -203,17 +204,17 @@ class TestClassCheck:
                         assert class_check(p.restrict(sub), spec).passed
 
 
-def _assert_matches_oracle(p):
-    """indecomposable_subsets and class_check on p, under every size cap and
-    under the stock list plus N, against the rows oracle; returns the
-    oracle's subsets."""
+def _assert_matches_oracle(p, call=lambda f, *args: f(*args)):
+    """indecomposable_subsets and class_check on p, each run through
+    call, under every size cap and under the stock list plus N, against
+    the rows oracle; returns the oracle's subsets."""
     want = _named(p, helpers.brute_indecomposable_masks(p, len(p)))
     for cap in range(1, len(p) + 1):
-        assert indecomposable_subsets(p, cap) == [s for s in want if len(s) <= cap]
-        capped = class_check(p, ClassSpec(max_size=cap))
+        assert call(indecomposable_subsets, p, cap) == [s for s in want if len(s) <= cap]
+        capped = call(class_check, p, ClassSpec(max_size=cap))
         assert capped.violations == [s for s in want if len(s) > cap]
     n_poset = canonical("N", 0)
-    listed = class_check(p, ClassSpec(allowed=STOCK() + (n_poset,)))
+    listed = call(class_check, p, ClassSpec(allowed=STOCK() + (n_poset,)))
     assert listed.violations == [
         s
         for s in want
@@ -237,20 +238,41 @@ class TestNoIntervalScan:
                 want = _assert_matches_oracle(p)
                 assert is_indecomposable(p) == (n == 1 or frozenset(p.elements) in want)
 
-    def test_ascending_pass_alone(self, catalog5, monkeypatch):
-        # indecomposable subsets come from the marks of smaller ones: with
-        # the closures and the partition refinement disabled, the answers
-        # still agree
-        def closure(*args):
-            raise AssertionError("a per-subset closure test was called")
+    def test_one_closure_per_prime_node(self, catalog5, monkeypatch):
+        # indecomposable subsets are read off the prime nodes' quotients:
+        # with the interval scan disabled, class_check and
+        # indecomposable_subsets each make one closure per prime strong
+        # module, and none per subset, and still agree with the rows oracle
+        def scan(carrier):
+            raise AssertionError("the interval mask scan was called")
 
-        monkeypatch.setattr(interval, "_parts", closure)
-        monkeypatch.setattr(interval, "_close", closure)
-        assert not hasattr(classify, "_parts")
+        calls = [0]
+
+        def counted(*args):
+            calls[0] += 1
+            return close(*args)
+
+        close = interval._close
+        monkeypatch.setattr(interval, "_interval_masks", scan)
+        monkeypatch.setattr(interval, "_close", counted)
         assert not hasattr(classify, "_close")
+        checks = primes = 0
+
+        def one_each(f, p, arg):
+            nonlocal checks
+            calls[0] = 0
+            got = f(p, arg)
+            # a cap of 2 keeps only the pairs, and opens no module
+            assert calls[0] == (0 if f is indecomposable_subsets and arg < 3 else nodes)
+            checks += 1
+            return got
+
         for reps in catalog5.values():
             for p in reps:
-                _assert_matches_oracle(p)
+                nodes = len(helpers.brute_prime_modules(p))
+                primes += nodes
+                _assert_matches_oracle(p, one_each)
+        assert primes > 10 and checks > 500
 
     def test_decomposition_path_alone(self, catalog6, monkeypatch):
         # the chain, the layer arities and the tree come from closures: with
@@ -277,6 +299,82 @@ class TestNoIntervalScan:
                 for v in tree.tree.internal_nodes():
                     assert helpers.brute_indecomposable(tree.tree.arities[v])
                 assert coloured_isomorphic(tree.evaluate(), x)
+
+
+def _oracle_violations(p, spec):
+    """The masks class_check should name, in canonical order: from the
+    whole-poset pass ``_indecomposable_masks`` and brute isomorphism."""
+    masks = classify._indecomposable_masks(p, len(p))
+    if spec.max_size is not None:
+        bad = [m for m in masks if m.bit_count() > spec.max_size]
+    else:
+        singles = [1 << i for i in range(len(p))]
+        bad = [
+            m
+            for m, s in zip(singles + masks, _named(p, singles + masks))
+            if not any(len(q) == len(s) and helpers.brute_embed(q, helpers.induced(p, s)) for q in spec.allowed)
+        ]
+    return interval._canonical_sets(p, bad)
+
+
+class TestPrimeQuotients:
+    # the pairs, plus every prime node's indecomposable quotient subsets of
+    # 3 or more points lifted to their transversals, are the whole-poset
+    # pass's subsets; inputs with multi-point children lift to many
+    @pytest.fixture(scope="class")
+    def drawn(self):
+        return helpers.prime_node_posets(random.Random(227), 40)
+
+    def test_lifted_masks_match_whole_poset_pass(self, catalog6, drawn):
+        multi = 0
+        for p in [p for reps in catalog6.values() for p in reps] + drawn:
+            n = len(p)
+            quotients = classify._quotients(p)
+            for children, quotient in quotients:
+                # the order on the children's lowest points, with both row
+                # sets, as ``Poset._from_rows`` needs
+                assert quotient.above == helpers.induced(p, quotient.elements).above
+                assert list(quotient.below) == helpers.transpose(quotient.above)
+                assert [p.index[e] for e in quotient.elements] == [(c & -c).bit_length() - 1 for c in children]
+            for cap in range(2, n + 1):
+                got = classify._pairs(p, True, True)
+                for children, quotient in quotients:
+                    found = [m for m in classify._indecomposable_masks(quotient, cap) if m.bit_count() > 2]
+                    lifted = classify._lift(children, quotient, p, found)
+                    got += lifted
+                    if cap == n:
+                        multi += len(lifted) - len(found)
+                # as a multiset: no subset is lifted twice
+                assert sorted(got) == classify._indecomposable_masks(p, cap)
+        assert multi > 1000
+
+    def test_class_check_matches_oracle(self, catalog6, drawn, monkeypatch):
+        # the drawn posets under every size cap and the pinned corpus's two
+        # lists, and catalog6 under every size cap (TestPairVerdicts checks
+        # it under lists), against the whole-poset pass and brute
+        # isomorphism; each listed poset is searched at most once per
+        # induced shape in a call
+        iso = classify.is_isomorphic
+        calls = []
+
+        def counted(sub, q):
+            calls.append((id(q), sub.above))
+            return iso(sub, q)
+
+        monkeypatch.setattr(classify, "is_isomorphic", counted)
+        failed = 0
+        for p in drawn:
+            for spec in test_pinned.class_specs(len(p)):
+                calls.clear()
+                got = class_check(p, spec).violations
+                assert len(calls) == len(set(calls))
+                assert got == _oracle_violations(p, spec)
+                failed += len(got)
+        for p in (p for reps in catalog6.values() for p in reps):
+            for cap in range(1, len(p) + 1):
+                spec = ClassSpec(max_size=cap)
+                assert class_check(p, spec).violations == _oracle_violations(p, spec)
+        assert failed > 10000
 
 
 class TestPairVerdicts:

@@ -522,3 +522,23 @@ class TestPrimeChildren:
         nodes = self._run(catalog6, monkeypatch, lambda got: got[::-1][1:] + got[::-1][:1])
         assert any(closes > 1 for _, _, closes in nodes)
         assert any(closes < first + 1 for _, first, closes in nodes)
+
+
+class TestPrimeNodes:
+    # one walk over every strong module: each prime node once, with its
+    # children, the maximal strong modules inside it, sorted by lowest point
+    def test_match_brute_prime_modules(self, catalog6):
+        rng = random.Random(211)
+        posets = [p for reps in catalog6.values() for p in reps]
+        posets += helpers.prime_node_posets(rng, 70)
+        multi = 0
+        for p in posets:
+            nodes = interval._prime_nodes(p)
+            want = helpers.brute_prime_children(p)
+            got = {}
+            for children in nodes:
+                assert children == sorted(children, key=lambda c: c & -c)
+                got[_mask_to_set(p, sum(children))] = {_mask_to_set(p, c) for c in children}
+            assert len(got) == len(nodes) and got == want
+            multi += sum(c & c - 1 != 0 for children in nodes for c in children)
+        assert multi > 200

@@ -11,7 +11,10 @@ along the root sequence's chain, and the tree rank and scattered rank of
 the tree and of every extract.  The third is 60 seeded posets of 5 to 10
 elements, each class-checked under every size cap and under two allowed
 lists, together with 60 seeded structured-tree embedding searches and the
-lift of every witness found.
+lift of every witness found.  The fourth is 40 seeded substitution posets
+of 8 to 12 elements (``helpers.substitution_poset``), whose prime nodes
+have children of two or three points: each is class-checked under the same
+specs, and its indecomposable subsets are listed under every size cap.
 """
 
 import argparse
@@ -27,6 +30,7 @@ from poset_forge import (
     canonical,
     class_check,
     composition_set_text,
+    indecomposable_subsets,
     decomposition_function,
     decomposition_tree,
     lift_embedding,
@@ -44,6 +48,7 @@ from poset_forge.textio import poset_text, quasi_text
 PINNED = "fb45c15b7997e47b7e781a9b12ba6a37b659b1f001f10644e6e9812190fdb8f7"
 EXTRACTS_PINNED = "de0d641c815e03adabe7e34e5aa7b2121d30e46437dcf934680ba3d3d407bfe8"
 CLASS_EMBED_PINNED = "4be28be296977325a79d234868ebfd41e47bf169a8f6cc6930d38f1dacfb27af"
+SUM_CLASS_PINNED = "0b6195779f96119cddd79a1786d121ac28e6d2ba836880aefecdf14e77ac333e"
 
 
 def corpus():
@@ -222,3 +227,21 @@ def class_embed_digest():
 
 def test_class_checks_and_tree_embeddings_match_the_pinned_digest():
     assert class_embed_digest() == CLASS_EMBED_PINNED
+
+
+def sum_class_digest():
+    h = hashlib.sha256()
+    rng = random.Random(179)
+    for k in range(40):
+        p = helpers.substitution_poset(rng, 8 + k % 5)
+        for spec in class_specs(len(p)):
+            h.update(class_check(p, spec).text().encode())
+        for cap in range(2, len(p) + 1):
+            for s in indecomposable_subsets(p, cap):
+                h.update((",".join(sorted(s, key=p.index.__getitem__)) + "\n").encode())
+            h.update(b"end\n")
+    return h.hexdigest()
+
+
+def test_substitution_class_checks_match_the_pinned_digest():
+    assert sum_class_digest() == SUM_CLASS_PINNED
