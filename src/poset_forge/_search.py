@@ -33,8 +33,11 @@ they are incomparable, read off x's rows.  These are strict rows, so each
 also drops v itself.  It serves ``search_injection`` only, which is just
 that.  ``search_injection`` has three callers, all in ``core``:
 ``_embed_assign`` (behind ``embed``, ``is_isomorphic`` and
-``classify.is_n_free``), ``_coloured_assign`` (behind ``coloured_embed``
-and ``wqo``'s matrix and bad-pair search) and ``coloured_isomorphic``.
+``classify.is_n_free``), ``_coloured_assign`` (behind ``coloured_embed``)
+and ``coloured_isomorphic``.  The kernel has two more callers.
+``core._family_below``, behind ``wqo``'s matrix and bad-pair search,
+passes ``core._family_rows``, which yields the lists of ``code_rows``
+from relation codes read once per member and call, not once per pair.
 ``dectree.st_embed`` passes instead ``order.__getitem__``, one row from
 each tree node to each of its children, ``(child, y.above)``, and
 ``narrow(i, assign, c)``, which returns the part of the candidate mask

@@ -11,9 +11,15 @@ relation counts and the cumulative count masks behind the searches' degree
 filter) and :meth:`ColouredPoset.colour_masks` (each element's palette index,
 one element mask per palette colour and, per colour, the mask of the
 elements whose colour is at or above it, the colour filter of every
-coloured search).  The element tuple is the canonical
-enumeration: all tie-breaking anywhere in the library (interval chain
-selection, quotient representatives, witness search order) refers back to it.
+coloured search).  A coloured search's allowed masks come from one routine,
+``_allowed``, which joins a source half (each element's counts and colour
+index) with a target half (the count masks and colour fit); a single search
+builds both halves per call (``_coloured_allowed``), and the family
+searcher behind the embeddability matrix (``_family_below``) builds each
+member's halves and relation codes once per call, keeping nothing past it.
+The element tuple is the canonical enumeration: all tie-breaking anywhere
+in the library (interval chain selection, quotient representatives, witness
+search order) refers back to it.
 Values are immutable after construction; every operation here is a pure
 function.
 """
@@ -741,24 +747,125 @@ def embed(x, y):
     return _as_embedding(x, y, _embed_assign(x, y), "poset")
 
 
+def _source_part(x):
+    """The source half of a coloured search's allowed masks: per element
+    of x, its (above, below, beside) counts and its colour's palette index,
+    as ``((a, b, s), c)``."""
+    return list(zip(x.poset.degree_table()[0], x.colour_masks()[0]))
+
+
+def _target_part(y, exact):
+    """The target half: y's cumulative count masks ``up_ge``, ``down_ge``
+    and ``beside_ge`` (``Poset.degree_table``), and the colour fit, per
+    palette colour the mask of y's elements whose colour is at or above it,
+    or equal to it when exact."""
+    _, up_ge, down_ge, beside_ge = y.poset.degree_table()
+    return up_ge, down_ge, beside_ge, y.colour_masks()[1 if exact else 2]
+
+
+def _allowed(source, target):
+    """Per source, the targets whose three relation counts are each at least
+    the source's (the degree filter of ``_search.degree_mask``) and whose
+    colour fits.  The source has no more elements than the target, so every
+    count indexes the target's masks."""
+    up_ge, down_ge, beside_ge, fit = target
+    return [up_ge[a] & down_ge[b] & beside_ge[s] & fit[c] for (a, b, s), c in source]
+
+
 def _coloured_allowed(x, y, exact):
     """Per source of x, the targets of y that pass the degree filter and
-    whose colour is at or above the source's, or equal to it when exact."""
-    fit = y.colour_masks()[1 if exact else 2]
-    return [
-        mask & fit[c]
-        for mask, c in zip(_search.degree_mask(x.poset, y.poset), x.colour_masks()[0])
-    ]
+    whose colour is at or above the source's, or equal to it when exact:
+    ``_allowed`` of x's source half and y's target half, the one
+    allowed-mask routine of every coloured search.  A source larger than
+    its target allows nothing: an element's three counts sum past every
+    target's, so one of them exceeds the target's."""
+    if len(x) > len(y):
+        return [0] * len(x)
+    return _allowed(_source_part(x), _target_part(y, exact))
 
 
 def _coloured_assign(x, y):
     """Target indices of the first colour-increasing embedding of x into y,
-    or None; x and y share a palette.  The one search behind
-    ``coloured_embed``, ``wqo.embeddability_matrix`` and
-    ``wqo.bad_pair_search``."""
+    or None; x and y share a palette.  The search behind
+    ``coloured_embed``."""
     if len(x) > len(y):
         return None
     return _search.search_injection(x.poset, y.poset, _coloured_allowed(x, y, False))
+
+
+def _coded_tables(y):
+    """The forward entries of target poset y, indexed by relation code: item
+    ``3 * j + code`` is ``(j, table)``, where ``table`` is y's ``beside``,
+    ``above`` or ``below`` as ``code`` is ``INCOMPARABLE``, ``LESS`` or
+    ``GREATER``."""
+    tables = (y.beside, y.above, y.below)
+    return [(j, table) for j in range(len(y)) for table in tables]
+
+
+def _family_rows(x, codes, coded):
+    """The row builder of poset x into the target whose ``_coded_tables``
+    are ``coded``, from x's relation codes, one slot per element of x.
+    ``codes[k]`` lists ``3 * j + x.code(k, j)`` for each j > k, ascending
+    in j; a slot still None is filled the first time its row is built, so
+    the searches of one source read each row's codes off x once.
+
+    A source is no larger than its target, so each j indexes ``coded``,
+    and ``row(k)`` is the list ``_search.code_rows(x, y)(k)``: the same
+    tables in the same order.  The search so keeps every mask, verdict and
+    count."""
+    n = len(codes)
+    x_above, x_below = x.above, x.below
+
+    def row(k):
+        keys = codes[k]
+        if keys is None:
+            up, dn = x_above[k], x_below[k]
+            keys = codes[k] = [
+                3 * j + (LESS if up >> j & 1 else GREATER if dn >> j & 1 else INCOMPARABLE)
+                for j in range(k + 1, n)
+            ]
+        return [coded[q] for q in keys]
+
+    return row
+
+
+def _family_below(members):
+    """``below(i, j)``: whether members[i] has a colour-increasing embedding
+    into members[j]; the members share a palette.  The search behind
+    ``wqo.embeddability_matrix`` and ``wqo.bad_pair_search``.
+
+    Each member's source half (``_source_part``) and relation codes, and
+    its target half (``_target_part``) and coded tables
+    (``_coded_tables``), are worked out at most once per call of
+    ``_family_below``, the first time a search needs them, and live only
+    as long as ``below``: nothing is kept on the members.  Each search
+    gets the allowed masks of ``_coloured_allowed`` and the rows of
+    ``_search.code_rows`` (``_family_rows``), so it runs as
+    ``_coloured_assign`` would, and ``below(i, j)`` is true iff that finds
+    an embedding.  A source larger than its target is refused unsearched.
+    Every other pair reaches the kernel, even with an empty mask, which
+    ``_search.backtrack`` refuses before building any row.
+    """
+    n = len(members)
+    sizes = [len(m) for m in members]
+    sources, codes = [None] * n, [None] * n
+    targets, coded = [None] * n, [None] * n
+
+    def below(i, j):
+        if sizes[i] > sizes[j]:
+            return False
+        source = sources[i]
+        if source is None:
+            source = sources[i] = _source_part(members[i])
+            codes[i] = [None] * sizes[i]
+        target = targets[j]
+        if target is None:
+            target = targets[j] = _target_part(members[j], False)
+            coded[j] = _coded_tables(members[j].poset)
+        row = _family_rows(members[i].poset, codes[i], coded[j])
+        return _search.backtrack(_allowed(source, target), row) is not None
+
+    return below
 
 
 def coloured_embed(x, y):

@@ -799,8 +799,18 @@ def lift_embedding(source_tree, target_tree, emap):
     the verification admit only nodes of a node's own kind (leaf colours
     never compare with arity colours, ``_colour_leq``).  So sending each
     ground element to the ground element at its leaf's image is well
-    defined; the result is re-verified before being returned and a failure
-    signals a library bug.
+    defined, and injective since the map is.
+
+    The result is re-verified before being returned.  For trees built by
+    ``decomposition_tree`` that check cannot fail.  Such a tree describes
+    its base (``evaluate`` rebuilds it): two ground elements compare as the
+    labels of their leaves' branches compare in the arity of the leaves'
+    meet.  The map keeps meets and induces an arity embedding on every
+    node's labels, so the images of two ground elements compare at the
+    image of their meet exactly as they do; and leaf colours increase.  But
+    ``DecompositionTree(fset, leaves, base)`` does not check that ``fset``
+    describes ``base``, so a tree built over a base that ``fset`` does not
+    describe reaches the check, which then raises.
     """
     if not all(isinstance(t, DecompositionTree) for t in (source_tree, target_tree)):
         raise Malformed("lift_embedding needs decomposition trees")

@@ -7,7 +7,7 @@ indecomposable.  The antichain check is exhaustive, never probabilistic.
 """
 
 from . import config
-from .core import _coloured_assign, _Frozen, ColouredPoset, QuasiOrder, canonical
+from .core import _family_below, _Frozen, ColouredPoset, QuasiOrder, canonical
 from .interval import is_indecomposable
 
 
@@ -75,13 +75,13 @@ def embeddability_matrix(fam, bound=None):
     Entry (i, i) is true by reflexivity: the identity map preserves the
     order exactly, and a palette quasi-order is reflexive, so it keeps
     colours too.  Every other entry is an exhaustive search.  A family has
-    one shared palette, so no pair checks it again.
+    one shared palette, so no pair checks it again.  The searches share
+    each member's set-up (``core._family_below``).
     """
     _check_family_size(len(fam), bound)
-    return [
-        [i == j or _coloured_assign(a, b) is not None for j, b in enumerate(fam.members)]
-        for i, a in enumerate(fam.members)
-    ]
+    below = _family_below(fam.members)
+    n = len(fam)
+    return [[i == j or below(i, j) for j in range(n)] for i in range(n)]
 
 
 def _first_bad_pair(n, below):
@@ -97,8 +97,7 @@ def bad_pair_search(fam, bound=None):
     member j; None when the sequence is good.  Each pair is searched only
     when it is reached (``_first_bad_pair``)."""
     _check_family_size(len(fam), bound)
-    m = fam.members
-    return _first_bad_pair(len(m), lambda i, j: _coloured_assign(m[i], m[j]) is not None)
+    return _first_bad_pair(len(fam), _family_below(fam.members))
 
 
 def family_indecomposable(fam):

@@ -198,6 +198,15 @@ class TestVerbs:
         assert "row ch2 110" in text
         assert "bad-pair 0 1" in text
 
+    def test_matrix_good_family(self, files):
+        # chains of growing length: each embeds in every later one
+        code, text = invoke(
+            ["matrix", files["one.poset"], files["ch2.poset"], files["ch3.poset"]]
+        )
+        assert code == 0
+        assert "row one 111" in text and "row ch3 001" in text
+        assert text.splitlines()[-1] == "bad-pair none"
+
     def test_matrix_searches_each_pair_once(self, files, monkeypatch):
         # the bad pair is read off the printed matrix, and the diagonal is
         # true by reflexivity: n^2 - n searches, one per off-diagonal pair
@@ -207,13 +216,18 @@ class TestVerbs:
         want = matrix_text(fam, embeddability_matrix(fam)) + "bad-pair 0 1\n"
         assert bad_pair_search(fam) == (0, 1)
         calls = []
-        assign = wqo._coloured_assign
+        family_below = wqo._family_below
 
-        def counted(x, y):
-            calls.append((x, y))
-            return assign(x, y)
+        def counted(members):
+            below = family_below(members)
 
-        monkeypatch.setattr(wqo, "_coloured_assign", counted)
+            def counted_pair(i, j):
+                calls.append((members[i], members[j]))
+                return below(i, j)
+
+            return counted_pair
+
+        monkeypatch.setattr(wqo, "_family_below", counted)
         code, text = invoke(["matrix"] + [files[n] for n in names])
         assert code == 0 and text == want
         assert len(calls) == len(names) ** 2 - len(names) == 6

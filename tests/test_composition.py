@@ -236,6 +236,21 @@ class TestMaximalDecomposition:
         with pytest.raises(EmptyPoset):
             maximal_decomposition(ColouredPoset.uniform(make_poset([], [])))
 
+    def test_stand_in_avoids_a_kept_name(self):
+        # layer 0 keeps the point "_s", so its stand-in for {a} is "__s"
+        x = ColouredPoset.uniform(make_poset(["a", "_s"], [("a", "_s")]))
+        seq, args, chain = maximal_decomposition(x)
+        assert list(chain) == [frozenset({"a", "_s"}), frozenset({"a"})]
+        arity, stand_in = seq.entries[0]
+        assert stand_in == "__s"
+        assert arity.elements == ("_s", "__s") and arity.lt("__s", "_s")
+        assert seq.entries[1][0].elements == ("a",)
+        assert {key: q.elements for key, q in args.items()} == {
+            (0, "_s"): ("_s",),
+            (1, "a"): ("a",),
+        }
+        assert coloured_isomorphic(eval_f_eta(seq, args), x)
+
     def test_arities_indecomposable_random(self):
         rng = random.Random(31)
         for _ in range(25):

@@ -25,7 +25,7 @@ from poset_forge import (
     union_q,
     zeta_tree_sum,
 )
-from poset_forge import _search, dectree
+from poset_forge import _search, core, dectree
 from poset_forge.wqo import embeddability_matrix, fence_antichain
 from poset_forge.core import (
     EQUAL,
@@ -1024,16 +1024,33 @@ class TestRowBuilder:
         # the same seeded pairs as TestForwardChecking
         self._check(_planted_and_random(random.Random(193), 300))
 
+    def test_family_rows_equal_code_rows(self, catalog5):
+        # the family builder yields code_rows' lists, tables and all, with
+        # one codes list per source shared by its searches as in a family
+        posets = [p for reps in catalog5.values() for p in reps]
+        for x in posets:
+            codes = [None] * len(x)
+            for y in posets:
+                if len(x) > len(y):
+                    continue
+                row = core._family_rows(x, codes, core._coded_tables(y))
+                want = _search.code_rows(x, y)
+                for k in reversed(range(len(x))):
+                    got = row(k)
+                    assert got == want(k)
+                    assert all(a is b for (_, a), (_, b) in zip(got, want(k)))
+            assert None not in codes
+
     def test_fence_matrix_builds_fewer_rows_than_sources(self, monkeypatch):
-        code_rows = _search.code_rows
+        family_rows = core._family_rows
         searches = []
 
-        def counted_code_rows(x, y):
-            row, built = _counted_rows(code_rows(x, y))
+        def counted_family_rows(x, codes, coded):
+            row, built = _counted_rows(family_rows(x, codes, coded))
             searches.append((len(x), built))
             return row
 
-        monkeypatch.setattr(_search, "code_rows", counted_code_rows)
+        monkeypatch.setattr(core, "_family_rows", counted_family_rows)
         fam = fence_antichain(10)
         matrix = embeddability_matrix(fam)
         # an antichain: each member embeds only into itself

@@ -1653,6 +1653,20 @@ class TestLift:
         with pytest.raises(VerificationFailure):
             lift_embedding(tx, ty, bogus)
 
+    def test_recheck_catches_a_foreign_base(self):
+        # the constructor does not check that fset describes base: the
+        # 2-chain's tree over the 2-antichain passes the tree checks, and
+        # the lifted identity fails only the final re-check
+        x = uniform("chain", 2)
+        t = decomposition_tree(x)
+        foreign = DecompositionTree(
+            t.fset, t.leaves, ColouredPoset.uniform(make_poset(x.elements, []))
+        )
+        phi = st_embed(foreign, t)
+        assert verify_st_embedding(foreign, t, phi)
+        with pytest.raises(VerificationFailure, match="lifted map failed"):
+            lift_embedding(foreign, t, phi)
+
     def test_raw_trees_rejected(self):
         # a raw structured tree has no ground elements to lift to
         tx, ty = decomposition_tree(uniform("chain", 2)), decomposition_tree(uniform("chain", 3))

@@ -8,6 +8,7 @@ from poset_forge import (
     Family,
     bad_pair_search,
     canonical,
+    core,
     embeddability_matrix,
     fence_antichain,
     is_indecomposable,
@@ -25,16 +26,22 @@ def chain_family(sizes):
     return Family(members, tuple(f"C{k}" for k in sizes))
 
 
-def counted_assign(monkeypatch):
-    """Record each (x, y) that wqo searches, in call order."""
+def counted_below(monkeypatch):
+    """Record each (x, y) that wqo searches, in call order: every call of
+    the per-pair entry ``below(i, j)`` of ``core._family_below``."""
     calls = []
-    assign = wqo._coloured_assign
+    family_below = wqo._family_below
 
-    def counted(x, y):
-        calls.append((x, y))
-        return assign(x, y)
+    def counted(members):
+        below = family_below(members)
 
-    monkeypatch.setattr(wqo, "_coloured_assign", counted)
+        def counted_pair(i, j):
+            calls.append((members[i], members[j]))
+            return below(i, j)
+
+        return counted_pair
+
+    monkeypatch.setattr(wqo, "_family_below", counted)
     return calls
 
 
@@ -118,13 +125,61 @@ class TestMatrix:
             ]
             assert embeddability_matrix(fam) == want
 
+    def test_shared_set_up_matches_brute(self):
+        # each member's set-up serves all its searches: repeated members,
+        # equal copies, sources larger than their targets, and palettes
+        # that are quasi-orders (0 and 1 each at or below the other)
+        palettes = (
+            QuasiOrder(["0", "1", "2"], [("0", "1"), ("1", "0"), ("1", "2")]),
+            QuasiOrder(["0", "1", "2"], [("0", "1")]),
+        )
+        rng = random.Random(61)
+        larger = empty = 0
+        for k in range(24):
+            pal = palettes[k % 2]
+            base = [
+                helpers.random_coloured(rng, rng.randint(1, 7), pal, prefix=f"m{t}")
+                for t in range(rng.randint(2, 4))
+            ]
+            members = list(base)
+            for x in rng.sample(base, 2 if len(base) > 2 else 1):
+                copy = ColouredPoset(
+                    Poset(x.elements, x.poset.above), x.colouring, x.palette
+                )
+                members += [x, copy]
+            rng.shuffle(members)
+            fam = Family(members, tuple(f"M{t}" for t in range(len(members))))
+            want = [
+                [helpers.brute_coloured_embed(a, b) is not None for b in members]
+                for a in members
+            ]
+            assert embeddability_matrix(fam) == want
+            bad = next(
+                (
+                    (i, j)
+                    for i in range(len(members))
+                    for j in range(i + 1, len(members))
+                    if not want[i][j]
+                ),
+                None,
+            )
+            assert bad_pair_search(fam) == bad
+            for a in members:
+                for b in members:
+                    if len(a) > len(b):
+                        larger += 1
+                    elif not all(core._coloured_allowed(a, b, False)):
+                        empty += 1
+        # both refusals before the search loop were exercised
+        assert larger and empty
+
     def test_repeated_members_searched_off_diagonal(self, monkeypatch):
         x = helpers.random_coloured(
             random.Random(7), 6, QuasiOrder(["0", "1"], [("0", "1")]), prefix="x"
         )
         copy = ColouredPoset(Poset(x.elements, x.poset.above), x.colouring, x.palette)
         assert copy == x and copy is not x
-        calls = counted_assign(monkeypatch)
+        calls = counted_below(monkeypatch)
         for second in (x, copy):
             calls.clear()
             fam = Family((x, second), ("a", "b"))
@@ -152,16 +207,16 @@ class TestBadPair:
         assert bad_pair_search(fence_antichain(3)) == (0, 1)
 
     def test_stops_at_first_bad_pair(self, monkeypatch):
-        calls = counted_assign(monkeypatch)
+        calls = counted_below(monkeypatch)
         fam = chain_family([3, 2, 1])
         assert bad_pair_search(fam) == (0, 1)
         assert calls == [(fam.members[0], fam.members[1])]
 
     def test_family_bound_checked_first(self, monkeypatch):
-        def refused(a, b):
-            raise AssertionError("searched past the family bound")
+        def refused(members):
+            raise AssertionError("set up a search past the family bound")
 
-        monkeypatch.setattr(wqo, "_coloured_assign", refused)
+        monkeypatch.setattr(wqo, "_family_below", refused)
         with pytest.raises(TooLarge):
             bad_pair_search(chain_family(range(5, 0, -1)), bound=4)
 
