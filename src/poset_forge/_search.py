@@ -38,11 +38,13 @@ and ``coloured_isomorphic``.  The kernel has two more callers.
 ``core._family_below``, behind ``wqo``'s matrix and bad-pair search,
 passes ``core._family_rows``, which yields the lists of ``code_rows``
 from relation codes read once per member and call, not once per pair.
-``dectree.st_embed`` passes instead ``order.__getitem__``, one row from
-each tree node to each of its children, ``(child, y.above)``, and
+``dectree.st_embed`` passes instead a row builder over the children
+that the source tree keeps (``StructuredTree._source_tables``), one row
+from each tree node to each of its children, ``(child, y.above)``, and
 ``narrow(i, assign, c)``, which returns the part of the candidate mask
 ``c`` that its label and meet conditions allow, since each involves two
-earlier sources; ``dectree._conditions`` says which entries it reads.
+earlier sources; ``dectree._conditions`` says which entries it reads and
+which tree keeps them.
 ``narrow`` reads only the images of sources before i, so
 ``dectree.verify_st_embedding`` calls it on a complete map too.
 """

@@ -456,7 +456,11 @@ def p_sum_with_sources(index, parts):
     """P-sum plus the map from composite ids back to (index, part) pairs.
 
     The composite id of part element a at index element p is ``p.a``, each
-    component escaped by ``_id_part``.
+    component escaped by ``_id_part``.  The escapes make the composite ids
+    of distinct pairs of component strings distinct: the first unescaped
+    ``.`` ends p's part.  But a component is the ``str()`` of an id, and
+    distinct ids can share one (1 and "1", say), so two pairs can still
+    give one composite id; DuplicateElement names the first id repeated.
     """
     for p in index.elements:
         if p not in parts:

@@ -198,7 +198,9 @@ class StructuredTree:
     tree keeps the dicts given to ``_fill``, so this constructor passes it
     copies of the caller's.  What an embedding into the tree reads of it
     beyond its poset (colour classes and fits, label indices) is kept on
-    first use (``_target_tables``).
+    first use (``_target_tables``), and so is what an embedding of the tree
+    into another reads of it (node classes, children, relation codes and
+    meet entries: ``_source_tables``).
     """
 
     __slots__ = (
@@ -209,6 +211,7 @@ class StructuredTree:
         "ground_palette",
         "label_rows",
         "_target",
+        "_source",
     )
 
     def __init__(self, poset, kinds, arities, leaf_colours, ground_palette, labels):
@@ -281,6 +284,7 @@ class StructuredTree:
         self.ground_palette = ground_palette
         self.label_rows = label_rows
         self._target = None
+        self._source = None
 
     def _target_tables(self):
         """``(classes, fit, labels)``, what a structured-tree embedding into
@@ -311,6 +315,48 @@ class StructuredTree:
                 single = tuple(1 << lb for lb in range(len(arity)))
                 labels[t] = (lab, (arity.beside, arity.above, arity.below, single), labelled)
             tables = self._target = (classes, {}, labels)
+        return tables
+
+    def _source_tables(self, every_label):
+        """``(classes, colour, children, codes, meets)``, what a
+        structured-tree embedding of this tree into another reads of it
+        beyond its poset, built on first use and kept.
+
+        ``classes`` lists each node class (``_colour_key``) once, with one
+        node of the class, and ``colour[i]`` is the place of node i's class
+        in it.  ``children[m]`` lists m's children in storage order: a
+        node's parent is the last node of its down-set, as the tree is
+        stored in a linear extension.  ``codes`` are the relation codes of
+        ``_label_entries(self, every_label)``, and ``meets`` are
+        ``_meet_entries(children)`` with ``every_label`` and None without;
+        these two are kept per value of ``every_label``, each built the
+        first time it is asked for.  The tables are tuples, and a node with
+        nothing to list shares the empty tuple.
+        """
+        kept = self._source
+        if kept is None:
+            elements = self.poset.elements
+            classes, colour, place = [], [], {}
+            for a in elements:
+                key = _colour_key(self, a)
+                c = place.get(key)
+                if c is None:
+                    c = place[key] = len(classes)
+                    classes.append((key, a))
+                colour.append(c)
+            children = [[] for _ in elements]
+            for i, row in enumerate(self.poset.below):
+                if row:
+                    children[row.bit_length() - 1].append(i)
+            children = tuple(map(tuple, children))
+            kept = self._source = (tuple(classes), tuple(colour), children, [None, None])
+        by_flag = kept[3]
+        tables = by_flag[every_label]
+        if tables is None:
+            classes, colour, children, _ = kept
+            codes = tuple(map(tuple, _label_entries(self, every_label)))
+            meets = _meet_entries(children) if every_label else None
+            tables = by_flag[every_label] = (classes, colour, children, codes, meets)
         return tables
 
     @property
@@ -559,25 +605,27 @@ def _colour_leq(s_tree, t_tree, a, b):
     return embed(s_tree.arities[a], t_tree.arities[b]) is not None
 
 
-def _fits(S, T):
+def _fits(S, T, classes, colour):
     """Per node of S, the mask of T's nodes whose colours it may take.
 
     A colour comparison reads only the two nodes' classes (``_colour_key``)
-    and the shared palette, so T keeps one mask per source class it has
-    met, made by one comparison with one node of each of its own classes;
-    T's class masks are disjoint, so the passing ones add up.
+    and the shared palette.  S keeps its classes, one node of each, and each
+    node's class (``_source_tables``); T keeps one mask per source class it
+    has met (``_target_tables``), made by one comparison with one node of
+    each of its own classes, and T's class masks are disjoint, so the
+    passing ones add up.  Per pair, each of S's classes is looked up once in
+    T's masks, and each node reads its class's mask.
     """
-    classes, fit = T._target_tables()[:2]
-    out = []
-    for a in S.poset.elements:
-        key = _colour_key(S, a)
+    tclasses, fit = T._target_tables()[:2]
+    masks = []
+    for key, a in classes:
         mask = fit.get(key)
         if mask is None:
             mask = fit[key] = sum(
-                nodes for b, nodes in classes.values() if _colour_leq(S, T, a, b)
+                nodes for b, nodes in tclasses.values() if _colour_leq(S, T, a, b)
             )
-        out.append(mask)
-    return out
+        masks.append(mask)
+    return [masks[c] for c in colour]
 
 
 def _label_entries(S, every_label):
@@ -586,13 +634,14 @@ def _label_entries(S, every_label):
 
     Under a sum node p, a node above p whose label no earlier node above p
     carries is a first node (the lowest bit of its label's row).  A first
-    node i after the first one gets the entry ``(p, [(q, code), ...])``,
+    node i after the first one gets the entry ``(p, ((q, code), ...))``,
     one code per earlier first node q: the relation code of q's label
     towards i's label in p's arity.  So p gives
-    firsts(p) * (firsts(p) - 1) / 2 codes, each list built once.  With
-    ``every_label``, each other node i above p gets ``(p, [(q0, EQUAL)])``,
-    where q0 is the first node with i's label, one list per label; so p
-    gives |up(p)| - firsts(p) EQUAL codes more.
+    firsts(p) * (firsts(p) - 1) / 2 codes, each tuple built once.  With
+    ``every_label``, each other node i above p gets ``(p, ((q0, EQUAL),))``,
+    where q0 is the first node with i's label, one tuple per label; so p
+    gives |up(p)| - firsts(p) EQUAL codes more.  Each node's entries are a
+    list; the tree keeps them as tuples (``_source_tables``).
     """
     elements = S.poset.elements
     codes = [[] for _ in elements]
@@ -605,46 +654,51 @@ def _label_entries(S, every_label):
         for k in range(1, len(firsts)):
             i, li = firsts[k]
             bit = 1 << li
-            codes[i].append((p, [
+            codes[i].append((p, tuple([
                 (q, LESS if a_up[lq] & bit else GREATER if a_dn[lq] & bit else INCOMPARABLE)
                 for q, lq in firsts[:k]
-            ]))
+            ])))
         if every_label:
             for q0, li in firsts:
-                same = [(q0, EQUAL)]
+                same = ((q0, EQUAL),)
                 for i in _bits(rows[li] & rows[li] - 1):
                     codes[i].append((p, same))
     return codes
 
 
-def _meet_entries(order):
+def _meet_entries(children):
     """Per node, its meet entries ``(q, m)``, one per earlier sibling q,
-    where m is their parent, read off the children lists ``order[m]``."""
-    meets = [()] * len(order)
-    for m, children in enumerate(order):
-        for k, (i, _) in enumerate(children):
-            meets[i] = [(q, m) for q, _ in children[:k]]
-    return meets
+    where m is their parent, read off the children tuples
+    ``children[m]``."""
+    meets = [()] * len(children)
+    for m, kids in enumerate(children):
+        for k, i in enumerate(kids):
+            meets[i] = tuple([(q, m) for q in kids[:k]])
+    return tuple(meets)
 
 
 def _conditions(S, T):
-    """``(allowed, order.__getitem__, narrow)`` for embedding S into T with
+    """``(allowed, row, narrow)`` for embedding S into T with
     ``_search.backtrack``: the colour masks (``_fits``), the row builder
-    over the order rows each node pushes to its children (made in one
-    linear pass, so the builder only looks a row up), and
-    ``narrow(i, f, c)``, the part of node i's candidate mask c that its
+    ``row(m)``, which lists the order rows node m pushes to its children,
+    and ``narrow(i, f, c)``, the part of node i's candidate mask c that its
     relation codes and meet entries allow, given the images f of the
     earlier nodes.
 
-    What depends on the target alone (its colour fits and label indices)
-    is kept on it (``StructuredTree._target_tables``); the source's rows
-    and entries are made per call, read off its parent map (a node's
-    parent is the last node of its down-set, as S is stored in a linear
-    extension), and only those that can bind.  Besides the order rows
-    there are two kinds of entry:
+    What depends on one tree alone is kept on that tree, built the first
+    time a search asks for it.  T keeps its class masks, the colour mask of
+    each source class it has met, and its label indices
+    (``StructuredTree._target_tables``).  S keeps its node classes, its
+    children tuples, and its relation codes and meet entries
+    (``StructuredTree._source_tables``), only those that can bind.  Per
+    pair, this call reads S's classes' masks off T's (``_fits``) and makes
+    the row builder and ``narrow``, which join S's kept entries to T's
+    rows and label indices; the backtracking search builds each row when
+    it first reaches its node.  Besides the order rows there are two kinds
+    of entry:
 
     - Order: each node pushes one row to each of its children, so
-      ``order[m]`` holds ``(child, T.poset.above)`` per child of m: once m
+      ``row(m)`` holds ``(child, T.poset.above)`` per child of m: once m
       is placed, f(child) is kept above f(m).  A leaf pushes none.
     - Relation codes (``_label_entries``): under a sum node p below i, the
       label of f(i) under f(p) must stand to that of each earlier f(q)
@@ -669,7 +723,7 @@ def _conditions(S, T):
     (``_layout``), and the order rows and the codes between first nodes
     imply the EQUAL codes and the meet entries, so neither is built:
 
-    - EQUAL codes.  A code ``(p, [(q0, EQUAL)])`` names i's ancestor q0,
+    - EQUAL codes.  A code ``(p, ((q0, EQUAL),))`` names i's ancestor q0,
       the child of p towards i, since the cone of that child holds exactly
       the nodes above p with its label and the child comes first.  The
       order rows force f(i) >= f(q0), so f(i) lies in f(q0)'s child cone
@@ -701,17 +755,14 @@ def _conditions(S, T):
     they hold for any complete map that keeps the order, not just for the
     search's prefixes (``verify_st_embedding``).
     """
-    allowed = _fits(S, T)
+    every_label = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
+    classes, colour, children, codes, meets = S._source_tables(every_label)
+    allowed = _fits(S, T, classes, colour)
     ttables = T._target_tables()[2]
     tabove = T.poset.above
-    # order: (child, T's above rows) per child of m
-    order = []
-    for i, row in enumerate(S.poset.below):
-        order.append([])
-        if row:
-            order[row.bit_length() - 1].append((i, tabove))
-    every_label = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
-    codes = _label_entries(S, every_label)
+
+    def row(m):
+        return [(c, tabove) for c in children[m]]
 
     def narrow_codes(i, assign, c):
         for p, earlier in codes[i]:
@@ -728,8 +779,7 @@ def _conditions(S, T):
         return c
 
     if not every_label:
-        return allowed, order.__getitem__, narrow_codes
-    meets = _meet_entries(order)
+        return allowed, row, narrow_codes
     tbelow = T.poset.below
 
     def narrow(i, assign, c):
@@ -742,7 +792,7 @@ def _conditions(S, T):
             c &= ~(tabove[k] | 1 << k)
         return narrow_codes(i, assign, c)
 
-    return allowed, order.__getitem__, narrow
+    return allowed, row, narrow
 
 
 def st_embed(S, T):
@@ -753,9 +803,9 @@ def st_embed(S, T):
     arity embeddability, leaf colours by the ground palette, and the two
     kinds never compare).  Each condition becomes a target mask for the
     shared driver ``_search.backtrack``, all made by ``_conditions``: the
-    allowed masks (colours), ``order.__getitem__``, whose row for a node
-    holds one entry per child keeping the child's image above its own
-    (order), and ``narrow`` (relation codes and meets, which involve two
+    allowed masks (colours), the row builder, whose row for a node holds
+    one entry per child keeping the child's image above its own (order),
+    and ``narrow`` (relation codes and meets, which involve two
     earlier nodes; between decomposition trees the codes between first
     nodes alone).  Nodes are placed in storage order, which StructuredTree
     keeps a linear extension, so ancestors and meets are placed first.  The
@@ -779,7 +829,9 @@ def verify_st_embedding(S, T, emap):
     and its label and meet entries (``_conditions``), which read the images
     of earlier nodes.  The order is checked first, so the entries that
     ``_conditions`` leaves out between decomposition trees are implied here
-    as they are in the search."""
+    as they are in the search.  It reads the tables the search reads, kept
+    on S and T, so only the per-pair part of ``_conditions`` is made again
+    for a map that ``st_embed`` found."""
     if S.ground_palette != T.ground_palette:
         return False
     if not check_embedding(S.poset, T.poset, emap):

@@ -29,6 +29,7 @@ from poset_forge.core import (
     EmbeddingMap,
     _bits,
     check_coloured_embedding,
+    check_embedding,
     coloured_isomorphic,
     is_isomorphic,
     one_colour_palette,
@@ -1284,16 +1285,20 @@ class TestImpliedEntries:
         assert checked > 10000
 
     def test_decomposition_pairs_build_neither(self, catalog5, monkeypatch):
-        built = Counter()
+        # the entries are built once per tree and kind of pair, when the
+        # tree is first a source (``_source_tables``), and counted then
+        built, builds = Counter(), Counter()
         build_meets, build_codes = dectree._meet_entries, dectree._label_entries
 
-        def meets(order):
-            entries = build_meets(order)
+        def meets(children):
+            entries = build_meets(children)
+            builds["meets"] += 1
             built["meets"] += sum(map(len, entries))
             return entries
 
         def codes(S, every_label):
             entries = build_codes(S, every_label)
+            builds[S, every_label] += 1
             built["equal"] += sum(code == EQUAL for e in entries for _, c in e for _, code in c)
             return entries
 
@@ -1309,6 +1314,8 @@ class TestImpliedEntries:
                 # raw copies keep every entry, and find the same witness
                 assert phi == st_embed(_rebuilt(s), _rebuilt(t))
                 found += phi is not None
+            # one build of s's codes, without EQUAL codes, over all its pairs
+            assert (builds[s, False], builds[s, True]) == (1, 0)
         assert found > 100
         # raw trees whose siblings share a label keep both kinds: one meet
         # entry per pair of siblings, one EQUAL code per node above a sum
@@ -1317,6 +1324,7 @@ class TestImpliedEntries:
         assert len(shared) > 10
         for S in shared:
             built.clear()
+            builds.clear()
             dectree._conditions(S, S)
             siblings = sum(len(_children(S, m)) * (len(_children(S, m)) - 1) // 2
                            for m in range(len(S.nodes)))
@@ -1324,6 +1332,10 @@ class TestImpliedEntries:
                         for p, rows in enumerate(S.label_rows))
             assert built == Counter(meets=siblings, equal=sames)
             assert siblings > 0 and sames > 0
+            assert builds == Counter({"meets": 1, (S, True): 1})
+            # a second call reads the kept entries and builds nothing
+            dectree._conditions(S, S)
+            assert builds == Counter({"meets": 1, (S, True): 1})
 
 
 def _cone_swaps(S):
@@ -1424,7 +1436,7 @@ class TestTargetTables:
     must get the witness it gets against a fresh copy of the target."""
 
     def _assert_kept_tables_hold(self, target, sources, other):
-        # used as a source first: a source keeps nothing
+        # used as a source first: it keeps no target tables
         st_embed(target, other)
         assert target._target is None
         tables = None
@@ -1482,6 +1494,140 @@ class TestTargetTables:
         # at most one colour comparison per (source class, target class)
         # over each target's lifetime
         assert set(calls.values()) == {1}
+
+
+def _fresh(tree):
+    """A copy of tree that keeps no table yet: a decomposition tree laid out
+    again from its composition set, a raw tree through the public
+    constructor."""
+    if isinstance(tree, DecompositionTree):
+        return DecompositionTree(tree.fset, tree.leaves, tree.base)
+    return _rebuilt(tree)
+
+
+def _fanout_pairs(rng, targets):
+    """Pairs shaped like the benchmark's ``fanout`` ones: per target, a
+    12-14-element poset at density 0.2 or 0.35, three sources of 6, 7 and 8
+    elements planted in it (shuffled induced suborders), then the target
+    into itself; all decomposition trees."""
+    pairs = []
+    for k in range(targets):
+        y = ColouredPoset.uniform(helpers.random_poset(rng, 12 + k % 3, (0.2, 0.35)[k % 2], "t"))
+        target = decomposition_tree(y)
+        for size in (6, 7, 8):
+            x = helpers.shuffled_poset(rng, y.poset.restrict(rng.sample(y.elements, size)))
+            pairs.append((decomposition_tree(ColouredPoset.uniform(x)), target))
+        pairs.append((target, target))
+    return pairs
+
+
+class TestSourceTables:
+    """A source tree keeps what st_embed reads of it; every later search,
+    verification and lift must give what fresh copies of the two trees give,
+    whatever the trees were used for before."""
+
+    @staticmethod
+    def _assert_like_fresh(s, t, verdicts=None):
+        """st_embed, verify_st_embedding on the witness and on the maps with
+        the images of two siblings swapped, and lift_embedding, each against
+        fresh copies of s and t; returns the witness, and counts the verdicts
+        on the maps that keep the order in ``verdicts``."""
+        phi = st_embed(s, t)
+        assert phi == st_embed(_fresh(s), _fresh(t))
+        if phi is None:
+            return None
+        f = [t.poset.index[b] for _, b in phi.mapping]
+        maps = [f]
+        for m in range(len(f)):
+            for a, b in itertools.combinations(_children(s, m), 2):
+                g = f[:]
+                g[a], g[b] = f[b], f[a]
+                maps.append(g)
+        for g in maps:
+            emap = EmbeddingMap(tuple(zip(s.nodes, (t.nodes[j] for j in g))), "structured-tree")
+            verdict = verify_st_embedding(s, t, emap)
+            assert verdict == verify_st_embedding(_fresh(s), _fresh(t), emap)
+            if verdicts is not None and check_embedding(s.poset, t.poset, emap):
+                verdicts[verdict] += 1
+        if isinstance(s, DecompositionTree) and isinstance(t, DecompositionTree):
+            assert lift_embedding(s, t, phi) == lift_embedding(_fresh(s), _fresh(t), phi)
+        return phi
+
+    def _assert_pairs(self, pairs):
+        """The witnesses found over pairs, and the verdicts on the maps that
+        keep the order; both verdicts must occur."""
+        found, verdicts = 0, Counter()
+        for s, t in pairs:
+            if len(s.nodes) <= len(t.nodes):
+                found += self._assert_like_fresh(s, t, verdicts) is not None
+        assert verdicts[True] and verdicts[False]
+        return found
+
+    def test_catalog5_decomposition_trees(self, catalog5):
+        # sources of up to 4 elements into every tree of catalog5, each tree
+        # a target before or after it is a source
+        trees = [
+            decomposition_tree(ColouredPoset.uniform(p)) for k in range(1, 6) for p in catalog5[k]
+        ]
+        found = self._assert_pairs([(s, t) for s in trees if len(s.base) < 5 for t in trees])
+        assert found > 300
+        assert all(s._source is not None for s in trees if len(s.base) < 5)
+
+    def test_raw_trees(self):
+        raw = [tree for _, tree in helpers.random_raw_trees(random.Random(227), 25)]
+        found = self._assert_pairs([(s, t) for s in raw for t in raw])
+        assert found > 100
+
+    def test_planted_pairs(self):
+        pairs = _fanout_pairs(random.Random(229), 6)
+        # twice over: the second pass reads every kept table
+        found = self._assert_pairs(pairs)
+        assert self._assert_pairs(pairs) == found > 6
+
+    def test_target_then_source_and_back(self, catalog5):
+        small = [decomposition_tree(ColouredPoset.uniform(p)) for p in catalog5[2]]
+        for x, t in _fanout_pairs(random.Random(233), 2)[::4]:
+            # a target first: it keeps its target tables only, then adds its
+            # source tables and keeps the target ones
+            for s in small + [x]:
+                self._assert_like_fresh(s, t)
+            assert t._source is None and t._target is not None
+            kept = t._target
+            assert self._assert_like_fresh(t, t) is not None
+            self._assert_like_fresh(t, _fresh(t))
+            assert t._target is kept and t._source is not None
+            # a source first: the other way round
+            s = _fresh(t)
+            assert self._assert_like_fresh(s, t) is not None
+            assert s._target is None and s._source is not None
+            kept = s._source
+            for r in small + [s]:
+                self._assert_like_fresh(r, s)
+            assert s._source is kept and s._target is not None
+
+    def test_one_tree_in_decomposition_and_raw_pairs(self, catalog5):
+        # a decomposition tree narrows without EQUAL codes and meet entries
+        # against a decomposition tree, and with them against a raw tree: it
+        # keeps one set of each, built when first asked for, in either order
+        trees = [decomposition_tree(ColouredPoset.uniform(p)) for k in (2, 3) for p in catalog5[k]]
+        large = [decomposition_tree(ColouredPoset.uniform(p)) for p in catalog5[4]]
+        raw = [tree for _, tree in helpers.random_raw_trees(random.Random(239), 15)]
+        raw += [_rebuilt(t) for t in large[::2]]
+        partners = {False: large, True: raw}
+        for k, s in enumerate(trees):
+            flags = (False, True) if k % 2 else (True, False)
+            for every_label in flags:
+                for t in partners[every_label]:
+                    self._assert_like_fresh(s, t)
+                assert s._source[3][every_label] is not None
+            assert s._source[3][0][4] is None and s._source[3][1][4] is not None
+            # then the target of raw sources, and once more their source
+            for t in raw[::4]:
+                self._assert_like_fresh(t, s)
+                self._assert_like_fresh(s, t)
+            assert s._source_tables(False) is s._source[3][0]
+            assert s._source_tables(True) is s._source[3][1]
+        assert all(r._source[3][0] is None for r in raw if r._source is not None)
 
 
 def _assert_verify_matches_oracle(s, t):

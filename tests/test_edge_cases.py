@@ -19,6 +19,7 @@ from poset_forge import (
     make_poset,
     maximal_decomposition,
     maximal_interval_chain,
+    p_sum,
     pathological_prefix_check,
     recompose_along_chain,
     subtree_extract,
@@ -102,6 +103,13 @@ class TestUnknownNames:
         assert not t.poset.leq("0.c/1", "2") and not t.poset.leq("2", "0.c/1")
         with pytest.raises(NotUpClosedChain, match="pairwise comparable"):
             recompose_along_chain(t, ["0.c/1", "2"])
+
+
+def test_p_sum_composite_id_collision():
+    # distinct index ids with one str() give one composite id per part element
+    a = make_poset(["a"], [])
+    with pytest.raises(DuplicateElement, match=r"composite id collision at '1\.a'"):
+        p_sum(make_poset([1, "1"], []), {1: a, "1": a})
 
 
 class TestPaletteMismatch:
