@@ -39,8 +39,9 @@ proper superset of I that contains no point splitting I
 or more points that reaches its turn unmarked is indecomposable.  Run on
 the whole poset, that pass is the specification the lifted subsets are
 checked against.  A single poset is tested on its own by
-``interval.is_indecomposable``, with n - 1 closures.  Reports carry
-witnesses, because everything downstream of these predicates wants them.
+``interval.is_indecomposable``: its root strong module must be prime, with
+every point a child.  Reports carry witnesses, because everything
+downstream of these predicates wants them.
 """
 
 from . import config

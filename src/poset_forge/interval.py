@@ -3,28 +3,27 @@
 An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
 to all of them.  ``_split`` gives the points that tell a mask's members
-apart: a mask is an interval iff no outside point is in its split.  Every
-test of the interval condition on masks reads it, except the exhaustive
-scan of ``_interval_masks``.  The decomposition path is built on two uses
-of it.  ``_close`` gives the closure of C inside M, the smallest interval
-of the order induced on M that contains C.  ``_parts`` gives P(M, v), the
-maximal intervals of M that avoid a point v, which partition M minus v
-(Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994), by
-splitting parts until each is an interval.  The canonical chain of a mask,
-and the blocks of each of its layers, are read off one walk down the strong
-modules that hold its anchor (``_spine``): a parallel or linear module's
-children are the components of its comparability or incomparability rows,
-and a prime module's are the parts of P(M, anchor) that one backward pass
-over the rows reaches from one child, found by closing parts with the
-anchor until one closes to all of M (the first part, in every case
-measured; ``_prime_children``).  ``_prime_nodes`` walks every strong
-module the same way and lists each prime node's children, from which
-``classify`` reads the indecomposable subsets.
-A poset on n points is indecomposable iff P(M, v) is all single points and
-each of the n - 1 pairs {v, w} closes to all of M.  ``enumerate_intervals``
-stays exhaustive, as the public enumeration and as the oracle the
-closure-built results are checked against; the chain keeps its size bound,
-and anything too big for it is rejected up front with a clear error.
+apart: a mask is an interval iff no outside point is in its split, and
+every test of the interval condition on masks reads it.  ``_close`` gives
+the closure of C inside M, the smallest interval of the order induced on M
+that contains C.  ``_parts`` gives P(M, v), the maximal intervals of M that
+avoid a point v, which partition M minus v (Ehrenfeucht, Gabow, McConnell
+and Sullivan, J. Algorithms 16, 1994), by splitting parts until each is an
+interval.  The rest is read off the strong-module tree (Gallai 1967), one
+node at a time by ``_node``: a parallel or linear module's children are the
+components of its comparability or incomparability rows, and a prime
+module's are its anchor's child and the parts of P(M, anchor) that one
+backward pass over the rows reaches from one child, found by closing parts
+with the anchor until one closes to all of M (the first part, in every
+case measured; ``_prime_children``).  The canonical chain of a mask, and
+the blocks of each of its layers, come from one walk down the strong
+modules that hold its anchor (``_spine``).  ``_prime_nodes`` lists each
+prime node's children, from which ``classify`` reads the indecomposable
+subsets.  ``enumerate_intervals`` lists the strong modules and the unions
+and runs of children that parallel and linear nodes allow, and a poset is
+indecomposable iff its root is prime with every point a child.  The
+enumeration and the chain keep a size bound, and anything too big for it
+is rejected up front with a clear error.
 """
 
 from itertools import compress
@@ -91,34 +90,6 @@ def is_interval(carrier, members):
     return not _split(carrier, (mask & -mask).bit_length() - 1, mask) & ~mask
 
 
-def _interval_masks(carrier):
-    """Bitmasks of all intervals, via the subset-containment reformulation.
-
-    A subset I is an interval iff every outside p has I inside one of p's
-    three relation classes.  This literal scan is the specification behind
-    ``enumerate_intervals``, and it exits early: on random 16-element
-    posets a scan through ``_split`` took 3.5-4 times as long.
-    """
-    n = len(carrier)
-    up, dn, inc = carrier.above, carrier.below, carrier.beside
-    out = []
-    for mask in range(1, 1 << n):
-        ok = True
-        for p in range(n):
-            if mask >> p & 1:
-                continue
-            if (
-                mask & ~up[p]
-                and mask & ~dn[p]
-                and mask & ~inc[p]
-            ):
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return out
-
-
 def _mask_to_set(carrier, mask):
     names = carrier.elements
     return frozenset(names[i] for i in _bits(mask))
@@ -148,11 +119,37 @@ def enumerate_intervals(carrier, bound=None):
 
     Returned sorted by (size, canonical index tuple); capped by the interval
     enumeration bound (default 16, overridable).
+
+    Every interval is a strong module, or a union of two or more (not all)
+    children of a parallel node, or a run of two or more (not all)
+    consecutive children of a linear node (Gallai 1967; Möhring and
+    Radermacher, Annals of Discrete Mathematics 19, 1984), and each of
+    those is one.  So one walk with an explicit stack over the strong
+    modules (``_node``) lists them all, once each.
     """
-    config.check_size(
-        len(carrier), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
-    )
-    return _canonical_sets(carrier, _interval_masks(carrier))
+    n = len(carrier)
+    config.check_size(n, config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements")
+    masks = [1 << i for i in range(n)]
+    stack = [(1 << n) - 1] if n > 1 else []
+    while stack:
+        module = stack.pop()
+        kind, children = _node(carrier, (module & -module).bit_length() - 1, module)
+        masks.append(module)
+        if kind == "parallel":
+            unions = [0]
+            for c in children:
+                unions += [u | c for u in unions]
+            # union number j holds child i iff bit i of j is set
+            masks += [u for j, u in enumerate(unions[:-1]) if j & j - 1]
+        elif kind == "linear":
+            k = len(children)
+            for i in range(k - 1):
+                run = children[i]
+                for j in range(i + 1, k - (i == 0)):
+                    run |= children[j]
+                    masks.append(run)
+        stack += [c for c in children if c & c - 1]
+    return _canonical_sets(carrier, masks)
 
 
 def _close(carrier, members, within):
@@ -203,24 +200,20 @@ def _parts(carrier, v, within):
 def is_indecomposable(carrier):
     """True iff every interval is a singleton or the whole poset.
 
-    Every poset on one or two points is.  On three or more, fix the point v
-    at index 0: the poset is indecomposable iff every part of P(M, v)
-    (``_parts``) is a single point and every pair {v, w} closes to all of
-    M, which takes n - 1 closures.  A proper interval I of two or more
-    points either avoids v, and then lies in a part of two or more points,
-    or holds v and some w, and then holds the closure of {v, w}.
-    Conversely a part of two or more points, or a pair {v, w} closing short
-    of M, is such an interval.
+    Every poset on one or two points is.  On three or more, it is iff the
+    whole poset is a prime node whose children are its n points (``_node``).
+    Every interval of a prime node is the node or lies in one child, and
+    each child is an interval.  A parallel or linear node of three or more
+    points has a proper interval of two or more: a child, or the union or
+    run of two of its children.
     """
     n = len(carrier)
     if n == 0:
         raise EmptyPoset("indecomposability is about non-empty posets")
     if n < 3:
         return True
-    full = (1 << n) - 1
-    return len(_parts(carrier, 0, full)) == n - 1 and all(
-        _close(carrier, 1 | 1 << w, full) == full for w in range(1, n)
-    )
+    kind, children = _node(carrier, 0, (1 << n) - 1)
+    return kind == "prime" and len(children) == n
 
 
 def quotient(carrier, parts):
@@ -326,11 +319,40 @@ def _tie(mask):
     return mask.bit_count(), mask & -mask
 
 
+def _node(carrier, anchor, module):
+    """(kind, children) for the strong module ``module``, a mask of two or
+    more points, and the point at index anchor in it: its maximal strong
+    proper submodules, split one of three ways (Gallai 1967).
+
+    - ``"parallel"``: the comparability rows do not connect the module, and
+      its children are their components, by lowest point; any union of them
+      is a module;
+    - ``"linear"``: the ``beside`` rows do not connect it, and its children
+      are their components, each below the next, bottom first; a run of
+      consecutive ones is a module;
+    - ``"prime"``: any other module.  Every module of it is it or lies in
+      one child, and the children, the anchor's first, are read off one
+      closure and one backward pass (``_prime_children``).
+    """
+    children = _components(carrier, module, True)
+    if len(children) > 1:
+        return "parallel", children
+    children = _components(carrier, module, False)
+    if len(children) == 1:
+        return "prime", _prime_children(carrier, anchor, module)
+    # bottom first, by the points of the module below each child's first
+    # point: all those of the children below it, and fewer than its size of
+    # its own
+    dn = carrier.below
+    children.sort(key=lambda c: (dn[(c & -c).bit_length() - 1] & module).bit_count())
+    return "linear", children
+
+
 def _prime_children(carrier, anchor, module):
-    """The children of the prime strong module ``module`` (a mask) that
-    avoid the point at index anchor, a point of it, in the order of
-    ``_parts``, together with their union: ``module & ~reach`` is the
-    anchor's child C.
+    """The children of the prime strong module ``module`` (a mask): first
+    the child C of the point at index anchor, a point of it, which is
+    ``module & ~reach``, then those that avoid the anchor, in the order of
+    ``_parts``.
 
     Write v for the anchor and S for the module.  Every module of S is S or
     lies in one child, so the children that avoid v are parts of P(S, v)
@@ -394,7 +416,7 @@ def _prime_children(carrier, anchor, module):
             diff |= ~row
         new = diff & module & ~reach
         reach |= new
-    return [x for x in parts if x & reach], reach
+    return [module & ~reach] + [x for x in parts if x & reach]
 
 
 def _prime_nodes(carrier):
@@ -402,26 +424,19 @@ def _prime_nodes(carrier):
     per module, each list sorted by the children's lowest points.
 
     One walk with an explicit stack opens every strong module of two or
-    more points, from the whole carrier down (Gallai 1967, as in
-    ``_spine``): a parallel or linear module's children are the components
-    of its comparability or incomparability rows, and a prime module's
-    those of ``_prime_children`` at its lowest point, plus that point's
-    child, ``module & ~reach``.  So each prime node costs one closure.
-    Sorted by lowest point, the children of a prime node whose children are
-    all of the carrier's points one by one are those points in index order.
+    more points, from the whole carrier down (``_node``), each at its
+    lowest point.  So each prime node costs one closure.  Sorted by lowest point, the children of a prime
+    node whose children are all of the carrier's points one by one are
+    those points in index order.
     """
     out = []
     stack = [(1 << len(carrier)) - 1] if len(carrier) > 1 else []
     while stack:
         module = stack.pop()
-        children = _components(carrier, module, True)
-        if len(children) == 1:
-            children = _components(carrier, module, False)
-            if len(children) == 1:
-                anchor = (module & -module).bit_length() - 1
-                others, reach = _prime_children(carrier, anchor, module)
-                children = [module & ~reach] + sorted(others, key=lambda c: c & -c)
-                out.append(children)
+        kind, children = _node(carrier, (module & -module).bit_length() - 1, module)
+        if kind == "prime":
+            children.sort(key=lambda c: c & -c)
+            out.append(children)
         stack += [c for c in children if c & c - 1]
     return out
 
@@ -438,25 +453,14 @@ def _spine(carrier, anchor, within, bound=None):
     lexicographically least sorted index tuple.  It is read off the strong
     modules that hold the anchor, the modules that overlap no module
     (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16, 1994),
-    walked down from within.  A strong module S of two or more points splits
-    into its maximal strong proper submodules, its children, in one of three
-    ways (Gallai 1967):
-
-    - parallel: the comparability rows do not connect S, and its children
-      are the components; any union of them is a module;
-    - linear: the ``beside`` rows do not connect S, and its children are the
-      co-components, each below the next; a run of consecutive ones is a
-      module;
-    - prime: any other S.  Every module of S is S or lies in one child, and
-      the children are read off one closure and one backward pass
-      (``_prime_children``).
+    walked down from within one node at a time (``_node``).
 
     Every module of within that holds the anchor and a point outside the
-    anchor's child C of S holds C, being a module that meets the strong C
-    without lying in it.  So read bottom-up, the greedy chain passes
-    through each strong module on the walk, and between C and S it takes
-    the smallest modules that hold C: at a prime node S itself; at a
-    parallel node C plus the other children one at a time, in ``_tie``
+    anchor's child C of a strong module S holds C, being a module that
+    meets the strong C without lying in it.  So read bottom-up, the greedy
+    chain passes through each strong module on the walk, and between C and
+    S it takes the smallest modules that hold C: at a prime node S itself;
+    at a parallel node C plus the other children one at a time, in ``_tie``
     order; at a linear node C plus the smaller (``_tie``) of the two
     neighbouring children of the run, one at a time.  Equal sizes go to the
     lower index tuple, which holds the lowest point where two candidates
@@ -465,25 +469,18 @@ def _spine(carrier, anchor, within, bound=None):
     config.check_size(
         within.bit_count(), config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements"
     )
-    dn = carrier.below
     point = 1 << anchor
     spine = []
     module = within
     while module != point:
-        children = _components(carrier, module, True)
-        if len(children) > 1:  # parallel
+        kind, children = _node(carrier, anchor, module)
+        if kind == "prime":
+            spine.append((module, children[1:]))
+            module = children[0]
+            continue
+        if kind == "parallel":
             added = sorted((c for c in children if not c & point), key=_tie)
         else:
-            children = _components(carrier, module, False)
-            if len(children) == 1:  # prime
-                others, reach = _prime_children(carrier, anchor, module)
-                spine.append((module, others))
-                module &= ~reach
-                continue
-            # linear: bottom first, by the points of the module below each
-            # child's first point: all those of the children below it, and
-            # fewer than its size of its own
-            children.sort(key=lambda c: (dn[(c & -c).bit_length() - 1] & module).bit_count())
             t = next(k for k, c in enumerate(children) if c & point)
             lower, upper = children[:t][::-1], children[t + 1 :]  # nearest first
             added = []

@@ -722,9 +722,9 @@ def pair_closure_indecomposable(poset, mask):
 
     A proper interval with two or more points contains a pair whose closure
     stays inside it, and a pair closing to all of the mask lies in no such
-    interval.  This was the library's own test before the partition one of
-    ``interval.is_indecomposable``, which makes n - 1 closures where this
-    makes n(n - 1)/2; it shares only ``interval._close`` with it.
+    interval.  This was the library's own test before
+    ``interval.is_indecomposable`` read the root strong module; it shares
+    only ``interval._close`` with it.
     """
     rest = mask
     while rest:

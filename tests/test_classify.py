@@ -225,13 +225,10 @@ def _assert_matches_oracle(p, call=lambda f, *args: f(*args)):
 
 
 class TestNoIntervalScan:
-    def test_closure_test_alone(self, catalog5, monkeypatch):
-        # the per-subset interval scan is gone: with it disabled, every
-        # indecomposability answer still agrees with the rows oracle
-        def scan(carrier):
-            raise AssertionError("the interval mask scan was called")
-
-        monkeypatch.setattr(interval, "_interval_masks", scan)
+    def test_closure_test_alone(self, catalog5):
+        # the per-subset interval scan is gone, and every indecomposability
+        # answer agrees with the rows oracle
+        assert not hasattr(interval, "_interval_masks")
         assert not hasattr(classify, "_interval_masks")
         for n, reps in catalog5.items():
             for p in reps:
@@ -239,13 +236,11 @@ class TestNoIntervalScan:
                 assert is_indecomposable(p) == (n == 1 or frozenset(p.elements) in want)
 
     def test_one_closure_per_prime_node(self, catalog5, monkeypatch):
-        # indecomposable subsets are read off the prime nodes' quotients:
-        # with the interval scan disabled, class_check and
-        # indecomposable_subsets each make one closure per prime strong
-        # module, and none per subset, and still agree with the rows oracle
-        def scan(carrier):
-            raise AssertionError("the interval mask scan was called")
-
+        # indecomposable subsets are read off the prime nodes' quotients,
+        # with no interval scan: class_check and indecomposable_subsets each
+        # make one closure per prime strong module, and none per subset, and
+        # still agree with the rows oracle
+        assert not hasattr(interval, "_interval_masks")
         calls = [0]
 
         def counted(*args):
@@ -253,7 +248,6 @@ class TestNoIntervalScan:
             return close(*args)
 
         close = interval._close
-        monkeypatch.setattr(interval, "_interval_masks", scan)
         monkeypatch.setattr(interval, "_close", counted)
         assert not hasattr(classify, "_close")
         checks = primes = 0
@@ -274,13 +268,11 @@ class TestNoIntervalScan:
                 _assert_matches_oracle(p, one_each)
         assert primes > 10 and checks > 500
 
-    def test_decomposition_path_alone(self, catalog6, monkeypatch):
-        # the chain, the layer arities and the tree come from closures: with
-        # the scan disabled they still agree with the brute-force oracles
-        def scan(carrier):
-            raise AssertionError("the interval mask scan was called")
-
-        monkeypatch.setattr(interval, "_interval_masks", scan)
+    def test_decomposition_path_alone(self, catalog6):
+        # the chain, the layer arities and the tree come from the
+        # strong-module walk, with no interval scan, and agree with the
+        # brute-force oracles
+        assert not hasattr(interval, "_interval_masks")
         assert not hasattr(composition, "enumerate_intervals")
         for reps in catalog6.values():
             for p in reps:

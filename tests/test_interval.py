@@ -99,9 +99,18 @@ class TestEnumerateIntervals:
         assert got == {frozenset({"a"}), frozenset({"b"}), frozenset({"a", "b"})}
 
     def test_matches_brute_on_catalog(self, catalog5):
-        for n, reps in catalog5.items():
-            for p in reps:
-                assert set(enumerate_intervals(p)) == set(helpers.brute_intervals(p))
+        # as lists in canonical order, so a mask listed twice shows; the
+        # random and substitution posets have wide parallel and linear nodes
+        rng = random.Random(233)
+        posets = [make_poset([], []), make_poset(["a"], [])]
+        posets += [p for reps in catalog5.values() for p in reps]
+        for _ in range(40):
+            p = helpers.random_poset(rng, rng.randint(7, 10), rng.choice((0.1, 0.3, 0.6)))
+            posets.append(helpers.shuffled_poset(rng, p))
+            posets.append(helpers.substitution_poset(rng, rng.randint(5, 10)))
+        for p in posets:
+            assert enumerate_intervals(p) == helpers.brute_intervals(p)
+        assert enumerate_intervals(make_poset([], [])) == []
 
     def test_size_bound(self):
         with pytest.raises(TooLarge):
@@ -134,13 +143,22 @@ class TestIndecomposable:
             is_indecomposable(make_poset([], []))
 
     def test_agrees_with_brute(self, catalog6):
-        for n, reps in catalog6.items():
-            for p in reps:
-                assert is_indecomposable(p) == helpers.brute_indecomposable(p)
+        # and on random prime orders, and on substitution posets, whose root
+        # is prime with a child of two or more points
+        rng = random.Random(239)
+        posets = [p for reps in catalog6.values() for p in reps]
+        for _ in range(60):
+            posets.append(helpers.shuffled_poset(rng, helpers.random_prime_order(rng, rng.randint(4, 9))))
+            posets.append(helpers.substitution_poset(rng, rng.randint(5, 10)))
+        seen = [0, 0]
+        for p in posets:
+            want = helpers.brute_indecomposable(p)
+            assert is_indecomposable(p) == want
+            seen[want] += 1
+        assert min(seen) > 60
 
     def test_agrees_with_rows_oracle_size7(self, catalog7):
-        # and with the n(n - 1)/2 pair closures that the n - 1-closure test
-        # replaced
+        # and with the n(n - 1)/2 pair closures of the former test
         full = (1 << 7) - 1
         for p in catalog7:
             want = helpers.brute_indecomposable_mask(p, full)
@@ -522,6 +540,40 @@ class TestPrimeChildren:
         nodes = self._run(catalog6, monkeypatch, lambda got: got[::-1][1:] + got[::-1][:1])
         assert any(closes > 1 for _, _, closes in nodes)
         assert any(closes < first + 1 for _, first, closes in nodes)
+
+
+class TestNode:
+    # each strong module's kind and children, read off the rows, against the
+    # maximal strong modules inside it, at every anchor; the shuffled copies
+    # store a linear node's children out of order
+    def test_match_brute_strong_modules(self, catalog6):
+        rng = random.Random(241)
+        kinds = set()
+        for reps in catalog6.values():
+            for p in reps + [helpers.shuffled_poset(rng, p) for p in reps]:
+                strong = helpers.brute_strong_modules(p)
+                prime = helpers.brute_prime_children(p)
+                for s in strong:
+                    if len(s) < 2:
+                        continue
+                    inner = [t for t in strong if t < s]
+                    want = {t for t in inner if not any(t < u for u in inner)}
+                    module = sum(1 << p.index[e] for e in s)
+                    for anchor in _bits(module):
+                        kind, children = interval._node(p, anchor, module)
+                        kinds.add(kind)
+                        got = [_mask_to_set(p, c) for c in children]
+                        assert len(got) == len(want) and set(got) == want
+                        assert (kind == "prime") == (s in prime)
+                        lows = [min(c, key=p.index.__getitem__) for c in got]
+                        pairs = list(zip(lows, lows[1:]))
+                        if kind == "parallel":
+                            assert not any(p.lt(a, b) or p.lt(b, a) for a, b in pairs)
+                        elif kind == "linear":
+                            assert all(p.lt(a, b) for a, b in pairs)  # bottom first
+                        else:
+                            assert children[0] >> anchor & 1
+        assert kinds == {"parallel", "linear", "prime"}
 
 
 class TestPrimeNodes:
