@@ -1,11 +1,12 @@
-"""The one backtracking driver behind every injection search.
+"""The one backtracking kernel behind every injection search, the one
+builder of relation-exact rows, and the degree prefilter.
 
-``backtrack`` fills sources ``0 .. n-1`` in ascending order with distinct
-targets, bit ``j`` of an int standing for target ``j``.  It checks forward
-(Haralick and Elliott, Artificial Intelligence 14, 1980): it keeps, per
-depth, a candidate mask for every source, starting from ``allowed``
-(colours, degree pruning).  Placing source i at target v ANDs the mask of
-each later source j with ``table[v]`` for each ``(j, table)`` in
+``backtrack(allowed, row, narrow=None)`` fills sources ``0 .. n-1`` in
+ascending order with distinct targets, bit ``j`` of an int standing for
+target ``j``.  It checks forward (Haralick and Elliott, Artificial
+Intelligence 14, 1980): it keeps, per depth, a candidate mask for every
+source, starting from ``allowed``.  Placing source i at target v ANDs the
+mask of each later source j with ``table[v]`` for each ``(j, table)`` in
 ``row(i)``; if one of them empties, v is rejected there and then.  When a
 source is reached, its candidates are its kept mask minus the used targets,
 then ``narrow``.  Candidates are taken lowest bit first, so the witness is
@@ -18,35 +19,33 @@ rejected placement leaves some later source with no target that the placed
 sources allow, so no injection extends it.  The search only skips prefixes
 that have no completion.
 
-The rows come from a builder, ``row(i)``, called at most once per source
-and search: for source 0 before the loop, and for a later source the first
-time it is reached with a candidate left after ``narrow``.  A row is read
-only when its source is placed, and a source is placed only from a
-non-empty candidate mask, so every row is built before it is read.  A
-row depends on its source alone, so when it is built changes neither the
-kept masks nor the candidates and their order, and so not the witness; a
-search that dies early builds only the rows of the sources it reached.
+The two hooks are the caller's.  ``row(i)`` lists ``(j, table)`` for later
+sources j.  It is called at most once per source and search: for source 0
+before the loop, and for a later source the first time it is reached with
+a candidate left after ``narrow``.  A row is read only when its source is
+placed, and a source is placed only from a non-empty candidate mask, so
+every row is built before it is read.  A row must depend on its source
+alone, so the moment it is built changes neither the kept masks nor the
+candidates and their order, and so not the witness; a search that dies
+early builds only the rows of the sources it reached.  ``narrow(i, assign,
+c)``, when given, returns the part of the candidate mask ``c`` that source
+i may take given the images ``assign[:i]`` of the earlier sources; it may
+read nothing else of ``assign``, so it can be called on a complete map to
+re-check it.  ``dectree.st_embed`` passes both: rows over the children its
+source tree keeps and a ``narrow`` for its label and meet conditions.
 
-``code_rows`` makes an injection relation-exact: for ``j > i`` the table is
-``y.above`` when i < j in x, ``y.below`` when i > j and ``y.beside`` when
-they are incomparable, read off x's rows.  These are strict rows, so each
-also drops v itself.  It serves ``search_injection`` only, which is just
-that.  ``search_injection`` has three callers, all in ``core``:
-``_embed_assign`` (behind ``embed``, ``is_isomorphic`` and
-``classify.is_n_free``), ``_coloured_assign`` (behind ``coloured_embed``)
-and ``coloured_isomorphic``.  The kernel has two more callers.
-``core._family_below``, behind ``wqo``'s matrix and bad-pair search,
-passes ``core._family_rows``, which yields the lists of ``code_rows``
-from relation codes read once per member and call, not once per pair.
-``dectree.st_embed`` passes instead a row builder over the children
-that the source tree keeps (``StructuredTree._source_tables``), one row
-from each tree node to each of its children, ``(child, y.above)``, and
-``narrow(i, assign, c)``, which returns the part of the candidate mask
-``c`` that its label and meet conditions allow, since each involves two
-earlier sources; ``dectree._conditions`` says which entries it reads and
-which tree keeps them.
-``narrow`` reads only the images of sources before i, so
-``dectree.verify_st_embedding`` calls it on a complete map too.
+``code_rows(x, y)`` is the one builder of relation-exact rows: for
+``j > i`` the table is ``y.above`` when i < j in x, ``y.below`` when
+i > j and ``y.beside`` when they are incomparable, read off x's rows.
+These are strict rows, so each also drops v itself.  ``search_injection``
+is ``backtrack`` on those rows with no ``narrow``: the first injection of x
+into y that keeps every ordered pair's relation, inside ``allowed``.  Every
+induced-suborder search, coloured or not, single or over a family, is
+that call, and differs only in its ``allowed`` masks.
+
+``degree_mask(x, y)`` is the sound prefilter of those masks: per source,
+the targets whose above, below and incomparable counts are each at least
+the source's.
 """
 
 

@@ -16,7 +16,9 @@ coloured search).  A coloured search's allowed masks come from one routine,
 index) with a target half (the count masks and colour fit); a single search
 builds both halves per call (``_coloured_allowed``), and the family
 searcher behind the embeddability matrix (``_family_below``) builds each
-member's halves and relation codes once per call, keeping nothing past it.
+member's halves once per call, keeping nothing past it.  Every search here,
+single or family, then runs as ``_search.search_injection``, on the rows
+of the one relation-exact row builder, ``_search.code_rows``.
 The element tuple is the canonical enumeration: all tie-breaking anywhere
 in the library (interval chain selection, quotient representatives, witness
 search order) refers back to it.
@@ -601,17 +603,28 @@ def union_q(q0, q1):
     return QuasiOrder(colours, pairs)
 
 
+# a \ or , inside a pair component is backslash-escaped, so that the
+# first unescaped "," ends the left colour and distinct pairs get distinct ids
+_PAIR_ESCAPES = str.maketrans({"\\": "\\\\", ",": "\\,"})
+
+
+def _pair_id(a, b):
+    return f"({str(a).translate(_PAIR_ESCAPES)},{str(b).translate(_PAIR_ESCAPES)})"
+
+
 def product_q(q0, q1):
-    """Pairs of colours ordered componentwise."""
-    colours = [f"({a},{b})" for a in q0.colours for b in q1.colours]
-    pairs = []
-    for a0 in q0.colours:
-        for b0 in q1.colours:
-            for a1 in q0.colours:
-                for b1 in q1.colours:
-                    if q0.leq(a0, a1) and q1.leq(b0, b1):
-                        pairs.append((f"({a0},{b0})", f"({a1},{b1})"))
-    return QuasiOrder(colours, pairs)
+    """Pairs of colours ordered componentwise.
+
+    The pair (a, b) is named ``(a,b)``, with any ``\\`` or ``,`` inside a
+    or b backslash-escaped; colours without them keep the plain name."""
+    names = {(a, b): _pair_id(a, b) for a in q0.colours for b in q1.colours}
+    pairs = [
+        (names[a0, b0], names[a1, b1])
+        for a0, b0 in names
+        for a1, b1 in names
+        if q0.leq(a0, a1) and q1.leq(b0, b1)
+    ]
+    return QuasiOrder(list(names.values()), pairs)
 
 
 ONE_COLOUR = "0"
@@ -779,9 +792,10 @@ def _allowed(source, target):
 def _coloured_allowed(x, y, exact):
     """Per source of x, the targets of y that pass the degree filter and
     whose colour is at or above the source's, or equal to it when exact:
-    ``_allowed`` of x's source half and y's target half, the one
-    allowed-mask routine of every coloured search.  A source larger than
-    its target allows nothing: an element's three counts sum past every
+    ``_allowed`` of x's source half and y's target half, both built for
+    this one search.  ``_family_below`` joins the same halves, built once
+    per member, through the same ``_allowed``.  A source larger than its
+    target allows nothing: an element's three counts sum past every
     target's, so one of them exceeds the target's."""
     if len(x) > len(y):
         return [0] * len(x)
@@ -797,63 +811,25 @@ def _coloured_assign(x, y):
     return _search.search_injection(x.poset, y.poset, _coloured_allowed(x, y, False))
 
 
-def _coded_tables(y):
-    """The forward entries of target poset y, indexed by relation code: item
-    ``3 * j + code`` is ``(j, table)``, where ``table`` is y's ``beside``,
-    ``above`` or ``below`` as ``code`` is ``INCOMPARABLE``, ``LESS`` or
-    ``GREATER``."""
-    tables = (y.beside, y.above, y.below)
-    return [(j, table) for j in range(len(y)) for table in tables]
-
-
-def _family_rows(x, codes, coded):
-    """The row builder of poset x into the target whose ``_coded_tables``
-    are ``coded``, from x's relation codes, one slot per element of x.
-    ``codes[k]`` lists ``3 * j + x.code(k, j)`` for each j > k, ascending
-    in j; a slot still None is filled the first time its row is built, so
-    the searches of one source read each row's codes off x once.
-
-    A source is no larger than its target, so each j indexes ``coded``,
-    and ``row(k)`` is the list ``_search.code_rows(x, y)(k)``: the same
-    tables in the same order.  The search so keeps every mask, verdict and
-    count."""
-    n = len(codes)
-    x_above, x_below = x.above, x.below
-
-    def row(k):
-        keys = codes[k]
-        if keys is None:
-            up, dn = x_above[k], x_below[k]
-            keys = codes[k] = [
-                3 * j + (LESS if up >> j & 1 else GREATER if dn >> j & 1 else INCOMPARABLE)
-                for j in range(k + 1, n)
-            ]
-        return [coded[q] for q in keys]
-
-    return row
-
-
 def _family_below(members):
     """``below(i, j)``: whether members[i] has a colour-increasing embedding
     into members[j]; the members share a palette.  The search behind
     ``wqo.embeddability_matrix`` and ``wqo.bad_pair_search``.
 
-    Each member's source half (``_source_part``) and relation codes, and
-    its target half (``_target_part``) and coded tables
-    (``_coded_tables``), are worked out at most once per call of
+    Each member's source half (``_source_part``) and target half
+    (``_target_part``) are worked out at most once per call of
     ``_family_below``, the first time a search needs them, and live only
-    as long as ``below``: nothing is kept on the members.  Each search
-    gets the allowed masks of ``_coloured_allowed`` and the rows of
-    ``_search.code_rows`` (``_family_rows``), so it runs as
-    ``_coloured_assign`` would, and ``below(i, j)`` is true iff that finds
-    an embedding.  A source larger than its target is refused unsearched.
-    Every other pair reaches the kernel, even with an empty mask, which
+    as long as ``below``: nothing is kept on the members.  Each search is
+    ``_search.search_injection`` on the allowed masks that
+    ``_coloured_allowed`` would give, so it runs as ``_coloured_assign``
+    would, and ``below(i, j)`` is true iff that finds an embedding.  A
+    source larger than its target is refused unsearched.  Every other pair
+    reaches the kernel, even with an empty mask, which
     ``_search.backtrack`` refuses before building any row.
     """
     n = len(members)
     sizes = [len(m) for m in members]
-    sources, codes = [None] * n, [None] * n
-    targets, coded = [None] * n, [None] * n
+    sources, targets = [None] * n, [None] * n
 
     def below(i, j):
         if sizes[i] > sizes[j]:
@@ -861,13 +837,11 @@ def _family_below(members):
         source = sources[i]
         if source is None:
             source = sources[i] = _source_part(members[i])
-            codes[i] = [None] * sizes[i]
         target = targets[j]
         if target is None:
             target = targets[j] = _target_part(members[j], False)
-            coded[j] = _coded_tables(members[j].poset)
-        row = _family_rows(members[i].poset, codes[i], coded[j])
-        return _search.backtrack(_allowed(source, target), row) is not None
+        allowed = _allowed(source, target)
+        return _search.search_injection(members[i].poset, members[j].poset, allowed) is not None
 
     return below
 

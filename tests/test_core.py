@@ -26,7 +26,7 @@ from poset_forge import (
     zeta_tree_sum,
 )
 from poset_forge import _search, core, dectree
-from poset_forge.wqo import embeddability_matrix, fence_antichain
+from poset_forge.wqo import bad_pair_search, embeddability_matrix, fence_antichain
 from poset_forge.core import (
     EQUAL,
     GREATER,
@@ -1024,33 +1024,24 @@ class TestRowBuilder:
         # the same seeded pairs as TestForwardChecking
         self._check(_planted_and_random(random.Random(193), 300))
 
-    def test_family_rows_equal_code_rows(self, catalog5):
-        # the family builder yields code_rows' lists, tables and all, with
-        # one codes list per source shared by its searches as in a family
-        posets = [p for reps in catalog5.values() for p in reps]
-        for x in posets:
-            codes = [None] * len(x)
-            for y in posets:
-                if len(x) > len(y):
-                    continue
-                row = core._family_rows(x, codes, core._coded_tables(y))
-                want = _search.code_rows(x, y)
-                for k in reversed(range(len(x))):
-                    got = row(k)
-                    assert got == want(k)
-                    assert all(a is b for (_, a), (_, b) in zip(got, want(k)))
-            assert None not in codes
-
-    def test_fence_matrix_builds_fewer_rows_than_sources(self, monkeypatch):
-        family_rows = core._family_rows
+    @staticmethod
+    def _counted_code_rows(monkeypatch):
+        """Wrap ``_search.code_rows``, the one builder of the rows of
+        every relation-exact search, and return the list of (source size,
+        sources built) per search."""
+        code_rows = _search.code_rows
         searches = []
 
-        def counted_family_rows(x, codes, coded):
-            row, built = _counted_rows(family_rows(x, codes, coded))
+        def counted_code_rows(x, y):
+            row, built = _counted_rows(code_rows(x, y))
             searches.append((len(x), built))
             return row
 
-        monkeypatch.setattr(core, "_family_rows", counted_family_rows)
+        monkeypatch.setattr(_search, "code_rows", counted_code_rows)
+        return searches
+
+    def test_fence_matrix_builds_fewer_rows_than_sources(self, monkeypatch):
+        searches = self._counted_code_rows(monkeypatch)
         fam = fence_antichain(10)
         matrix = embeddability_matrix(fam)
         # an antichain: each member embeds only into itself
@@ -1067,6 +1058,15 @@ class TestRowBuilder:
         rows = sum(len(built) for _, built in searches)
         assert rows == 120
         assert rows < sum(n for n, built in searches if built)
+
+    def test_fence_bad_pair_search_builds_through_code_rows(self, monkeypatch):
+        searches = self._counted_code_rows(monkeypatch)
+        fam = fence_antichain(10)
+        # the members grow, so the first pair is searched, and it is bad
+        assert bad_pair_search(fam) == (0, 1)
+        # one search, through code_rows; a source of it has no allowed
+        # target, so the kernel refuses it before building any row
+        assert searches == [(4, [])]
 
 
 class TestConstructorsProduceStrictOrders:
@@ -1141,6 +1141,17 @@ class TestQuasiOps:
         assert prod.leq("(0,0)", "(1,1)")
         assert not prod.leq("(1,0)", "(0,1)")
         assert not prod.leq("(0,1)", "(1,0)")
+
+    def test_product_names_commas_apart(self):
+        # ("a,b", "c") and ("a", "b,c") both read (a,b,c) unescaped
+        prod = product_q(QuasiOrder(["a,b", "a"], []), QuasiOrder(["c", "b,c"], []))
+        assert prod.colours == ("(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)")
+        assert prod.leq("(a\\,b,c)", "(a\\,b,c)")
+        assert not prod.leq("(a\\,b,c)", "(a,b\\,c)")
+        # a backslash is escaped too: with commas alone escaped, ("x\\",
+        # "y,z") and ("x,y\\", "z") would both read (x\\,y\\,z)
+        prod = product_q(QuasiOrder(["x\\", "x,y\\"], []), QuasiOrder(["y,z", "z"], []))
+        assert len(set(prod.colours)) == 4
 
     def test_union_with_empty(self):
         q = QuasiOrder(["x", "y"], [("x", "y")])
