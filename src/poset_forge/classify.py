@@ -178,19 +178,16 @@ def is_n_free(x):
 class ClassSpec(_Frozen):
     """Allowed indecomposables: an explicit list of posets, or a size cap."""
 
-    __slots__ = ("allowed", "max_size", "prefix_depth")
+    __slots__ = ("allowed", "max_size")
 
-    def __init__(self, allowed=None, max_size=None, prefix_depth=3):
+    def __init__(self, allowed=None, max_size=None):
         # allowed: tuple of Posets, or None; max_size: size cap, or None
         if (allowed is None) == (max_size is None):
             raise ValueError("give exactly one of allowed or max_size")
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be >= 1")
-        if prefix_depth < 1:
-            raise ValueError("prefix_depth must be >= 1")
         object.__setattr__(self, "allowed", None if allowed is None else tuple(allowed))
         object.__setattr__(self, "max_size", max_size)
-        object.__setattr__(self, "prefix_depth", prefix_depth)
 
 
 class ClassReport(_Record):

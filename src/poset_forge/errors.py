@@ -39,7 +39,7 @@ class NotATree(PosetForgeError):
     pass
 
 
-class PaletteMismatch(PosetForgeError):
+class PaletteMismatch(PosetForgeError, ValueError):
     pass
 
 

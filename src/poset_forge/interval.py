@@ -4,26 +4,24 @@ An interval is a non-empty subset whose members are indistinguishable from
 outside: every outside point has the same relation (<, > or incomparable)
 to all of them.  ``_split`` gives the points that tell a mask's members
 apart: a mask is an interval iff no outside point is in its split, and
-every test of the interval condition on masks reads it.  ``_close`` gives
-the closure of C inside M, the smallest interval of the order induced on M
-that contains C.  ``_parts`` gives P(M, v), the maximal intervals of M that
-avoid a point v, which partition M minus v (Ehrenfeucht, Gabow, McConnell
-and Sullivan, J. Algorithms 16, 1994), by splitting parts until each is an
-interval.  The rest is read off the strong-module tree (Gallai 1967), one
-node at a time by ``_node``: a parallel or linear module's children are the
-components of its comparability or incomparability rows, and a prime
-module's are its anchor's child and the parts of P(M, anchor) that one
-backward pass over the rows reaches from one child, found by closing parts
-with the anchor until one closes to all of M (the first part, in every
-case measured; ``_prime_children``).  The canonical chain of a mask, and
-the blocks of each of its layers, come from one walk down the strong
-modules that hold its anchor (``_spine``).  ``_prime_nodes`` lists each
-prime node's children, from which ``classify`` reads the indecomposable
-subsets.  ``enumerate_intervals`` lists the strong modules and the unions
-and runs of children that parallel and linear nodes allow, and a poset is
+every test of the interval condition on masks reads it.  ``_parts`` gives
+P(M, v), the maximal intervals of M that avoid a point v, which partition M
+minus v (Ehrenfeucht, Gabow, McConnell and Sullivan, J. Algorithms 16,
+1994), by splitting parts until each is an interval.  The rest is read off
+the strong-module tree (Gallai 1967), one node at a time by ``_node``: a
+parallel or linear module's children are the components of its
+comparability or incomparability rows, and a prime module's are its
+anchor's child and the parts of P(M, anchor) that one backward pass over
+the rows reaches from the first part, which is always a child
+(``_prime_children``).  The canonical chain of a mask, and the blocks of
+each of its layers, come from one walk down the strong modules that hold
+its anchor (``_spine``).  ``_prime_nodes`` lists each prime node's
+children, from which ``classify`` reads the indecomposable subsets.
+``enumerate_intervals`` lists the strong modules and the unions and runs of
+children that parallel and linear nodes allow, and a poset is
 indecomposable iff its root is prime with every point a child.  The
-enumeration and the chain keep a size bound, and anything too big for it
-is rejected up front with a clear error.
+enumeration and the chain keep a size bound, and anything too big for it is
+rejected up front with a clear error.
 """
 
 from itertools import compress
@@ -60,9 +58,7 @@ def _split(carrier, a, mask):
     its ``below`` row, so differently iff p lies in ``above[a] ^ above[c]``
     or in ``below[a] ^ below[c]``.  Hence the points outside M that split
     M are ``_split(carrier, a, M) & ~M``, for any a in M; M is an interval
-    iff there are none, and every interval holding M holds them all.  The
-    union distributes over mask, so a closure need only feed in the points
-    it has just added.
+    iff there are none, and every interval holding M holds them all.
     """
     up, dn = carrier.above, carrier.below
     up_a, dn_a = up[a], dn[a]
@@ -152,24 +148,6 @@ def enumerate_intervals(carrier, bound=None):
     return _canonical_sets(carrier, masks)
 
 
-def _close(carrier, members, within):
-    """Closure of the mask members inside the mask within (members must be
-    a non-empty part of within): the smallest interval of the order induced
-    on within that contains members.
-
-    Every interval of within that holds C holds the points of within that
-    split C (``_split``), so C grows by them until none is left, with a
-    fixed to C's lowest point and each round splitting only by the points
-    just added, and none once C is all of within.
-    """
-    a = (members & -members).bit_length() - 1
-    closed = new = members
-    while new and closed != within:
-        new = _split(carrier, a, new) & within & ~closed
-        closed |= new
-    return closed
-
-
 def _parts(carrier, v, within):
     """Masks of P(within, v): the maximal intervals of the order induced on
     the mask within that avoid the point at index v (v must be in within).
@@ -180,8 +158,10 @@ def _parts(carrier, v, within):
     by refinement from the one part within minus v.  A part with no
     splitter in within (``_split``) is an interval, and final.  Otherwise
     it splits three ways by the lowest splitter's ``above``, ``below`` and
-    ``beside`` rows.  No maximal interval avoiding v is ever cut, since
-    every splitter of a part holding it lies outside it.
+    ``beside`` rows, pushed in that order, so that the beside block is
+    taken next (``_prime_children`` relies on this order).  No maximal
+    interval avoiding v is ever cut, since every splitter of a part holding
+    it lies outside it.
     """
     up, dn, side = carrier.above, carrier.below, carrier.beside
     done = []
@@ -331,8 +311,9 @@ def _node(carrier, anchor, module):
       are their components, each below the next, bottom first; a run of
       consecutive ones is a module;
     - ``"prime"``: any other module.  Every module of it is it or lies in
-      one child, and the children, the anchor's first, are read off one
-      closure and one backward pass (``_prime_children``).
+      one child, and the children, the anchor's first, are read off the
+      first part of P(module, anchor) and one backward pass
+      (``_prime_children``).
     """
     children = _components(carrier, module, True)
     if len(children) > 1:
@@ -363,24 +344,42 @@ def _prime_children(carrier, anchor, module):
     v.  v is in no diff(y).
 
     1. A set T of S that holds v and misses y is split by y iff T meets
-       diff(y).  So the closure of T in S (``_close``) is T plus every y
-       with a path y, y1, ..., z into T, each point in the diff of the one
-       before.  No such path ends at v, so it ends in T minus v.
+       diff(y).  So the closure of T in S, the smallest module of S that
+       holds T, is T plus every y with a path y, y1, ..., z into T, each
+       point in the diff of the one before.  No such path ends at v, so it
+       ends in T minus v.
     2. For a point z of S other than v, the closure of {z, v} is S iff z
        is outside C: if z is in C, C is a module that holds both; if not,
        the closure meets two children, so it lies in no child and is S.
-    3. Finding a child X that avoids v.  Take the parts in order, and
-       close each with v.  A part that is such a child closes to S, since
-       its closure meets two children.  A part inside C closes inside C.
-       A closure K short of S holds v, so K lies in C, and a part that
-       meets K meets C, so it lies in C and is skipped.  No child that
-       avoids v meets C, and S has at least two children, so the loop stops
-       at the first child that avoids v.  Measured, not proven: it was the
-       first part at every prime node tried, so a prime node costs one
-       closure.  That covers the 453 prime nodes of the seed-1 decompose
-       benchmark corpus, and 14,592 cases with a larger C: a module of 2
-       or 3 points put in at one point of each prime order of 4 to 6
-       points, under four index orders, anchored at each point of it.
+    3. The first part X of ``_parts`` is a child that avoids v, whichever
+       splitter ``_parts`` takes.  Write U, D and W for the points of S
+       above, below and beside v.  S minus v is no module (it would lie in
+       one child, leaving S at most two), and v is its only possible
+       splitter in S, so its first split pushes U, D and W in that order,
+       and W is popped first.  W minus C is not empty: in the prime
+       quotient of S, were C's point comparable to every other point, the
+       points below it would form a module, and so would those above it,
+       which leaves at most 3 points.  Now let a popped part P meet C and
+       hold all of W minus C.  P meets two children, so it is no module
+       and not final, and each splitter s of P lies in U, D or C, since P
+       lies in W and holds W minus C.
+       - s in C: each point of W minus C is beside v, so beside s too, C
+         being a module.  The beside block holds all of W minus C, and is
+         pushed last and popped next.
+       - s in U minus C: s lies above all of C, so C's points in P go to
+         the below block.  No point of W minus C lies above s, or it would
+         lie above v.  So the beside block is not empty (else s would not
+         split P), misses C, and is pushed last and popped next.
+       - s in D minus C: the same, upside down.
+       So from W on, the parts popped hold all of W minus C until one
+       misses C.  That one holds a point of W minus C, and so does every
+       part popped after it up to the first finished one, X, since each of
+       them lies inside it.  A finished part is a member of P(S, v), a
+       module other than S, so it lies in one child; if that child is not
+       C, it avoids v, and the part, being maximal, is that child.  X
+       misses C, so it is a child that avoids v.  The proof relies
+       only on ``_parts`` pushing the above, below and beside blocks in
+       that order, and popping the last block pushed.
     4. The backward pass.  ``reach`` starts at X and adds diff(y) for each
        point y it has just added, inside S, until nothing is new; it never
        adds v.  A point z it reaches has a path from a point x of X, so by
@@ -391,17 +390,8 @@ def _prime_children(carrier, anchor, module):
        and the children that avoid v are the parts that meet it.
     """
     up, dn, side = carrier.above, carrier.below, carrier.beside
-    point = 1 << anchor
     parts = _parts(carrier, anchor, module)
-    short = 0
-    for x in parts:
-        if x & short:
-            continue
-        closed = _close(carrier, x | point, module)
-        if closed == module:
-            break
-        short |= closed
-    reach = new = x
+    reach = new = parts[0]
     while new:
         diff = 0
         while new:
@@ -425,9 +415,9 @@ def _prime_nodes(carrier):
 
     One walk with an explicit stack opens every strong module of two or
     more points, from the whole carrier down (``_node``), each at its
-    lowest point.  So each prime node costs one closure.  Sorted by lowest point, the children of a prime
-    node whose children are all of the carrier's points one by one are
-    those points in index order.
+    lowest point.  Sorted by lowest point, the children of a prime node
+    whose children are all of the carrier's points one by one are those
+    points in index order.
     """
     out = []
     stack = [(1 << len(carrier)) - 1] if len(carrier) > 1 else []

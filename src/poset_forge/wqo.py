@@ -8,6 +8,7 @@ indecomposable.  The antichain check is exhaustive, never probabilistic.
 
 from . import config
 from .core import _family_below, _Frozen, ColouredPoset, QuasiOrder, canonical
+from .errors import PaletteMismatch
 from .interval import is_indecomposable
 
 
@@ -23,7 +24,7 @@ class Family(_Frozen):
         palette = members[0].palette
         for m in members:
             if m.palette != palette:
-                raise ValueError("family members must share one palette")
+                raise PaletteMismatch("family members must share one palette")
         if len(names) != len(members):
             raise ValueError("one name per member")
         object.__setattr__(self, "members", members)

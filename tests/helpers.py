@@ -4,12 +4,13 @@ catalogs, and seeded random generators.
 The oracles here restate definitions directly (triple loops, permutation
 scans) and never call the library code paths they are used to check.  The
 exceptions are the library's former designs, kept to check their
-replacements: ``pair_closure_indecomposable``, the old indecomposability
-test, which shares only ``interval._close`` with the new one (and that is
-checked against ``brute_intervals`` itself); ``greedy_chain_masks``, the
+replacements: ``close``, the library's former closure of a mask, which
+shares only ``interval._split`` with the library (and is checked against
+``brute_intervals`` itself); ``pair_closure_indecomposable``, the old
+indecomposability test, one closure per pair; ``greedy_chain_masks``, the
 old interval chain, grown one closure at a time; ``closure_children``, the
-old children of a prime node, one closure per part; ``brute_h_eta``, the old index
-poset from name pairs; ``extract_recompose``, the old recomposition,
+old children of a prime node, one closure per part; ``brute_h_eta``, the
+old index poset from name pairs; ``extract_recompose``, the old recomposition,
 which evaluates one extracted tree per slot; ``backward_backtrack``
 with ``backward_code_rows``, the old search kernel, which checks each
 source against the earlier ones only once it reaches it; and
@@ -30,7 +31,7 @@ from poset_forge import (
 )
 from poset_forge.composition import CompositionSequence, eval_f_eta, render_position
 from poset_forge.dectree import StructuredTree, subtree_extract
-from poset_forge.interval import _close
+from poset_forge.interval import _split
 from poset_forge.core import (
     EQUAL,
     GREATER,
@@ -160,6 +161,25 @@ def brute_interval_chain(poset, anchor=None, intervals=None):
     return tuple(sorted(chain, key=len, reverse=True))
 
 
+def close(carrier, members, within):
+    """Closure of the mask members inside the mask within (members must be
+    a non-empty part of within): the smallest interval of the order induced
+    on within that contains members.
+
+    Every interval of within that holds C holds the points of within that
+    split C (``interval._split``), so C grows by them until none is left,
+    with a fixed to C's lowest point and each round splitting only by the
+    points just added (the split's union distributes over the mask), and
+    none once C is all of within.
+    """
+    a = (members & -members).bit_length() - 1
+    closed = new = members
+    while new and closed != within:
+        new = _split(carrier, a, new) & within & ~closed
+        closed |= new
+    return closed
+
+
 def greedy_chain_masks(carrier, anchor, within):
     """Masks, largest first, of the canonical chain of the order induced on
     the mask within, from within down to the point at index anchor, grown
@@ -172,7 +192,7 @@ def greedy_chain_masks(carrier, anchor, within):
         best = within
         for x in range(within.bit_length()):
             if (within & ~c) >> x & 1:
-                m = _close(carrier, c | 1 << x, within)
+                m = close(carrier, c | 1 << x, within)
                 # equal sizes: the lexicographically lesser index tuple holds
                 # the lowest point where the two masks differ
                 diff = m ^ best
@@ -191,7 +211,7 @@ def closure_children(carrier, anchor, module, parts):
     anchor), in the order of ``parts``, whose closure with the anchor is
     the whole module."""
     point = 1 << anchor
-    return [x for x in parts if _close(carrier, x | point, module) == module]
+    return [x for x in parts if close(carrier, x | point, module) == module]
 
 
 def transpose(rows):
@@ -724,7 +744,7 @@ def pair_closure_indecomposable(poset, mask):
     stays inside it, and a pair closing to all of the mask lies in no such
     interval.  This was the library's own test before
     ``interval.is_indecomposable`` read the root strong module; it shares
-    only ``interval._close`` with it.
+    only ``interval._split`` with it, through ``close``.
     """
     rest = mask
     while rest:
@@ -734,7 +754,7 @@ def pair_closure_indecomposable(poset, mask):
         while others:
             b = others & -others
             others ^= b
-            if _close(poset, a | b, mask) != mask:
+            if close(poset, a | b, mask) != mask:
                 return False
     return True
 

@@ -237,19 +237,20 @@ class TestNoIntervalScan:
 
     def test_one_closure_per_prime_node(self, catalog5, monkeypatch):
         # indecomposable subsets are read off the prime nodes' quotients,
-        # with no interval scan: class_check and indecomposable_subsets each
-        # make one closure per prime strong module, and none per subset, and
-        # still agree with the rows oracle
+        # with no interval scan and no closure: class_check and
+        # indecomposable_subsets each split one P(M, v) per prime strong
+        # module, and none per subset, and still agree with the rows oracle
         assert not hasattr(interval, "_interval_masks")
+        assert not hasattr(interval, "_close")
         calls = [0]
 
         def counted(*args):
             calls[0] += 1
-            return close(*args)
+            return parts(*args)
 
-        close = interval._close
-        monkeypatch.setattr(interval, "_close", counted)
-        assert not hasattr(classify, "_close")
+        parts = interval._parts
+        monkeypatch.setattr(interval, "_parts", counted)
+        assert not hasattr(classify, "_parts")
         checks = primes = 0
 
         def one_each(f, p, arg):

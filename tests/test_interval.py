@@ -17,7 +17,7 @@ from poset_forge import (
 from poset_forge.composition import maximal_decomposition
 from poset_forge import interval
 from poset_forge.core import ColouredPoset, _bits, p_sum_with_sources
-from poset_forge.interval import _close, _mask_to_set, _parts, _spine, _split
+from poset_forge.interval import _mask_to_set, _parts, _spine, _split
 from poset_forge.errors import (
     EmptyPoset,
     EmptySet,
@@ -221,7 +221,7 @@ class TestClose:
                 for mask in range(1, full + 1):
                     members = _mask_to_set(p, mask)
                     want = _smallest_interval_holding(intervals, members)
-                    assert _mask_to_set(p, _close(p, mask, full)) == want
+                    assert _mask_to_set(p, helpers.close(p, mask, full)) == want
 
     def test_inside_a_mask_random(self):
         rng = random.Random(149)
@@ -233,7 +233,7 @@ class TestClose:
             names = _mask_to_set(sub, members)
             mask = sum(1 << p.index[e] for e in names)
             want = _smallest_interval_holding(helpers.brute_intervals(sub), names)
-            assert _mask_to_set(p, _close(p, mask, within)) == want
+            assert _mask_to_set(p, helpers.close(p, mask, within)) == want
 
 
 def _assert_parts_match_brute(p, within, anchor, intervals=None):
@@ -455,41 +455,29 @@ class TestIntervalClassification:
                     assert found, (p, sorted(iv))
 
 
-def _prime_children(p, anchor, monkeypatch, order=None):
+def _prime_children(p, anchor, monkeypatch):
     """Walk ``_spine`` from the whole of p down to anchor, and check at each
     prime node that the children it records are the closure-built ones
-    (``helpers.closure_children``), in the same order of the parts.
-    ``order`` reorders the list ``_parts`` returns.  Returns, per prime
-    node, the parts as ``_spine`` saw them, the index of the first child
-    among them and the closures made there."""
-    parts, close = interval._parts, interval._close
+    (``helpers.closure_children``), in the same order of the parts, and
+    that the first part is the first of them.  Returns, per prime node,
+    the parts as ``_spine`` saw them."""
+    assert not hasattr(interval, "_close")
+    parts = interval._parts
     nodes = []
 
     def recorded(carrier, v, module):
         got = parts(carrier, v, module)
-        if order:
-            got = order(got)
-        nodes.append([module, got, 0])
+        nodes.append((module, got))
         return got
 
-    def counted(*args):
-        nodes[-1][2] += 1
-        return close(*args)
-
     monkeypatch.setattr(interval, "_parts", recorded)
-    monkeypatch.setattr(interval, "_close", counted)
     spine = dict(_spine(p, anchor, (1 << len(p)) - 1))
     monkeypatch.setattr(interval, "_parts", parts)
-    monkeypatch.setattr(interval, "_close", close)
-    out = []
-    for module, got, closes in nodes:
+    for module, got in nodes:
         want = helpers.closure_children(p, anchor, module, got)
         assert spine[module] == want
-        first = next(k for k, x in enumerate(got) if x in want)
-        # a closure per part up to the first child at most, and one for it
-        assert 1 <= closes <= first + 1
-        out.append((got, first, closes))
-    return out
+        assert want[0] == got[0]
+    return [got for _, got in nodes]
 
 
 def _substituted_primes():
@@ -507,7 +495,7 @@ def _substituted_primes():
 
 
 class TestPrimeChildren:
-    # the children of a prime node read off one closure and one backward
+    # the children of a prime node read off its first part and one backward
     # pass equal the children of the former one-closure-per-part filter, at
     # every prime node on the walk, in every anchor's walk
     def _inputs(self, catalog6):
@@ -521,25 +509,29 @@ class TestPrimeChildren:
             yield p, range(n)
         yield from _substituted_primes()
 
-    def _run(self, catalog6, monkeypatch, order=None):
+    def test_parts_in_their_own_order(self, catalog6, monkeypatch):
         nodes = []
         for p, anchors in self._inputs(catalog6):
             for anchor in anchors:
-                nodes += _prime_children(p, anchor, monkeypatch, order)
-        return nodes
-
-    def test_parts_in_their_own_order(self, catalog6, monkeypatch):
-        nodes = self._run(catalog6, monkeypatch)
+                nodes += _prime_children(p, anchor, monkeypatch)
         assert len(nodes) > 1000
-        # measured, not proven: the first part is a child, so one closure
-        assert all(closes == 1 for _, _, closes in nodes)
 
-    def test_parts_reversed_and_rotated(self, catalog6, monkeypatch):
-        # a part of the anchor's child comes first: its closure falls short
-        # of the module, and a later part inside that closure is skipped
-        nodes = self._run(catalog6, monkeypatch, lambda got: got[::-1][1:] + got[::-1][:1])
-        assert any(closes > 1 for _, _, closes in nodes)
-        assert any(closes < first + 1 for _, first, closes in nodes)
+    def test_first_part_is_a_child(self, catalog6):
+        # proved in ``_prime_children``'s docstring: at every prime strong
+        # module and every anchor inside it, the first part of P(M, anchor)
+        # is a child of M that avoids the anchor; bigger counts the anchors
+        # whose own child has more points than the anchor
+        cases = bigger = 0
+        for p, _ in self._inputs(catalog6):
+            for module, children in helpers.brute_prime_children(p).items():
+                mask = sum(1 << p.index[e] for e in module)
+                for anchor in _bits(mask):
+                    first = _mask_to_set(p, _parts(p, anchor, mask)[0])
+                    assert first in children and p.elements[anchor] not in first
+                    cases += 1
+                    own = next(c for c in children if p.elements[anchor] in c)
+                    bigger += len(own) > 1
+        assert cases > 4000 and bigger > 1500
 
 
 class TestNode:

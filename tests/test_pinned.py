@@ -87,8 +87,9 @@ def test_outputs_match_the_pinned_digest(tmp_path):
 
 def test_no_pair_closures(tmp_path, monkeypatch):
     # the decomposition checks no arity (each is indecomposable by
-    # construction), so the pair-closure test is never called; closures
-    # still run where the walk reads a prime node's children
+    # construction), so the pair-closure test is never called, and the
+    # library has no closure left; P(M, v) is still split where the walk
+    # reads a prime node's children
     def pair_test(*args):
         raise AssertionError("the pair-closure test was called")
 
@@ -96,11 +97,12 @@ def test_no_pair_closures(tmp_path, monkeypatch):
 
     def counted(*args):
         calls[0] += 1
-        return close(*args)
+        return parts(*args)
 
-    close = interval._close
+    parts = interval._parts
     monkeypatch.setattr(helpers, "pair_closure_indecomposable", pair_test)
-    monkeypatch.setattr(interval, "_close", counted)
+    monkeypatch.setattr(interval, "_parts", counted)
+    assert not hasattr(interval, "_close")
     assert not hasattr(interval, "_indecomposable_mask")
     assert not hasattr(composition, "_maximal_blocks")
     assert not hasattr(composition, "is_indecomposable")
@@ -109,17 +111,19 @@ def test_no_pair_closures(tmp_path, monkeypatch):
 
 
 def test_one_closure_per_prime_node(catalog6, monkeypatch):
-    # measured, not proven: at each prime strong module the first part of
-    # P(M, anchor) is a child that avoids the anchor, so the decomposition
-    # makes one closure per prime node, and none anywhere else
+    # at each prime strong module the first part of P(M, anchor) is a
+    # child that avoids the anchor (proved in ``_prime_children``), so the
+    # decomposition makes no closure, and splits one P(M, anchor) per
+    # prime node and none anywhere else
+    assert not hasattr(interval, "_close")
     calls = [0]
 
     def counted(*args):
         calls[0] += 1
-        return close(*args)
+        return parts(*args)
 
-    close = interval._close
-    monkeypatch.setattr(interval, "_close", counted)
+    parts = interval._parts
+    monkeypatch.setattr(interval, "_parts", counted)
     rng = random.Random(199)
     posets = [p for reps in catalog6.values() for p in reps]
     posets += [

@@ -115,8 +115,8 @@ def test_unequal_values():
     assert EmbeddingMap(PAIRS) != EmbeddingMap(PAIRS[:1])
     assert Interval(CH3, frozenset("ab")) != Interval(CH3, frozenset("bc"))
     assert Interval(CH3, frozenset("ab")) != Interval(canonical("chain", 4), frozenset("ab"))
-    assert ClassSpec(max_size=3) != ClassSpec(max_size=3, prefix_depth=2)
     assert ClassSpec(max_size=3) != ClassSpec(max_size=4)
+    assert ClassSpec(max_size=3) != ClassSpec(allowed=(CH3,))
     assert EmbeddingMap(PAIRS) != PAIRS
 
 
@@ -132,7 +132,7 @@ def test_repr_names_the_fields():
         "EmbeddingMap(mapping=(('a', 'x'), ('b', 'y')), kind='poset')"
     )
     assert repr(ClassSpec(max_size=2)) == (
-        "ClassSpec(allowed=None, max_size=2, prefix_depth=3)"
+        "ClassSpec(allowed=None, max_size=2)"
     )
 
 
@@ -147,9 +147,9 @@ class TestDefaultsAndKeywords:
 
     def test_class_spec(self):
         spec = ClassSpec(max_size=3)
-        assert (spec.allowed, spec.max_size, spec.prefix_depth) == (None, 3, 3)
-        spec = ClassSpec(allowed=(CH3,), prefix_depth=2)
-        assert (spec.allowed, spec.max_size, spec.prefix_depth) == ((CH3,), None, 2)
+        assert (spec.allowed, spec.max_size) == (None, 3)
+        spec = ClassSpec(allowed=(CH3,))
+        assert (spec.allowed, spec.max_size) == ((CH3,), None)
         assert ClassSpec(allowed=[CH3]).allowed == (CH3,)
         assert ClassSpec(None, 5).max_size == 5
 
@@ -231,10 +231,11 @@ class TestValidation:
             {},
             {"allowed": (CH3,), "max_size": 2},
             {"max_size": 0},
-            {"max_size": 2, "prefix_depth": 0},
         ):
             with pytest.raises(ValueError):
                 ClassSpec(**kwargs)
+        with pytest.raises(TypeError):
+            ClassSpec(max_size=2, prefix_depth=3)
 
     def test_composition_sequence(self):
         for entries in (

@@ -15,7 +15,7 @@ from poset_forge import (
     wqo,
 )
 from poset_forge.core import Poset, QuasiOrder
-from poset_forge.errors import TooLarge
+from poset_forge.errors import PaletteMismatch, PosetForgeError, TooLarge
 from poset_forge.wqo import matrix_text
 
 
@@ -108,6 +108,17 @@ class TestMatrix:
                 (ColouredPoset.uniform(canonical("chain", 1)), other),
                 ("a", "b"),
             )
+
+    def test_family_palette_mismatch_is_typed(self):
+        # the condition that coloured_embed, st_embed and eval_f_eta reject as
+        # PaletteMismatch is one typed error here too
+        other = ColouredPoset(
+            canonical("chain", 1), {"a": "q"}, QuasiOrder(["q"], [])
+        )
+        with pytest.raises(PaletteMismatch) as caught:
+            Family((ColouredPoset.uniform(canonical("chain", 1)), other), ("a", "b"))
+        assert isinstance(caught.value, PosetForgeError)
+        assert isinstance(caught.value, ValueError)
 
     def test_random_families_match_brute(self):
         # one comparable pair, so colour-increasing differs from colour-equal
