@@ -154,11 +154,16 @@ def _pairs(poset, comparable, incomparable):
     return out
 
 
+def _poset(x):
+    """The poset of x, a coloured poset or a poset."""
+    return x.poset if hasattr(x, "poset") else x
+
+
 def indecomposable_subsets(x, max_size, bound=None):
     """All subsets of size 2..max_size inducing an indecomposable subposet:
     every pair, and the lifts of the quotient subsets of 3 or more points
     of each prime node (module docstring)."""
-    x = x.poset if hasattr(x, "poset") else x
+    x = _poset(x)
     config.check_size(len(x), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if max_size > len(x):
         raise ValueError("max_size exceeds the poset size")
@@ -171,12 +176,13 @@ def indecomposable_subsets(x, max_size, bound=None):
 
 def is_n_free(x):
     """No induced subposet is a copy of the four-element N."""
-    x = x.poset if hasattr(x, "poset") else x
+    x = _poset(x)
     return _embed_assign(canonical("N", 0), x) is None
 
 
 class ClassSpec(_Frozen):
-    """Allowed indecomposables: an explicit list of posets, or a size cap."""
+    """Allowed indecomposables: an explicit list of posets (coloured ones
+    are read as their posets), or a size cap."""
 
     __slots__ = ("allowed", "max_size")
 
@@ -186,7 +192,8 @@ class ClassSpec(_Frozen):
             raise ValueError("give exactly one of allowed or max_size")
         if max_size is not None and max_size < 1:
             raise ValueError("max_size must be >= 1")
-        object.__setattr__(self, "allowed", None if allowed is None else tuple(allowed))
+        allowed = None if allowed is None else tuple(map(_poset, allowed))
+        object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "max_size", max_size)
 
 
@@ -228,7 +235,7 @@ def class_check(x, spec, bound=None):
     tuple of rows induced on it, since equal rows are the same poset up to
     names.
     """
-    poset = x.poset if hasattr(x, "poset") else x
+    poset = _poset(x)
     config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if spec.max_size is not None:
         # a quotient keeps its subsets of 3 or more points; the pairs are listed apart
@@ -307,7 +314,7 @@ class PrefixReport(_Record):
 
 def pathological_prefix_check(x, depth, bound=None):
     """Probe x for depth-bounded copies of the three obstruction orders."""
-    poset = x.poset if hasattr(x, "poset") else x
+    poset = _poset(x)
     config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     return PrefixReport(
         depth,

@@ -187,6 +187,8 @@ def _cmd_classify(args, out):
 
 
 def _cmd_rank(args, out):
+    if args.tree and args.bound is not None:
+        raise ValueError("--bound applies only to --scattered")
     _, x = _load(args.file)
     if args.scattered:
         value = scattered_rank(x.poset, bound=args.bound)

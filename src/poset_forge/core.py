@@ -15,10 +15,10 @@ coloured search).  A coloured search's allowed masks come from one routine,
 ``_allowed``, which joins a source half (each element's counts and colour
 index) with a target half (the count masks and colour fit); a single search
 builds both halves per call (``_coloured_allowed``), and the family
-searcher behind the embeddability matrix (``_family_below``) builds each
-member's halves once per call, keeping nothing past it.  Every search here,
-single or family, then runs as ``_search.search_injection``, on the rows
-of the one relation-exact row builder, ``_search.code_rows``.
+searcher behind the embeddability matrix (``_family_below``) builds every
+member's halves once, up front, keeping nothing past the call.  Every
+search here, single or family, then runs as ``_search.search_injection``,
+on the rows of the one relation-exact row builder, ``_search.code_rows``.
 The element tuple is the canonical enumeration: all tie-breaking anywhere
 in the library (interval chain selection, quotient representatives, witness
 search order) refers back to it.
@@ -802,45 +802,29 @@ def _coloured_allowed(x, y, exact):
     return _allowed(_source_part(x), _target_part(y, exact))
 
 
-def _coloured_assign(x, y):
-    """Target indices of the first colour-increasing embedding of x into y,
-    or None; x and y share a palette.  The search behind
-    ``coloured_embed``."""
-    if len(x) > len(y):
-        return None
-    return _search.search_injection(x.poset, y.poset, _coloured_allowed(x, y, False))
-
-
 def _family_below(members):
     """``below(i, j)``: whether members[i] has a colour-increasing embedding
     into members[j]; the members share a palette.  The search behind
     ``wqo.embeddability_matrix`` and ``wqo.bad_pair_search``.
 
     Each member's source half (``_source_part``) and target half
-    (``_target_part``) are worked out at most once per call of
-    ``_family_below``, the first time a search needs them, and live only
-    as long as ``below``: nothing is kept on the members.  Each search is
+    (``_target_part``) are built once, up front, and live only as long as
+    ``below``: nothing is kept on the members.  Each search is
     ``_search.search_injection`` on the allowed masks that
-    ``_coloured_allowed`` would give, so it runs as ``_coloured_assign``
+    ``_coloured_allowed`` would give, so it runs as ``coloured_embed``
     would, and ``below(i, j)`` is true iff that finds an embedding.  A
     source larger than its target is refused unsearched.  Every other pair
     reaches the kernel, even with an empty mask, which
     ``_search.backtrack`` refuses before building any row.
     """
-    n = len(members)
     sizes = [len(m) for m in members]
-    sources, targets = [None] * n, [None] * n
+    sources = [_source_part(m) for m in members]
+    targets = [_target_part(m, False) for m in members]
 
     def below(i, j):
         if sizes[i] > sizes[j]:
             return False
-        source = sources[i]
-        if source is None:
-            source = sources[i] = _source_part(members[i])
-        target = targets[j]
-        if target is None:
-            target = targets[j] = _target_part(members[j], False)
-        allowed = _allowed(source, target)
+        allowed = _allowed(sources[i], targets[j])
         return _search.search_injection(members[i].poset, members[j].poset, allowed) is not None
 
     return below
@@ -850,7 +834,8 @@ def coloured_embed(x, y):
     """Poset embedding that also increases colours, or None."""
     if x.palette != y.palette:
         raise PaletteMismatch("coloured embedding requires a shared palette")
-    return _as_embedding(x.poset, y.poset, _coloured_assign(x, y), "coloured")
+    assign = _search.search_injection(x.poset, y.poset, _coloured_allowed(x, y, False))
+    return _as_embedding(x.poset, y.poset, assign, "coloured")
 
 
 def check_embedding(x, y, emap):

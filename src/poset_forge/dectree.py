@@ -199,8 +199,8 @@ class StructuredTree:
     copies of the caller's.  What an embedding into the tree reads of it
     beyond its poset (colour classes and fits, label indices) is kept on
     first use (``_target_tables``), and so is what an embedding of the tree
-    into another reads of it (node classes, children, relation codes and
-    meet entries: ``_source_tables``).
+    into another reads of it (node classes, children and relation codes:
+    ``_source_tables``).
     """
 
     __slots__ = (
@@ -317,24 +317,23 @@ class StructuredTree:
             tables = self._target = (classes, {}, labels)
         return tables
 
-    def _source_tables(self, every_label):
-        """``(classes, colour, children, codes, meets)``, what a
-        structured-tree embedding of this tree into another reads of it
-        beyond its poset, built on first use and kept.
+    def _source_tables(self):
+        """``(classes, colour, children, codes)``, what a structured-tree
+        embedding of this tree into another reads of it beyond its poset,
+        built on first use and kept.
 
         ``classes`` lists each node class (``_colour_key``) once, with one
         node of the class, and ``colour[i]`` is the place of node i's class
         in it.  ``children[m]`` lists m's children in storage order: a
         node's parent is the last node of its down-set, as the tree is
-        stored in a linear extension.  ``codes`` are the relation codes of
-        ``_label_entries(self, every_label)``, and ``meets`` are
-        ``_meet_entries(children)`` with ``every_label`` and None without;
-        these two are kept per value of ``every_label``, each built the
-        first time it is asked for.  The tables are tuples, and a node with
-        nothing to list shares the empty tuple.
+        stored in a linear extension.  ``codes`` are the relation codes
+        between first nodes, ``_label_entries(self, False)``; the EQUAL
+        codes and meet entries that a pair with a raw tree also reads are
+        built per call (``_conditions``).  The tables are tuples, and a
+        node with nothing to list shares the empty tuple.
         """
-        kept = self._source
-        if kept is None:
+        tables = self._source
+        if tables is None:
             elements = self.poset.elements
             classes, colour, place = [], [], {}
             for a in elements:
@@ -349,14 +348,8 @@ class StructuredTree:
                 if row:
                     children[row.bit_length() - 1].append(i)
             children = tuple(map(tuple, children))
-            kept = self._source = (tuple(classes), tuple(colour), children, [None, None])
-        by_flag = kept[3]
-        tables = by_flag[every_label]
-        if tables is None:
-            classes, colour, children, _ = kept
-            codes = tuple(map(tuple, _label_entries(self, every_label)))
-            meets = _meet_entries(children) if every_label else None
-            tables = by_flag[every_label] = (classes, colour, children, codes, meets)
+            codes = tuple(map(tuple, _label_entries(self, False)))
+            tables = self._source = (tuple(classes), tuple(colour), children, codes)
         return tables
 
     @property
@@ -689,13 +682,13 @@ def _conditions(S, T):
     time a search asks for it.  T keeps its class masks, the colour mask of
     each source class it has met, and its label indices
     (``StructuredTree._target_tables``).  S keeps its node classes, its
-    children tuples, and its relation codes and meet entries
-    (``StructuredTree._source_tables``), only those that can bind.  Per
-    pair, this call reads S's classes' masks off T's (``_fits``) and makes
-    the row builder and ``narrow``, which join S's kept entries to T's
-    rows and label indices; the backtracking search builds each row when
-    it first reaches its node.  Besides the order rows there are two kinds
-    of entry:
+    children tuples, and its relation codes between first nodes
+    (``StructuredTree._source_tables``), all that a pair of decomposition
+    trees reads.  Per pair, this call reads S's classes' masks off T's
+    (``_fits``) and makes the row builder and ``narrow``, which join S's
+    entries to T's rows and label indices; the backtracking search builds
+    each row when it first reaches its node.  Besides the order rows there
+    are two kinds of entry:
 
     - Order: each node pushes one row to each of its children, so
       ``row(m)`` holds ``(child, T.poset.above)`` per child of m: once m
@@ -734,7 +727,9 @@ def _conditions(S, T):
       are strict, so it gives f(i) a label under f(m) other than f(q)'s:
       the two images lie in distinct child cones of f(m).
 
-    Raw structured trees, whose sibling cones may share a label, keep both.
+    A pair with a raw structured tree, whose sibling cones may share a
+    label, reads both, and this call builds them: all of S's relation codes
+    (``_label_entries(S, True)``) and its meet entries.
 
     The parent rows and sibling entries give the whole of order-exactness
     and meet preservation, once every earlier node has passed its own:
@@ -755,8 +750,10 @@ def _conditions(S, T):
     they hold for any complete map that keeps the order, not just for the
     search's prefixes (``verify_st_embedding``).
     """
-    every_label = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
-    classes, colour, children, codes, meets = S._source_tables(every_label)
+    classes, colour, children, codes = S._source_tables()
+    raw = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
+    if raw:
+        codes = _label_entries(S, True)
     allowed = _fits(S, T, classes, colour)
     ttables = T._target_tables()[2]
     tabove = T.poset.above
@@ -778,8 +775,9 @@ def _conditions(S, T):
             c &= mask
         return c
 
-    if not every_label:
+    if not raw:
         return allowed, row, narrow_codes
+    meets = _meet_entries(children)
     tbelow = T.poset.below
 
     def narrow(i, assign, c):

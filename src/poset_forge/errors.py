@@ -57,6 +57,10 @@ class TooLarge(PosetForgeError):
     pass
 
 
+class BadBound(PosetForgeError, ValueError):
+    """A size bound from the environment that is not an integer."""
+
+
 class NotAnInterval(PosetForgeError):
     pass
 

@@ -184,6 +184,20 @@ class TestClassCheck:
             ]
             assert class_check(p, spec).violations == want
 
+    def test_coloured_allowed_lists(self, catalog5):
+        # an allowed member may be a coloured poset, read as its poset, as
+        # class_check reads x: coloured and plain lists give equal reports
+        rng = random.Random(103)
+        pool = [p for reps in catalog5.values() for p in reps]
+        for _ in range(20):
+            listed = rng.sample(pool, rng.randrange(1, 6))
+            p = helpers.random_poset(rng, rng.randrange(1, 8), rng.choice([0.2, 0.5]))
+            coloured = ClassSpec(allowed=[ColouredPoset.uniform(q) for q in listed])
+            assert coloured == ClassSpec(allowed=listed)
+            want = class_check(p, ClassSpec(allowed=listed)).violations
+            assert class_check(p, coloured).violations == want
+            assert class_check(ColouredPoset.uniform(p), coloured).violations == want
+
     def test_monotone_in_size_cap(self):
         rng = random.Random(89)
         for _ in range(20):
@@ -235,7 +249,7 @@ class TestNoIntervalScan:
                 want = _assert_matches_oracle(p)
                 assert is_indecomposable(p) == (n == 1 or frozenset(p.elements) in want)
 
-    def test_one_closure_per_prime_node(self, catalog5, monkeypatch):
+    def test_one_split_per_prime_node(self, catalog5, monkeypatch):
         # indecomposable subsets are read off the prime nodes' quotients,
         # with no interval scan and no closure: class_check and
         # indecomposable_subsets each split one P(M, v) per prime strong

@@ -239,6 +239,11 @@ class TestVerbs:
         )
         assert code == 2  # 7 nodes > bound
 
+    def test_tree_rank_refuses_bound(self, files):
+        # --bound applies only to --scattered: with --tree it is refused
+        code, text = invoke(["rank", files["tree.poset"], "--tree", "--bound", "1"])
+        assert code == 2 and text == "error: --bound applies only to --scattered\n"
+
     def test_matrix_palette_mismatch(self, files):
         code, text = invoke(
             ["matrix", files["col0.poset"], files["ch2.poset"]]
@@ -372,10 +377,13 @@ class TestFuzz:
 
 
 def _run_after_cli_import(probe):
+    """Run probe in a fresh interpreter after it imports the package and its
+    CLI; ``before`` holds the names of the modules loaded until then."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
+    imports = "import sys; before = set(sys.modules); import poset_forge, poset_forge.cli; "
     done = subprocess.run(
-        [sys.executable, "-c", "import poset_forge.cli, sys; " + probe],
+        [sys.executable, "-c", imports + probe],
         env=env,
         capture_output=True,
         text=True,
@@ -392,4 +400,14 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     _run_after_cli_import(
         "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
         "assert not loaded, loaded"
+    )
+
+
+def test_import_loads_only_the_standard_library():
+    # pyproject.toml declares no dependencies: every module the imports load
+    # is the package's own or the standard library's
+    _run_after_cli_import(
+        "roots = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "other = roots - set(sys.stdlib_module_names) - {'poset_forge'}; "
+        "assert not other, sorted(other)"
     )

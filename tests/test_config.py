@@ -1,6 +1,8 @@
 """Size bounds: one check serves every exhaustive search, with the same
 message wording for each of them."""
 
+import io
+
 import pytest
 
 from poset_forge import (
@@ -13,7 +15,8 @@ from poset_forge import (
     pathological_prefix_check,
     scattered_rank,
 )
-from poset_forge.errors import TooLarge
+from poset_forge.cli import run
+from poset_forge.errors import BadBound, PosetForgeError, TooLarge
 
 CH3 = canonical("chain", 3)
 
@@ -41,3 +44,20 @@ def test_messages_and_precedence(call, message, monkeypatch):
         call(None)
     assert str(info.value) == message.format(1)
     call(3)  # an explicit bound wins over the environment
+
+
+@pytest.mark.parametrize("value", ["abc", "", "2.5"])
+def test_malformed_env_bound(value, monkeypatch, tmp_path):
+    # a bound from the environment that is not an integer is a typed error
+    # naming the variable and its value, and the CLI exits 2 on it
+    monkeypatch.setenv("POSET_FORGE_BOUND", value)
+    with pytest.raises(BadBound) as info:
+        enumerate_intervals(CH3)
+    assert isinstance(info.value, PosetForgeError) and isinstance(info.value, ValueError)
+    assert str(info.value) == f"POSET_FORGE_BOUND must be an integer, not {value!r}"
+    enumerate_intervals(CH3, bound=3)  # an explicit bound never reads it
+    path = tmp_path / "ch3.poset"
+    path.write_text("poset c\nelem a\nelem b\nlt a b\nend\n", encoding="utf-8")
+    out = io.StringIO()
+    assert run(["decompose", str(path)], out) == 2
+    assert out.getvalue() == f"error: {info.value}\n"

@@ -1285,8 +1285,9 @@ class TestImpliedEntries:
         assert checked > 10000
 
     def test_decomposition_pairs_build_neither(self, catalog5, monkeypatch):
-        # the entries are built once per tree and kind of pair, when the
-        # tree is first a source (``_source_tables``), and counted then
+        # a tree's codes between first nodes are built once, when it is first
+        # a source (``_source_tables``); a pair with a raw tree builds the
+        # EQUAL codes and meet entries on each call, and keeps none of them
         built, builds = Counter(), Counter()
         build_meets, build_codes = dectree._meet_entries, dectree._label_entries
 
@@ -1311,31 +1312,32 @@ class TestImpliedEntries:
                 built.clear()
                 phi = st_embed(s, t)
                 assert built["meets"] == built["equal"] == 0
-                # raw copies keep every entry, and find the same witness
+                # raw copies read every entry, and find the same witness
                 assert phi == st_embed(_rebuilt(s), _rebuilt(t))
                 found += phi is not None
             # one build of s's codes, without EQUAL codes, over all its pairs
             assert (builds[s, False], builds[s, True]) == (1, 0)
         assert found > 100
-        # raw trees whose siblings share a label keep both kinds: one meet
+        # raw trees whose siblings share a label read both kinds: one meet
         # entry per pair of siblings, one EQUAL code per node above a sum
         # node that is not first with its label
         shared = [S for S in raw if _siblings_share_a_label(S)]
         assert len(shared) > 10
         for S in shared:
-            built.clear()
-            builds.clear()
-            dectree._conditions(S, S)
+            kept = S._source_tables()
             siblings = sum(len(_children(S, m)) * (len(_children(S, m)) - 1) // 2
                            for m in range(len(S.nodes)))
             sames = sum(S.poset.above[p].bit_count() - sum(1 for row in rows if row)
                         for p, rows in enumerate(S.label_rows))
-            assert built == Counter(meets=siblings, equal=sames)
             assert siblings > 0 and sames > 0
-            assert builds == Counter({"meets": 1, (S, True): 1})
-            # a second call reads the kept entries and builds nothing
-            dectree._conditions(S, S)
-            assert builds == Counter({"meets": 1, (S, True): 1})
+            # each call builds them again, and the kept table stays as it was
+            for _ in range(2):
+                built.clear()
+                builds.clear()
+                dectree._conditions(S, S)
+                assert built == Counter(meets=siblings, equal=sames)
+                assert builds == Counter({"meets": 1, (S, True): 1})
+                assert S._source is kept
 
 
 def _cone_swaps(S):
@@ -1607,27 +1609,29 @@ class TestSourceTables:
 
     def test_one_tree_in_decomposition_and_raw_pairs(self, catalog5):
         # a decomposition tree narrows without EQUAL codes and meet entries
-        # against a decomposition tree, and with them against a raw tree: it
-        # keeps one set of each, built when first asked for, in either order
+        # against a decomposition tree, and with them, built per call,
+        # against a raw tree: it keeps one source table, the codes between
+        # first nodes, built when first asked for, in either order
         trees = [decomposition_tree(ColouredPoset.uniform(p)) for k in (2, 3) for p in catalog5[k]]
         large = [decomposition_tree(ColouredPoset.uniform(p)) for p in catalog5[4]]
         raw = [tree for _, tree in helpers.random_raw_trees(random.Random(239), 15)]
         raw += [_rebuilt(t) for t in large[::2]]
         partners = {False: large, True: raw}
         for k, s in enumerate(trees):
-            flags = (False, True) if k % 2 else (True, False)
-            for every_label in flags:
+            kept = []
+            for every_label in (False, True) if k % 2 else (True, False):
                 for t in partners[every_label]:
                     self._assert_like_fresh(s, t)
-                assert s._source[3][every_label] is not None
-            assert s._source[3][0][4] is None and s._source[3][1][4] is not None
+                kept.append(s._source)
             # then the target of raw sources, and once more their source
             for t in raw[::4]:
                 self._assert_like_fresh(t, s)
                 self._assert_like_fresh(s, t)
-            assert s._source_tables(False) is s._source[3][0]
-            assert s._source_tables(True) is s._source[3][1]
-        assert all(r._source[3][0] is None for r in raw if r._source is not None)
+            assert kept[0] is kept[1] is s._source_tables() is s._source
+            assert kept[0][3] == tuple(map(tuple, dectree._label_entries(s, False)))
+        for r in raw:
+            if r._source is not None:
+                assert r._source[3] == tuple(map(tuple, dectree._label_entries(r, False)))
 
 
 def _assert_verify_matches_oracle(s, t):

@@ -85,11 +85,11 @@ def test_outputs_match_the_pinned_digest(tmp_path):
     assert digest(tmp_path / "x.poset") == PINNED
 
 
-def test_no_pair_closures(tmp_path, monkeypatch):
-    # the decomposition checks no arity (each is indecomposable by
-    # construction), so the pair-closure test is never called, and the
-    # library has no closure left; P(M, v) is still split where the walk
-    # reads a prime node's children
+def test_digest_splits_prime_nodes(tmp_path, monkeypatch):
+    # the pinned digest comes out of splits of P(M, v), made where the walk
+    # reads a prime node's children; the decomposition checks no arity
+    # (each is indecomposable by construction), so the pair-closure test is
+    # never called, and the library has no closure left
     def pair_test(*args):
         raise AssertionError("the pair-closure test was called")
 
@@ -110,7 +110,7 @@ def test_no_pair_closures(tmp_path, monkeypatch):
     assert calls[0]
 
 
-def test_one_closure_per_prime_node(catalog6, monkeypatch):
+def test_one_split_per_prime_node(catalog6, monkeypatch):
     # at each prime strong module the first part of P(M, anchor) is a
     # child that avoids the anchor (proved in ``_prime_children``), so the
     # decomposition makes no closure, and splits one P(M, anchor) per
