@@ -46,6 +46,7 @@ downstream of these predicates wants them.
 
 from . import config
 from .core import Poset, _bits, _embed_assign, _Frozen, _induced_rows, _Record, canonical, embed, is_isomorphic
+from .errors import OutOfRange, SpecConflict
 from .interval import _canonical_sets, _prime_nodes, _split
 
 
@@ -166,7 +167,7 @@ def indecomposable_subsets(x, max_size, bound=None):
     x = _poset(x)
     config.check_size(len(x), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if max_size > len(x):
-        raise ValueError("max_size exceeds the poset size")
+        raise OutOfRange("max_size exceeds the poset size")
     masks = _pairs(x, True, True) if max_size >= 2 else []
     for children, quotient in _quotients(x) if max_size > 2 else ():
         found = [m for m in _indecomposable_masks(quotient, max_size) if m.bit_count() > 2]
@@ -189,9 +190,9 @@ class ClassSpec(_Frozen):
     def __init__(self, allowed=None, max_size=None):
         # allowed: tuple of Posets, or None; max_size: size cap, or None
         if (allowed is None) == (max_size is None):
-            raise ValueError("give exactly one of allowed or max_size")
+            raise SpecConflict("give exactly one of allowed or max_size")
         if max_size is not None and max_size < 1:
-            raise ValueError("max_size must be >= 1")
+            raise OutOfRange("max_size must be >= 1")
         allowed = None if allowed is None else tuple(map(_poset, allowed))
         object.__setattr__(self, "allowed", allowed)
         object.__setattr__(self, "max_size", max_size)

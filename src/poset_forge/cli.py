@@ -19,7 +19,7 @@ from .dectree import (
     structured_tree_text,
     tree_rank,
 )
-from .errors import PosetForgeError
+from .errors import BadOption, PosetForgeError
 from .interval import quotient
 from .textio import load_coloured_poset, parse_records, poset_text, PosetRecord
 from .wqo import (
@@ -188,7 +188,7 @@ def _cmd_classify(args, out):
 
 def _cmd_rank(args, out):
     if args.tree and args.bound is not None:
-        raise ValueError("--bound applies only to --scattered")
+        raise BadOption("--bound applies only to --scattered")
     _, x = _load(args.file)
     if args.scattered:
         value = scattered_rank(x.poset, bound=args.bound)

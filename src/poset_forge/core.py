@@ -33,9 +33,12 @@ from .errors import (
     CycleError,
     DuplicateElement,
     EmptyPart,
+    FrozenField,
     MissingPart,
     NotAChain,
     NotATree,
+    NotInjective,
+    OutOfRange,
     PaletteMismatch,
     UnknownElement,
     UnknownName,
@@ -106,10 +109,10 @@ class _Frozen(_Record):
     __slots__ = ()
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise FrozenField(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise FrozenField(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -403,7 +406,7 @@ def canonical(name, k):
     if name not in _CANONICAL_NAMES:
         raise UnknownName(f"unknown canonical poset {name!r}")
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise OutOfRange("k must be >= 0")
     if name == "chain":
         ids = _letters(k)
         return make_poset(ids, [(ids[i], ids[i + 1]) for i in range(k - 1)])
@@ -720,7 +723,7 @@ class EmbeddingMap(_Frozen):
         sources = [a for a, _ in mapping]
         targets = [b for _, b in mapping]
         if len(set(sources)) != len(sources) or len(set(targets)) != len(targets):
-            raise ValueError("embedding maps are injective")
+            raise NotInjective("embedding maps are injective")
         object.__setattr__(self, "mapping", mapping)
         object.__setattr__(self, "kind", kind)
 

@@ -44,6 +44,7 @@ from .errors import (
     BadLabel,
     EmptyPoset,
     Malformed,
+    NoLabel,
     NotATree,
     NotUpClosedChain,
     PaletteMismatch,
@@ -51,6 +52,10 @@ from .errors import (
     VerificationFailure,
 )
 from . import _search, config
+
+# the code of a meet entry, after the four relation codes: a target mask
+# table holds, at AVOID, the up-set of a sum node minus one child's cone
+AVOID = 4
 
 
 def _layout(fset, leaves, base):
@@ -197,8 +202,9 @@ class StructuredTree:
     dicts of its layout (``_layout``), a rooted tree by construction.  The
     tree keeps the dicts given to ``_fill``, so this constructor passes it
     copies of the caller's.  What an embedding into the tree reads of it
-    beyond its poset (colour classes and fits, label indices) is kept on
-    first use (``_target_tables``), and so is what an embedding of the tree
+    beyond its poset (colour classes and fits, and one tuple of label and
+    cone masks per sum node and node above it) is kept on first use
+    (``_target_tables``), and so is what an embedding of the tree
     into another reads of it (node classes, children and relation codes:
     ``_source_tables``).
     """
@@ -287,34 +293,53 @@ class StructuredTree:
         self._source = None
 
     def _target_tables(self):
-        """``(classes, fit, labels)``, what a structured-tree embedding into
+        """``(classes, fit, masks)``, what a structured-tree embedding into
         this tree reads of it beyond its poset, built on first use and kept.
 
         ``classes`` maps each node class (``_colour_key``) to one node of
         the class and the mask of all of them; ``fit`` maps a source class
         to the mask of nodes whose colour it may take, and is filled in as
-        sources ask (``_fits``).  ``labels[t]``, for a sum node t, is
-        ``(lab, rows, labelled)``: the label index of each node above t, the
-        rows of t's arity by relation code (``single``, one bit per label,
-        for EQUAL), and the nodes above t per label.
+        sources ask (``_fits``).  ``masks[t]``, for a sum node t, maps each
+        node u above t to a 5-tuple of masks over t's up-set, indexed by
+        code: at each relation code (INCOMPARABLE, LESS, GREATER, EQUAL),
+        the nodes x such that u's label stands in that relation to x's
+        label in t's arity; at ``AVOID``, t's up-set minus the child cone
+        of t that holds u.  The nodes of one label in one child cone share
+        a tuple; in a decomposition tree, a child cone is one label's row
+        (``_layout``), so t keeps one tuple per child.
         """
         tables = self._target
         if tables is None:
             poset = self.poset
+            above = poset.above
             classes = {}
             for j, b in enumerate(poset.elements):
                 key = _colour_key(self, b)
                 rep, mask = classes.get(key, (b, 0))
                 classes[key] = (rep, mask | 1 << j)
-            labels = {}
+            masks = {}
             for t, labelled in enumerate(self.label_rows):
                 if not labelled:
                     continue
                 arity = self.arities[poset.elements[t]]
-                lab = {u: lb for lb, row in enumerate(labelled) for u in _bits(row)}
-                single = tuple(1 << lb for lb in range(len(arity)))
-                labels[t] = (lab, (arity.beside, arity.above, arity.below, single), labelled)
-            tables = self._target = (classes, {}, labels)
+                rels = arity.beside, arity.above, arity.below
+                # per label, its nodes by relation code: unions of label rows
+                codes = [tuple([sum(labelled[k] for k in _bits(rel[lb])) for rel in rels]) + (row,)
+                         for lb, row in enumerate(labelled)]
+                at = masks[t] = {}
+                up = rest = above[t]
+                while rest:
+                    # the first node left is a child of t: its ancestors
+                    # above t come before it, in cones already taken out
+                    c = (rest & -rest).bit_length() - 1
+                    cone = above[c] | 1 << c
+                    rest &= ~cone
+                    for lb, row in enumerate(labelled):
+                        if row & cone:
+                            entry = codes[lb] + (up & ~cone,)
+                            for u in _bits(row & cone):
+                                at[u] = entry
+            tables = self._target = (classes, {}, masks)
         return tables
 
     def _source_tables(self):
@@ -357,13 +382,14 @@ class StructuredTree:
         return self.poset.elements
 
     def label(self, v, x):
-        """The slot of v's arity that labels x, for v < x."""
-        j = self.poset.index[x]
-        rows = self.label_rows[self.poset.index[v]]
-        for slot, row in zip(self.arities[v].elements, rows):
-            if row >> j & 1:
-                return slot
-        raise KeyError((v, x))
+        """The slot of v's arity that labels x, for v < x; NoLabel, a
+        KeyError that names ``(v, x)``, for any other pair."""
+        index = self.poset.index
+        if v in self.arities and x in index:
+            for slot, row in zip(self.arities[v].elements, self.label_rows[index[v]]):
+                if row >> index[x] & 1:
+                    return slot
+        raise NoLabel((v, x))
 
     def label_range(self, v):
         """All label values above v; equals v's arity for sum nodes."""
@@ -660,14 +686,15 @@ def _label_entries(S, every_label):
 
 
 def _meet_entries(children):
-    """Per node, its meet entries ``(q, m)``, one per earlier sibling q,
-    where m is their parent, read off the children tuples
-    ``children[m]``."""
+    """Per node i with earlier siblings, its meet entry ``(m, ((q, AVOID),
+    ...))``, in the shape of the relation codes: one code per earlier
+    sibling q, under their parent m, read off the children tuples
+    ``children[m]``.  A node with none has ``()``."""
     meets = [()] * len(children)
     for m, kids in enumerate(children):
-        for k, i in enumerate(kids):
-            meets[i] = tuple([(q, m) for q in kids[:k]])
-    return tuple(meets)
+        for k in range(1, len(kids)):
+            meets[kids[k]] = ((m, tuple([(q, AVOID) for q in kids[:k]])),)
+    return meets
 
 
 def _conditions(S, T):
@@ -680,15 +707,17 @@ def _conditions(S, T):
 
     What depends on one tree alone is kept on that tree, built the first
     time a search asks for it.  T keeps its class masks, the colour mask of
-    each source class it has met, and its label indices
-    (``StructuredTree._target_tables``).  S keeps its node classes, its
-    children tuples, and its relation codes between first nodes
-    (``StructuredTree._source_tables``), all that a pair of decomposition
-    trees reads.  Per pair, this call reads S's classes' masks off T's
-    (``_fits``) and makes the row builder and ``narrow``, which join S's
-    entries to T's rows and label indices; the backtracking search builds
-    each row when it first reaches its node.  Besides the order rows there
-    are two kinds of entry:
+    each source class it has met, and, per sum node t and node u above t,
+    one tuple of masks indexed by code (``StructuredTree._target_tables``).
+    S keeps its node classes, its children tuples, and its relation codes
+    between first nodes (``StructuredTree._source_tables``), all that a
+    pair of decomposition trees reads.  Per pair, this call reads S's
+    classes' masks off T's (``_fits``) and makes the row builder and
+    ``narrow``; the backtracking search builds each row when it first
+    reaches its node.  Both kinds of entry below have one shape, ``(p,
+    ((q, k), ...))``, and ``narrow`` reads them all alike: it keeps f(i)
+    inside T's mask at code k of f(q) under f(p), for each (q, k).  Besides
+    the order rows there are two kinds of entry:
 
     - Order: each node pushes one row to each of its children, so
       ``row(m)`` holds ``(child, T.poset.above)`` per child of m: once m
@@ -701,15 +730,20 @@ def _conditions(S, T):
       of i what q' does, and only the earlier first nodes need checking.
       A first node i gets one code against each of them.  Any other node
       i gets one EQUAL code against q0, the first node with its label: the
-      EQUAL row of f(p)'s arity has one bit per label, so f(i) takes the
+      EQUAL mask of f(q0) under f(p) is its label's row, so f(i) takes the
       label of f(q0).  That implies the other codes: every first node
       q < q0 was checked against q0 when q0 was placed, and every first
       node q with q0 < q < i was checked against q0 when q itself was
       placed.  So once f(i) has the label of f(q0), it stands to each f(q)
       as q0's label, which is i's, stands to q's.
-    - Meets (``_meet_entries``): node i has one entry per earlier sibling
-      q, an earlier node with i's parent m: f(i) avoids the child cone of
-      f(m) that holds f(q), read off T's order rows.
+    - Meets (``_meet_entries``): node i has one entry under its parent m,
+      with one ``AVOID`` code per earlier sibling q: f(i) avoids the child
+      cone of f(m) that holds f(q).
+
+    Each relation code's mask is a union of label rows, and the label rows
+    of f(p) partition its up-set, so an AND of unions of label rows is the
+    union of the rows of the labels that every union holds: the nodes whose
+    label passes every code, as a walk over label indices would give.
 
     When S and T are both decomposition trees, each has its labels
     constant on each child cone and distinct between siblings
@@ -750,45 +784,22 @@ def _conditions(S, T):
     they hold for any complete map that keeps the order, not just for the
     search's prefixes (``verify_st_embedding``).
     """
-    classes, colour, children, codes = S._source_tables()
-    raw = not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree))
-    if raw:
-        codes = _label_entries(S, True)
+    classes, colour, children, entries = S._source_tables()
+    if not (isinstance(S, DecompositionTree) and isinstance(T, DecompositionTree)):
+        entries = [(*c, *m) for c, m in zip(_label_entries(S, True), _meet_entries(children))]
     allowed = _fits(S, T, classes, colour)
-    ttables = T._target_tables()[2]
+    masks = T._target_tables()[2]
     tabove = T.poset.above
 
     def row(m):
         return [(c, tabove) for c in children[m]]
 
-    def narrow_codes(i, assign, c):
-        for p, earlier in codes[i]:
-            lab, rows, labelled = ttables[assign[p]]
-            ok = -1  # the label values i may take under assign[p]
-            for q, code in earlier:
-                ok &= rows[code][lab[assign[q]]]
-            mask = 0
-            while ok:
-                low = ok & -ok
-                mask |= labelled[low.bit_length() - 1]
-                ok ^= low
-            c &= mask
-        return c
-
-    if not raw:
-        return allowed, row, narrow_codes
-    meets = _meet_entries(children)
-    tbelow = T.poset.below
-
     def narrow(i, assign, c):
-        for q, m in meets[i]:
-            # i avoids the cone of the child of assign[m] towards assign[q],
-            # the lowest bit of the path, as T is stored in a linear extension
-            t = assign[q]
-            child = (tbelow[t] | 1 << t) & tabove[assign[m]]
-            k = (child & -child).bit_length() - 1
-            c &= ~(tabove[k] | 1 << k)
-        return narrow_codes(i, assign, c)
+        for p, earlier in entries[i]:
+            at = masks[assign[p]]
+            for q, k in earlier:
+                c &= at[assign[q]][k]
+        return c
 
     return allowed, row, narrow
 

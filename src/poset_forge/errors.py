@@ -43,6 +43,19 @@ class PaletteMismatch(PosetForgeError, ValueError):
     pass
 
 
+class OutOfRange(PosetForgeError, ValueError):
+    """A size parameter outside its range: a negative canonical size, a
+    family or class cap below 1, or a subset size above the poset's."""
+
+
+class NotInjective(PosetForgeError, ValueError):
+    """An embedding map that sends two elements to one, or one to two."""
+
+
+class FrozenField(PosetForgeError, AttributeError):
+    """An assignment to, or deletion of, a field of an immutable record."""
+
+
 # -- intervals ----------------------------------------------------------
 
 class EmptySet(PosetForgeError):
@@ -59,6 +72,10 @@ class TooLarge(PosetForgeError):
 
 class BadBound(PosetForgeError, ValueError):
     """A size bound from the environment that is not an integer."""
+
+
+class NotDistinct(PosetForgeError, ValueError):
+    """``ssr`` given a point equal to one of the pair it compares."""
 
 
 class NotAnInterval(PosetForgeError):
@@ -93,6 +110,11 @@ class BadLabel(PosetForgeError):
     pass
 
 
+class NoLabel(BadLabel, KeyError):
+    """``StructuredTree.label(v, x)`` for a pair that carries no label: v is
+    not a sum node below x.  Its argument is the pair ``(v, x)``."""
+
+
 class NotUpClosedChain(PosetForgeError):
     pass
 
@@ -103,7 +125,30 @@ class VerificationFailure(PosetForgeError):
     which indicates a library bug."""
 
 
+# -- classes and families -----------------------------------------------
+
+class SpecConflict(PosetForgeError, ValueError):
+    """A class spec given both or neither of an allowed list and a size
+    cap."""
+
+
+class EmptyFamily(PosetForgeError, ValueError):
+    pass
+
+
+class NameCountMismatch(PosetForgeError, ValueError):
+    """A family given a number of names other than its number of
+    members."""
+
+
 # -- text formats -------------------------------------------------------
 
 class ParseError(PosetForgeError):
     pass
+
+
+# -- command line -------------------------------------------------------
+
+class BadOption(PosetForgeError, ValueError):
+    """A command-line option that does not apply to the options around
+    it."""

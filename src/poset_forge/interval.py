@@ -32,6 +32,7 @@ from .errors import (
     EmptyPoset,
     EmptySet,
     NotAnInterval,
+    NotDistinct,
     Overlap,
     UnknownElement,
 )
@@ -40,7 +41,7 @@ from .errors import (
 def ssr(p, a, b, carrier):
     """True iff p relates to a and b the same way (<, > and incomparable)."""
     if len({p, a, b}) != 3:
-        raise ValueError("ssr needs three distinct elements")
+        raise NotDistinct("ssr needs three distinct elements")
     return carrier.relation(p, a) == carrier.relation(p, b)
 
 

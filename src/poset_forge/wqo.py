@@ -8,7 +8,7 @@ indecomposable.  The antichain check is exhaustive, never probabilistic.
 
 from . import config
 from .core import _family_below, _Frozen, ColouredPoset, QuasiOrder, canonical
-from .errors import PaletteMismatch
+from .errors import EmptyFamily, NameCountMismatch, OutOfRange, PaletteMismatch
 from .interval import is_indecomposable
 
 
@@ -20,13 +20,13 @@ class Family(_Frozen):
     def __init__(self, members, names):
         members, names = tuple(members), tuple(names)
         if not members:
-            raise ValueError("a family is non-empty")
+            raise EmptyFamily("a family is non-empty")
         palette = members[0].palette
         for m in members:
             if m.palette != palette:
                 raise PaletteMismatch("family members must share one palette")
         if len(names) != len(members):
-            raise ValueError("one name per member")
+            raise NameCountMismatch("one name per member")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "names", names)
 
@@ -52,7 +52,7 @@ def fence_antichain(n_max):
     no class of indecomposables (every three-point poset is decomposable).
     """
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise OutOfRange("n_max must be >= 1")
     palette = fence_palette()
     members = []
     names = []

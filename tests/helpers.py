@@ -15,7 +15,8 @@ which evaluates one extracted tree per slot; ``backward_backtrack``
 with ``backward_code_rows``, the old search kernel, which checks each
 source against the earlier ones only once it reaches it; and
 ``full_label_narrow``, the old meet and label entries of ``st_embed``,
-which give every node above a sum node one code per earlier first node.
+which give every node above a sum node one code per earlier first node,
+read against the target tree's definition (``target_masks``).
 """
 
 import functools
@@ -664,16 +665,53 @@ def brute_st_embed(tx, ty):
     return None
 
 
+def label_code(T, t, u, x):
+    """The relation code of u's label to x's label, for nodes u and x of T
+    above its sum node t (by index), read through ``T.label`` and the rows
+    of t's arity."""
+    v, arity = T.nodes[t], T.arities[T.nodes[t]]
+    lu = arity.index[T.label(v, T.nodes[u])]
+    lx = arity.index[T.label(v, T.nodes[x])]
+    if lu == lx:
+        return EQUAL
+    if arity.above[lu] >> lx & 1:
+        return LESS
+    return GREATER if arity.below[lu] >> lx & 1 else INCOMPARABLE
+
+
+def same_child_cone(T, t, u, x):
+    """Whether nodes u and x of T lie in one child cone of t (by index):
+    some node above t is at or below both, by T's order rows."""
+    above, below = T.poset.above, T.poset.below
+    return bool((below[u] | 1 << u) & (below[x] | 1 << x) & above[t])
+
+
+def target_masks(T, t, u):
+    """The 5-tuple of masks over the up-set of T's sum node t that a target
+    keeps for node u above t (``StructuredTree._target_tables``), from its
+    definition: at each relation code, the nodes x with ``label_code(T, t,
+    u, x)`` that code; at the code after EQUAL, the nodes outside u's child
+    cone of t."""
+    masks = [0] * 5
+    for x in _bits(T.poset.above[t]):
+        masks[label_code(T, t, u, x)] |= 1 << x
+        if not same_child_cone(T, t, u, x):
+            masks[4] |= 1 << x
+    return tuple(masks)
+
+
 def full_label_narrow(S, T):
     """``narrow(i, assign, c)`` for the st_embed search of S into T, with
     every meet and label entry of the old set-up: one meet entry per
     earlier sibling, found by a scan of the earlier nodes, and, under each
     sum node p below i, one relation code (EQUAL included) against every
-    earlier node that is the first above p with its label.  It reads T's
-    kept label tables (``StructuredTree._target_tables``) and T's order
-    rows."""
-    ttables = T._target_tables()[2]
+    earlier node that is the first above p with its label.  It reads T
+    through ``T.label``, the arity rows and T's order rows alone, not
+    through the tables a target keeps: f(i) keeps the nodes above f(p)
+    whose label passes every code, and avoids the child cone of f(m) that
+    holds f(q)."""
     spos, tabove = S.poset, T.poset.above
+    code = functools.cache(lambda t, u, x: label_code(T, t, u, x))
     parent = [row.bit_length() - 1 for row in spos.below]
     meets = [[(q, m) for q in range(i) if parent[q] == m] for i, m in enumerate(parent)]
     labels = [[] for _ in parent]
@@ -697,16 +735,12 @@ def full_label_narrow(S, T):
 
     def narrow(i, assign, c):
         for q, m in meets[i]:
-            # the child of assign[m] towards assign[q], and its cone
-            child = next(k for k in _bits(tabove[assign[m]])
-                         if k == assign[q] or tabove[k] >> assign[q] & 1)
-            c &= ~(tabove[child] | 1 << child)
+            c &= sum(1 << x for x in _bits(tabove[assign[m]])
+                     if not same_child_cone(T, assign[m], assign[q], x))
         for p, earlier in labels[i]:
-            lab, rows, labelled = ttables[assign[p]]
-            ok = -1
-            for q, code in earlier:
-                ok &= rows[code][lab[assign[q]]]
-            c &= sum(labelled[lb] for lb in _bits(ok))
+            t = assign[p]
+            c &= sum(1 << x for x in _bits(tabove[t])
+                     if all(code(t, assign[q], x) == k for q, k in earlier))
         return c
 
     return narrow

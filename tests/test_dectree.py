@@ -41,6 +41,7 @@ from poset_forge.textio import poset_text
 from poset_forge.errors import (
     BadLabel,
     Malformed,
+    NoLabel,
     NotATree,
     NotUpClosedChain,
     PaletteMismatch,
@@ -344,6 +345,19 @@ class TestLabelRows:
                     else:
                         with pytest.raises(KeyError):
                             tree.label(v, x)
+
+    def test_label_raises_one_error_naming_the_pair(self):
+        # a leaf, an unknown id on either side, and a sum node with a node
+        # that is not above it: one NoLabel, a BadLabel and a KeyError
+        t = decomposition_tree(uniform("N", 0))
+        root, leaf = t.nodes[0], t.leaf_nodes()[0]
+        assert root in t.internal_nodes()
+        for v, x in [(leaf, root), (leaf, leaf), ("?", leaf), (root, "?"), (root, root)]:
+            with pytest.raises(NoLabel) as caught:
+                t.label(v, x)
+            assert isinstance(caught.value, BadLabel) and isinstance(caught.value, KeyError)
+            assert caught.value.args == ((v, x),)
+        assert t.label(root, leaf) in t.arities[root]
 
     def test_rows_split_each_up_set(self):
         # one row per slot of the arity; together they partition the nodes
@@ -1292,9 +1306,10 @@ class TestImpliedEntries:
         build_meets, build_codes = dectree._meet_entries, dectree._label_entries
 
         def meets(children):
+            # one entry per node with earlier siblings, one code per pair
             entries = build_meets(children)
             builds["meets"] += 1
-            built["meets"] += sum(map(len, entries))
+            built["meets"] += sum(len(c) for e in entries for _, c in e)
             return entries
 
         def codes(S, every_label):
@@ -1436,6 +1451,31 @@ class TestVerifyDecompositionPairs:
 class TestTargetTables:
     """A target tree keeps what st_embed reads of it; every later source
     must get the witness it gets against a fresh copy of the target."""
+
+    def test_kept_masks_match_the_definition(self, catalog5):
+        # per sum node t, one 5-tuple per node above t, equal to
+        # helpers.target_masks; the nodes of one label in one child cone
+        # share it, so a decomposition tree keeps one per child of t
+        trees, raw = _label_entry_trees(catalog5)
+        raw += [tree for _, tree in helpers.random_raw_trees(random.Random(227), 25)]
+        shared = 0
+        for T in trees + raw:
+            masks, above = T._target_tables()[2], T.poset.above
+            assert set(masks) == {t for t, rows in enumerate(T.label_rows) if rows}
+            for t, at in masks.items():
+                assert set(at) == set(_bits(above[t]))
+                groups = {}
+                for u, entry in at.items():
+                    assert entry == helpers.target_masks(T, t, u)
+                    # the label's row and the child cone
+                    key = entry[EQUAL], above[t] & ~entry[dectree.AVOID]
+                    assert groups.setdefault(key, entry) is entry
+                tuples = len({id(entry) for entry in at.values()})
+                assert tuples == len(groups)
+                if isinstance(T, DecompositionTree):
+                    assert tuples == len(_children(T, t))
+                shared += tuples < len(at)
+        assert shared > 100
 
     def _assert_kept_tables_hold(self, target, sources, other):
         # used as a source first: it keeps no target tables
