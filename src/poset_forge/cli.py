@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 negative result (absent embedding, failed class
-check, broken antichain), 2 input error.  All output is plain text with a
+check, broken antichain), 2 input error, a usage error included, which
+prints one ``error:`` line.  All output is plain text on stdout with a
 stable field order; identical inputs give byte-identical output.
 """
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 from .classify import ClassSpec, class_check
 from .composition import inline_poset, maximal_decomposition
@@ -42,62 +43,213 @@ def _load(path):
     return load_coloured_poset(_read(path))
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="poset-forge", description="finite poset decomposition toolkit"
-    )
-    sub = p.add_subparsers(dest="verb", required=True)
+# kinds of option value: a flag takes none, an int one, "some" one or more
+# words (the last use wins), "append" one word per use
+FLAG, INT, SOME, APPEND = "flag", "int", "some", "append"
+HELP = "help"
 
-    s = sub.add_parser("validate", help="parse files and check invariants")
-    s.add_argument("files", nargs="+")
+# verb: (help line, positionals, options and their kinds, required options,
+# an exactly-one-of pair or ()); a positional ending in "+" takes one or more
+# words, and takes the whole run of words it starts
+_VERBS = {
+    "validate": ("parse files and check invariants", ("files+",), {}, (), ()),
+    "decompose": ("maximal decomposition of a poset", ("file",), {}, (), ()),
+    "tree": ("decomposition tree dump", ("file",), {}, (), ()),
+    "embed": (
+        "search an embedding between two posets",
+        ("source", "target"),
+        {"--coloured": FLAG},
+        (),
+        (),
+    ),
+    "lift": (
+        "tree embedding lifted to a poset embedding", ("source", "target"), {}, (), ()
+    ),
+    "classify": (
+        "check indecomposable subsets",
+        ("file",),
+        {"--max-indecomposable": INT, "--allowed": SOME, "--bound": INT},
+        (),
+        ("--max-indecomposable", "--allowed"),
+    ),
+    "rank": (
+        "rank of a tree poset",
+        ("file",),
+        {"--scattered": FLAG, "--tree": FLAG, "--bound": INT},
+        (),
+        ("--scattered", "--tree"),
+    ),
+    "quotient": (
+        "collapse disjoint intervals", ("file",), {"--interval": APPEND}, ("--interval",), ()
+    ),
+    "antichain": (
+        "marked-zigzag antichain matrix", (), {"--n": INT, "--bound": INT}, ("--n",), ()
+    ),
+    "matrix": ("embeddability matrix of a family", ("files+",), {"--bound": INT}, (), ()),
+}
+_HELP = {"-h": HELP, "--help": HELP}
+_METAVAR = {FLAG: "", INT: " N", SOME: " FILE...", APPEND: " a,b,..."}
 
-    s = sub.add_parser("decompose", help="maximal decomposition of a poset")
-    s.add_argument("file")
 
-    s = sub.add_parser("tree", help="decomposition tree dump")
-    s.add_argument("file")
+def _usage(verb):
+    """One verb's usage line, read off its table entry."""
+    _, positionals, kinds, required, pair = _VERBS[verb]
+    words = [verb]
+    for name in positionals:
+        words.append(name[:-1].upper() + "..." if name.endswith("+") else name.upper())
+    if pair:
+        words.append("(" + " | ".join(o + _METAVAR[kinds[o]] for o in pair) + ")")
+    for option, kind in kinds.items():
+        if option in required:
+            words.append(option + _METAVAR[kind])
+        elif option not in pair:
+            words.append(f"[{option}{_METAVAR[kind]}]")
+        if kind == APPEND:
+            words.append(f"[{option} ...]")
+    return " ".join(words)
 
-    s = sub.add_parser("embed", help="search an embedding between two posets")
-    s.add_argument("source")
-    s.add_argument("target")
-    s.add_argument("--coloured", action="store_true")
 
-    s = sub.add_parser("lift", help="tree embedding lifted to a poset embedding")
-    s.add_argument("source")
-    s.add_argument("target")
+def _help(word):
+    """Help for one verb, or for every verb when word names none."""
+    if word in _VERBS:
+        return f"usage: poset-forge {_usage(word)}\n\n{_VERBS[word][0]}\n"
+    lines = ["usage: poset-forge VERB ...", ""]
+    for verb, entry in _VERBS.items():
+        lines += [f"  {_usage(verb)}", f"      {entry[0]}"]
+    lines += [
+        "",
+        "Options go before, between or after the positionals, as --opt value,",
+        "--opt=value or a unique prefix; -h after a verb shows its usage.",
+        "Exit code 0 = success, 1 = negative result, 2 = input error.",
+    ]
+    return "\n".join(lines) + "\n"
 
-    s = sub.add_parser("classify", help="check indecomposable subsets")
-    s.add_argument("file")
-    group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--max-indecomposable", type=int, default=None)
-    group.add_argument("--allowed", nargs="+", default=None)
-    s.add_argument("--bound", type=int, default=None)
 
-    s = sub.add_parser("rank", help="rank of a tree poset")
-    s.add_argument("file")
-    group = s.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scattered", action="store_true")
-    group.add_argument("--tree", action="store_true")
-    s.add_argument("--bound", type=int, default=None)
+def _negative_number(word):
+    """Whether word is ``-`` then digits, with at most one ``.`` before the
+    last digit (``-2``, ``-1.5``, ``-.5``): such a word is a value."""
+    whole, dot, part = word[1:].partition(".")
+    if dot:
+        return (whole == "" or whole.isdecimal()) and part.isdecimal()
+    return whole.isdecimal()
 
-    s = sub.add_parser("quotient", help="collapse disjoint intervals")
-    s.add_argument("file")
-    s.add_argument(
-        "--interval",
-        action="append",
-        required=True,
-        metavar="a,b,...",
-        help="comma-separated members; repeatable",
-    )
 
-    s = sub.add_parser("antichain", help="marked-zigzag antichain matrix")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--bound", type=int, default=None)
+def _option(word, kinds):
+    """``(option, value)`` when word is an option: a known name or a unique
+    prefix of one, or an unknown word that starts with ``-`` (kept whole);
+    value is the text after ``=``, or None.  None when word is a value: it
+    does not start with ``-``, is ``-`` itself, a negative number or holds a
+    space."""
+    if word[:1] != "-" or word == "-":
+        return None
+    name, eq, value = word.partition("=")
+    value = value if eq else None
+    if name in kinds:
+        return name, value
+    if word[1] == "-":
+        found = [option for option in kinds if option.startswith(name)]
+        if len(found) > 1:
+            raise BadOption(f"{name} is ambiguous: {', '.join(found)}")
+        if found:
+            return found[0], value
+    if _negative_number(word) or " " in word:
+        return None
+    return word, None
 
-    s = sub.add_parser("matrix", help="embeddability matrix of a family")
-    s.add_argument("files", nargs="+")
-    s.add_argument("--bound", type=int, default=None)
-    return p
+
+def _dest(name):
+    return name.lstrip("-").rstrip("+").replace("-", "_")
+
+
+def _parse(argv):
+    """The values of one command line, keyed as the ``_cmd_*`` functions read
+    them; None when it asks for help.  Raises BadOption on a usage error.
+
+    A line reads as it did under the argparse parser this replaced (kept as
+    a test oracle).  Options and runs of positional words may interleave,
+    and every word after ``--`` is positional; each run fills the
+    positionals left, in order.  A bad integer, a missing value, a value
+    given to a flag or the second option of an exactly-one-of pair fails at
+    once, before a later ``-h`` is read.  Any other usage error is reported
+    once the whole line is read, and ``-h`` anywhere wins over it.
+    """
+    if not argv or argv[0] not in _VERBS:
+        if argv and argv[0] in ("-h", "--h", "--he", "--hel", "--help"):
+            return None
+        word = repr(argv[0]) if argv else "none"
+        raise BadOption(f"verb {word} is not one of {', '.join(_VERBS)}")
+    verb = argv[0]
+    _, positionals, kinds, required, pair = _VERBS[verb]
+    values = {"verb": verb}
+    values.update((_dest(name), None) for name in positionals)
+    values.update((_dest(o), False if k == FLAG else None) for o, k in kinds.items())
+    kinds = {**_HELP, **kinds}
+    late = []  # errors that a later -h still overrides
+    runs = [[]]  # runs of positional words, split by options
+    given = set()
+    i, rest = 1, False
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        if word == "--" and not rest:
+            rest = True
+            continue
+        found = None if rest else _option(word, kinds)
+        if found is None:
+            runs[-1].append(word)
+            continue
+        runs.append([])
+        option, value = found
+        kind = kinds.get(option)
+        if kind is None:
+            late.append(f"unknown option {option!r} for {verb}")
+            continue
+        if kind in (FLAG, HELP):
+            if value is not None:
+                raise BadOption(f"{option} takes no value, got {value!r}")
+            if kind == HELP:
+                return None
+            value = True
+        elif value is None:
+            start = i
+            while i < len(argv) and argv[i] != "--" and _option(argv[i], kinds) is None:
+                i += 1
+                if kind != SOME:
+                    break
+            if i == start:
+                raise BadOption(f"{option} needs a value")
+            value = argv[start:i] if kind == SOME else argv[start]
+        elif kind == SOME:
+            value = [value]
+        if kind == INT:
+            try:
+                value = int(value)
+            except ValueError:
+                raise BadOption(f"{option} takes an integer, got {value!r}") from None
+        elif kind == APPEND:
+            value = (values[_dest(option)] or []) + [value]
+        if option in pair and given.intersection(pair) - {option}:
+            raise BadOption(f"{pair[0]} and {pair[1]} exclude each other")
+        given.add(option)
+        values[_dest(option)] = value
+    names = iter(positionals)
+    for run in runs:
+        j = 0
+        while j < len(run) and (name := next(names, None)):
+            if name.endswith("+"):
+                values[_dest(name)], j = run[j:], len(run)
+            else:
+                values[name], j = run[j], j + 1
+        late += [f"unexpected word {word!r} for {verb}" for word in run[j:]]
+    if rest and not runs[-1]:  # a -- that no positional took
+        late.append(f"unexpected word '--' for {verb}")
+    late += [f"{verb} needs {_dest(name).upper()}" for name in names]
+    late += [f"{verb} needs {option}" for option in required if option not in given]
+    if pair and not given.intersection(pair):
+        late.append(f"{verb} needs one of {pair[0]} and {pair[1]}")
+    if late:
+        raise BadOption(late[0])
+    return SimpleNamespace(**values)
 
 
 def _cmd_validate(args, out):
@@ -263,10 +415,10 @@ def run(argv, out=None):
     """Dispatch one command line; returns the exit code."""
     out = out if out is not None else sys.stdout
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = _parse(argv)
+        if args is None:
+            out.write(_help(argv[0]))
+            return 0
         return _COMMANDS[args.verb](args, out)
     except (PosetForgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)

@@ -150,5 +150,6 @@ class ParseError(PosetForgeError):
 # -- command line -------------------------------------------------------
 
 class BadOption(PosetForgeError, ValueError):
-    """A command-line option that does not apply to the options around
-    it."""
+    """A command line the CLI cannot read: an unknown verb or option, a
+    missing or malformed value, a word left over, or an option that does
+    not apply to the options around it."""

@@ -16,10 +16,14 @@ with ``backward_code_rows``, the old search kernel, which checks each
 source against the earlier ones only once it reaches it; and
 ``full_label_narrow``, the old meet and label entries of ``st_embed``,
 which give every node above a sum node one code per earlier first node,
-read against the target tree's definition (``target_masks``).
+read against the target tree's definition (``target_masks``); and
+``argparse_oracle``, the CLI's former argparse parser.
 """
 
+import argparse
+import contextlib
 import functools
+import io
 import itertools
 
 from hypothesis import strategies as st
@@ -1112,3 +1116,75 @@ def separator_posets(draw, max_size=6):
     pairs = [(a, b) for k, a in enumerate(ids) for b in ids[k + 1:]]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return make_poset(ids, [ab for ab, kept in zip(pairs, keep) if kept])
+
+
+# -- the CLI's former parser -----------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _argparse_parser():
+    p = argparse.ArgumentParser(
+        prog="poset-forge", description="finite poset decomposition toolkit"
+    )
+    sub = p.add_subparsers(dest="verb", required=True)
+
+    s = sub.add_parser("validate", help="parse files and check invariants")
+    s.add_argument("files", nargs="+")
+
+    s = sub.add_parser("decompose", help="maximal decomposition of a poset")
+    s.add_argument("file")
+
+    s = sub.add_parser("tree", help="decomposition tree dump")
+    s.add_argument("file")
+
+    s = sub.add_parser("embed", help="search an embedding between two posets")
+    s.add_argument("source")
+    s.add_argument("target")
+    s.add_argument("--coloured", action="store_true")
+
+    s = sub.add_parser("lift", help="tree embedding lifted to a poset embedding")
+    s.add_argument("source")
+    s.add_argument("target")
+
+    s = sub.add_parser("classify", help="check indecomposable subsets")
+    s.add_argument("file")
+    group = s.add_mutually_exclusive_group(required=True)
+    group.add_argument("--max-indecomposable", type=int, default=None)
+    group.add_argument("--allowed", nargs="+", default=None)
+    s.add_argument("--bound", type=int, default=None)
+
+    s = sub.add_parser("rank", help="rank of a tree poset")
+    s.add_argument("file")
+    group = s.add_mutually_exclusive_group(required=True)
+    group.add_argument("--scattered", action="store_true")
+    group.add_argument("--tree", action="store_true")
+    s.add_argument("--bound", type=int, default=None)
+
+    s = sub.add_parser("quotient", help="collapse disjoint intervals")
+    s.add_argument("file")
+    s.add_argument(
+        "--interval",
+        action="append",
+        required=True,
+        metavar="a,b,...",
+        help="comma-separated members; repeatable",
+    )
+
+    s = sub.add_parser("antichain", help="marked-zigzag antichain matrix")
+    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--bound", type=int, default=None)
+
+    s = sub.add_parser("matrix", help="embeddability matrix of a family")
+    s.add_argument("files", nargs="+")
+    s.add_argument("--bound", type=int, default=None)
+    return p
+
+
+def argparse_oracle(argv):
+    """What the CLI's former argparse parser made of argv: its values as a
+    dict, ``"help"`` when it printed help and exited 0, or None when it
+    refused argv (exit 2)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(_argparse_parser().parse_args(argv))
+        except SystemExit as exc:
+            return "help" if exc.code in (0, None) else None

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import argparse_oracle
+from poset_forge import canonical, cli, errors, wqo
 from poset_forge.cli import run
 from poset_forge.textio import load_coloured_poset, poset_text
-from poset_forge import canonical, wqo
 from poset_forge.wqo import Family, bad_pair_search, embeddability_matrix, matrix_text
 
 
@@ -43,6 +44,20 @@ def files(tmp_path):
     write("bad.poset", "poset b\nelem a\nlt a z\nend\n")
     write("one.poset", poset_text("one", canonical("chain", 1)))
     return paths
+
+
+USAGE_ERRORS = (
+    (["frobnicate"], "error: verb 'frobnicate' is not one of " + ", ".join(cli._VERBS)),
+    (["rank", "f.poset"], "error: rank needs one of --scattered and --tree"),
+    (["antichain", "--n", "x"], "error: --n takes an integer, got 'x'"),
+    (["antichain", "--n"], "error: --n needs a value"),
+    (["antichain", "--n", "4", "--frob"], "error: unknown option '--frob' for antichain"),
+    (["rank", "f.poset", "--tree", "--s"], "error: --scattered and --tree exclude each other"),
+    (["embed", "a", "b", "c"], "error: unexpected word 'c' for embed"),
+    (["embed", "a", "--coloured=yes", "b"], "error: --coloured takes no value, got 'yes'"),
+    (["quotient", "f.poset"], "error: quotient needs --interval"),
+    (["matrix", "--bound", "3"], "error: matrix needs FILES"),
+)
 
 
 class TestExitCodes:
@@ -95,9 +110,22 @@ class TestExitCodes:
         code, text = invoke([a.format(e=path) for a in argv])
         assert code == 2 and text.startswith("error:")
 
-    def test_bad_usage_is_2(self, files):
-        assert invoke(["frobnicate"])[0] == 2
-        assert invoke(["rank", files["ch3.poset"]])[0] == 2  # needs a mode
+    def test_bad_usage_is_2(self):
+        # a usage error is one error line on stdout, like a library error
+        for argv, line in USAGE_ERRORS:
+            assert invoke(argv) == (2, line + "\n"), argv
+
+    def test_bad_usage_streams(self):
+        # in a process: the error line on stdout, nothing on stderr
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "poset_forge.cli", "antichain", "--n", "x"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert (done.stdout, done.stderr) == ("error: --n takes an integer, got 'x'\n", "")
 
 
 class TestVerbs:
@@ -290,6 +318,195 @@ class TestDeterminism:
         assert code == 2  # four elements exceed the global bound
 
 
+def parsed(argv):
+    """``cli._parse``'s reading of argv in ``argparse_oracle``'s terms."""
+    try:
+        args = cli._parse(argv)
+    except errors.BadOption:
+        return None
+    return "help" if args is None else vars(args)
+
+
+# the ten command lines of the cli_small benchmark workload, one per verb
+CLI_SMALL = (
+    ["validate", "a.poset", "b.poset", "c.poset"],
+    ["decompose", "a.poset"],
+    ["tree", "b.poset"],
+    ["embed", "s.poset", "b.poset"],
+    ["lift", "s.poset", "b.poset"],
+    ["classify", "a.poset", "--max-indecomposable", "3"],
+    ["rank", "t.poset", "--tree"],
+    ["quotient", "a.poset", "--interval", "a3,a6"],
+    ["antichain", "--n", "4"],
+    ["matrix", "m0.poset", "m1.poset", "m2.poset"],
+)
+# one case of each form the grammar below draws at random
+PARITY_CASES = (
+    ["embed", "--coloured", "a", "b"],  # options before,
+    ["embed", "a", "--coloured", "b"],  # between
+    ["embed", "a", "b", "--coloured"],  # and after the positionals
+    ["antichain", "--n=4", "--bound=11"],
+    ["antichain", "--n", "11", "--b", "11"],  # unique prefixes
+    ["classify", "a", "--max", "3"],
+    ["antichain", "--n", "-2"],  # a negative int is a value
+    ["embed", "-2", "-1.5"],
+    ["validate", "-.5", "-5.", "-x y"],
+    ["antichain", "--n", "x"],
+    ["antichain", "--n", "1.5"],
+    ["antichain", "--n", "4", "--n", "5"],  # the last wins
+    ["classify", "a", "--allowed", "b", "--allowed", "c", "d"],
+    ["quotient", "a", "--interval", "a,b", "--interval=c"],  # accumulates
+    ["antichain"],
+    ["antichain", "--n"],
+    ["antichain", "--n", "--bound", "3"],
+    ["antichain", "--n", "4", "--nope"],
+    ["rank", "a", "--tree", "--scattered"],
+    ["rank", "a"],
+    ["classify", "a", "--max-indecomposable", "3", "--allowed", "b"],
+    ["classify", "a"],
+    ["embed", "a", "--", "--coloured"],
+    ["embed", "a", "b", "--"],
+    ["embed", "a", "b", "--coloured", "--"],
+    ["antichain", "--n", "4", "--"],
+    ["validate", "--", "a", "b"],
+    ["validate", "a", "--", "-x", "b"],
+    ["classify", "--allowed", "b", "c", "a"],
+    ["classify", "--allowed", "b", "--", "a"],
+    ["matrix", "a", "--bound", "3", "b"],  # a + positional split by an option
+    ["validate", "a", "--nope", "b"],
+    ["embed", "a", "b", "c", "-h"],  # help wins over a later error,
+    ["antichain", "--nope", "-h"],
+    ["antichain", "--n", "x", "-h"],  # but not over a bad value before it
+    ["rank", "-h", "--tree", "--scattered"],
+    ["-h"],
+    ["--help", "frobnicate"],
+    ["frobnicate", "-h"],
+    ["embed", "--coloured=yes", "a", "b"],
+    ["embed", "a", "b", "--c"],
+    [],
+)
+# the words of the random command lines: values (file names, ints,
+# negative numbers, words that are not ints, one with a space) and, below,
+# every option of every verb, whole or a prefix, with or without =value
+PARITY_VALUES = ("a", "b.poset", "3", "0", "-2", "x", "1.5", "-1.5", "-.5", "a,b", "", "x y")
+PARITY_OPTIONS = (
+    "--coloured", "--max-indecomposable", "--allowed", "--bound", "--scattered",
+    "--tree", "--interval", "--n", "--help", "--nope", "-h", "-x",
+)
+
+
+def spelled(draw, option, values):
+    """option, whole or as a prefix, then its value words: apart, or after
+    an ``=`` when there is one value."""
+    name = option[: draw(st.integers(min(3, len(option)), len(option)))]
+    if len(values) == 1 and draw(st.booleans()):
+        return [f"{name}={values[0]}"]
+    return [name, *values]
+
+
+@st.composite
+def option_words(draw):
+    option = draw(st.sampled_from(PARITY_OPTIONS))
+    return spelled(draw, option, draw(st.lists(st.sampled_from(PARITY_VALUES), max_size=1)))
+
+
+@st.composite
+def assembled_lines(draw):
+    """A verb's positionals and some of its options with values, shuffled
+    as whole pieces: mostly lines that argparse takes."""
+    verb = draw(st.sampled_from(tuple(cli._VERBS)))
+    _, positionals, kinds, _, _ = cli._VERBS[verb]
+    values = st.sampled_from(PARITY_VALUES)
+    pieces = [[draw(values)] for name in positionals]
+    pieces += [[draw(values)] for _ in range(positionals == ("files+",) and draw(st.integers(0, 2)))]
+    for option, kind in kinds.items():
+        for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+            count = {cli.FLAG: 0, cli.SOME: draw(st.integers(1, 2))}.get(kind, 1)
+            pieces.append(spelled(draw, option, draw(st.lists(values, min_size=count, max_size=count))))
+    return [verb] + [word for piece in draw(st.permutations(pieces)) for word in piece]
+
+
+@st.composite
+def command_lines(draw):
+    """An assembled line, a verb (or a word that is none) and up to five
+    values, options or ``--``, or one of the cases above edited; at most one
+    ``--`` is kept."""
+    words = st.one_of(
+        st.sampled_from(PARITY_VALUES).map(lambda word: [word]), option_words(), st.just(["--"])
+    )
+    branch = draw(st.integers(0, 2))
+    if branch == 0:
+        argv = draw(assembled_lines())
+    elif branch == 1:
+        argv = [draw(st.sampled_from(tuple(cli._VERBS) + ("frobnicate",)))]
+        argv += [word for piece in draw(st.lists(words, max_size=5)) for word in piece]
+    else:
+        argv = list(draw(st.sampled_from([case for case in CLI_SMALL + PARITY_CASES if case])))
+        for _ in range(draw(st.integers(1, 3))):
+            k = draw(st.integers(1, len(argv)))
+            if draw(st.booleans()) and k < len(argv):
+                del argv[k]
+            else:
+                argv[k:k] = draw(words)
+    # argparse 3.11 strips one more "--" from each action's words: unlike
+    # the CLI, it reads "embed a -- --" as target []; such lines stay out
+    first = argv.index("--") + 1 if "--" in argv else len(argv)
+    return argv[:first] + [word for word in argv[first:] if word != "--"]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", CLI_SMALL, ids=lambda argv: argv[0])
+    def test_cli_small_lines(self, argv):
+        assert isinstance(parsed(argv), dict)
+        assert parsed(argv) == argparse_oracle(argv)
+
+    @pytest.mark.parametrize("argv", PARITY_CASES, ids=" ".join)
+    def test_cases_match_argparse(self, argv):
+        assert parsed(argv) == argparse_oracle(argv)
+
+    @settings(max_examples=600, deadline=None)
+    @given(command_lines())
+    def test_matches_argparse(self, argv):
+        # every line argparse took gives the same values, every line it
+        # refused is refused, and help is help
+        assert parsed(argv) == argparse_oracle(argv)
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--he", "frobnicate"]])
+    def test_alone(self, argv):
+        code, text = invoke(argv)
+        assert code == 0 and text == cli._help(None)
+        assert text.startswith("usage: poset-forge VERB")
+
+    @pytest.mark.parametrize("verb", list(cli._VERBS))
+    def test_after_a_verb(self, verb):
+        code, text = invoke([verb, "-h"])
+        assert code == 0
+        assert text == f"usage: poset-forge {cli._usage(verb)}\n\n{cli._VERBS[verb][0]}\n"
+        assert invoke([verb, "--x", "--help"]) == (0, text)  # help wins over a later error
+
+    def test_usage_lines(self):
+        assert cli._usage("classify") == (
+            "classify FILE (--max-indecomposable N | --allowed FILE...) [--bound N]"
+        )
+        assert cli._usage("quotient") == "quotient FILE --interval a,b,... [--interval ...]"
+        assert cli._usage("validate") == "validate FILES..."
+
+    def test_one_verb_list(self):
+        # the dispatch table, the parse table, the help text and README's
+        # verb block name the same ten verbs, in one order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Verbs (exit code", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        in_readme = list(dict.fromkeys(line.split()[1] for line in block.splitlines()))
+        in_help = [
+            line.split()[0] for line in cli._help(None).splitlines()
+            if line.startswith("  ") and not line.startswith("   ")
+        ]
+        assert len(cli._COMMANDS) == 10
+        assert list(cli._COMMANDS) == list(cli._VERBS) == in_help == in_readme
+
+
 # seed documents for the fuzz test, all valid
 FUZZ_SEEDS = (
     poset_text("n", canonical("N", 0)),
@@ -318,6 +535,15 @@ FUZZ_VERBS = (
     ["quotient", "{a}", "--interval", "a,b"],
     ["antichain", "--n", "{n}"],
     ["matrix", "{a}", "{b}"],
+    # usage errors: a bad int, a missing value, an unknown option, both and
+    # neither of an exactly-one-of pair
+    ["antichain", "--n", "x{n}"],
+    ["antichain", "--bound", "{n}", "--n"],
+    ["tree", "{a}", "--frob", "{n}"],
+    ["rank", "{a}", "--tree", "--scattered"],
+    ["rank", "{a}"],
+    ["classify", "{a}", "--max-indecomposable", "{n}", "--allowed", "{b}"],
+    ["classify", "{a}", "--bound", "{n}"],
 )
 
 
@@ -393,6 +619,15 @@ def _run_after_cli_import(probe):
 
 def test_cli_import_leaves_numpy_out():
     _run_after_cli_import("assert 'numpy' not in sys.modules")
+
+
+def test_cli_import_leaves_argparse_and_gettext_out():
+    # argparse and the gettext it imports took about 4.5 ms of every call;
+    # compared against before, since a host's site may load them first
+    _run_after_cli_import(
+        "loaded = {'argparse', 'gettext'} & (set(sys.modules) - before); "
+        "assert not loaded, loaded"
+    )
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out():

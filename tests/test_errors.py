@@ -76,6 +76,6 @@ def test_each_site_raises_its_class(call, typed, builtin):
 
 def test_bound_without_scattered_raises_bad_option():
     # the CLI turns it into exit code 2 and its message (test_cli)
-    args = cli._parser().parse_args(["rank", "unread.poset", "--tree", "--bound", "1"])
+    args = cli._parse(["rank", "unread.poset", "--tree", "--bound", "1"])
     with pytest.raises(errors.BadOption):
         cli._cmd_rank(args, None)
