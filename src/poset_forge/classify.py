@@ -4,11 +4,11 @@ For finite posets, membership in a class cut out by a family of allowed
 indecomposables reduces to one check: every indecomposable induced subposet
 must be on the list (or within the size budget).  Every pair is
 indecomposable, and the larger indecomposable subsets are read off the
-prime nodes of the strong-module tree (``interval._prime_nodes``; Gallai
-1967).  Let S be an indecomposable subset of 3 or more points, and M the
-smallest strong module that holds it.  Strong modules holding a common
-point are nested, so S lies in no child of M (a child holding S would be a
-smaller one), and:
+prime nodes of the strong-module tree (``interval._strong_modules``;
+Gallai 1967).  Let S be an indecomposable subset of 3 or more points, and
+M the smallest strong module that holds it.  Strong modules holding a
+common point are nested, so S lies in no child of M (a child holding S
+would be a smaller one), and:
 
 - S meets each child C of M in at most one point: C is a module, so S & C
   is a module of the order induced on S, and S & C is not all of S;
@@ -26,7 +26,9 @@ smaller one), and:
 So the indecomposable subsets of 3 or more points are the transversals of
 those of each prime quotient, and every transversal of one quotient subset
 has its shape and its size: a verdict is decided once per quotient subset,
-and only the subsets that violate are lifted.
+and only the subsets that violate are lifted.  One pass (``_subsets``)
+lists the pairs and lifts the quotient subsets for every caller: the
+subsets up to a size, those over a size cap, and those a list refuses.
 
 The indecomposable subsets of a quotient (or of any poset) are found in one
 pass over its subset masks in increasing order, in which every proper
@@ -47,7 +49,7 @@ downstream of these predicates wants them.
 from . import config
 from .core import Poset, _bits, _embed_assign, _Frozen, _induced_rows, _Record, canonical, embed, is_isomorphic
 from .errors import OutOfRange, SpecConflict
-from .interval import _canonical_sets, _prime_nodes, _split
+from .interval import _canonical_sets, _split, _strong_modules
 
 
 # masks are read from the marks one block of this many subsets at a time
@@ -92,23 +94,24 @@ def _indecomposable_masks(carrier, max_size):
 
 def _quotients(poset):
     """(children, quotient) for each prime node of poset
-    (``interval._prime_nodes``): the quotient is the order induced on the
-    children's lowest points, in the order of the children, and is poset
-    itself when the children are all of its points one by one."""
-    out = []
-    for children in _prime_nodes(poset):
+    (``interval._strong_modules``), the children sorted by lowest point:
+    the quotient is the order induced on the children's lowest points, in
+    the order of the children, and is poset itself when the children are
+    all of its points one by one."""
+    for _, kind, children in _strong_modules(poset):
+        if kind != "prime":
+            continue
+        children = sorted(children, key=lambda c: c & -c)
         if len(children) == len(poset):
-            out.append((children, poset))
+            yield children, poset
             continue
         reps = [(c & -c).bit_length() - 1 for c in children]
         # rows induced on one index from both row sets are transposes
-        quotient = Poset._from_rows(
+        yield children, Poset._from_rows(
             [poset.elements[i] for i in reps],
             _induced_rows([poset.above[i] for i in reps], reps),
             _induced_rows([poset.below[i] for i in reps], reps),
         )
-        out.append((children, quotient))
-    return out
 
 
 def _lift(children, quotient, poset, masks):
@@ -155,24 +158,38 @@ def _pairs(poset, comparable, incomparable):
     return out
 
 
+def _subsets(poset, lo, hi, refused=None):
+    """Masks of the indecomposable subsets of lo..hi points, in no set
+    order: every pair, when 2 is in lo..hi, and the lifts of the quotient
+    subsets of max(lo, 3) to hi points of each prime node (module
+    docstring) that ``refused(quotient, mask)`` keeps, when it is given.
+    The tree is walked only when hi is 3 or more, and a quotient is
+    scanned only when it has max(lo, 3) children or more."""
+    masks = _pairs(poset, True, True) if lo <= 2 <= hi else []
+    least = max(lo, 3)
+    for children, quotient in _quotients(poset) if hi > 2 else ():
+        if len(children) >= least:
+            found = _indecomposable_masks(quotient, min(hi, len(children)))
+            found = [m for m in found if m.bit_count() >= least]
+            if refused is not None:
+                found = [m for m in found if refused(quotient, m)]
+            masks += _lift(children, quotient, poset, found)
+    return masks
+
+
 def _poset(x):
     """The poset of x, a coloured poset or a poset."""
     return x.poset if hasattr(x, "poset") else x
 
 
 def indecomposable_subsets(x, max_size, bound=None):
-    """All subsets of size 2..max_size inducing an indecomposable subposet:
-    every pair, and the lifts of the quotient subsets of 3 or more points
-    of each prime node (module docstring)."""
+    """All subsets of size 2..max_size inducing an indecomposable subposet
+    (``_subsets``)."""
     x = _poset(x)
     config.check_size(len(x), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if max_size > len(x):
         raise OutOfRange("max_size exceeds the poset size")
-    masks = _pairs(x, True, True) if max_size >= 2 else []
-    for children, quotient in _quotients(x) if max_size > 2 else ():
-        found = [m for m in _indecomposable_masks(quotient, max_size) if m.bit_count() > 2]
-        masks += _lift(children, quotient, x, found)
-    return _canonical_sets(x, masks)
+    return _canonical_sets(x, _subsets(x, 2, max_size))
 
 
 def is_n_free(x):
@@ -239,13 +256,7 @@ def class_check(x, spec, bound=None):
     poset = _poset(x)
     config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
     if spec.max_size is not None:
-        # a quotient keeps its subsets of 3 or more points; the pairs are listed apart
-        cap = max(spec.max_size, 2)
-        bad = _pairs(poset, True, True) if spec.max_size < 2 else []
-        for children, quotient in _quotients(poset):
-            if len(children) > cap:
-                masks = _indecomposable_masks(quotient, len(children))
-                bad += _lift(children, quotient, poset, [m for m in masks if m.bit_count() > cap])
+        bad = _subsets(poset, spec.max_size + 1, len(poset))
         return ClassReport(poset, _canonical_sets(poset, bad))
     sizes = {len(p) for p in spec.allowed}
     # the singletons sort first, in element order, as one-point masks
@@ -258,25 +269,19 @@ def class_check(x, spec, bound=None):
     if not all(pair_ok):
         bad += _pairs(poset, not pair_ok[1], not pair_ok[0])
     verdicts = {}
-    for children, quotient in _quotients(poset):
-        up = quotient.above
-        failed = []
-        for m in _indecomposable_masks(quotient, len(children)):
-            size = m.bit_count()
-            if size < 3:
-                continue
-            if size not in sizes:
-                failed.append(m)
-                continue
-            index = list(_bits(m))
-            rows = _induced_rows([up[i] for i in index], index)
-            allowed = verdicts.get(rows)
-            if allowed is None:
-                sub = Poset([quotient.elements[i] for i in index], rows)
-                allowed = verdicts[rows] = any(is_isomorphic(sub, p) for p in spec.allowed)
-            if not allowed:
-                failed.append(m)
-        bad += _lift(children, quotient, poset, failed)
+
+    def refused(quotient, m):
+        if m.bit_count() not in sizes:
+            return True
+        index = list(_bits(m))
+        rows = _induced_rows([quotient.above[i] for i in index], index)
+        allowed = verdicts.get(rows)
+        if allowed is None:
+            sub = Poset([quotient.elements[i] for i in index], rows)
+            allowed = verdicts[rows] = any(is_isomorphic(sub, p) for p in spec.allowed)
+        return not allowed
+
+    bad += _subsets(poset, 3, len(poset), refused)
     return ClassReport(poset, _canonical_sets(poset, bad))
 
 
@@ -314,9 +319,16 @@ class PrefixReport(_Record):
 
 
 def pathological_prefix_check(x, depth, bound=None):
-    """Probe x for depth-bounded copies of the three obstruction orders."""
+    """Probe x for depth-bounded copies of the three obstruction orders.
+
+    Each prefix has 2**depth - 1 points, which is more than x has iff depth
+    is at least the bit length of len(x) + 1; then none embeds, and none is
+    built.  A negative depth takes the other path, where ``canonical``
+    refuses it."""
     poset = _poset(x)
     config.check_size(len(poset), config.INTERVAL_ENUM_BOUND, bound, "poset", "elements")
+    if depth >= (len(poset) + 1).bit_length():
+        return PrefixReport(depth)
     return PrefixReport(
         depth,
         tree=embed(canonical("binary_tree_prefix", depth), poset),

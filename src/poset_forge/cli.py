@@ -48,52 +48,13 @@ def _load(path):
 FLAG, INT, SOME, APPEND = "flag", "int", "some", "append"
 HELP = "help"
 
-# verb: (help line, positionals, options and their kinds, required options,
-# an exactly-one-of pair or ()); a positional ending in "+" takes one or more
-# words, and takes the whole run of words it starts
-_VERBS = {
-    "validate": ("parse files and check invariants", ("files+",), {}, (), ()),
-    "decompose": ("maximal decomposition of a poset", ("file",), {}, (), ()),
-    "tree": ("decomposition tree dump", ("file",), {}, (), ()),
-    "embed": (
-        "search an embedding between two posets",
-        ("source", "target"),
-        {"--coloured": FLAG},
-        (),
-        (),
-    ),
-    "lift": (
-        "tree embedding lifted to a poset embedding", ("source", "target"), {}, (), ()
-    ),
-    "classify": (
-        "check indecomposable subsets",
-        ("file",),
-        {"--max-indecomposable": INT, "--allowed": SOME, "--bound": INT},
-        (),
-        ("--max-indecomposable", "--allowed"),
-    ),
-    "rank": (
-        "rank of a tree poset",
-        ("file",),
-        {"--scattered": FLAG, "--tree": FLAG, "--bound": INT},
-        (),
-        ("--scattered", "--tree"),
-    ),
-    "quotient": (
-        "collapse disjoint intervals", ("file",), {"--interval": APPEND}, ("--interval",), ()
-    ),
-    "antichain": (
-        "marked-zigzag antichain matrix", (), {"--n": INT, "--bound": INT}, ("--n",), ()
-    ),
-    "matrix": ("embeddability matrix of a family", ("files+",), {"--bound": INT}, (), ()),
-}
 _HELP = {"-h": HELP, "--help": HELP}
 _METAVAR = {FLAG: "", INT: " N", SOME: " FILE...", APPEND: " a,b,..."}
 
 
 def _usage(verb):
     """One verb's usage line, read off its table entry."""
-    _, positionals, kinds, required, pair = _VERBS[verb]
+    _, positionals, kinds, required, pair, _ = _VERBS[verb]
     words = [verb]
     for name in positionals:
         words.append(name[:-1].upper() + "..." if name.endswith("+") else name.upper())
@@ -179,7 +140,7 @@ def _parse(argv):
         word = repr(argv[0]) if argv else "none"
         raise BadOption(f"verb {word} is not one of {', '.join(_VERBS)}")
     verb = argv[0]
-    _, positionals, kinds, required, pair = _VERBS[verb]
+    _, positionals, kinds, required, pair, _ = _VERBS[verb]
     values = {"verb": verb}
     values.update((_dest(name), None) for name in positionals)
     values.update((_dest(o), False if k == FLAG else None) for o, k in kinds.items())
@@ -397,17 +358,64 @@ def _cmd_matrix(args, out):
     return 0
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "decompose": _cmd_decompose,
-    "tree": _cmd_tree,
-    "embed": _cmd_embed,
-    "lift": _cmd_lift,
-    "classify": _cmd_classify,
-    "rank": _cmd_rank,
-    "quotient": _cmd_quotient,
-    "antichain": _cmd_antichain,
-    "matrix": _cmd_matrix,
+# verb: (help line, positionals, options and their kinds, required options,
+# an exactly-one-of pair or (), handler); a positional ending in "+" takes one
+# or more words, and takes the whole run of words it starts
+_VERBS = {
+    "validate": ("parse files and check invariants", ("files+",), {}, (), (), _cmd_validate),
+    "decompose": ("maximal decomposition of a poset", ("file",), {}, (), (), _cmd_decompose),
+    "tree": ("decomposition tree dump", ("file",), {}, (), (), _cmd_tree),
+    "embed": (
+        "search an embedding between two posets",
+        ("source", "target"),
+        {"--coloured": FLAG},
+        (),
+        (),
+        _cmd_embed,
+    ),
+    "lift": (
+        "tree embedding lifted to a poset embedding",
+        ("source", "target"),
+        {},
+        (),
+        (),
+        _cmd_lift,
+    ),
+    "classify": (
+        "check indecomposable subsets",
+        ("file",),
+        {"--max-indecomposable": INT, "--allowed": SOME, "--bound": INT},
+        (),
+        ("--max-indecomposable", "--allowed"),
+        _cmd_classify,
+    ),
+    "rank": (
+        "rank of a tree poset",
+        ("file",),
+        {"--scattered": FLAG, "--tree": FLAG, "--bound": INT},
+        (),
+        ("--scattered", "--tree"),
+        _cmd_rank,
+    ),
+    "quotient": (
+        "collapse disjoint intervals",
+        ("file",),
+        {"--interval": APPEND},
+        ("--interval",),
+        (),
+        _cmd_quotient,
+    ),
+    "antichain": (
+        "marked-zigzag antichain matrix",
+        (),
+        {"--n": INT, "--bound": INT},
+        ("--n",),
+        (),
+        _cmd_antichain,
+    ),
+    "matrix": (
+        "embeddability matrix of a family", ("files+",), {"--bound": INT}, (), (), _cmd_matrix
+    ),
 }
 
 
@@ -419,7 +427,7 @@ def run(argv, out=None):
         if args is None:
             out.write(_help(argv[0]))
             return 0
-        return _COMMANDS[args.verb](args, out)
+        return _VERBS[args.verb][-1](args, out)
     except (PosetForgeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=out)
         return 2

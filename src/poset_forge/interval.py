@@ -15,13 +15,14 @@ anchor's child and the parts of P(M, anchor) that one backward pass over
 the rows reaches from the first part, which is always a child
 (``_prime_children``).  The canonical chain of a mask, and the blocks of
 each of its layers, come from one walk down the strong modules that hold
-its anchor (``_spine``).  ``_prime_nodes`` lists each prime node's
-children, from which ``classify`` reads the indecomposable subsets.
-``enumerate_intervals`` lists the strong modules and the unions and runs of
-children that parallel and linear nodes allow, and a poset is
-indecomposable iff its root is prime with every point a child.  The
-enumeration and the chain keep a size bound, and anything too big for it is
-rejected up front with a clear error.
+its anchor (``_spine``).  One walk over every strong module
+(``_strong_modules``) serves the rest: ``enumerate_intervals`` lists the
+strong modules and the unions and runs of children that parallel and
+linear nodes allow, and ``classify`` reads the indecomposable subsets off
+its prime nodes' children.  A poset is indecomposable iff its root is
+prime with every point a child.  The enumeration and the chain keep a size
+bound, and anything too big for it is rejected up front with a clear
+error.
 """
 
 from itertools import compress
@@ -121,16 +122,13 @@ def enumerate_intervals(carrier, bound=None):
     children of a parallel node, or a run of two or more (not all)
     consecutive children of a linear node (Gallai 1967; Möhring and
     Radermacher, Annals of Discrete Mathematics 19, 1984), and each of
-    those is one.  So one walk with an explicit stack over the strong
-    modules (``_node``) lists them all, once each.
+    those is one.  So one walk over the strong modules
+    (``_strong_modules``) lists them all, once each.
     """
     n = len(carrier)
     config.check_size(n, config.INTERVAL_ENUM_BOUND, bound, "carrier", "elements")
     masks = [1 << i for i in range(n)]
-    stack = [(1 << n) - 1] if n > 1 else []
-    while stack:
-        module = stack.pop()
-        kind, children = _node(carrier, (module & -module).bit_length() - 1, module)
+    for module, kind, children in _strong_modules(carrier):
         masks.append(module)
         if kind == "parallel":
             unions = [0]
@@ -145,7 +143,6 @@ def enumerate_intervals(carrier, bound=None):
                 for j in range(i + 1, k - (i == 0)):
                     run |= children[j]
                     masks.append(run)
-        stack += [c for c in children if c & c - 1]
     return _canonical_sets(carrier, masks)
 
 
@@ -410,26 +407,21 @@ def _prime_children(carrier, anchor, module):
     return [module & ~reach] + [x for x in parts if x & reach]
 
 
-def _prime_nodes(carrier):
-    """The children of every prime strong module of the carrier, one list
-    per module, each list sorted by the children's lowest points.
+def _strong_modules(carrier):
+    """(module, kind, children) for every strong module of the carrier of
+    two or more points, from the whole carrier down (``_node``).
 
-    One walk with an explicit stack opens every strong module of two or
-    more points, from the whole carrier down (``_node``), each at its
-    lowest point.  Sorted by lowest point, the children of a prime node
-    whose children are all of the carrier's points one by one are those
-    points in index order.
+    One walk with an explicit stack opens each such module once, at its
+    lowest point; the children it pushes are those ``_node`` gave, before
+    the consumer sees the list, so the walk's order does not depend on
+    what the consumer does with it.
     """
-    out = []
     stack = [(1 << len(carrier)) - 1] if len(carrier) > 1 else []
     while stack:
         module = stack.pop()
         kind, children = _node(carrier, (module & -module).bit_length() - 1, module)
-        if kind == "prime":
-            children.sort(key=lambda c: c & -c)
-            out.append(children)
         stack += [c for c in children if c & c - 1]
-    return out
+        yield module, kind, children
 
 
 def _spine(carrier, anchor, within, bound=None):

@@ -20,8 +20,9 @@ from poset_forge import (
     pathological_prefix_check,
 )
 from poset_forge import classify, composition, interval
-from poset_forge.core import Poset, check_embedding, coloured_isomorphic
-from poset_forge.errors import TooLarge
+from poset_forge.classify import PrefixReport
+from poset_forge.core import Poset, check_embedding, coloured_isomorphic, embed
+from poset_forge.errors import OutOfRange, TooLarge
 
 
 STOCK = lambda: (canonical("chain", 1), canonical("chain", 2), canonical("antichain", 2))
@@ -333,26 +334,29 @@ class TestPrimeQuotients:
         return helpers.prime_node_posets(random.Random(227), 40)
 
     def test_lifted_masks_match_whole_poset_pass(self, catalog6, drawn):
+        # ``_subsets`` at every cap, from below and from above, and under a
+        # refusal, reassembles the whole-poset pass's subsets as a multiset:
+        # no subset is lifted twice
         multi = 0
+        even = lambda quotient, m: m.bit_count() % 2 == 0
         for p in [p for reps in catalog6.values() for p in reps] + drawn:
             n = len(p)
-            quotients = classify._quotients(p)
-            for children, quotient in quotients:
+            whole = classify._indecomposable_masks(p, n)
+            for children, quotient in classify._quotients(p):
                 # the order on the children's lowest points, with both row
                 # sets, as ``Poset._from_rows`` needs
+                assert children == sorted(children, key=lambda c: c & -c)
                 assert quotient.above == helpers.induced(p, quotient.elements).above
                 assert list(quotient.below) == helpers.transpose(quotient.above)
                 assert [p.index[e] for e in quotient.elements] == [(c & -c).bit_length() - 1 for c in children]
-            for cap in range(2, n + 1):
-                got = classify._pairs(p, True, True)
-                for children, quotient in quotients:
-                    found = [m for m in classify._indecomposable_masks(quotient, cap) if m.bit_count() > 2]
-                    lifted = classify._lift(children, quotient, p, found)
-                    got += lifted
-                    if cap == n:
-                        multi += len(lifted) - len(found)
-                # as a multiset: no subset is lifted twice
-                assert sorted(got) == classify._indecomposable_masks(p, cap)
+                multi -= sum(m.bit_count() > 2 for m in classify._indecomposable_masks(quotient, n))
+            for cap in range(n + 1):
+                assert sorted(classify._subsets(p, 2, cap)) == classify._indecomposable_masks(p, cap)
+                over = sorted(classify._subsets(p, cap + 1, n))
+                assert over == [m for m in whole if m.bit_count() > cap]
+            refused = sorted(classify._subsets(p, 3, n, even))
+            assert refused == [m for m in whole if m.bit_count() > 2 and even(p, m)]
+            multi += len(classify._subsets(p, 3, n))
         assert multi > 1000
 
     def test_class_check_matches_oracle(self, catalog6, drawn, monkeypatch):
@@ -491,3 +495,29 @@ class TestPathologicalPrefix:
         a = pathological_prefix_check(canonical("perp_prefix", 3), 2).text()
         b = pathological_prefix_check(canonical("perp_prefix", 3), 2).text()
         assert a == b and a.startswith("prefix_depth 2\n")
+
+    def test_prefix_larger_than_poset_is_not_built(self, monkeypatch):
+        # a prefix of 2**depth - 1 points never embeds in a smaller poset,
+        # so it is reported absent without being built; below that size the
+        # report is the three embeds' own
+        fence = canonical("fence", 14)
+        stock = [canonical(*a) for a in (("chain", 10), ("N", 0), ("perp_prefix", 3), ("fence", 5))]
+        names = ("binary_tree_prefix", "reversed_binary_tree_prefix", "perp_prefix")
+        for p in stock + [fence]:
+            for depth in range(6):
+                want = PrefixReport(depth, *(embed(canonical(name, depth), p) for name in names))
+                assert pathological_prefix_check(p, depth).text() == want.text()
+        built = []
+        make = classify.canonical
+
+        def spy(name, k):
+            built.append(name)
+            return make(name, k)
+
+        monkeypatch.setattr(classify, "canonical", spy)
+        for depth in (5, 40):
+            report = pathological_prefix_check(fence, depth)
+            assert report.text() == f"prefix_depth {depth}\n" + "".join(f"{n} absent\n" for n in names)
+        assert built == []
+        with pytest.raises(OutOfRange):
+            pathological_prefix_check(fence, -1)

@@ -415,7 +415,7 @@ def assembled_lines(draw):
     """A verb's positionals and some of its options with values, shuffled
     as whole pieces: mostly lines that argparse takes."""
     verb = draw(st.sampled_from(tuple(cli._VERBS)))
-    _, positionals, kinds, _, _ = cli._VERBS[verb]
+    _, positionals, kinds, _, _, _ = cli._VERBS[verb]
     values = st.sampled_from(PARITY_VALUES)
     pieces = [[draw(values)] for name in positionals]
     pieces += [[draw(values)] for _ in range(positionals == ("files+",) and draw(st.integers(0, 2)))]
@@ -494,8 +494,9 @@ class TestHelp:
         assert cli._usage("validate") == "validate FILES..."
 
     def test_one_verb_list(self):
-        # the dispatch table, the parse table, the help text and README's
-        # verb block name the same ten verbs, in one order
+        # one table parses and dispatches: each verb's entry holds its own
+        # handler, and the table, the help text and README's verb block
+        # name the same ten verbs, in one order
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("Verbs (exit code", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
         in_readme = list(dict.fromkeys(line.split()[1] for line in block.splitlines()))
@@ -503,8 +504,10 @@ class TestHelp:
             line.split()[0] for line in cli._help(None).splitlines()
             if line.startswith("  ") and not line.startswith("   ")
         ]
-        assert len(cli._COMMANDS) == 10
-        assert list(cli._COMMANDS) == list(cli._VERBS) == in_help == in_readme
+        assert not hasattr(cli, "_COMMANDS")
+        assert all(entry[-1] is getattr(cli, f"_cmd_{verb}") for verb, entry in cli._VERBS.items())
+        assert len(cli._VERBS) == 10
+        assert list(cli._VERBS) == in_help == in_readme
 
 
 # seed documents for the fuzz test, all valid

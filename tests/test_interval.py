@@ -568,21 +568,39 @@ class TestNode:
         assert kinds == {"parallel", "linear", "prime"}
 
 
-class TestPrimeNodes:
-    # one walk over every strong module: each prime node once, with its
-    # children, the maximal strong modules inside it, sorted by lowest point
-    def test_match_brute_prime_modules(self, catalog6):
+class TestStrongModules:
+    # one walk over every strong module of two or more points: each once,
+    # with the kind and children ``_node`` gives it at its lowest point;
+    # the children are the maximal strong modules inside it, and a prime
+    # module's are those of the brute oracle; what a consumer does to a
+    # yielded list leaves the walk as it was
+    def test_match_brute_strong_modules(self, catalog6):
+        assert not hasattr(interval, "_prime_nodes")
         rng = random.Random(211)
         posets = [p for reps in catalog6.values() for p in reps]
         posets += helpers.prime_node_posets(rng, 70)
         multi = 0
         for p in posets:
-            nodes = interval._prime_nodes(p)
-            want = helpers.brute_prime_children(p)
-            got = {}
-            for children in nodes:
-                assert children == sorted(children, key=lambda c: c & -c)
-                got[_mask_to_set(p, sum(children))] = {_mask_to_set(p, c) for c in children}
-            assert len(got) == len(nodes) and got == want
-            multi += sum(c & c - 1 != 0 for children in nodes for c in children)
+            walk = list(interval._strong_modules(p))
+            strong = helpers.brute_strong_modules(p)
+            got = [_mask_to_set(p, module) for module, _, _ in walk]
+            assert len(got) == len(set(got))
+            assert set(got) == {s for s in strong if len(s) >= 2}
+            prime = {}
+            for (module, kind, children), s in zip(walk, got):
+                assert (kind, children) == interval._node(p, (module & -module).bit_length() - 1, module)
+                inner = [t for t in strong if t < s]
+                assert {_mask_to_set(p, c) for c in children} == {
+                    t for t in inner if not any(t < u for u in inner)
+                }
+                if kind == "prime":
+                    prime[s] = {_mask_to_set(p, c) for c in children}
+                    multi += sum(c & c - 1 != 0 for c in children)
+            assert prime == helpers.brute_prime_children(p)
+            mangled = []
+            for module, _, children in interval._strong_modules(p):
+                mangled.append(module)
+                children.reverse()
+                children.append(module)
+            assert mangled == [module for module, _, _ in walk]
         assert multi > 200
